@@ -25,9 +25,7 @@ from .factorint import factorize, is_probable_prime
 from .gf2poly import (
     FieldContext,
     SparsePoly,
-    fe_mul,
     make_context,
-    monomial_residue,
     parse_poly,
     random_primitive_poly,
     residue,
@@ -36,11 +34,9 @@ from .gf2poly import (
 from .dlog import (
     LogEngine,
     build_engine,
-    discrete_log,
     load_engine,
     predict_table_bytes,
     save_engine,
-    zech_log,
     zech_orbit,
 )
 from .search import (
@@ -52,7 +48,6 @@ from .search import (
     SearchResult,
     assemble_multiple,
     build_log_table,
-    centered_shift,
     default_split,
     enumerate_tuples,
     estimate_count,
@@ -82,14 +77,13 @@ __all__ = [
     "PolyParseError", "WeightTooSmallError", "ZechUndefinedError",
     "ZeroShiftError",
     "factorize", "is_probable_prime",
-    "FieldContext", "SparsePoly", "fe_mul", "make_context",
-    "monomial_residue", "parse_poly", "random_primitive_poly", "residue",
-    "verify_multiple",
-    "LogEngine", "build_engine", "discrete_log", "load_engine",
-    "predict_table_bytes", "save_engine", "zech_log", "zech_orbit",
+    "FieldContext", "SparsePoly", "make_context", "parse_poly",
+    "random_primitive_poly", "residue", "verify_multiple",
+    "LogEngine", "build_engine", "load_engine", "predict_table_bytes",
+    "save_engine", "zech_orbit",
     "LogTable", "LogTableEntry", "MultipleRecord", "RunReport",
     "SearchParams", "SearchResult", "assemble_multiple", "build_log_table",
-    "centered_shift", "default_split", "enumerate_tuples", "estimate_count",
+    "default_split", "enumerate_tuples", "estimate_count",
     "logtmto_find_all", "range_query", "second_phase_bound", "tmto_find_all",
     "ProgressEvent", "Rng", "SampleParams", "SampleResult",
     "birthday_logtmto", "birthday_tmto", "random_log_sample",

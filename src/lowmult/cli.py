@@ -144,14 +144,14 @@ def cmd_find_all(args) -> int:
     if algorithm == "tmto":
         params = SearchParams.balanced(
             args.weight, args.max_degree, "classical",
-            budget_bytes=args.budget_bytes, threads=args.threads,
+            budget_bytes=args.budget_bytes,
         )
         result = tmto_find_all(ctx, params)
     else:
         params = SearchParams.balanced(
             args.weight, args.max_degree, "logarithmic",
             restrict_second_phase=args.restrict,
-            budget_bytes=args.budget_bytes, threads=args.threads,
+            budget_bytes=args.budget_bytes,
         )
         engine = _get_engine(args, ctx)
         result = logtmto_find_all(ctx, engine, params)
@@ -311,7 +311,6 @@ def build_parser() -> argparse.ArgumentParser:
                        default="auto")
     p_all.add_argument("--restrict", action="store_true",
                        help="cap probe-side degree at ceil(D*q2/(w-1))")
-    p_all.add_argument("--threads", type=int, default=1)
     p_all.set_defaults(func=cmd_find_all)
 
     p_some = sub.add_parser(

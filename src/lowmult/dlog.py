@@ -58,44 +58,57 @@ def _model_bytes(entries: int) -> int:
     return _slots(entries) * _ENTRY_BYTES
 
 
+def _tabulate(ctx, p, baby_entries):
+    """gp^j for j < min(p, baby_entries), where gp = x^(M/p) has order p,
+    as (values sorted ascending, their exponents j)."""
+    gp = ctx.pow(2, ctx.order // p)
+    m = min(p, baby_entries)
+    raw = [1] * m
+    v = 1
+    if gp == 2:  # generator is x itself: step by one shift
+        mulx = ctx.mulx
+        for j in range(m):
+            raw[j] = v
+            v = mulx(v)
+    else:
+        mul = ctx.mul
+        for j in range(m):
+            raw[j] = v
+            v = mul(v, gp)
+    if m == p and v != 1:
+        raise AssertionError("subgroup enumeration did not close")
+    vals = np.array(raw, dtype="<i8")
+    del raw
+    order = np.argsort(vals, kind="stable")
+    return vals[order], order.astype("<i8")
+
+
 class _SubgroupLog:
-    """Log lookup in the order-p subgroup generated by gp."""
+    """Log lookup in the order-p subgroup generated by gp = x^(M/p).
+
+    vals holds gp^j for j < m sorted ascending and idx the matching j.
+    m == p is a full table; a smaller m is the baby table of baby-step
+    giant-step.
+    """
 
     __slots__ = ("p", "m", "vals", "idx", "accel", "giant", "steps")
 
-    def __init__(self, ctx, gp, p, baby_entries):
+    def __init__(self, ctx, p, vals, idx):
         self.p = p
-        self.m = min(p, baby_entries)
-        raw = [1] * self.m
-        v = 1
-        if gp == 2:  # generator is x itself: step by one shift
-            mulx = ctx.mulx
-            for j in range(self.m):
-                raw[j] = v
-                v = mulx(v)
-        else:
-            mul = ctx.mul
-            for j in range(self.m):
-                raw[j] = v
-                v = mul(v, gp)
-        if self.m == p and v != 1:
-            raise AssertionError("subgroup enumeration did not close")
-        vals = np.array(raw, dtype="<i8")
-        del raw
-        order = np.argsort(vals, kind="stable")
-        self.vals = vals[order]
-        self.idx = order.astype("<i8")
+        self.m = m = len(vals)
+        self.vals = vals
+        self.idx = idx
         self.accel = (
-            {int(vals[j]): j for j in range(self.m)}
-            if self.m <= _DICT_ACCEL_LIMIT
+            dict(zip(vals.tolist(), idx.tolist()))
+            if m <= _DICT_ACCEL_LIMIT
             else None
         )
-        if self.m == p:
+        if m == p:
             self.giant = None
             self.steps = 0
         else:
-            self.giant = ctx.pow(gp, p - self.m)  # gp^-m
-            self.steps = (p - 1) // self.m
+            self.giant = ctx.pow(2, ctx.order // p * (p - m))  # gp^-m
+            self.steps = (p - 1) // m
 
     @property
     def strategy(self) -> str:
@@ -125,15 +138,15 @@ class _PrimePowerSolver:
 
     __slots__ = ("p", "e", "q", "cofactor", "gq", "sub", "inv_pows", "p_pows")
 
-    def __init__(self, ctx, p, e, baby_entries):
+    def __init__(self, ctx, p, e, tables):
+        """tables: the sorted (vals, idx) of the order-p subgroup."""
         self.p = p
         self.e = e
         self.q = p**e
         M = ctx.order
         self.cofactor = M // self.q
         self.gq = ctx.pow(2, self.cofactor)  # order exactly q
-        gp = ctx.pow(self.gq, p ** (e - 1))  # order exactly p
-        self.sub = _SubgroupLog(ctx, gp, p, baby_entries)
+        self.sub = _SubgroupLog(ctx, p, *tables)
         gq_inv = ctx.pow(self.gq, self.q - 1)
         self.p_pows = [p**k for k in range(e)]
         self.inv_pows = [ctx.pow(gq_inv, pk) for pk in self.p_pows]
@@ -275,22 +288,12 @@ def build_engine(
             f"(cap {max_table_bytes}); raise the cap or lower the threshold"
         )
     solvers = [
-        _PrimePowerSolver(ctx, p, e, baby_entries)
+        _PrimePowerSolver(ctx, p, e, _tabulate(ctx, p, baby_entries))
         for p, e, baby_entries in plan
     ]
     return LogEngine(
         ctx, solvers, tabulation_threshold, bsgs_baby_entries, predicted
     )
-
-
-def discrete_log(engine: LogEngine, a: int) -> int:
-    """x^result == a; Pohlig-Hellman digits combined by CRT."""
-    return engine.discrete_log(a)
-
-
-def zech_log(engine: LogEngine, i: int) -> int:
-    """Zech's logarithm Z(i) = log(1 + x^i), in [1, M-1]."""
-    return engine.zech_log(i)
 
 
 def zech_orbit(i: int, zi: int, M: int) -> set[tuple[int, int]]:
@@ -347,7 +350,11 @@ def save_engine(engine: LogEngine, path: str) -> None:
 
 
 def load_engine(path: str) -> LogEngine:
-    """Rebuild an engine from a cache file (validates CRC and modulus)."""
+    """Rebuild an engine from a cache file.
+
+    Raises ValueError for a bad checksum, a foreign or short file, or
+    solver records that disagree with the modulus's factorization.
+    """
     with open(path, "rb") as fh:
         payload = fh.read()
     if len(payload) < len(_CACHE_MAGIC) + 10:
@@ -358,59 +365,45 @@ def load_engine(path: str) -> LogEngine:
     if body[: len(_CACHE_MAGIC)] != _CACHE_MAGIC:
         raise ValueError(f"{path}: not an engine cache")
     off = len(_CACHE_MAGIC)
-    version, n = struct.unpack_from("<IH", body, off)
-    off += 6
+
+    def take(fmt):
+        nonlocal off
+        size = struct.calcsize(fmt)
+        if off + size > len(body):
+            raise ValueError(f"{path}: truncated engine cache")
+        fields = struct.unpack_from(fmt, body, off)
+        off += size
+        return fields
+
+    version, n = take("<IH")
     if version != _CACHE_VERSION:
         raise ValueError(f"{path}: unsupported cache version {version}")
-    (nexp,) = struct.unpack_from("<H", body, off)
-    off += 2
-    exps = struct.unpack_from(f"<{nexp}Q", body, off)
-    off += 8 * nexp
-    thr_raw, baby_raw = struct.unpack_from("<QQ", body, off)
-    off += 16
+    (nexp,) = take("<H")
+    exps = take(f"<{nexp}Q")
+    thr_raw, baby_raw = take("<QQ")
     ctx = make_context(SparsePoly(exps))
     if ctx.n != n:
         raise ValueError(f"{path}: inconsistent modulus degree")
     thr = None if thr_raw == 0 else thr_raw - 1
     baby = None if baby_raw == 0 else baby_raw
-    (nsolvers,) = struct.unpack_from("<I", body, off)
-    off += 4
+    (nsolvers,) = take("<I")
+    if nsolvers != len(ctx.factorization):
+        raise ValueError(f"{path}: solver count does not match the modulus")
     solvers = []
     predicted = 0
-    for _ in range(nsolvers):
-        p, e, kind, m = struct.unpack_from("<QIBQ", body, off)
-        off += 21
+    for prime_power in ctx.factorization:
+        p, e, kind, m = take("<QIBQ")
+        if (p, e) != prime_power:
+            raise ValueError(f"{path}: solver {p}^{e} does not match the modulus")
+        if not 1 <= m <= p or kind != (0 if m == p else 1):
+            raise ValueError(f"{path}: inconsistent {m}-entry table for prime {p}")
+        if off + 16 * m > len(body):
+            raise ValueError(f"{path}: truncated engine cache")
         vals = np.frombuffer(body, dtype="<i8", count=m, offset=off).copy()
-        off += 8 * m
-        idx = np.frombuffer(body, dtype="<i8", count=m, offset=off).copy()
-        off += 8 * m
-        solver = _PrimePowerSolver.__new__(_PrimePowerSolver)
-        solver.p = p
-        solver.e = e
-        solver.q = p**e
-        solver.cofactor = ctx.order // solver.q
-        solver.gq = ctx.pow(2, solver.cofactor)
-        gp = ctx.pow(solver.gq, p ** (e - 1))
-        sub = _SubgroupLog.__new__(_SubgroupLog)
-        sub.p = p
-        sub.m = m
-        sub.vals = vals
-        sub.idx = idx
-        sub.accel = (
-            {int(vals[j]): int(idx[j]) for j in range(m)}
-            if m <= _DICT_ACCEL_LIMIT
-            else None
-        )
-        if kind == 0:
-            sub.giant = None
-            sub.steps = 0
-        else:
-            sub.giant = ctx.pow(gp, p - m)
-            sub.steps = (p - 1) // m
-        solver.sub = sub
-        gq_inv = ctx.pow(solver.gq, solver.q - 1)
-        solver.p_pows = [p**k for k in range(e)]
-        solver.inv_pows = [ctx.pow(gq_inv, pk) for pk in solver.p_pows]
-        solvers.append(solver)
+        idx = np.frombuffer(body, dtype="<i8", count=m, offset=off + 8 * m).copy()
+        off += 16 * m
+        solvers.append(_PrimePowerSolver(ctx, p, e, (vals, idx)))
         predicted += _model_bytes(m)
+    if off != len(body):
+        raise ValueError(f"{path}: trailing bytes in engine cache")
     return LogEngine(ctx, solvers, thr, baby, predicted)

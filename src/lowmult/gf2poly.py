@@ -371,22 +371,12 @@ def make_context(poly: SparsePoly) -> FieldContext:
     return FieldContext(poly)
 
 
-def monomial_residue(k: int, ctx: FieldContext) -> int:
-    """x^k mod P."""
-    return ctx.monomial_residue(k)
-
-
 def residue(p: SparsePoly, ctx: FieldContext) -> int:
     """p mod P: the XOR of monomial residues over p's exponents."""
     acc = 0
     for e in p.exponents:
         acc ^= ctx.monomial_residue(e)
     return acc
-
-
-def fe_mul(a: int, b: int, ctx: FieldContext) -> int:
-    """Product of two field elements, reduced modulo P."""
-    return ctx.mul(a, b)
 
 
 def verify_multiple(m: SparsePoly, ctx: FieldContext, w: int, D: int) -> bool:

@@ -92,12 +92,7 @@ def brute_force_multiples(ctx: FieldContext, w: int, D: int) -> set[MultipleReco
     found: set[MultipleRecord] = set()
 
     def emit(exps: tuple[int, ...]) -> None:
-        poly = SparsePoly(exps)
-        found.add(
-            MultipleRecord(
-                poly=poly, weight=poly.weight(), degree=poly.degree()
-            )
-        )
+        found.add(MultipleRecord.of(exps))
 
     def scan(q: int, lo: int, acc: int, prefix: tuple[int, ...]) -> None:
         # acc carries the constant term plus the prefix's residues; the

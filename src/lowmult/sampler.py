@@ -25,14 +25,15 @@ from dataclasses import dataclass
 from math import comb
 
 from .errors import WeightTooSmallError
-from .gf2poly import FieldContext, SparsePoly
+from .gf2poly import FieldContext
 from .search import (
     LogTable,
     MultipleRecord,
     assemble_multiple,
     build_log_table,
     default_split,
-    range_query,
+    _window_matches,
+    _zero_poly_multiples,
 )
 
 _MASK64 = (1 << 64) - 1
@@ -243,15 +244,7 @@ def random_log_sample(engine, params: SampleParams) -> SampleResult:
             if len(cache) < _RESIDUE_CACHE_LIMIT:
                 cache[r] = lg
         if 0 < lg <= params.D and lg not in tup:
-            poly = SparsePoly(sorted((0, lg) + tup))
-            col.add(
-                MultipleRecord(
-                    poly=poly,
-                    weight=poly.weight(),
-                    degree=poly.degree(),
-                    provenance=((0,) + tup, (), lg),
-                )
-            )
+            col.add(MultipleRecord.of(sorted((0, lg) + tup), ((0,) + tup, (), lg)))
         else:
             skipped += 1
         col.tick(iteration)
@@ -294,20 +287,16 @@ def birthday_logtmto(
         table = build_log_table(engine, q1, K)
     elif table.max_degree != K:
         raise ValueError("prebuilt table does not match precompute degree K")
+    elif any(len(e.exponents) != q1 for e in table.entries) or any(
+        len(tup) != q1 for tup in table.zero_polys
+    ):
+        raise ValueError(f"prebuilt table does not store {q1}-tuples")
     log_calls = table.log_calls
     col = _Collector(params.progress_stride)
-    if q2 % 2 == 1:
-        for tup in table.zero_polys:
-            poly = SparsePoly((0,) + tup)
-            col.add(
-                MultipleRecord(
-                    poly=poly, weight=poly.weight(), degree=poly.degree(),
-                    provenance=(tup, (), None),
-                )
-            )
+    for exps, prov in _zero_poly_multiples(table, q2):
+        col.add(MultipleRecord.of(exps, prov))
     rng = Rng(params.seed)
     xp = ctx.power_table(D)
-    stored_min = 1 if q1 else 0
     skipped = 0
     iteration = 0
     while iteration < params.max_iterations and col.found < params.B:
@@ -318,13 +307,7 @@ def birthday_logtmto(
             r ^= xp[e]
         if r == 0:
             if q1 % 2 == 1:
-                poly = SparsePoly((0,) + tup)
-                col.add(
-                    MultipleRecord(
-                        poly=poly, weight=poly.weight(), degree=poly.degree(),
-                        provenance=(tup, (), None),
-                    )
-                )
+                col.add(MultipleRecord.of((0,) + tup, (tup, (), None)))
             else:
                 skipped += 1
             col.tick(iteration)
@@ -332,21 +315,9 @@ def birthday_logtmto(
         probe_log = engine.discrete_log(r)
         log_calls += 1
         probe_max = tup[-1] if tup else 0
-        shift_hi = D - probe_max
-        if shift_hi - (stored_min - D) + 1 >= M:
-            hits = table.entries
-        else:
-            hits = range_query(
-                table, probe_log + stored_min - D, probe_log + shift_hi, M
-            )
-        for stored_log, stored, stored_max in hits:
-            base = (stored_log - probe_log) % M
-            lo = stored_max - D
-            shift = lo + ((base - lo) % M)
-            while shift <= shift_hi:
-                if shift != 0:
-                    col.add(assemble_multiple(stored, tup, shift))
-                shift += M
+        for stored, shift in _window_matches(table, probe_log, probe_max, D, M):
+            if shift:
+                col.add(assemble_multiple(stored, tup, shift))
         col.tick(iteration)
     col.finish(iteration)
     return SampleResult(
@@ -388,14 +359,8 @@ def birthday_tmto(ctx: FieldContext, params: SampleParams) -> SampleResult:
             for e in tup:
                 r ^= xp[e]
             for mate in other.get(r ^ 1, ()):
-                exps = tuple(sorted({0} | (set(tup) ^ set(mate))))
-                poly = SparsePoly(exps)
-                col.add(
-                    MultipleRecord(
-                        poly=poly, weight=poly.weight(), degree=poly.degree(),
-                        provenance=(mate, tup, None),
-                    )
-                )
+                exps = sorted({0} | (set(tup) ^ set(mate)))
+                col.add(MultipleRecord.of(exps, (mate, tup, None)))
             bucket = own.setdefault(r, [])
             if tup not in bucket:
                 bucket.append(tup)

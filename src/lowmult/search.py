@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import time
 from bisect import bisect_left, bisect_right
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -76,17 +75,6 @@ def enumerate_tuples(q: int, max_deg: int) -> Iterator[tuple[int, ...]]:
     return combinations(range(1, max_deg + 1), q)
 
 
-def centered_shift(lg: int, ld: int, M: int) -> int:
-    """The representative of lg - ld (mod M) in [-(M-1)/2, (M-1)/2].
-
-    M odd makes the representative unique.
-    """
-    e = (lg - ld) % M
-    if e > (M - 1) // 2:
-        e -= M
-    return e
-
-
 def second_phase_bound(D: int, w: int, q2: int) -> int:
     """Degree bound ceil(D * q2 / (w - 1)) for the probe-side tuples.
 
@@ -129,6 +117,12 @@ class MultipleRecord:
 
     def __hash__(self):
         return hash(self.poly.exponents)
+
+    @classmethod
+    def of(cls, exponents, provenance=None) -> "MultipleRecord":
+        """The record of an exponent set; weight and degree are derived."""
+        poly = SparsePoly(exponents)
+        return cls(poly, poly.weight(), poly.degree(), provenance)
 
     def __repr__(self):
         return f"MultipleRecord({self.poly})"
@@ -173,7 +167,6 @@ class SearchParams:
     algorithm: str
     restrict_second_phase: bool = False
     budget_bytes: int = DEFAULT_BUDGET_BYTES
-    threads: int = 1
 
     def __post_init__(self):
         if self.algorithm not in (ALGO_CLASSICAL, ALGO_LOGARITHMIC):
@@ -189,8 +182,6 @@ class SearchParams:
             raise ValueError(
                 f"split ({self.q1}, {self.q2}) inconsistent with weight {self.w}"
             )
-        if self.threads < 1:
-            raise ValueError("threads must be >= 1")
 
     @classmethod
     def balanced(cls, w: int, D: int, algorithm: str, **kwargs) -> "SearchParams":
@@ -212,7 +203,6 @@ class RunReport:
     q1: int
     q2: int
     restricted: bool
-    threads: int
     found: int = 0
     duplicates_suppressed: int = 0
     zero_shift_skips: int = 0
@@ -225,7 +215,7 @@ class RunReport:
     def lines(self) -> list[str]:
         out = ["# run report"]
         for key in (
-            "algorithm", "w", "D", "q1", "q2", "restricted", "threads",
+            "algorithm", "w", "D", "q1", "q2", "restricted",
             "found", "duplicates_suppressed", "zero_shift_skips",
             "zero_residue_emits", "table_entries", "log_calls",
         ):
@@ -269,12 +259,9 @@ def assemble_multiple(
     """
     if shift == 0:
         raise ZeroShiftError("equal-residue halves assemble to zero")
-    poly = SparsePoly(_assemble_exps(tuple(stored), tuple(probe), shift))
-    return MultipleRecord(
-        poly=poly,
-        weight=poly.weight(),
-        degree=poly.degree(),
-        provenance=(tuple(stored), tuple(probe), shift),
+    stored, probe = tuple(stored), tuple(probe)
+    return MultipleRecord.of(
+        _assemble_exps(stored, probe, shift), (stored, probe, shift)
     )
 
 
@@ -325,6 +312,48 @@ def build_log_table(engine, q1: int, max_deg: int) -> LogTable:
     )
 
 
+def _window_matches(
+    table: LogTable, probe_log: int, probe_max: int, D: int, M: int
+) -> Iterator[tuple[tuple[int, ...], int]]:
+    """Every (stored tuple, shift) pairing a probe with the table.
+
+    The shift e is congruent to (stored log - probe_log) mod M and lies
+    in [stored max - D, D - probe_max], which keeps both shifted halves
+    at degree <= D.  Only logs in the cyclic window starting D below
+    probe_log can match, so one range query finds them; once the window
+    spans the whole group every entry is walked.  Shift 0 is yielded
+    too (both halves reduce to the same element); callers count or skip
+    it.
+    """
+    shift_hi = D - probe_max
+    # smallest possible max exponent of a stored tuple: 0 only for q1 = 0
+    stored_min = 1 if table.entries and table.entries[0].exponents else 0
+    if shift_hi - (stored_min - D) + 1 >= M:
+        hits = table.entries
+    else:
+        hits = range_query(
+            table, probe_log + stored_min - D, probe_log + shift_hi, M
+        )
+    for stored_log, stored, stored_max in hits:
+        lo = stored_max - D
+        # walk every shift congruent to stored_log - probe_log inside [lo, shift_hi]
+        shift = lo + ((stored_log - probe_log - lo) % M)
+        while shift <= shift_hi:
+            yield stored, shift
+            shift += M
+
+
+def _zero_poly_multiples(table: LogTable, q2: int) -> list[tuple[tuple, tuple]]:
+    """(exponents, provenance) of the stored tuples reducing to zero.
+
+    Each 1 + tuple is a multiple of weight q1 + 1, which has the parity
+    of w = q1 + q2 + 2 only when q2 is odd.
+    """
+    if q2 % 2 == 0:
+        return []
+    return [((0,) + tup, (tup, (), None)) for tup in table.zero_polys]
+
+
 def _check_budget(entries: int, power_slots: int, budget: int) -> None:
     predicted = entries * TABLE_ENTRY_BYTES + power_slots * POWER_TABLE_ENTRY_BYTES
     if predicted > budget:
@@ -347,8 +376,9 @@ class _Dedup:
     Memory stays proportional to the number of distinct multiples even
     when decompositions arrive millions of times over (routine once the
     degree bound nears half the group order).  Keeping the smallest
-    provenance makes the outcome independent of arrival order, so
-    threaded runs reproduce the single-threaded result exactly.
+    provenance makes the outcome independent of arrival order, so a
+    probe loop that batches or reorders its probes reports the same
+    provenances.
     """
 
     __slots__ = ("best", "seen")
@@ -363,35 +393,13 @@ class _Dedup:
         if cur is None or _provenance_key(prov) < _provenance_key(cur):
             self.best[exps] = prov
 
-    def merge(self, other: "_Dedup") -> None:
-        self.seen += other.seen
-        best = self.best
-        for exps, prov in other.best.items():
-            cur = best.get(exps)
-            if cur is None or _provenance_key(prov) < _provenance_key(cur):
-                best[exps] = prov
-
 
 def _finalize(dedup: _Dedup, report) -> list[MultipleRecord]:
-    records = []
-    for exps, prov in dedup.best.items():
-        poly = SparsePoly(exps)
-        records.append(
-            MultipleRecord(
-                poly=poly,
-                weight=poly.weight(),
-                degree=poly.degree(),
-                provenance=prov,
-            )
-        )
+    records = [MultipleRecord.of(exps, prov) for exps, prov in dedup.best.items()]
     records.sort(key=lambda r: (r.degree, r.poly.exponents))
     report.found = len(records)
     report.duplicates_suppressed = dedup.seen - len(records)
     return records
-
-
-def _stripes(bound: int, threads: int) -> list[range]:
-    return [range(1 + t, bound + 1, threads) for t in range(threads)]
 
 
 def tmto_find_all(ctx: FieldContext, params: SearchParams) -> SearchResult:
@@ -401,8 +409,7 @@ def tmto_find_all(ctx: FieldContext, params: SearchParams) -> SearchResult:
         raise ValueError("tmto_find_all needs algorithm='classical'")
     q1, q2, D = params.q1, params.q2, params.D
     report = RunReport(
-        algorithm="tmto", w=params.w, D=D, q1=q1, q2=q2,
-        restricted=False, threads=params.threads,
+        algorithm="tmto", w=params.w, D=D, q1=q1, q2=q2, restricted=False,
     )
     _check_budget(comb(D, q1), D + 1, params.budget_bytes)
     xp = ctx.power_table(D)
@@ -418,22 +425,21 @@ def tmto_find_all(ctx: FieldContext, params: SearchParams) -> SearchResult:
     report.phase1_seconds = time.perf_counter() - t0
 
     t0 = time.perf_counter()
+    dedup = _Dedup()
 
-    def emit(dedup, stored, probe):
+    def emit(stored, probe):
         exps = tuple(sorted({0} | (set(stored) ^ set(probe))))
         dedup.add(exps, (stored, probe, None))
 
-    def probe_block(firsts: range) -> _Dedup:
-        out = _Dedup()
-        if q2 == 0:
-            for stored in table.get(1, ()):
-                emit(out, stored, ())
-            return out
-        for f in firsts:
+    if q2 == 0:
+        for stored in table.get(1, ()):
+            emit(stored, ())
+    else:
+        for f in range(1, D + 1):
             base = xp[f]
             if q2 == 1:
                 for stored in table.get(base ^ 1, ()):
-                    emit(out, stored, (f,))
+                    emit(stored, (f,))
             elif q2 == 2:
                 b1 = base ^ 1
                 get = table.get
@@ -441,25 +447,14 @@ def tmto_find_all(ctx: FieldContext, params: SearchParams) -> SearchResult:
                     hits = get(b1 ^ xp[j])
                     if hits:
                         for stored in hits:
-                            emit(out, stored, (f, j))
+                            emit(stored, (f, j))
             else:
                 for rest in combinations(range(f + 1, D + 1), q2 - 1):
                     r = base ^ 1
                     for e in rest:
                         r ^= xp[e]
                     for stored in table.get(r, ()):
-                        emit(out, stored, (f,) + rest)
-        return out
-
-    if q2 == 0:
-        dedup = probe_block(range(0))
-    elif params.threads == 1:
-        dedup = probe_block(range(1, D + 1))
-    else:
-        dedup = _Dedup()
-        with ThreadPoolExecutor(max_workers=params.threads) as pool:
-            for block in pool.map(probe_block, _stripes(D, params.threads)):
-                dedup.merge(block)
+                        emit(stored, (f,) + rest)
     report.phase2_seconds = time.perf_counter() - t0
     return SearchResult(records=_finalize(dedup, report), report=report)
 
@@ -483,7 +478,7 @@ def logtmto_find_all(
     M = ctx.order
     report = RunReport(
         algorithm="logtmto", w=params.w, D=D, q1=q1, q2=q2,
-        restricted=params.restrict_second_phase, threads=params.threads,
+        restricted=params.restrict_second_phase,
     )
     _check_budget(comb(D, q1), D + 1, params.budget_bytes)
 
@@ -493,10 +488,9 @@ def logtmto_find_all(
     report.phase1_seconds = table.build_seconds
 
     dedup = _Dedup()
-    if q2 % 2 == 1:
-        for tup in table.zero_polys:
-            dedup.add((0,) + tup, (tup, (), None))
-            report.zero_residue_emits += 1
+    for exps, prov in _zero_poly_multiples(table, q2):
+        dedup.add(exps, prov)
+        report.zero_residue_emits += 1
 
     bound = D
     if params.restrict_second_phase and params.w >= 3:
@@ -504,67 +498,22 @@ def logtmto_find_all(
 
     t0 = time.perf_counter()
     xp = ctx.power_table(bound)
-    stored_min = 1 if q1 else 0  # smallest possible max exponent per entry
-
-    def probe_block(firsts: range) -> tuple[_Dedup, int, int, int]:
-        out = _Dedup()
-        log_calls = 0
-        zero_shifts = 0
-        zero_emits = 0
-        tuples = (
-            ((),)
-            if q2 == 0
-            else (
-                (f,) + rest
-                for f in firsts
-                for rest in combinations(range(f + 1, bound + 1), q2 - 1)
-            )
-        )
-        for tup in tuples:
-            r = 1
-            for e in tup:
-                r ^= xp[e]
-            if r == 0:
-                if q1 % 2 == 1:
-                    out.add((0,) + tup, (tup, (), None))
-                    zero_emits += 1
-                continue
-            probe_log = engine.discrete_log(r)
-            log_calls += 1
-            probe_max = tup[-1] if tup else 0
-            shift_hi = D - probe_max
-            window = shift_hi - (stored_min - D) + 1
-            if window >= M:
-                hits = table.entries
+    for tup in enumerate_tuples(q2, bound):
+        r = 1
+        for e in tup:
+            r ^= xp[e]
+        if r == 0:
+            if q1 % 2 == 1:
+                dedup.add((0,) + tup, (tup, (), None))
+                report.zero_residue_emits += 1
+            continue
+        probe_log = engine.discrete_log(r)
+        report.log_calls += 1
+        probe_max = tup[-1] if tup else 0
+        for stored, shift in _window_matches(table, probe_log, probe_max, D, M):
+            if shift:
+                dedup.add(_assemble_exps(stored, tup, shift), (stored, tup, shift))
             else:
-                hits = range_query(
-                    table, probe_log + stored_min - D, probe_log + shift_hi, M
-                )
-            for stored_log, stored, stored_max in hits:
-                base = (stored_log - probe_log) % M
-                lo = stored_max - D
-                # walk every shift congruent to base inside [lo, shift_hi]
-                shift = lo + ((base - lo) % M)
-                while shift <= shift_hi:
-                    if shift == 0:
-                        zero_shifts += 1
-                    else:
-                        out.add(
-                            _assemble_exps(stored, tup, shift),
-                            (stored, tup, shift),
-                        )
-                    shift += M
-        return out, log_calls, zero_shifts, zero_emits
-
-    if q2 == 0 or params.threads == 1:
-        blocks = [probe_block(range(1, bound + 1))]
-    else:
-        with ThreadPoolExecutor(max_workers=params.threads) as pool:
-            blocks = list(pool.map(probe_block, _stripes(bound, params.threads)))
-    for out, log_calls, zero_shifts, zero_emits in blocks:
-        dedup.merge(out)
-        report.log_calls += log_calls
-        report.zero_shift_skips += zero_shifts
-        report.zero_residue_emits += zero_emits
+                report.zero_shift_skips += 1
     report.phase2_seconds = time.perf_counter() - t0
     return SearchResult(records=_finalize(dedup, report), report=report)

@@ -229,10 +229,3 @@ def test_single_thread_runs_byte_identical():
     assert a.returncode == b.returncode == 0
     assert a.stdout == b.stdout
 
-
-def test_threaded_cli_set_identical(capsys):
-    base = ["find-all", "--poly", "11,2,0", "--weight", "4",
-            "--max-degree", "64", "--algorithm", "tmto"]
-    _, out1, _ = run_cli(base + ["--threads", "1"], capsys)
-    _, out2, _ = run_cli(base + ["--threads", "3"], capsys)
-    assert out1 == out2

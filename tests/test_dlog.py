@@ -1,14 +1,15 @@
 import random
+import struct
+import zlib
 
 import pytest
 
+from lowmult.cli import main
 from lowmult.dlog import (
     build_engine,
-    discrete_log,
     load_engine,
     predict_table_bytes,
     save_engine,
-    zech_log,
     zech_orbit,
 )
 from lowmult.errors import (
@@ -30,7 +31,7 @@ def test_discrete_log_examples():
     assert ENG8.discrete_log(0b011) == 3  # x^3 = x + 1
     assert ENG16.discrete_log(0b1001) == 14
     with pytest.raises(LogOfZeroError):
-        discrete_log(ENG8, 0)
+        ENG8.discrete_log(0)
 
 
 def test_round_trip_exhaustive_small():
@@ -97,13 +98,13 @@ def test_agrees_with_brute_force():
 
 
 def test_zech_examples():
-    assert zech_log(ENG8, 1) == 3
-    assert zech_log(ENG8, 2) == 6
+    assert ENG8.zech_log(1) == 3
+    assert ENG8.zech_log(2) == 6
     with pytest.raises(ZechUndefinedError):
-        zech_log(ENG8, 7)
+        ENG8.zech_log(7)
     with pytest.raises(ZechUndefinedError):
-        zech_log(ENG8, 0)
-    assert zech_log(ENG8, 8) == zech_log(ENG8, 1)  # argument taken mod M
+        ENG8.zech_log(0)
+    assert ENG8.zech_log(8) == ENG8.zech_log(1)  # argument taken mod M
 
 
 def test_zech_orbit_contains_known_pairs():
@@ -164,3 +165,56 @@ def test_cache_rejects_corruption(tmp_path):
     path.write_bytes(bytes(blob))
     with pytest.raises(ValueError):
         load_engine(str(path))
+
+
+def _crafted_cache(tmp_path, edit):
+    """Cache of the P=10,3,0 engine (M = 3 * 11 * 31; 3 and 11 tabulated,
+    31 by baby-step giant-step with 6 baby entries), with edit(body,
+    solver_offsets) applied before a valid CRC is appended."""
+    eng = build_engine(make_context(parse_poly("10,3,0")), 11)
+    path = tmp_path / "engine.bin"
+    save_engine(eng, str(path))
+    body = bytearray(path.read_bytes()[:-4])
+    off = 8 + 6 + 2 + 8 * 3 + 16 + 4  # magic, version/n, exponents, knobs, count
+    offsets = []
+    for solver in eng.solvers:
+        offsets.append(off)
+        off += 21 + 16 * solver.sub.m
+    body = edit(body, offsets)
+    path.write_bytes(bytes(body) + struct.pack("<I", zlib.crc32(body)))
+    return str(path)
+
+
+def _bsgs_flagged_as_table(body, offs):
+    body[offs[2] + 12] = 0  # kind byte of the p=31 solver, after p (Q), e (I)
+    return body
+
+
+def _bsgs_table_size(m):
+    def edit(body, offs):
+        struct.pack_into("<Q", body, offs[2] + 13, m)
+        return body
+
+    return edit
+
+
+CRAFTED_CACHES = {
+    "short-header": lambda body, offs: body[:14],  # magic, version, n only
+    "kind-disagrees-with-size": _bsgs_flagged_as_table,
+    "size-above-prime": _bsgs_table_size(32),
+    "size-zero": _bsgs_table_size(0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CRAFTED_CACHES))
+def test_cache_rejects_crafted_contents(tmp_path, case):
+    with pytest.raises(ValueError):
+        load_engine(_crafted_cache(tmp_path, CRAFTED_CACHES[case]))
+
+
+@pytest.mark.parametrize("case", ["short-header", "kind-disagrees-with-size"])
+def test_cli_rejects_crafted_cache_with_exit_2(tmp_path, capsys, case):
+    path = _crafted_cache(tmp_path, CRAFTED_CACHES[case])
+    code = main(["log", "--poly", "10,3,0", "--element", "0x3", "--cache", path])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")

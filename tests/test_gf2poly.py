@@ -9,9 +9,7 @@ from lowmult.errors import (
 )
 from lowmult.gf2poly import (
     SparsePoly,
-    fe_mul,
     make_context,
-    monomial_residue,
     parse_poly,
     random_primitive_poly,
     residue,
@@ -86,16 +84,16 @@ def test_residue_examples():
 
 
 def test_monomial_residue_examples():
-    assert monomial_residue(0, F8) == 1
-    assert monomial_residue(7, F8) == 1  # x^M = 1
-    assert monomial_residue(12, F16) == 0b1111  # x^3+x^2+x+1
+    assert F8.monomial_residue(0) == 1
+    assert F8.monomial_residue(7) == 1  # x^M = 1
+    assert F16.monomial_residue(12) == 0b1111  # x^3+x^2+x+1
 
 
 def test_fe_mul_examples():
-    assert fe_mul(0b010, 0b100, F8) == 0b011  # x * x^2 = x + 1
-    assert fe_mul(0, 0b110, F8) == 0
+    assert F8.mul(0b010, 0b100) == 0b011  # x * x^2 = x + 1
+    assert F8.mul(0, 0b110) == 0
     # (x^2+1)^2 = x^12 = x^5 = x^2+x+1 (Frobenius squaring)
-    assert fe_mul(0b101, 0b101, F8) == 0b111
+    assert F8.mul(0b101, 0b101) == 0b111
 
 
 def test_fe_mul_algebra():
@@ -104,11 +102,11 @@ def test_fe_mul_algebra():
         a = rng.randrange(1 << F16.n)
         b = rng.randrange(1 << F16.n)
         c = rng.randrange(1 << F16.n)
-        assert fe_mul(a, b, F16) == fe_mul(b, a, F16)
-        assert fe_mul(fe_mul(a, b, F16), c, F16) == fe_mul(a, fe_mul(b, c, F16), F16)
-        assert fe_mul(a, 1, F16) == a
+        assert F16.mul(a, b) == F16.mul(b, a)
+        assert F16.mul(F16.mul(a, b), c) == F16.mul(a, F16.mul(b, c))
+        assert F16.mul(a, 1) == a
         # distributivity over XOR
-        assert fe_mul(a ^ b, c, F16) == fe_mul(a, c, F16) ^ fe_mul(b, c, F16)
+        assert F16.mul(a ^ b, c) == F16.mul(a, c) ^ F16.mul(b, c)
 
 
 def test_residue_is_xor_linear():
@@ -124,10 +122,10 @@ def test_monomial_residue_periodicity_and_product():
     for _ in range(100):
         i = rng.randrange(10**9)
         j = rng.randrange(10**9)
-        assert monomial_residue(i, F16) == monomial_residue(i % 15, F16)
-        assert fe_mul(
-            monomial_residue(i, F16), monomial_residue(j, F16), F16
-        ) == monomial_residue(i + j, F16)
+        assert F16.monomial_residue(i) == F16.monomial_residue(i % 15)
+        assert F16.mul(
+            F16.monomial_residue(i), F16.monomial_residue(j)
+        ) == F16.monomial_residue(i + j)
 
 
 @pytest.mark.parametrize("spec", ["3,1,0", "4,1,0", "8,4,3,2,0", "16,5,3,2,0"])

@@ -135,6 +135,9 @@ def test_birthday_logtmto_respects_prebuilt_table():
     assert a.exponent_sets() == b.exponent_sets()
     with pytest.raises(ValueError):
         birthday_logtmto(ENG16, SampleParams(w=4, D=15, B=1, q1=1, K=8), table=table)
+    pairs = build_log_table(ENG16, 2, 10)  # 2-tuples where q1=1 is asked for
+    with pytest.raises(ValueError):
+        birthday_logtmto(ENG16, SampleParams(w=4, D=15, B=1, q1=1, K=10), table=pairs)
 
 
 def test_birthday_logtmto_unbalanced_split():

@@ -23,7 +23,6 @@ from lowmult.search import (
     SearchParams,
     assemble_multiple,
     build_log_table,
-    centered_shift,
     default_split,
     enumerate_tuples,
     estimate_count,
@@ -58,16 +57,6 @@ def test_enumerate_tuples():
     assert list(enumerate_tuples(1, 3)) == [(1,), (2,), (3,)]
     assert list(enumerate_tuples(2, 3)) == [(1, 2), (1, 3), (2, 3)]
     assert list(enumerate_tuples(0, 5)) == [()]
-
-
-def test_centered_shift():
-    assert centered_shift(3, 6, 7) == -3
-    assert centered_shift(5, 5, 7) == 0
-    assert centered_shift(6, 1, 7) == -2
-    for lg in range(7):
-        for ld in range(7):
-            e = centered_shift(lg, ld, 7)
-            assert -3 <= e <= 3 and (lg - ld - e) % 7 == 0
 
 
 def test_second_phase_bound():
@@ -112,7 +101,7 @@ def test_assemble_residue_zero_when_logs_match():
         rp = 1 ^ F16.monomial_residue(probe[0]) ^ F16.monomial_residue(probe[1])
         if rs == 0 or rp == 0:
             continue
-        e = centered_shift(ENG16.discrete_log(rs), ENG16.discrete_log(rp), M)
+        e = (ENG16.discrete_log(rs) - ENG16.discrete_log(rp)) % M
         if e == 0:
             continue
         rec = assemble_multiple(stored, probe, e)
@@ -269,26 +258,6 @@ def test_degenerate_large_degree_equality():
                 F8, ENG8, SearchParams.balanced(w, D, "logarithmic")
             ).exponent_sets()
             assert got_c == want == got_l, (w, D)
-
-
-def test_threaded_runs_are_set_identical():
-    ctx = make_context(parse_poly("11,2,0"))
-    eng = build_engine(ctx)
-    base_c = tmto_find_all(ctx, SearchParams.balanced(4, 64, "classical"))
-    base_l = logtmto_find_all(ctx, eng, SearchParams.balanced(4, 64, "logarithmic"))
-    for threads in (2, 3):
-        got_c = tmto_find_all(
-            ctx, SearchParams.balanced(4, 64, "classical", threads=threads)
-        )
-        got_l = logtmto_find_all(
-            ctx, eng,
-            SearchParams.balanced(4, 64, "logarithmic", threads=threads),
-        )
-        assert got_c.exponent_sets() == base_c.exponent_sets()
-        assert got_l.exponent_sets() == base_l.exponent_sets()
-        assert [r.poly.exponents for r in got_c.records] == [
-            r.poly.exponents for r in base_c.records
-        ]
 
 
 def test_memory_budget_enforced():
