@@ -5,10 +5,10 @@ one per line, or as JSON records behind --json.  Run reports, progress
 notes, and advisory messages go to stderr so the record stream stays
 clean in pipelines.
 
-Exit codes: 0 success; 2 invalid flags; 3 modulus not primitive;
-4 memory budget exceeded; 5 sampling stopped short of the requested
-count (records found so far are still emitted); 6 logarithm of zero or
-an undefined Zech argument.
+Exit codes: 0 success; 2 invalid flags or engine cache; 3 modulus not
+primitive; 4 memory budget exceeded; 5 sampling stopped short of the
+requested count (records found so far are still emitted); 6 logarithm
+of zero or an undefined Zech argument.
 """
 
 from __future__ import annotations

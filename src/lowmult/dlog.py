@@ -39,7 +39,6 @@ DEFAULT_MAX_TABLE_BYTES = 2**31
 # Memory model: one (element, digit) pair costs 16 bytes, held in an
 # open-addressed table at 75% maximum load.
 _ENTRY_BYTES = 16
-_HASH_LOAD = 0.75
 
 _DICT_ACCEL_LIMIT = 2**16  # small tables also get a plain dict
 
@@ -103,16 +102,12 @@ class _SubgroupLog:
             if m <= _DICT_ACCEL_LIMIT
             else None
         )
-        if m == p:
-            self.giant = None
-            self.steps = 0
-        else:
-            self.giant = ctx.pow(2, ctx.order // p * (p - m))  # gp^-m
-            self.steps = (p - 1) // m
+        self.giant = ctx.pow(2, ctx.order // p * (p - m))  # gp^-m; 1 if m == p
+        self.steps = (p - 1) // m  # 0 for a full table
 
     @property
     def strategy(self) -> str:
-        return STRATEGY_TABLE if self.giant is None else STRATEGY_BSGS
+        return STRATEGY_TABLE if self.m == self.p else STRATEGY_BSGS
 
     def _baby(self, h):
         if self.accel is not None:
@@ -130,7 +125,7 @@ class _SubgroupLog:
             if j is not None:
                 return i * self.m + j
             cur = ctx.mul(cur, self.giant)
-        raise AssertionError("element not found in subgroup (corrupt table?)")
+        raise ValueError("element not found in subgroup (corrupt table?)")
 
 
 class _PrimePowerSolver:
@@ -349,17 +344,32 @@ def save_engine(engine: LogEngine, path: str) -> None:
         fh.write(payload)
 
 
+def _check_table(ctx, p, vals, idx, path) -> None:
+    """Cheap consistency check of one cached subgroup table: vals
+    strictly increasing, 0 <= idx < p, and gp^idx[j] == vals[j] at up
+    to 16 evenly spaced j."""
+    m = len(vals)
+    if np.any(vals[1:] <= vals[:-1]) or idx.min() < 0 or idx.max() >= p:
+        raise ValueError(f"{path}: malformed table for prime {p}")
+    gp = ctx.pow(2, ctx.order // p)
+    for j in {k * (m - 1) // 15 for k in range(16)}:
+        if ctx.pow(gp, int(idx[j])) != int(vals[j]):
+            raise ValueError(f"{path}: table for prime {p} fails gp^idx == vals")
+
+
 def load_engine(path: str) -> LogEngine:
     """Rebuild an engine from a cache file.
 
-    Raises ValueError for a bad checksum, a foreign or short file, or
-    solver records that disagree with the modulus's factorization.
+    Raises ValueError for a bad checksum, a foreign or short file,
+    solver records that disagree with the modulus's factorization, or
+    tables that fail the consistency check.
     """
     with open(path, "rb") as fh:
         payload = fh.read()
     if len(payload) < len(_CACHE_MAGIC) + 10:
         raise ValueError(f"{path}: truncated engine cache")
-    body, crc = payload[:-4], struct.unpack("<I", payload[-4:])[0]
+    # a view, not a copy: the tables below are read-only views into it
+    body, crc = memoryview(payload)[:-4], struct.unpack("<I", payload[-4:])[0]
     if zlib.crc32(body) != crc:
         raise ValueError(f"{path}: engine cache checksum mismatch")
     if body[: len(_CACHE_MAGIC)] != _CACHE_MAGIC:
@@ -399,9 +409,10 @@ def load_engine(path: str) -> LogEngine:
             raise ValueError(f"{path}: inconsistent {m}-entry table for prime {p}")
         if off + 16 * m > len(body):
             raise ValueError(f"{path}: truncated engine cache")
-        vals = np.frombuffer(body, dtype="<i8", count=m, offset=off).copy()
-        idx = np.frombuffer(body, dtype="<i8", count=m, offset=off + 8 * m).copy()
+        vals = np.frombuffer(body, dtype="<i8", count=m, offset=off)
+        idx = np.frombuffer(body, dtype="<i8", count=m, offset=off + 8 * m)
         off += 16 * m
+        _check_table(ctx, p, vals, idx, path)
         solvers.append(_PrimePowerSolver(ctx, p, e, (vals, idx)))
         predicted += _model_bytes(m)
     if off != len(body):

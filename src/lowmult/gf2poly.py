@@ -245,19 +245,6 @@ class FieldContext:
 
     # -- arithmetic ------------------------------------------------------
 
-    def _reduce(self, v: int) -> int:
-        hi = v >> self.n
-        if not hi:
-            return v
-        v &= self.mask
-        red = self._red
-        k = 0
-        while hi:
-            v ^= red[k][hi & 0xFF]
-            hi >>= 8
-            k += 1
-        return v
-
     def mulx(self, a: int) -> int:
         """Multiply a reduced element by x."""
         a <<= 1
@@ -291,7 +278,7 @@ class FieldContext:
                 acc ^= t[nib] << shift
             b >>= 4
             shift += 4
-        # inlined _reduce: this is the hottest spot in the package
+        # fold the bits above x^(n-1) back a byte at a time (hot spot)
         n = self.n
         hi = acc >> n
         if not hi:
@@ -313,6 +300,7 @@ class FieldContext:
             acc |= _SPREAD[a & 0xFF] << shift
             a >>= 8
             shift += 16
+        # fold the high bits back exactly as in mul
         n = self.n
         hi = acc >> n
         if not hi:

@@ -16,6 +16,11 @@ Three routes, all seeded and reproducible:
 Randomness comes from splitmix64 (documented below) and tuples are
 drawn by unranking a uniform integer into the combinatorial number
 system, so streams are identical across platforms for a fixed seed.
+
+Each method supplies only its per-draw step; one loop (``_sample``)
+owns the stop rule, the progress events and the result.  Found
+multiples go through the exhaustive searches' dedup, so records keep
+discovery order and carry the smallest provenance seen.
 """
 
 from __future__ import annotations
@@ -29,10 +34,11 @@ from .gf2poly import FieldContext
 from .search import (
     LogTable,
     MultipleRecord,
-    assemble_multiple,
     build_log_table,
     default_split,
-    _window_matches,
+    _Dedup,
+    _classical_exps,
+    _log_probe,
     _zero_poly_multiples,
 )
 
@@ -179,35 +185,40 @@ class SampleResult:
         return frozenset(r.poly.exponents for r in self.records)
 
 
-class _Collector:
-    """Dedup, discovery-order records, and stride-based progress events."""
+def _sample(params: SampleParams, step, dedup: _Dedup, t0: float,
+            log_calls: int = 0) -> SampleResult:
+    """The sampling loop shared by the three methods.
 
-    def __init__(self, stride: int):
-        self.stride = stride
-        self.records: list[MultipleRecord] = []
-        self.events: list[ProgressEvent] = []
-        self.seen: set[tuple[int, ...]] = set()
-        self.duplicates = 0
-
-    def add(self, record: MultipleRecord) -> None:
-        key = record.poly.exponents
-        if key in self.seen:
-            self.duplicates += 1
-            return
-        self.seen.add(key)
-        self.records.append(record)
-
-    @property
-    def found(self) -> int:
-        return len(self.records)
-
-    def tick(self, iteration: int) -> None:
-        if iteration % self.stride == 0:
-            self.events.append(ProgressEvent(iteration, self.found))
-
-    def finish(self, iteration: int) -> None:
-        if not self.events or self.events[-1] != ProgressEvent(iteration, self.found):
-            self.events.append(ProgressEvent(iteration, self.found))
+    step() makes one draw, adds what it completes to dedup and returns
+    (log calls, skipped draws).  The loop stops once dedup holds B
+    distinct multiples or after max_iterations draws, and records a
+    progress event every progress_stride draws plus a final one.
+    """
+    best = dedup.best
+    events: list[ProgressEvent] = []
+    skipped = 0
+    iteration = 0
+    while iteration < params.max_iterations and len(best) < params.B:
+        iteration += 1
+        logs, skip = step()
+        log_calls += logs
+        skipped += skip
+        if iteration % params.progress_stride == 0:
+            events.append(ProgressEvent(iteration, len(best)))
+    found = len(best)
+    if not events or events[-1] != ProgressEvent(iteration, found):
+        events.append(ProgressEvent(iteration, found))
+    return SampleResult(
+        records=dedup.records(),
+        events=events,
+        iterations=iteration,
+        found=found,
+        exhausted=found < params.B,
+        duplicates=dedup.seen - found,
+        skipped=skipped,
+        log_calls=log_calls,
+        seconds=time.perf_counter() - t0,
+    )
 
 
 def random_log_sample(engine, params: SampleParams) -> SampleResult:
@@ -217,49 +228,33 @@ def random_log_sample(engine, params: SampleParams) -> SampleResult:
     the iteration budget, whichever comes first."""
     if params.w < 3:
         raise WeightTooSmallError("log sampling needs weight >= 3")
-    ctx = engine.ctx
     t0 = time.perf_counter()
-    q = params.w - 2
+    q, D = params.w - 2, params.D
     rng = Rng(params.seed)
-    xp = ctx.power_table(params.D)
-    col = _Collector(params.progress_stride)
+    xp = engine.ctx.power_table(D)
+    dedup = _Dedup()
     cache: dict[int, int] = {}
-    log_calls = 0
-    skipped = 0
-    iteration = 0
-    while iteration < params.max_iterations and col.found < params.B:
-        iteration += 1
-        tup = _draw_tuple(rng, q, params.D)
+
+    def step():
+        tup = _draw_tuple(rng, q, D)
         r = 1
         for e in tup:
             r ^= xp[e]
         if r == 0:
-            skipped += 1  # A itself reduced to zero; no logarithm exists
-            col.tick(iteration)
-            continue
+            return 0, 1  # A itself reduced to zero; no logarithm exists
+        logs = 0
         lg = cache.get(r)
         if lg is None:
             lg = engine.discrete_log(r)
-            log_calls += 1
+            logs = 1
             if len(cache) < _RESIDUE_CACHE_LIMIT:
                 cache[r] = lg
-        if 0 < lg <= params.D and lg not in tup:
-            col.add(MultipleRecord.of(sorted((0, lg) + tup), ((0,) + tup, (), lg)))
-        else:
-            skipped += 1
-        col.tick(iteration)
-    col.finish(iteration)
-    return SampleResult(
-        records=col.records,
-        events=col.events,
-        iterations=iteration,
-        found=col.found,
-        exhausted=col.found < params.B,
-        duplicates=col.duplicates,
-        skipped=skipped,
-        log_calls=log_calls,
-        seconds=time.perf_counter() - t0,
-    )
+        if 0 < lg <= D and lg not in tup:
+            dedup.add(tuple(sorted((0, lg) + tup)), ((0,) + tup, (), lg))
+            return logs, 0
+        return logs, 1
+
+    return _sample(params, step, dedup, t0)
 
 
 def birthday_logtmto(
@@ -269,13 +264,11 @@ def birthday_logtmto(
 
     Phase 1 tabulates logs of (1 + q1-tuple) up to degree K once (the
     table only depends on the modulus, q1 and K, so callers may reuse
-    one across seeds); the loop then draws random q2-tuples and
-    range-matches their logs exactly like the exhaustive search.
+    one across seeds); the loop then draws random q2-tuples and runs
+    the exhaustive search's log-route probe on each.
     """
     if params.w < 2:
         raise WeightTooSmallError("need weight >= 2")
-    ctx = engine.ctx
-    M = ctx.order
     D = params.D
     q1 = params.q1 if params.q1 is not None else default_split(params.w, "logarithmic")[0]
     q2 = params.w - 2 - q1
@@ -285,52 +278,25 @@ def birthday_logtmto(
     t0 = time.perf_counter()
     if table is None:
         table = build_log_table(engine, q1, K)
+    elif table.modulus != engine.ctx.poly:
+        raise ValueError(f"prebuilt table was built for P={table.modulus}")
     elif table.max_degree != K:
         raise ValueError("prebuilt table does not match precompute degree K")
     elif any(len(e.exponents) != q1 for e in table.entries) or any(
         len(tup) != q1 for tup in table.zero_polys
     ):
         raise ValueError(f"prebuilt table does not store {q1}-tuples")
-    log_calls = table.log_calls
-    col = _Collector(params.progress_stride)
+    dedup = _Dedup()
     for exps, prov in _zero_poly_multiples(table, q2):
-        col.add(MultipleRecord.of(exps, prov))
+        dedup.add(exps, prov)
     rng = Rng(params.seed)
-    xp = ctx.power_table(D)
-    skipped = 0
-    iteration = 0
-    while iteration < params.max_iterations and col.found < params.B:
-        iteration += 1
-        tup = _draw_tuple(rng, q2, D)
-        r = 1
-        for e in tup:
-            r ^= xp[e]
-        if r == 0:
-            if q1 % 2 == 1:
-                col.add(MultipleRecord.of((0,) + tup, (tup, (), None)))
-            else:
-                skipped += 1
-            col.tick(iteration)
-            continue
-        probe_log = engine.discrete_log(r)
-        log_calls += 1
-        probe_max = tup[-1] if tup else 0
-        for stored, shift in _window_matches(table, probe_log, probe_max, D, M):
-            if shift:
-                col.add(assemble_multiple(stored, tup, shift))
-        col.tick(iteration)
-    col.finish(iteration)
-    return SampleResult(
-        records=col.records,
-        events=col.events,
-        iterations=iteration,
-        found=col.found,
-        exhausted=col.found < params.B,
-        duplicates=col.duplicates,
-        skipped=skipped,
-        log_calls=log_calls,
-        seconds=time.perf_counter() - t0,
-    )
+    probe = _log_probe(engine, table, q1, D, dedup)
+
+    def step():
+        logs, _, _, skipped = probe(_draw_tuple(rng, q2, D))
+        return logs, skipped
+
+    return _sample(params, step, dedup, t0, table.log_calls)
 
 
 def birthday_tmto(ctx: FieldContext, params: SampleParams) -> SampleResult:
@@ -344,40 +310,29 @@ def birthday_tmto(ctx: FieldContext, params: SampleParams) -> SampleResult:
     q1, q2 = default_split(params.w, "classical")
     rng = Rng(params.seed)
     xp = ctx.power_table(params.D)
-    col = _Collector(params.progress_stride)
+    dedup = _Dedup()
     # side tables: residue -> list of tuples; one shared table when the
     # split is balanced
     table_a: dict[int, list[tuple[int, ...]]] = {}
     table_b = table_a if q1 == q2 else {}
     sides = ((q1, table_a, table_b), (q2, table_b, table_a))
-    iteration = 0
-    while iteration < params.max_iterations and col.found < params.B:
-        iteration += 1
+
+    def step():
         for q, own, other in sides:
             tup = _draw_tuple(rng, q, params.D)
             r = 0
             for e in tup:
                 r ^= xp[e]
             for mate in other.get(r ^ 1, ()):
-                exps = sorted({0} | (set(tup) ^ set(mate)))
-                col.add(MultipleRecord.of(exps, (mate, tup, None)))
+                dedup.add(_classical_exps(mate, tup), (mate, tup, None))
             bucket = own.setdefault(r, [])
             if tup not in bucket:
                 bucket.append(tup)
             if own is other:
                 break  # balanced split: one shared list, one draw per round
-        col.tick(iteration)
-    col.finish(iteration)
-    return SampleResult(
-        records=col.records,
-        events=col.events,
-        iterations=iteration,
-        found=col.found,
-        exhausted=col.found < params.B,
-        duplicates=col.duplicates,
-        log_calls=0,
-        seconds=time.perf_counter() - t0,
-    )
+        return 0, 0
+
+    return _sample(params, step, dedup, t0)
 
 
 def write_progress_csv(path: str, events: list[ProgressEvent]) -> None:

@@ -16,6 +16,10 @@ and the multiple is assembled from the shifted halves.  When the degree
 bound D reaches half the group order, several shifts e may represent the
 same congruence class, so the assembly walks every representative inside
 the admissible window rather than only the centered one.
+
+Each concept has one home shared with the samplers: ``_log_probe`` is
+the log route's whole probe (residue, log, window query, shift walk),
+``_classical_exps`` the classical assembly, and ``_Dedup`` the dedup.
 """
 
 from __future__ import annotations
@@ -99,8 +103,8 @@ def estimate_count(n: int, w: int, D: int) -> float:
 class MultipleRecord:
     """A canonicalized found multiple.
 
-    Equality and hashing are by the exponent set only; provenance
-    records which (stored tuple, probe tuple, shift) produced it first,
+    Equality and hashing are by the exponent set only; provenance is
+    the smallest (stored tuple, probe tuple, shift) that produced it,
     with shift None for the classical route.
     """
 
@@ -140,9 +144,10 @@ class LogTable:
 
     zero_polys collects stored tuples whose polynomial reduced to the
     zero element; those are multiples in their own right and have no
-    logarithm to store.
+    logarithm to store.  modulus is the P the logs were taken under.
     """
 
+    modulus: SparsePoly
     entries: list[LogTableEntry]
     logs: list[int]  # parallel to entries, for bisection
     zero_polys: list[tuple[int, ...]]
@@ -247,6 +252,13 @@ def _assemble_exps(
     return tuple(sorted(half_a ^ half_b))
 
 
+def _classical_exps(
+    stored: tuple[int, ...], probe: tuple[int, ...]
+) -> tuple[int, ...]:
+    """Exponents of 1 + stored half + probe half; shared terms cancel."""
+    return tuple(sorted({0} | (set(stored) ^ set(probe))))
+
+
 def assemble_multiple(
     stored: tuple[int, ...], probe: tuple[int, ...], shift: int
 ) -> MultipleRecord:
@@ -303,6 +315,7 @@ def build_log_table(engine, q1: int, max_deg: int) -> LogTable:
         )
     raw.sort()
     return LogTable(
+        modulus=ctx.poly,
         entries=raw,
         logs=[entry.log for entry in raw],
         zero_polys=zero_polys,
@@ -354,6 +367,45 @@ def _zero_poly_multiples(table: LogTable, q2: int) -> list[tuple[tuple, tuple]]:
     return [((0,) + tup, (tup, (), None)) for tup in table.zero_polys]
 
 
+def _log_probe(engine, table: LogTable, q1: int, D: int, dedup: "_Dedup"):
+    """The log-route probe: a function of one probe tuple that adds
+    every multiple it completes against the table to dedup.
+
+    A probe 1 + tup that reduces to zero is a multiple of weight
+    q2 + 1 by itself, with the parity of w = q1 + q2 + 2 only when q1
+    is odd; otherwise its one logarithm is taken and every window match
+    with a nonzero shift is assembled.  The function returns
+    (log calls, zero-shift skips, zero-residue emits, skipped), where
+    skipped counts a zero residue of the wrong parity.
+    """
+    xp = engine.ctx.power_table(D)
+    M = engine.ctx.order
+    discrete_log = engine.discrete_log
+    add = dedup.add
+
+    def probe(tup: tuple[int, ...]) -> tuple[int, int, int, int]:
+        r = 1
+        for e in tup:
+            r ^= xp[e]
+        if r == 0:
+            if q1 % 2 == 1:
+                add((0,) + tup, (tup, (), None))
+                return 0, 0, 1, 0
+            return 0, 0, 0, 1
+        skips = 0
+        probe_max = tup[-1] if tup else 0
+        for stored, shift in _window_matches(
+            table, discrete_log(r), probe_max, D, M
+        ):
+            if shift:
+                add(_assemble_exps(stored, tup, shift), (stored, tup, shift))
+            else:
+                skips += 1
+        return 1, skips, 0, 0
+
+    return probe
+
+
 def _check_budget(entries: int, power_slots: int, budget: int) -> None:
     predicted = entries * TABLE_ENTRY_BYTES + power_slots * POWER_TABLE_ENTRY_BYTES
     if predicted > budget:
@@ -371,14 +423,15 @@ def _provenance_key(prov):
 
 
 class _Dedup:
-    """Incremental canonical-set dedup.
+    """Incremental canonical-set dedup, shared by every search.
 
     Memory stays proportional to the number of distinct multiples even
     when decompositions arrive millions of times over (routine once the
     degree bound nears half the group order).  Keeping the smallest
     provenance makes the outcome independent of arrival order, so a
     probe loop that batches or reorders its probes reports the same
-    provenances.
+    provenances.  The dict keeps first-discovery order, which is the
+    order the samplers report.
     """
 
     __slots__ = ("best", "seen")
@@ -393,10 +446,13 @@ class _Dedup:
         if cur is None or _provenance_key(prov) < _provenance_key(cur):
             self.best[exps] = prov
 
+    def records(self) -> list[MultipleRecord]:
+        """One record per distinct multiple, in discovery order."""
+        return [MultipleRecord.of(exps, prov) for exps, prov in self.best.items()]
+
 
 def _finalize(dedup: _Dedup, report) -> list[MultipleRecord]:
-    records = [MultipleRecord.of(exps, prov) for exps, prov in dedup.best.items()]
-    records.sort(key=lambda r: (r.degree, r.poly.exponents))
+    records = sorted(dedup.records(), key=lambda r: (r.degree, r.poly.exponents))
     report.found = len(records)
     report.duplicates_suppressed = dedup.seen - len(records)
     return records
@@ -424,37 +480,28 @@ def tmto_find_all(ctx: FieldContext, params: SearchParams) -> SearchResult:
     report.table_entries = comb(D, q1)
     report.phase1_seconds = time.perf_counter() - t0
 
+    # q2 >= 1 always: q1 <= q2 and q1 + q2 + 1 = w >= 2
     t0 = time.perf_counter()
     dedup = _Dedup()
-
-    def emit(stored, probe):
-        exps = tuple(sorted({0} | (set(stored) ^ set(probe))))
-        dedup.add(exps, (stored, probe, None))
-
-    if q2 == 0:
-        for stored in table.get(1, ()):
-            emit(stored, ())
-    else:
-        for f in range(1, D + 1):
-            base = xp[f]
-            if q2 == 1:
-                for stored in table.get(base ^ 1, ()):
-                    emit(stored, (f,))
-            elif q2 == 2:
-                b1 = base ^ 1
-                get = table.get
-                for j in range(f + 1, D + 1):
-                    hits = get(b1 ^ xp[j])
-                    if hits:
-                        for stored in hits:
-                            emit(stored, (f, j))
-            else:
-                for rest in combinations(range(f + 1, D + 1), q2 - 1):
-                    r = base ^ 1
-                    for e in rest:
-                        r ^= xp[e]
-                    for stored in table.get(r, ()):
-                        emit(stored, (f,) + rest)
+    add = dedup.add
+    get = table.get
+    for f in range(1, D + 1):
+        b1 = xp[f] ^ 1
+        if q2 == 2:
+            for j in range(f + 1, D + 1):
+                hits = get(b1 ^ xp[j])
+                if hits:
+                    probe = (f, j)
+                    for stored in hits:
+                        add(_classical_exps(stored, probe), (stored, probe, None))
+        else:
+            for rest in combinations(range(f + 1, D + 1), q2 - 1):
+                r = b1
+                for e in rest:
+                    r ^= xp[e]
+                probe = (f,) + rest
+                for stored in get(r, ()):
+                    add(_classical_exps(stored, probe), (stored, probe, None))
     report.phase2_seconds = time.perf_counter() - t0
     return SearchResult(records=_finalize(dedup, report), report=report)
 
@@ -475,7 +522,6 @@ def logtmto_find_all(
     if engine.ctx is not ctx and engine.ctx.poly != ctx.poly:
         raise ValueError("engine was built for a different modulus")
     q1, q2, D = params.q1, params.q2, params.D
-    M = ctx.order
     report = RunReport(
         algorithm="logtmto", w=params.w, D=D, q1=q1, q2=q2,
         restricted=params.restrict_second_phase,
@@ -497,23 +543,11 @@ def logtmto_find_all(
         bound = min(D, second_phase_bound(D, params.w, q2))
 
     t0 = time.perf_counter()
-    xp = ctx.power_table(bound)
+    probe = _log_probe(engine, table, q1, D, dedup)
     for tup in enumerate_tuples(q2, bound):
-        r = 1
-        for e in tup:
-            r ^= xp[e]
-        if r == 0:
-            if q1 % 2 == 1:
-                dedup.add((0,) + tup, (tup, (), None))
-                report.zero_residue_emits += 1
-            continue
-        probe_log = engine.discrete_log(r)
-        report.log_calls += 1
-        probe_max = tup[-1] if tup else 0
-        for stored, shift in _window_matches(table, probe_log, probe_max, D, M):
-            if shift:
-                dedup.add(_assemble_exps(stored, tup, shift), (stored, tup, shift))
-            else:
-                report.zero_shift_skips += 1
+        logs, skips, emits, _ = probe(tup)
+        report.log_calls += logs
+        report.zero_shift_skips += skips
+        report.zero_residue_emits += emits
     report.phase2_seconds = time.perf_counter() - t0
     return SearchResult(records=_finalize(dedup, report), report=report)

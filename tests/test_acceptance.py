@@ -96,6 +96,7 @@ def grid_results():
     return out
 
 
+@pytest.mark.slow
 def test_c01_oracle_equivalence(grid_results):
     assert len(grid_results) >= 20
     checked = 0
@@ -207,6 +208,7 @@ def test_c05_estimator_calibration():
     _ok(5, f"50 fields at n={n} w={w} D={D}: mean observed/estimated = {mean:.3f}")
 
 
+@pytest.mark.slow
 def test_c06_proposition_restriction(grid_results):
     cells = 0
     for n, poly, per in grid_results:
@@ -226,6 +228,7 @@ def test_c07_full_tabulation_memory_model():
            f"(band [{low / 1e6:.0f}, {high / 1e6:.0f}] MB)")
 
 
+@pytest.mark.slow
 def test_c08_scaling_shape():
     ctx = make_context(parse_poly("30,6,4,1,0"))
     engine = build_engine(ctx)  # every prime tabulated
@@ -260,6 +263,7 @@ def test_c08_scaling_shape():
            f"times {', '.join(f'{best[k]:.1f}s' for k in sorted(best))}")
 
 
+@pytest.mark.slow
 def test_c09_sampling_hit_rate():
     ctx = make_context(parse_poly("24,7,2,1,0"))
     engine = build_engine(ctx)
@@ -286,6 +290,7 @@ def degree31_engine():
     return build_engine(ctx, bsgs_baby_entries=2**23)
 
 
+@pytest.mark.slow
 def test_c10_precompute_degree_experiment(degree31_engine):
     engine = degree31_engine
     w, D, iterations = 7, 2**12, 300

@@ -198,11 +198,17 @@ def _bsgs_table_size(m):
     return edit
 
 
+def _p11_value_flipped(body, offs):
+    body[offs[1] + 21] ^= 0x40  # first value of the p=11 table: 1 -> 65
+    return body
+
+
 CRAFTED_CACHES = {
     "short-header": lambda body, offs: body[:14],  # magic, version, n only
     "kind-disagrees-with-size": _bsgs_flagged_as_table,
     "size-above-prime": _bsgs_table_size(32),
     "size-zero": _bsgs_table_size(0),
+    "table-value-flipped": _p11_value_flipped,
 }
 
 
@@ -212,9 +218,19 @@ def test_cache_rejects_crafted_contents(tmp_path, case):
         load_engine(_crafted_cache(tmp_path, CRAFTED_CACHES[case]))
 
 
-@pytest.mark.parametrize("case", ["short-header", "kind-disagrees-with-size"])
+@pytest.mark.parametrize(
+    "case", ["short-header", "kind-disagrees-with-size", "table-value-flipped"]
+)
 def test_cli_rejects_crafted_cache_with_exit_2(tmp_path, capsys, case):
     path = _crafted_cache(tmp_path, CRAFTED_CACHES[case])
     code = main(["log", "--poly", "10,3,0", "--element", "0x3", "--cache", path])
     assert code == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("solver", [1, 2])  # p=11 tabulated, p=31 by BSGS
+def test_subgroup_lookup_miss_raises_value_error(solver):
+    eng = build_engine(make_context(parse_poly("10,3,0")), 11)
+    sub = eng.solvers[solver].sub
+    with pytest.raises(ValueError):
+        sub.lookup(eng.ctx, 2)  # x has order 1023, outside the subgroup

@@ -138,6 +138,14 @@ def test_birthday_logtmto_respects_prebuilt_table():
     pairs = build_log_table(ENG16, 2, 10)  # 2-tuples where q1=1 is asked for
     with pytest.raises(ValueError):
         birthday_logtmto(ENG16, SampleParams(w=4, D=15, B=1, q1=1, K=10), table=pairs)
+    # logs taken under P=10,3,0 mean nothing to the P=4,1,0 engine
+    foreign = build_log_table(build_engine(make_context(parse_poly("10,3,0"))), 1, 15)
+    with pytest.raises(ValueError):
+        birthday_logtmto(
+            ENG16,
+            SampleParams(w=4, D=15, B=1000, q1=1, K=15, seed=1, max_iterations=2000),
+            table=foreign,
+        )
 
 
 def test_birthday_logtmto_unbalanced_split():

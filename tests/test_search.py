@@ -111,6 +111,7 @@ def test_assemble_residue_zero_when_logs_match():
 def _table_from_logs(logs):
     entries = sorted(LogTableEntry(lg, (i,), i) for i, lg in enumerate(logs))
     return LogTable(
+        modulus=F16.poly,
         entries=entries,
         logs=[e.log for e in entries],
         zero_polys=[],
