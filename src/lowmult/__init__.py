@@ -17,6 +17,7 @@ from .errors import (
     MemoryBudgetExceededError,
     NotPrimitiveError,
     PolyParseError,
+    VerificationError,
     WeightTooSmallError,
     ZechUndefinedError,
     ZeroShiftError,
@@ -74,8 +75,8 @@ __version__ = "0.1.0"
 __all__ = [
     "DegreeOutOfRangeError", "InstanceTooLargeError", "LogOfZeroError",
     "LowMultError", "MemoryBudgetExceededError", "NotPrimitiveError",
-    "PolyParseError", "WeightTooSmallError", "ZechUndefinedError",
-    "ZeroShiftError",
+    "PolyParseError", "VerificationError", "WeightTooSmallError",
+    "ZechUndefinedError", "ZeroShiftError",
     "factorize", "is_probable_prime",
     "FieldContext", "SparsePoly", "make_context", "parse_poly",
     "random_primitive_poly", "residue", "verify_multiple",

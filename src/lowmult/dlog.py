@@ -13,6 +13,11 @@ results combine by CRT.  A full tabulation is the m = p extreme of the
 same trade-off; growing the baby table past sqrt(p) buys time for memory
 on group orders whose largest prime factor is otherwise out of reach.
 
+``LogEngine.discrete_log`` also takes a numpy array of elements and then
+runs the same steps on uint64 arrays (``_BatchField``): one call per
+batch instead of one Python-level Pohlig-Hellman walk per element.  The
+scalar path stays the oracle the array path is tested against.
+
 Engines are immutable after build and safe to share between threads.
 Tables can be dumped to and loaded from a little-endian cache file that
 round-trips bit-exactly.
@@ -31,7 +36,7 @@ from .errors import (
     MemoryBudgetExceededError,
     ZechUndefinedError,
 )
-from .gf2poly import FieldContext, SparsePoly, make_context
+from .gf2poly import FieldContext, SparsePoly, _poly_mod_int, make_context
 
 DEFAULT_TABULATION_ENTRIES = 2**26
 DEFAULT_MAX_TABLE_BYTES = 2**31
@@ -82,6 +87,87 @@ def _tabulate(ctx, p, baby_entries):
     return vals[order], order.astype("<i8")
 
 
+class _BatchField:
+    """GF(2^n) arithmetic on uint64 arrays of reduced elements.
+
+    Squaring is GF(2)-linear, so it is one gather per byte of the
+    input.  Multiplication runs k-bit digits of one factor (k = 4, or
+    less where n + k would pass 64 bits) through a table of the other
+    factor's multiples j*b mod P, Horner-style from the top digit; each
+    step shifts by k and folds the k bits above x^(n-1) back through one
+    more gather, so no value ever exceeds 64 bits.  A table can be
+    built once and reused for several products with the same factor.
+    """
+
+    def __init__(self, ctx):
+        n, p_int = ctx.n, ctx.poly.to_int()
+        self.n = np.uint64(n)
+        self.top = np.uint64(n - 1)
+        self.p_int = np.uint64(p_int)
+        self.k = k = min(4, 64 - n)
+        self.digits = -(-n // k)
+        self.kbits = np.uint64(k)
+        self.digit_mask = np.uint64((1 << k) - 1)
+        # fold[h] clears the k bits h at x^n.. and adds (h x^n) mod P
+        self.fold = np.array(
+            [(h << n) ^ _poly_mod_int(h << n, p_int) for h in range(1 << k)],
+            dtype=np.uint64,
+        )
+        self.sq = np.array(
+            [[ctx.sqr((b << 8 * j) & ctx.mask) for b in range(256)]
+             for j in range(-(-n // 8))],
+            dtype=np.uint64,
+        )
+
+    def sqr(self, a):
+        out = self.sq[0][a & np.uint64(0xFF)]
+        for j in range(1, len(self.sq)):
+            out ^= self.sq[j][(a >> np.uint64(8 * j)) & np.uint64(0xFF)]
+        return out
+
+    def table(self, b):
+        """Multiples j*b mod P for j < 2^k of the array or int b, laid out
+        flat (entry j of element i at j*len(b) + i) with its row offsets."""
+        b = np.atleast_1d(np.asarray(b, dtype=np.uint64))
+        rows = np.empty((1 << self.k, len(b)), dtype=np.uint64)
+        rows[0] = 0
+        rows[1] = b
+        for j in range(2, 1 << self.k, 2):
+            h = rows[j // 2]
+            rows[j] = (h << np.uint64(1)) ^ ((h >> self.top) * self.p_int)
+            rows[j + 1] = rows[j] ^ b
+        # a one-element table (a constant) serves every element of a
+        offsets = (np.arange(len(b), dtype=np.uint64) if len(b) > 1
+                   else np.uint64(0))
+        return rows.ravel(), np.uint64(len(b)), offsets
+
+    def mul_table(self, table, a):
+        """a times the factor whose table this is."""
+        flat, width, offsets = table
+        k, mask = self.kbits, self.digit_mask
+        shift = np.uint64(k * (self.digits - 1))
+        acc = flat[((a >> shift) & mask) * width + offsets]
+        for d in range(self.digits - 2, -1, -1):
+            acc <<= k
+            acc ^= self.fold[acc >> self.n]
+            acc ^= flat[((a >> np.uint64(k * d)) & mask) * width + offsets]
+        return acc
+
+    def mul(self, a, b):
+        return self.mul_table(self.table(b), a)
+
+    def pow(self, a, e: int):
+        """a^e for a fixed exponent e >= 1."""
+        result = None
+        while True:
+            if e & 1:
+                result = a if result is None else self.mul(result, a)
+            e >>= 1
+            if not e:
+                return result
+            a = self.sqr(a)
+
+
 class _SubgroupLog:
     """Log lookup in the order-p subgroup generated by gp = x^(M/p).
 
@@ -127,6 +213,17 @@ class _SubgroupLog:
             cur = ctx.mul(cur, self.giant)
         raise ValueError("element not found in subgroup (corrupt table?)")
 
+    def lookup_array(self, ctx, h):
+        """lookup for every element of the uint64 array h."""
+        if self.steps:  # baby-step giant-step: one scalar walk each
+            return np.array([self.lookup(ctx, v) for v in h.tolist()],
+                            dtype=np.int64)
+        h = h.view(np.int64)
+        i = np.minimum(np.searchsorted(self.vals, h), self.m - 1)
+        if not np.array_equal(self.vals[i], h):
+            raise ValueError("element not found in subgroup (corrupt table?)")
+        return self.idx[i]
+
 
 class _PrimePowerSolver:
     """Log modulo one prime power q = p^e, digits lifted via order p."""
@@ -169,6 +266,24 @@ class _PrimePowerSolver:
                 y += d * self.p_pows[k]
         return y
 
+    def component_log_array(self, ctx, field, h):
+        """component_log for the uint64 array h of projections a^(M/q)."""
+        if self.e == 1:
+            return self.sub.lookup_array(ctx, h)
+        y = np.zeros(len(h), dtype=np.int64)
+        for k in range(self.e):
+            c = field.pow(h, self.p_pows[self.e - 1 - k])
+            d = self.sub.lookup_array(ctx, c)
+            # h *= inv_pows[k]^d, one bit of the digit d at a time
+            g = self.inv_pows[k]
+            for bit in range(self.p.bit_length()):
+                sel = ((d >> bit) & 1).astype(bool)
+                if sel.any():
+                    h = np.where(sel, field.mul(h, g), h)
+                g = ctx.sqr(g)
+            y += d * self.p_pows[k]
+        return y
+
 
 class LogEngine:
     """Per-prime-power solvers plus CRT glue; answers discrete_log and
@@ -187,9 +302,16 @@ class LogEngine:
         for s in solvers:
             r = M // s.q
             self._crt.append((s, r * pow(r, -1, s.q) % M))
+        self._field = None  # _BatchField, built by the first array call
 
-    def discrete_log(self, a: int) -> int:
-        """k in [0, M-1] with x^k == a, for a != 0."""
+    def discrete_log(self, a: int | np.ndarray) -> int | np.ndarray:
+        """k in [0, M-1] with x^k == a, for a != 0.
+
+        a may also be a numpy array of nonzero elements; the answer is
+        then the int64 array of their logs.
+        """
+        if isinstance(a, np.ndarray):
+            return self._discrete_log_array(a)
         if a == 0:
             raise LogOfZeroError("the zero element has no discrete logarithm")
         if a == 1:
@@ -207,6 +329,41 @@ class LogEngine:
             if y:
                 out = (out + y * weight) % M
         return out
+
+    def _discrete_log_array(self, a):
+        a = a.astype(np.uint64)
+        if not a.all():
+            raise LogOfZeroError("the zero element has no discrete logarithm")
+        ctx = self.ctx
+        if self._field is None:
+            self._field = _BatchField(ctx)
+        field = self._field
+        # each projection a^(M/q) is the product of a^(2^j) over the set
+        # bits j of M/q, accumulated as the squarings run
+        solvers = self.solvers
+        proj = [None] * len(solvers)
+        cur = a
+        last = max(s.cofactor for s in solvers).bit_length() - 1
+        for j in range(last + 1):
+            table = None
+            for i, s in enumerate(solvers):
+                if s.cofactor >> j & 1:
+                    if proj[i] is None:
+                        proj[i] = cur
+                    else:
+                        if table is None:
+                            table = field.table(cur)
+                        proj[i] = field.mul_table(table, proj[i])
+            if j < last:
+                cur = field.sqr(cur)
+        # CRT in Python ints (y * weight can pass 64 bits), one solver
+        # at a time so that only two lists of ints are alive at once
+        M = ctx.order
+        out = [0] * len(a)
+        for (s, weight), h in zip(self._crt, proj):
+            ys = s.component_log_array(ctx, field, h).tolist()
+            out = [(x + y * weight) % M for x, y in zip(out, ys)]
+        return np.array(out, dtype=np.int64)
 
     def zech_log(self, i: int) -> int:
         """Z(i) = log(1 + x^i); undefined at i = 0 mod M."""

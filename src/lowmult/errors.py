@@ -39,3 +39,7 @@ class ZeroShiftError(LowMultError):
 
 class InstanceTooLargeError(LowMultError):
     """A brute-force reference guard tripped; the instance is too big."""
+
+
+class VerificationError(LowMultError):
+    """A found record failed the independent re-check (a bug, not bad input)."""

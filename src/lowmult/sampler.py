@@ -32,13 +32,16 @@ from math import comb
 from .errors import WeightTooSmallError
 from .gf2poly import FieldContext
 from .search import (
+    DEFAULT_BUDGET_BYTES,
     LogTable,
     MultipleRecord,
     build_log_table,
     default_split,
     _Dedup,
+    _check_budget,
     _classical_exps,
     _log_probe,
+    _one_plus,
     _zero_poly_multiples,
 )
 
@@ -139,6 +142,8 @@ class SampleParams:
     q1 is the stored-side tuple size of the log birthday route (probe
     side q2 = w - 2 - q1; unbalanced splits are allowed, smaller q1
     meaning a cheaper precompute).  K caps the stored-side degree.
+    budget_bytes caps the predicted size of the power table and of the
+    log birthday route's precomputed table.
     """
 
     w: int
@@ -149,6 +154,7 @@ class SampleParams:
     seed: int = 0
     max_iterations: int = DEFAULT_MAX_ITERATIONS
     progress_stride: int = DEFAULT_PROGRESS_STRIDE
+    budget_bytes: int = DEFAULT_BUDGET_BYTES
 
     def __post_init__(self):
         if self.B < 1:
@@ -231,15 +237,14 @@ def random_log_sample(engine, params: SampleParams) -> SampleResult:
     t0 = time.perf_counter()
     q, D = params.w - 2, params.D
     rng = Rng(params.seed)
+    _check_budget(0, D + 1, params.budget_bytes)
     xp = engine.ctx.power_table(D)
     dedup = _Dedup()
     cache: dict[int, int] = {}
 
     def step():
         tup = _draw_tuple(rng, q, D)
-        r = 1
-        for e in tup:
-            r ^= xp[e]
+        r = _one_plus(xp, tup)
         if r == 0:
             return 0, 1  # A itself reduced to zero; no logarithm exists
         logs = 0
@@ -276,6 +281,8 @@ def birthday_logtmto(
         raise ValueError(f"q1={q1} too large for weight {params.w}")
     K = params.K if params.K is not None else D
     t0 = time.perf_counter()
+    _check_budget(comb(K, q1) if table is None else 0, D + 1,
+                  params.budget_bytes)
     if table is None:
         table = build_log_table(engine, q1, K)
     elif table.modulus != engine.ctx.poly:
@@ -290,11 +297,15 @@ def birthday_logtmto(
     for exps, prov in _zero_poly_multiples(table, q2):
         dedup.add(exps, prov)
     rng = Rng(params.seed)
-    probe = _log_probe(engine, table, q1, D, dedup)
+    xp = engine.ctx.power_table(D)
+    probe = _log_probe(table, q1, D, engine.ctx.order, dedup)
 
     def step():
-        logs, _, _, skipped = probe(_draw_tuple(rng, q2, D))
-        return logs, skipped
+        tup = _draw_tuple(rng, q2, D)
+        r = _one_plus(xp, tup)
+        lg = engine.discrete_log(r) if r else None
+        _, _, skipped = probe(tup, lg)
+        return (0 if lg is None else 1), skipped
 
     return _sample(params, step, dedup, t0, table.log_calls)
 
@@ -309,6 +320,7 @@ def birthday_tmto(ctx: FieldContext, params: SampleParams) -> SampleResult:
     t0 = time.perf_counter()
     q1, q2 = default_split(params.w, "classical")
     rng = Rng(params.seed)
+    _check_budget(0, params.D + 1, params.budget_bytes)
     xp = ctx.power_table(params.D)
     dedup = _Dedup()
     # side tables: residue -> list of tuples; one shared table when the

@@ -18,8 +18,11 @@ same congruence class, so the assembly walks every representative inside
 the admissible window rather than only the centered one.
 
 Each concept has one home shared with the samplers: ``_log_probe`` is
-the log route's whole probe (residue, log, window query, shift walk),
-``_classical_exps`` the classical assembly, and ``_Dedup`` the dedup.
+the log route's probe given the probe's log (window query, shift walk,
+assembly), ``_classical_exps`` the classical assembly, and ``_Dedup``
+the dedup.  Both log-table phases take their logs in batches of
+LOG_CHUNK tuples (``_tuple_logs``), one array call of
+``discrete_log`` per batch.
 """
 
 from __future__ import annotations
@@ -28,9 +31,11 @@ import time
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice
 from math import comb, factorial
 from typing import Iterator, NamedTuple, Optional
+
+import numpy as np
 
 from .errors import (
     MemoryBudgetExceededError,
@@ -49,6 +54,9 @@ DEFAULT_BUDGET_BYTES = 2**31
 # not for actual allocation.
 TABLE_ENTRY_BYTES = 16
 POWER_TABLE_ENTRY_BYTES = 8
+
+# Tuples per batched discrete_log call in both log-table phases.
+LOG_CHUNK = 2048
 
 
 def default_split(w: int, algorithm: str) -> tuple[int, int]:
@@ -293,6 +301,31 @@ def range_query(table: LogTable, lo: int, hi: int, M: int) -> list[LogTableEntry
     )
 
 
+def _one_plus(xp: list[int], tup: tuple[int, ...]) -> int:
+    """Residue of 1 + (sum of x^e over e in tup), from the power table xp."""
+    r = 1
+    for e in tup:
+        r ^= xp[e]
+    return r
+
+
+def _tuple_logs(engine, xp: list[int], tuples):
+    """(tup, log of 1 + tup) for every tuple, in order; the log is None
+    where 1 + tup reduces to zero.
+
+    The logs are taken LOG_CHUNK tuples at a time, one batched
+    discrete_log call per chunk.
+    """
+    it = iter(tuples)
+    while chunk := list(islice(it, LOG_CHUNK)):
+        res = [_one_plus(xp, tup) for tup in chunk]
+        logs = iter(engine.discrete_log(
+            np.array([r for r in res if r], dtype=np.uint64)
+        ).tolist())
+        for tup, r in zip(chunk, res):
+            yield tup, (next(logs) if r else None)
+
+
 def build_log_table(engine, q1: int, max_deg: int) -> LogTable:
     """Phase 1 of the log route: log of (1 + tuple) for every q1-tuple
     with exponents up to max_deg, sorted by log."""
@@ -301,18 +334,11 @@ def build_log_table(engine, q1: int, max_deg: int) -> LogTable:
     xp = ctx.power_table(max_deg)
     raw: list[LogTableEntry] = []
     zero_polys: list[tuple[int, ...]] = []
-    log_calls = 0
-    for tup in enumerate_tuples(q1, max_deg):
-        r = 1
-        for e in tup:
-            r ^= xp[e]
-        if r == 0:
+    for tup, lg in _tuple_logs(engine, xp, enumerate_tuples(q1, max_deg)):
+        if lg is None:
             zero_polys.append(tup)
-            continue
-        log_calls += 1
-        raw.append(
-            LogTableEntry(engine.discrete_log(r), tup, tup[-1] if tup else 0)
-        )
+        else:
+            raw.append(LogTableEntry(lg, tup, tup[-1] if tup else 0))
     raw.sort()
     return LogTable(
         modulus=ctx.poly,
@@ -320,7 +346,7 @@ def build_log_table(engine, q1: int, max_deg: int) -> LogTable:
         logs=[entry.log for entry in raw],
         zero_polys=zero_polys,
         max_degree=max_deg,
-        log_calls=log_calls,
+        log_calls=len(raw),
         build_seconds=time.perf_counter() - t0,
     )
 
@@ -367,41 +393,34 @@ def _zero_poly_multiples(table: LogTable, q2: int) -> list[tuple[tuple, tuple]]:
     return [((0,) + tup, (tup, (), None)) for tup in table.zero_polys]
 
 
-def _log_probe(engine, table: LogTable, q1: int, D: int, dedup: "_Dedup"):
-    """The log-route probe: a function of one probe tuple that adds
-    every multiple it completes against the table to dedup.
+def _log_probe(table: LogTable, q1: int, D: int, M: int, dedup: "_Dedup"):
+    """The log-route probe: a function of one probe tuple and the log of
+    1 + tuple that adds every multiple it completes against the table
+    to dedup.
 
-    A probe 1 + tup that reduces to zero is a multiple of weight
-    q2 + 1 by itself, with the parity of w = q1 + q2 + 2 only when q1
-    is odd; otherwise its one logarithm is taken and every window match
+    The log is None when 1 + tuple reduces to zero: then it is a
+    multiple of weight q2 + 1 by itself, with the parity of
+    w = q1 + q2 + 2 only when q1 is odd.  Otherwise every window match
     with a nonzero shift is assembled.  The function returns
-    (log calls, zero-shift skips, zero-residue emits, skipped), where
-    skipped counts a zero residue of the wrong parity.
+    (zero-shift skips, zero-residue emits, skipped), where skipped
+    counts a zero residue of the wrong parity.
     """
-    xp = engine.ctx.power_table(D)
-    M = engine.ctx.order
-    discrete_log = engine.discrete_log
     add = dedup.add
 
-    def probe(tup: tuple[int, ...]) -> tuple[int, int, int, int]:
-        r = 1
-        for e in tup:
-            r ^= xp[e]
-        if r == 0:
+    def probe(tup: tuple[int, ...], probe_log: int | None) -> tuple[int, int, int]:
+        if probe_log is None:
             if q1 % 2 == 1:
                 add((0,) + tup, (tup, (), None))
-                return 0, 0, 1, 0
-            return 0, 0, 0, 1
+                return 0, 1, 0
+            return 0, 0, 1
         skips = 0
         probe_max = tup[-1] if tup else 0
-        for stored, shift in _window_matches(
-            table, discrete_log(r), probe_max, D, M
-        ):
+        for stored, shift in _window_matches(table, probe_log, probe_max, D, M):
             if shift:
                 add(_assemble_exps(stored, tup, shift), (stored, tup, shift))
             else:
                 skips += 1
-        return 1, skips, 0, 0
+        return skips, 0, 0
 
     return probe
 
@@ -543,10 +562,12 @@ def logtmto_find_all(
         bound = min(D, second_phase_bound(D, params.w, q2))
 
     t0 = time.perf_counter()
-    probe = _log_probe(engine, table, q1, D, dedup)
-    for tup in enumerate_tuples(q2, bound):
-        logs, skips, emits, _ = probe(tup)
-        report.log_calls += logs
+    probe = _log_probe(table, q1, D, ctx.order, dedup)
+    for tup, lg in _tuple_logs(
+        engine, ctx.power_table(D), enumerate_tuples(q2, bound)
+    ):
+        skips, emits, _ = probe(tup, lg)
+        report.log_calls += lg is not None
         report.zero_shift_skips += skips
         report.zero_residue_emits += emits
     report.phase2_seconds = time.perf_counter() - t0

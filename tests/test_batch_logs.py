@@ -1,0 +1,253 @@
+"""Batched discrete logs: the array path of LogEngine.discrete_log against
+the scalar path and brute force, the uint64 field arithmetic against
+dense long division, and the chunked log-table phases against pinned
+results of the one-log-per-tuple search."""
+
+import functools
+import hashlib
+import random
+from math import ceil, comb, isqrt
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from lowmult import search
+from lowmult.dlog import _BatchField, build_engine
+from lowmult.errors import LogOfZeroError
+from lowmult.gf2poly import SparsePoly, make_context, parse_poly, random_primitive_poly
+from lowmult.reference import brute_force_log, poly_divides
+from lowmult.sampler import SampleParams, birthday_logtmto
+from lowmult.search import LOG_CHUNK, SearchParams, logtmto_find_all
+
+PLANS = {
+    "table": {},
+    "bsgs": {"tabulation_threshold": 1},
+    "bsgs-oversized": {"tabulation_threshold": 1, "bsgs_baby_entries": 64},
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _field(n, seed):
+    return make_context(random_primitive_poly(n, random.Random(seed)))
+
+
+@functools.lru_cache(maxsize=None)
+def _engine(n, seed, plan):
+    return build_engine(_field(n, seed), **PLANS[plan])
+
+
+def _logs(engine, elems):
+    return engine.discrete_log(np.array(elems, dtype=np.uint64)).tolist()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(2, 16),
+    seed=st.integers(0, 2**16),
+    plan=st.sampled_from(sorted(PLANS)),
+    raw=st.lists(st.integers(0, 2**16), max_size=64),
+)
+def test_array_logs_equal_scalar_and_brute_force(n, seed, plan, raw):
+    ctx = _field(n, seed)
+    engine = _engine(n, seed, plan)
+    elems = [1] + [v % ctx.order + 1 for v in raw]  # every nonzero element
+    got = _logs(engine, elems)
+    assert got == [engine.discrete_log(a) for a in elems]
+    assert got[:4] == [brute_force_log(ctx, a) for a in elems[:4]]
+
+
+@pytest.mark.parametrize("plan", sorted(PLANS))
+@pytest.mark.parametrize("spec", ["6,1,0", "12,6,4,1,0"])
+def test_prime_powers_over_the_whole_group(spec, plan):
+    # 2^6 - 1 = 3^2 * 7 and 2^12 - 1 = 3^2 * 5 * 7 * 13 lift digits of 3^2
+    ctx = make_context(parse_poly(spec))
+    assert (3, 2) in ctx.factorization
+    engine = build_engine(ctx, **PLANS[plan])
+    powers = [ctx.pow(2, k) for k in range(ctx.order)]
+    assert _logs(engine, powers) == list(range(ctx.order))
+    sample = powers[:: max(1, ctx.order // 8)]
+    assert _logs(engine, sample) == [brute_force_log(ctx, a) for a in sample]
+
+
+def test_oversized_baby_tables_are_bsgs():
+    # the plan the property test calls bsgs-oversized keeps a baby-step
+    # giant-step solver whose baby table is larger than ceil(sqrt(p))
+    ctx = make_context(parse_poly("14,12,11,1,0"))  # 2^14 - 1 = 3 * 43 * 127
+    engine = build_engine(ctx, **PLANS["bsgs-oversized"])
+    assert (127, 1, "bsgs", 64) in engine.strategy_summary()
+    assert 64 > isqrt(127) + 1
+
+
+@pytest.mark.parametrize(
+    "size", [0, 1, LOG_CHUNK - 1, LOG_CHUNK, LOG_CHUNK + 1])
+def test_batch_sizes(size):
+    ctx, engine = _field(16, 1), _engine(16, 1, "table")
+    rng = random.Random(size)
+    elems = [rng.randrange(1, ctx.order + 1) for _ in range(size)]
+    out = engine.discrete_log(np.array(elems, dtype=np.uint64))
+    assert out.dtype == np.int64 and out.shape == (size,)
+    assert out.tolist() == [engine.discrete_log(a) for a in elems]
+    assert _logs(engine, [1]) == [0]
+
+
+@pytest.mark.parametrize("elems", [[0], [0, 3], [5, 0, 7], [9, 0]])
+def test_array_holding_zero_raises(elems):
+    with pytest.raises(LogOfZeroError):
+        _engine(16, 1, "table").discrete_log(np.array(elems, dtype=np.uint64))
+
+
+# -- field arithmetic against dense long division ---------------------------
+
+# degree >= 61 narrows the multiplication digit to 3, 2 and 1 bits
+WIDE = {61: "61,5,2,1,0", 62: "62,6,5,3,0", 63: "63,1,0"}
+
+
+@functools.lru_cache(maxsize=None)
+def _wide(n):
+    return make_context(parse_poly(WIDE[n]))
+
+
+def _clmul(a, b):
+    """Carry-less product of two dense GF(2) polynomials."""
+    out = 0
+    while b:
+        if b & 1:
+            out ^= a
+        a <<= 1
+        b >>= 1
+    return out
+
+
+def _reduces_to(ctx, dense, r):
+    """r is the reduced residue of the dense polynomial mod P."""
+    diff = dense ^ r
+    return r >> ctx.n == 0 and poly_divides(
+        ctx.poly, SparsePoly(i for i in range(diff.bit_length()) if diff >> i & 1)
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(2, 16) | st.sampled_from(sorted(WIDE)),
+    seed=st.integers(0, 2**16),
+    data=st.data(),
+)
+def test_mul_sqr_pow_match_long_division(n, seed, data):
+    ctx = _wide(n) if n in WIDE else _field(n, seed)
+    elem = st.integers(0, ctx.mask)
+    a, b = data.draw(elem), data.draw(elem)
+    e = data.draw(st.integers(0, 12))
+    assert _reduces_to(ctx, _clmul(a, b), ctx.mul(a, b))
+    assert _reduces_to(ctx, _clmul(a, a), ctx.sqr(a))
+    dense = 1
+    for _ in range(e):
+        dense = _clmul(dense, a)
+    assert _reduces_to(ctx, dense, ctx.pow(a, e))
+
+    # the array arithmetic of the batched logs agrees elementwise
+    xs = data.draw(st.lists(elem, min_size=1, max_size=16))
+    ys = data.draw(st.lists(elem, min_size=len(xs), max_size=len(xs)))
+    field = _BatchField(ctx)
+    ax, ay = np.array(xs, dtype=np.uint64), np.array(ys, dtype=np.uint64)
+    assert field.mul(ax, ay).tolist() == [ctx.mul(x, y) for x, y in zip(xs, ys)]
+    assert field.mul(ax, b).tolist() == [ctx.mul(x, b) for x in xs]
+    assert field.sqr(ax).tolist() == [ctx.sqr(x) for x in xs]
+    assert field.pow(ax, e + 1).tolist() == [ctx.pow(x, e + 1) for x in xs]
+
+
+# -- chunked log-table phases -------------------------------------------------
+
+F20 = make_context(parse_poly("20,3,0"))  # 1 + x^3 + x^20 reduces to zero
+ENG20 = build_engine(F20)
+
+
+def _digest(records):
+    rows = [(r.poly.exponents, r.provenance) for r in records]
+    return hashlib.sha256(repr(rows).encode()).hexdigest()[:16]
+
+
+# Pinned from the search that took one scalar log per tuple: (records and
+# provenances digest, found, duplicates_suppressed, zero_shift_skips,
+# zero_residue_emits, table_entries, log_calls).  Tuple counts straddle
+# the 2048-tuple chunk in phase 1 (w=4: D tuples; w=6: C(D, 2)) and
+# phase 2 (w=5: C(D, 2) probes, two of them zero residues).
+FIND_ALL_PINS = {
+    (4, 2047): ("d3d437d088ece6ba", 2978, 14890, 2047, 0, 2047, 4094),
+    (4, 2048): ("c3bfe23c7d534911", 2988, 14940, 2048, 0, 2048, 4096),
+    (4, 2049): ("22526355e9b867ce", 2996, 14980, 2049, 0, 2049, 4098),
+    (6, 64): ("85f05167cc1e940f", 277, 9143, 3122, 0, 2014, 4028),
+    (6, 65): ("3162b32015129fbd", 285, 9359, 3258, 0, 2078, 4156),
+    (5, 65): ("4da09fdde8ea09fd", 48, 792, 210, 2, 65, 2143),
+}
+
+
+@pytest.mark.parametrize("w, D", sorted(FIND_ALL_PINS))
+def test_find_all_across_chunk_boundaries(w, D):
+    res = logtmto_find_all(F20, ENG20, SearchParams.balanced(w, D, "logarithmic"))
+    r = res.report
+    assert (
+        _digest(res.records), r.found, r.duplicates_suppressed,
+        r.zero_shift_skips, r.zero_residue_emits, r.table_entries, r.log_calls,
+    ) == FIND_ALL_PINS[(w, D)]
+
+
+# Pinned likewise: (records and provenances digest, iterations, found,
+# exhausted, duplicates, skipped, log_calls, progress events digest) of
+# birthday_logtmto(w, D=4096, B=50, q1, K, seed=3, max_iterations=3000,
+# progress_stride=500), whose K-table straddles the chunk.
+BIRTHDAY_PINS = {
+    (4, 2047, 1): ("efac45c4254f5280", 5, 54, False, 0, 0, 2052, "4f925f8350787360"),
+    (4, 2048, 1): ("efac45c4254f5280", 5, 54, False, 0, 0, 2053, "4f925f8350787360"),
+    (4, 2049, 1): ("efac45c4254f5280", 5, 54, False, 0, 0, 2054, "4f925f8350787360"),
+    (5, 2049, 1): ("566eb43b89f85eab", 5, 55, False, 0, 0, 2054, "e37fae6b46ee3522"),
+    (6, 65, 2): ("535eb272c2f32adf", 5, 50, False, 0, 0, 2083, "3c3829a1a68b6759"),
+}
+
+
+@pytest.mark.parametrize("w, K, q1", sorted(BIRTHDAY_PINS))
+def test_birthday_logtmto_across_chunk_boundaries(w, K, q1):
+    res = birthday_logtmto(ENG20, SampleParams(
+        w=w, D=4096, B=50, q1=q1, K=K, seed=3, max_iterations=3000,
+        progress_stride=500))
+    events = hashlib.sha256(repr(res.events).encode()).hexdigest()[:16]
+    assert (
+        _digest(res.records), res.iterations, res.found, res.exhausted,
+        res.duplicates, res.skipped, res.log_calls, events,
+    ) == BIRTHDAY_PINS[(w, K, q1)]
+
+
+class _CountingEngine:
+    """Counts the batched calls and the elements they carry."""
+
+    def __init__(self, engine):
+        self.ctx = engine.ctx
+        self._engine = engine
+        self.batches = []
+
+    def discrete_log(self, a):
+        if isinstance(a, np.ndarray):
+            self.batches.append(len(a))
+        return self._engine.discrete_log(a)
+
+
+@pytest.mark.parametrize("w, D", [(2, 9), (3, 40), (4, 41), (5, 22), (6, 21), (7, 13)])
+def test_chunk_size_does_not_change_results(monkeypatch, w, D):
+    params = SearchParams.balanced(w, D, "logarithmic")
+    runs = []
+    for chunk in (1, 7, LOG_CHUNK):
+        monkeypatch.setattr(search, "LOG_CHUNK", chunk)
+        eng = _CountingEngine(ENG20 if D > 20 else _engine(10, 4, "table"))
+        res = logtmto_find_all(eng.ctx, eng, params)
+        r = res.report
+        runs.append((
+            [(x.poly.exponents, x.provenance) for x in res.records],
+            r.found, r.duplicates_suppressed, r.zero_shift_skips,
+            r.zero_residue_emits, r.table_entries, r.log_calls,
+        ))
+        # log_calls counts logs, not batches; one batch per started chunk
+        assert sum(eng.batches) == r.log_calls
+        tuples = comb(D, params.q1), comb(D, params.q2)
+        assert len(eng.batches) == sum(ceil(t / chunk) for t in tuples)
+    assert runs[0] == runs[1] == runs[2]

@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from lowmult import cli
 from lowmult.cli import main
 
 PKG_ROOT = None
@@ -96,6 +97,52 @@ def test_find_all_budget_exit_4(capsys):
     )
     assert code == 4
     assert "budget" in err
+
+
+@pytest.mark.parametrize("method, extra", [
+    ("logsample", []),
+    ("birthday", []),
+    ("birthday-log", ["--precompute-degree", "20"]),
+])
+def test_find_some_budget_exit_4(method, extra, capsys):
+    # the P=4,1,0 engine fits in 1000 bytes; a 10^6-degree power table does not
+    code, out, err = run_cli(
+        ["find-some", "--poly", "4,1,0", "--weight", "4",
+         "--max-degree", "1000000", "--count", "1", "--max-iterations", "10",
+         "--budget-bytes", "1000", "--method", method] + extra,
+        capsys,
+    )
+    assert code == 4
+    assert out == ""
+    assert any(line.startswith("error:") and "budget" in line
+               for line in err.splitlines())
+
+
+FIND_ALL_3 = ["find-all", "--poly", "3,1,0", "--weight", "3", "--max-degree", "7"]
+FIND_SOME_3 = [
+    "find-some", "--poly", "3,1,0", "--weight", "3", "--max-degree", "7",
+    "--count", "1", "--seed", "1",
+]
+
+
+def test_memory_error_exit_4(monkeypatch, capsys):
+    def exhausted(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "tmto_find_all", exhausted)
+    code, out, err = run_cli(FIND_ALL_3 + ["--algorithm", "tmto"], capsys)
+    assert code == 4
+    assert out == ""
+    assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("argv", [FIND_ALL_3, FIND_SOME_3])
+def test_verify_failure_exit_7(argv, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "verify_multiple", lambda *args: False)
+    code, out, err = run_cli(argv + ["--verify"], capsys)
+    assert code == 7
+    assert out == ""
+    assert "error: record 0,1,3 fails verification" in err.splitlines()
 
 
 def test_bad_flags_exit_2():

@@ -5,7 +5,7 @@ from math import comb
 import pytest
 
 from lowmult.dlog import build_engine
-from lowmult.errors import WeightTooSmallError
+from lowmult.errors import MemoryBudgetExceededError, WeightTooSmallError
 from lowmult.gf2poly import make_context, parse_poly, verify_multiple
 from lowmult.reference import brute_force_multiples
 from lowmult.sampler import (
@@ -146,6 +146,22 @@ def test_birthday_logtmto_respects_prebuilt_table():
             SampleParams(w=4, D=15, B=1000, q1=1, K=15, seed=1, max_iterations=2000),
             table=foreign,
         )
+
+
+def test_samplers_check_the_budget_before_allocating():
+    # a 201-entry power table (1608 model bytes) fits in 10^4 bytes
+    small = dict(w=6, D=200, B=1, seed=1, max_iterations=5, budget_bytes=10**4)
+    for run in (lambda p: random_log_sample(ENG16, p),
+                lambda p: birthday_tmto(F16, p)):
+        run(SampleParams(**small))
+        with pytest.raises(MemoryBudgetExceededError):
+            run(SampleParams(**dict(small, D=2000)))
+    # the C(200, 2)-entry K-table of birthday_logtmto does not; a prebuilt
+    # table is not charged again
+    with pytest.raises(MemoryBudgetExceededError):
+        birthday_logtmto(ENG16, SampleParams(q1=2, **small))
+    table = build_log_table(ENG16, 2, 200)
+    birthday_logtmto(ENG16, SampleParams(q1=2, **small), table=table)
 
 
 def test_birthday_logtmto_unbalanced_split():
