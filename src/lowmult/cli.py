@@ -62,6 +62,11 @@ EXIT_EXHAUSTED = 5
 EXIT_LOG_DOMAIN = 6
 EXIT_VERIFY = 7
 
+# --algorithm auto takes the log route from this degree bound on: the
+# smallest power of two at which logtmto beat tmto at n=30, w=4 (median
+# of 5 calls each; README, Performance).
+AUTO_LOG_MIN_DEGREE = 1024
+
 
 def _say(msg: str) -> None:
     print(msg, file=sys.stderr)
@@ -134,18 +139,25 @@ def _wagner_advice(n: int, w: int, D: int) -> str | None:
     return None
 
 
+def _auto_algorithm(ctx, w: int, D: int, budget: int) -> str:
+    """logtmto for an even weight from AUTO_LOG_MIN_DEGREE on, if its
+    engine fits the budget; else tmto (odd weights gain nothing)."""
+    if (
+        w % 2 == 0
+        and D >= AUTO_LOG_MIN_DEGREE
+        and predict_table_bytes(ctx) <= budget
+    ):
+        return "logtmto"
+    return "tmto"
+
+
 def cmd_find_all(args) -> int:
     ctx = _load_context(args)
     algorithm = args.algorithm
     if algorithm == "auto":
-        # Even weights take the log route: measured at n=30, w=4 it
-        # overtakes the classical table between D = 512 and 1024 and is
-        # 16x faster at D = 8192 (README, Performance).  Odd weights
-        # gain nothing over the classical table.
-        if args.weight % 2 == 0 and predict_table_bytes(ctx) <= args.budget_bytes:
-            algorithm = "logtmto"
-        else:
-            algorithm = "tmto"
+        algorithm = _auto_algorithm(
+            ctx, args.weight, args.max_degree, args.budget_bytes
+        )
         _say(f"auto-selected algorithm: {algorithm}")
     if algorithm == "tmto":
         params = SearchParams.balanced(
@@ -156,7 +168,6 @@ def cmd_find_all(args) -> int:
     else:
         params = SearchParams.balanced(
             args.weight, args.max_degree, "logarithmic",
-            restrict_second_phase=args.restrict,
             budget_bytes=args.budget_bytes,
         )
         engine = _get_engine(args, ctx)
@@ -316,8 +327,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_all.add_argument("--algorithm", choices=("tmto", "logtmto", "auto"),
                        default="auto")
-    p_all.add_argument("--restrict", action="store_true",
-                       help="cap probe-side degree at ceil(D*q2/(w-1))")
     p_all.set_defaults(func=cmd_find_all)
 
     p_some = sub.add_parser(

@@ -88,16 +88,23 @@ def enumerate_tuples(q: int, max_deg: int) -> Iterator[tuple[int, ...]]:
 
 
 def second_phase_bound(D: int, w: int, q2: int) -> int:
-    """Degree bound ceil(D * q2 / (w - 1)) for the probe-side tuples.
+    """Probe-tuple degree bound max(q2, ceil(D * q2 / (w - 1))), at most D.
 
-    Every weight-w multiple keeps at least one decomposition whose
-    probe half stays below this bound, so restricting the second phase
-    to it preserves completeness (validated by the test suite on the
-    search grids; the restriction defaults to off).
+    Proven for the balanced split with q1 <= 1 (w = 3, 4, 5) and D < M,
+    where logtmto_find_all uses it.  The w - 1 gaps of a weight-w multiple sum to at most D, so some
+    q2 + 1 consecutive terms span at most ceil(D * q2 / (w - 1)): the
+    probe half.  The other half has at most 2 terms, so below M it is
+    nonzero, and the log match finds the multiple.  A trinomial (w = 5)
+    has a probe half spanning at most max(2, D / 2): its smaller gap plus
+    a term inside it, or its adjacent pair plus a neighbour, with the
+    added term cancelling.  With q1 >= 2 a 3-term half can be zero
+    (P = 6,5,0, w = 6, D = 31 loses P + x^21 P).  At D >= M a 2-term half
+    can be zero too (1 + x^M), and then only the pairing of zero halves
+    in _log_probe finds the multiple, which this proof leaves out.
     """
     if w < 3:
         raise WeightTooSmallError("second-phase bound needs weight >= 3")
-    return -(-D * q2 // (w - 1))
+    return min(D, max(q2, -(-D * q2 // (w - 1))))
 
 
 def estimate_count(n: int, w: int, D: int) -> float:
@@ -178,7 +185,6 @@ class SearchParams:
     q1: int
     q2: int
     algorithm: str
-    restrict_second_phase: bool = False
     budget_bytes: int = DEFAULT_BUDGET_BYTES
 
     def __post_init__(self):
@@ -215,7 +221,6 @@ class RunReport:
     D: int
     q1: int
     q2: int
-    restricted: bool
     found: int = 0
     duplicates_suppressed: int = 0
     zero_shift_skips: int = 0
@@ -228,7 +233,7 @@ class RunReport:
     def lines(self) -> list[str]:
         out = ["# run report"]
         for key in (
-            "algorithm", "w", "D", "q1", "q2", "restricted",
+            "algorithm", "w", "D", "q1", "q2",
             "found", "duplicates_suppressed", "zero_shift_skips",
             "zero_residue_emits", "table_entries", "log_calls",
         ):
@@ -400,21 +405,31 @@ def _log_probe(table: LogTable, q1: int, D: int, M: int, dedup: "_Dedup"):
 
     The log is None when 1 + tuple reduces to zero: then it is a
     multiple of weight q2 + 1 by itself, with the parity of
-    w = q1 + q2 + 2 only when q1 is odd.  Otherwise every window match
-    with a nonzero shift is assembled.  The function returns
-    (zero-shift skips, zero-residue emits, skipped), where skipped
-    counts a zero residue of the wrong parity.
+    w = q1 + q2 + 2 only when q1 is odd.  At D >= M it is also paired,
+    at every admissible nonzero shift, with each stored tuple that
+    reduces to zero (below M no multiple needs that: swapping one term
+    between two zero halves leaves x^a + x^b, nonzero for |a - b| < M,
+    in each).  Otherwise every window match with a nonzero shift is
+    assembled.  The function returns (zero-shift skips, zero-residue
+    emits, skipped), where skipped counts a zero residue of the wrong
+    parity.
     """
     add = dedup.add
 
     def probe(tup: tuple[int, ...], probe_log: int | None) -> tuple[int, int, int]:
+        probe_max = tup[-1] if tup else 0
         if probe_log is None:
+            emits = 0
+            for stored in table.zero_polys if D >= M else ():
+                for shift in range(stored[-1] - D, D - probe_max + 1):
+                    if shift:
+                        add(_assemble_exps(stored, tup, shift), (stored, tup, shift))
+                        emits += 1
             if q1 % 2 == 1:
                 add((0,) + tup, (tup, (), None))
-                return 0, 1, 0
-            return 0, 0, 1
+                return 0, emits + 1, 0
+            return 0, emits, 1
         skips = 0
-        probe_max = tup[-1] if tup else 0
         for stored, shift in _window_matches(table, probe_log, probe_max, D, M):
             if shift:
                 add(_assemble_exps(stored, tup, shift), (stored, tup, shift))
@@ -483,9 +498,7 @@ def tmto_find_all(ctx: FieldContext, params: SearchParams) -> SearchResult:
     if params.algorithm != ALGO_CLASSICAL:
         raise ValueError("tmto_find_all needs algorithm='classical'")
     q1, q2, D = params.q1, params.q2, params.D
-    report = RunReport(
-        algorithm="tmto", w=params.w, D=D, q1=q1, q2=q2, restricted=False,
-    )
+    report = RunReport(algorithm="tmto", w=params.w, D=D, q1=q1, q2=q2)
     _check_budget(comb(D, q1), D + 1, params.budget_bytes)
     xp = ctx.power_table(D)
 
@@ -532,19 +545,18 @@ def logtmto_find_all(
     query of width about 2D per q2-probe, shift-based assembly.
 
     Produces exactly the same set as the classical route at equal
-    (w, D).  Stored tuples whose polynomial reduces to zero are
-    themselves multiples (weight q1 + 1); they are emitted directly
-    when their weight parity matches w, and likewise for probe tuples.
+    (w, D), D >= M included.  Stored tuples whose polynomial reduces to
+    zero are themselves multiples (weight q1 + 1); they are emitted
+    directly when their weight parity matches w, and likewise for probe
+    tuples.  Where it is proven (the balanced split with q1 <= 1, and
+    D < M), phase 2 probes only tuples up to second_phase_bound.
     """
     if params.algorithm != ALGO_LOGARITHMIC:
         raise ValueError("logtmto_find_all needs algorithm='logarithmic'")
     if engine.ctx is not ctx and engine.ctx.poly != ctx.poly:
         raise ValueError("engine was built for a different modulus")
     q1, q2, D = params.q1, params.q2, params.D
-    report = RunReport(
-        algorithm="logtmto", w=params.w, D=D, q1=q1, q2=q2,
-        restricted=params.restrict_second_phase,
-    )
+    report = RunReport(algorithm="logtmto", w=params.w, D=D, q1=q1, q2=q2)
     _check_budget(comb(D, q1), D + 1, params.budget_bytes)
 
     table = build_log_table(engine, q1, D)
@@ -557,12 +569,12 @@ def logtmto_find_all(
         dedup.add(exps, prov)
         report.zero_residue_emits += 1
 
-    bound = D
-    if params.restrict_second_phase and params.w >= 3:
-        bound = min(D, second_phase_bound(D, params.w, q2))
+    M = ctx.order
+    balanced = q1 <= 1 <= q2 <= q1 + 1  # w = 3, 4, 5 with the default split
+    bound = second_phase_bound(D, params.w, q2) if balanced and D < M else D
 
     t0 = time.perf_counter()
-    probe = _log_probe(table, q1, D, ctx.order, dedup)
+    probe = _log_probe(table, q1, D, M, dedup)
     for tup, lg in _tuple_logs(
         engine, ctx.power_table(D), enumerate_tuples(q2, bound)
     ):

@@ -35,6 +35,7 @@ from lowmult.search import (
     build_log_table,
     estimate_count,
     logtmto_find_all,
+    second_phase_bound,
     tmto_find_all,
 )
 
@@ -65,8 +66,8 @@ def _ok(criterion: int, detail: str) -> None:
 
 @pytest.fixture(scope="module")
 def grid_results():
-    """Per random field, per (w, D): the brute-force set and the three
-    solver sets (classical, log, log-restricted)."""
+    """Per random field, per (w, D): the brute-force set, the classical
+    and log solver sets, and the log run's report."""
     rng = random.Random(0xC0FFEE)
     out = []
     for n in GRID_NS:
@@ -81,17 +82,12 @@ def grid_results():
             classical = tmto_find_all(
                 ctx, SearchParams.balanced(w, D, "classical")
             ).exponent_sets()
-            logspace = logtmto_find_all(
+            log_run = logtmto_find_all(
                 ctx, engine, SearchParams.balanced(w, D, "logarithmic")
-            ).exponent_sets()
-            restricted = logtmto_find_all(
-                ctx,
-                engine,
-                SearchParams.balanced(
-                    w, D, "logarithmic", restrict_second_phase=True
-                ),
-            ).exponent_sets()
-            cells[w, D] = (brute, classical, logspace, restricted)
+            )
+            cells[w, D] = (
+                brute, classical, log_run.exponent_sets(), log_run.report
+            )
         out.append((n, poly, cells))
     return out
 
@@ -210,12 +206,23 @@ def test_c05_estimator_calibration():
 
 @pytest.mark.slow
 def test_c06_proposition_restriction(grid_results):
-    cells = 0
+    # where the bound is proven (w <= 5, D below the group order) phase 2
+    # probes exactly the q2-tuples of degree <= ceil(D*q2/(w-1)); there a
+    # probe residue is zero only for w = 5, and each such probe is emitted
+    # as a trinomial.  Record-set equality is c01's check.
+    cells = saved = 0
     for n, poly, per in grid_results:
-        for (w, D), (_, _, logspace, restricted) in per.items():
-            assert restricted == logspace, (n, str(poly), w, D)
+        for (w, D), (_, _, _, rep) in per.items():
+            if w > 5 or D >= (1 << n) - 1:
+                continue
+            bound = second_phase_bound(D, w, rep.q2)
+            probes = rep.log_calls - rep.table_entries + rep.zero_residue_emits
+            assert probes == comb(bound, rep.q2), (n, str(poly), w, D)
             cells += 1
-    _ok(6, f"restricted == unrestricted on all {cells} grid cells")
+            saved += comb(D, rep.q2) - probes
+    assert cells > 0
+    _ok(6, f"phase 2 took the bounded probe count on all {cells} grid cells "
+           f"with w <= 5 below the group order ({saved} probes saved)")
 
 
 def test_c07_full_tabulation_memory_model():

@@ -172,14 +172,18 @@ def _digest(records):
 # provenances digest, found, duplicates_suppressed, zero_shift_skips,
 # zero_residue_emits, table_entries, log_calls).  Tuple counts straddle
 # the 2048-tuple chunk in phase 1 (w=4: D tuples; w=6: C(D, 2)) and
-# phase 2 (w=5: C(D, 2) probes, two of them zero residues).
+# phase 2 (w=5: C(65, 2) = 2080 probes under the bound ceil(130 * 2 / 4),
+# two of them the zero residues (3, 20) and (6, 40)).  The w=4 and w=5
+# rows were re-pinned when phase 2 became bounded for w <= 5: the same
+# records as the unbounded search, fewer probes, so fewer duplicates,
+# skips and logs, and some smallest provenances come from other probes.
 FIND_ALL_PINS = {
-    (4, 2047): ("d3d437d088ece6ba", 2978, 14890, 2047, 0, 2047, 4094),
-    (4, 2048): ("c3bfe23c7d534911", 2988, 14940, 2048, 0, 2048, 4096),
-    (4, 2049): ("22526355e9b867ce", 2996, 14980, 2049, 0, 2049, 4098),
+    (4, 2047): ("c6675e826ea11fae", 2978, 5885, 683, 0, 2047, 2730),
+    (4, 2048): ("0686d376204b35e0", 2988, 5895, 683, 0, 2048, 2731),
+    (4, 2049): ("738ac8eed9d3d3d5", 2996, 5906, 683, 0, 2049, 2732),
     (6, 64): ("85f05167cc1e940f", 277, 9143, 3122, 0, 2014, 4028),
     (6, 65): ("3162b32015129fbd", 285, 9359, 3258, 0, 2078, 4156),
-    (5, 65): ("4da09fdde8ea09fd", 48, 792, 210, 2, 65, 2143),
+    (5, 130): ("490fb957e0914d24", 320, 1517, 311, 2, 130, 2208),
 }
 
 
@@ -248,6 +252,8 @@ def test_chunk_size_does_not_change_results(monkeypatch, w, D):
         ))
         # log_calls counts logs, not batches; one batch per started chunk
         assert sum(eng.batches) == r.log_calls
-        tuples = comb(D, params.q1), comb(D, params.q2)
+        # every D here is below M, so w = 3, 4, 5 probe up to the bound
+        q2_max = search.second_phase_bound(D, w, params.q2) if 3 <= w <= 5 else D
+        tuples = comb(D, params.q1), comb(q2_max, params.q2)
         assert len(eng.batches) == sum(ceil(t / chunk) for t in tuples)
     assert runs[0] == runs[1] == runs[2]

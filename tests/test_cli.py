@@ -6,6 +6,9 @@ import pytest
 
 from lowmult import cli
 from lowmult.cli import main
+from lowmult.dlog import predict_table_bytes
+from lowmult.gf2poly import make_context, parse_poly
+from lowmult.search import DEFAULT_BUDGET_BYTES
 
 PKG_ROOT = None
 
@@ -40,35 +43,41 @@ def test_find_all_json(capsys):
     assert all(r["weight"] == 3 for r in recs)
 
 
+def _auto_pick(argv, capsys):
+    """The route auto picks for a find-all run, checked against its report."""
+    code, _, err = run_cli(["find-all", "--algorithm", "auto"] + argv, capsys)
+    assert code == 0
+    lines = err.splitlines()
+    picked = lines[0].removeprefix("auto-selected algorithm: ")
+    assert f"algorithm: {picked}" in lines
+    return picked
+
+
 def test_find_all_auto_prefers_log_for_even_weight(capsys):
-    code, _, err = run_cli(
-        ["find-all", "--poly", "4,1,0", "--weight", "4", "--max-degree", "12",
-         "--algorithm", "auto"],
-        capsys,
-    )
-    assert code == 0
-    assert "auto-selected algorithm: logtmto" in err
-    assert "algorithm: logtmto" in err
-    code, _, err = run_cli(
-        ["find-all", "--poly", "4,1,0", "--weight", "5", "--max-degree", "12",
-         "--algorithm", "auto"],
-        capsys,
-    )
-    assert code == 0
-    assert "auto-selected algorithm: tmto" in err
+    # the log route from D = AUTO_LOG_MIN_DEGREE on, for even weights only
+    assert cli.AUTO_LOG_MIN_DEGREE == 1024
+    p16 = ["--poly", "16,5,3,2,0"]
+    assert _auto_pick(
+        p16 + ["--weight", "4", "--max-degree", "1024"], capsys) == "logtmto"
+    assert _auto_pick(
+        p16 + ["--weight", "4", "--max-degree", "512"], capsys) == "tmto"
+    assert _auto_pick(
+        p16 + ["--weight", "3", "--max-degree", "1024"], capsys) == "tmto"
+    # the benchmark's n=18, w=6 instance sits below the threshold
+    p18 = make_context(parse_poly("18,7,0"))
+    assert cli._auto_algorithm(p18, 6, 192, DEFAULT_BUDGET_BYTES) == "tmto"
 
 
 def test_find_all_auto_falls_back_when_engine_budget_tight(capsys):
-    # engine tables for 2^14 - 1 = 3 * 43 * 127 predict ~3.7 kB; a 2 kB
-    # budget rules the log route out but still fits the tiny search
-    code, _, err = run_cli(
-        ["find-all", "--poly", "14,12,11,1,0", "--weight", "4",
-         "--max-degree", "12", "--algorithm", "auto",
-         "--budget-bytes", "2000"],
-        capsys,
-    )
-    assert code == 0
-    assert "auto-selected algorithm: tmto" in err
+    # 2^31 - 1 is prime: the baby-step/giant-step engine predicts about
+    # 1 MB, so a 500 kB budget rules the log route out but fits the search
+    p31 = ["--poly", "31,3,0", "--weight", "4", "--max-degree", "1024"]
+    assert _auto_pick(p31 + ["--budget-bytes", "500000"], capsys) == "tmto"
+    # with 1 MB the log route fits (checked without running its BSGS logs)
+    ctx = make_context(parse_poly("31,3,0"))
+    assert 500_000 < predict_table_bytes(ctx) <= 1_000_000
+    assert cli._auto_algorithm(ctx, 4, 1024, 1_000_000) == "logtmto"
+    assert cli._auto_algorithm(ctx, 4, 1024, 500_000) == "tmto"
 
 
 def test_wagner_advice_threshold():

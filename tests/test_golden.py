@@ -27,7 +27,7 @@ GOLDEN = {
         FIND_ALL + ["--algorithm", "tmto"], 0, ALL_1737, 1737,
         [
             "# run report", "algorithm: tmto", "w: 6", "D: 48", "q1: 2",
-            "q2: 3", "restricted: False", "found: 1737",
+            "q2: 3", "found: 1737",
             "duplicates_suppressed: 18633", "zero_shift_skips: 0",
             "zero_residue_emits: 0", "table_entries: 1128", "log_calls: 0",
         ],
@@ -36,7 +36,7 @@ GOLDEN = {
         FIND_ALL + ["--algorithm", "logtmto"], 0, ALL_1737, 1737,
         [
             "# run report", "algorithm: logtmto", "w: 6", "D: 48", "q1: 2",
-            "q2: 2", "restricted: False", "found: 1737",
+            "q2: 2", "found: 1737",
             "duplicates_suppressed: 38559", "zero_shift_skips: 3255",
             "zero_residue_emits: 0", "table_entries: 1125", "log_calls: 2250",
         ],

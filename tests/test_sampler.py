@@ -127,6 +127,16 @@ def test_birthday_logtmto_converges_to_oracle():
     assert res.exhausted  # B was unreachable; everything else was found
 
 
+def test_birthday_logtmto_pairs_zero_halves_beyond_group_order():
+    # at D >= 15 = M, 1 + x^15 + x^30 + x^45 splits only into halves that
+    # both reduce to zero; 3000 draws cover all 48 probes
+    res = birthday_logtmto(ENG16, SampleParams(
+        w=4, D=48, B=10**9, q1=1, K=48, seed=1, max_iterations=3000))
+    got = {r.poly.exponents for r in res.records}
+    assert (0, 15, 30, 45) in got
+    assert got == _brute_sets(F16, 4, 48)
+
+
 def test_birthday_logtmto_respects_prebuilt_table():
     table = build_log_table(ENG16, 1, 10)
     params = SampleParams(w=4, D=15, B=5, q1=1, K=10, seed=4, max_iterations=2000)

@@ -1,5 +1,6 @@
 import random
 from itertools import combinations
+from math import comb
 
 import pytest
 
@@ -214,22 +215,65 @@ def test_cross_algorithm_equality_random_fields():
 
 
 def test_restriction_preserves_output():
+    # w <= 5 below the group order: phase 2 probes only up to the bound
     rng = random.Random(32)
     for n in (10, 12):
         ctx = make_context(random_primitive_poly(n, rng))
         eng = build_engine(ctx)
         for w, D in ((3, 120), (4, 90), (5, 48)):
-            full = logtmto_find_all(
-                ctx, eng, SearchParams.balanced(w, D, "logarithmic")
-            )
-            restricted = logtmto_find_all(
-                ctx, eng,
-                SearchParams.balanced(
-                    w, D, "logarithmic", restrict_second_phase=True
-                ),
-            )
-            assert restricted.exponent_sets() == full.exponent_sets()
-            assert restricted.report.log_calls <= full.report.log_calls
+            params = SearchParams.balanced(w, D, "logarithmic")
+            res = logtmto_find_all(ctx, eng, params)
+            assert res.exponent_sets() == _brute_sets(ctx, w, D)
+            bound = second_phase_bound(D, w, params.q2)
+            assert bound < D
+            rep = res.report
+            probes = rep.log_calls - rep.table_entries + rep.zero_residue_emits
+            assert probes == comb(bound, params.q2)
+    # 1 + x + x^2 is P at n = 2: its probe half spans 2 > ceil(2 * 2 / 4)
+    f4 = make_context(parse_poly("2,1,0"))
+    assert logtmto_find_all(
+        f4, build_engine(f4), SearchParams.balanced(5, 2, "logarithmic")
+    ).exponent_sets() == {(0, 1, 2)}
+
+
+# (P, w, D) outside the bound's conditions: q1 = 2, where a bounded phase 2
+# loses 0,1,17,21,36,38 and P + x^21 P, and D >= M, where some multiples
+# split only into two halves that both reduce to zero (0,15,30,45 at P=4,1,0)
+BOUND_AND_ZERO_HALF_CASES = [
+    ("11,8,7,6,4,3,0", 6, 40),
+    ("6,5,0", 6, 31),
+    ("4,1,0", 4, 45),
+    ("4,1,0", 4, 48),
+    ("4,1,0", 4, 60),
+    ("5,2,0", 4, 124),
+]
+
+
+@pytest.mark.parametrize("spec, w, D", BOUND_AND_ZERO_HALF_CASES)
+def test_log_route_matches_brute_force_outside_the_bound(spec, w, D):
+    ctx = make_context(parse_poly(spec))
+    want = _brute_sets(ctx, w, D)
+    got_l = logtmto_find_all(
+        ctx, build_engine(ctx), SearchParams.balanced(w, D, "logarithmic")
+    ).exponent_sets()
+    got_c = tmto_find_all(
+        ctx, SearchParams.balanced(w, D, "classical")
+    ).exponent_sets()
+    assert got_l == got_c == want
+
+
+def test_unbalanced_splits_probe_every_tuple():
+    # the bound's proof needs the balanced split: with q1 = 0, q2 = 2 at
+    # w = 4 a probe half of three consecutive terms can span nearly D
+    for spec, w, q1, q2, D in (
+        ("10,3,0", 4, 0, 2, 100),
+        ("8,4,3,2,0", 5, 0, 3, 40),
+        ("8,4,3,2,0", 6, 1, 3, 30),
+    ):
+        ctx = make_context(parse_poly(spec))
+        params = SearchParams(w=w, D=D, q1=q1, q2=q2, algorithm="logarithmic")
+        got = logtmto_find_all(ctx, build_engine(ctx), params)
+        assert got.exponent_sets() == _brute_sets(ctx, w, D), (spec, w, q1, q2)
 
 
 def test_monotone_in_degree_and_same_parity_weight():
