@@ -140,11 +140,12 @@ def _wagner_advice(n: int, w: int, D: int) -> str | None:
 
 
 def _auto_algorithm(ctx, w: int, D: int, budget: int) -> str:
-    """logtmto for an even weight from AUTO_LOG_MIN_DEGREE on, if its
-    engine fits the budget; else tmto (odd weights gain nothing)."""
+    """logtmto for an even weight from AUTO_LOG_MIN_DEGREE on, below the
+    group order M, if its engine fits the budget; else tmto (odd weights
+    gain nothing, and from D = M on every probe walks the whole table)."""
     if (
         w % 2 == 0
-        and D >= AUTO_LOG_MIN_DEGREE
+        and AUTO_LOG_MIN_DEGREE <= D < ctx.order
         and predict_table_bytes(ctx) <= budget
     ):
         return "logtmto"

@@ -16,7 +16,9 @@ on group orders whose largest prime factor is otherwise out of reach.
 ``LogEngine.discrete_log`` also takes a numpy array of elements and then
 runs the same steps on uint64 arrays (``_BatchField``): one call per
 batch instead of one Python-level Pohlig-Hellman walk per element.  The
-scalar path stays the oracle the array path is tested against.
+scalar path stays the oracle the array path is tested against.  Each
+engine owns one ``_BatchField``, which also fills its subgroup tables by
+doubling (vals[k:2k] = vals[:k] * gp^k, one array product per step).
 
 Engines are immutable after build and safe to share between threads.
 Tables can be dumped to and loaded from a little-endian cache file that
@@ -62,29 +64,24 @@ def _model_bytes(entries: int) -> int:
     return _slots(entries) * _ENTRY_BYTES
 
 
-def _tabulate(ctx, p, baby_entries):
+def _tabulate(ctx, field, p, baby_entries):
     """gp^j for j < min(p, baby_entries), where gp = x^(M/p) has order p,
     as (values sorted ascending, their exponents j)."""
     gp = ctx.pow(2, ctx.order // p)
     m = min(p, baby_entries)
-    raw = [1] * m
-    v = 1
-    if gp == 2:  # generator is x itself: step by one shift
-        mulx = ctx.mulx
-        for j in range(m):
-            raw[j] = v
-            v = mulx(v)
-    else:
-        mul = ctx.mul
-        for j in range(m):
-            raw[j] = v
-            v = mul(v, gp)
-    if m == p and v != 1:
+    vals = np.empty(m, dtype=np.uint64)
+    vals[0] = 1
+    k, step = 1, gp  # doubling: vals[k:2k] = vals[:k] * (step = gp^k)
+    while k < m:
+        t = min(k, m - k)
+        vals[k:k + t] = field.mul(vals[:t], step)
+        k += t
+        step = ctx.sqr(step)
+    if m == p and ctx.mul(int(vals[-1]), gp) != 1:
         raise AssertionError("subgroup enumeration did not close")
-    vals = np.array(raw, dtype="<i8")
-    del raw
+    vals = vals.view("<i8")
     order = np.argsort(vals, kind="stable")
-    return vals[order], order.astype("<i8")
+    return vals[order], order.astype("<i8", copy=False)
 
 
 class _BatchField:
@@ -290,9 +287,10 @@ class LogEngine:
     zech_log for one field.  Identical answers regardless of which
     primes are tabulated and which fall back to BSGS."""
 
-    def __init__(self, ctx, solvers, tabulation_threshold, bsgs_baby_entries,
-                 predicted_bytes):
+    def __init__(self, ctx, field, solvers, tabulation_threshold,
+                 bsgs_baby_entries, predicted_bytes):
         self.ctx = ctx
+        self._field = field  # the _BatchField of ctx, for array calls
         self.solvers = solvers
         self.tabulation_threshold = tabulation_threshold
         self.bsgs_baby_entries = bsgs_baby_entries
@@ -302,7 +300,6 @@ class LogEngine:
         for s in solvers:
             r = M // s.q
             self._crt.append((s, r * pow(r, -1, s.q) % M))
-        self._field = None  # _BatchField, built by the first array call
 
     def discrete_log(self, a: int | np.ndarray) -> int | np.ndarray:
         """k in [0, M-1] with x^k == a, for a != 0.
@@ -334,10 +331,7 @@ class LogEngine:
         a = a.astype(np.uint64)
         if not a.all():
             raise LogOfZeroError("the zero element has no discrete logarithm")
-        ctx = self.ctx
-        if self._field is None:
-            self._field = _BatchField(ctx)
-        field = self._field
+        ctx, field = self.ctx, self._field
         # each projection a^(M/q) is the product of a^(2^j) over the set
         # bits j of M/q, accumulated as the squarings run
         solvers = self.solvers
@@ -439,12 +433,13 @@ def build_engine(
             f"predicted engine tables need {predicted} bytes "
             f"(cap {max_table_bytes}); raise the cap or lower the threshold"
         )
+    field = _BatchField(ctx)
     solvers = [
-        _PrimePowerSolver(ctx, p, e, _tabulate(ctx, p, baby_entries))
+        _PrimePowerSolver(ctx, p, e, _tabulate(ctx, field, p, baby_entries))
         for p, e, baby_entries in plan
     ]
     return LogEngine(
-        ctx, solvers, tabulation_threshold, bsgs_baby_entries, predicted
+        ctx, field, solvers, tabulation_threshold, bsgs_baby_entries, predicted
     )
 
 
@@ -574,4 +569,4 @@ def load_engine(path: str) -> LogEngine:
         predicted += _model_bytes(m)
     if off != len(body):
         raise ValueError(f"{path}: trailing bytes in engine cache")
-    return LogEngine(ctx, solvers, thr, baby, predicted)
+    return LogEngine(ctx, _BatchField(ctx), solvers, thr, baby, predicted)

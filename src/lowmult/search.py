@@ -5,7 +5,8 @@ term, degree at most D, and weight at most w *of the same parity as w*
 (w, w-2, ...).  Parity is inherent to the construction: a candidate is
 assembled from 1 plus a fixed number of monomials, and XOR cancellation
 removes terms in pairs.  Lower parity-matching weights fall out of the
-same pass through cancellation, so no separate sweep is needed.
+same pass through cancellation, as long as D >= w - 2; below that, [1, D]
+cannot hold the cancelled pair, and weight w - 2 is searched on its own.
 
 The classical route stores residues of the smaller half-decomposition in
 a hash table and probes with the other half, looking for pairs XORing to
@@ -90,17 +91,17 @@ def enumerate_tuples(q: int, max_deg: int) -> Iterator[tuple[int, ...]]:
 def second_phase_bound(D: int, w: int, q2: int) -> int:
     """Probe-tuple degree bound max(q2, ceil(D * q2 / (w - 1))), at most D.
 
-    Proven for the balanced split with q1 <= 1 (w = 3, 4, 5) and D < M,
-    where logtmto_find_all uses it.  The w - 1 gaps of a weight-w multiple sum to at most D, so some
-    q2 + 1 consecutive terms span at most ceil(D * q2 / (w - 1)): the
-    probe half.  The other half has at most 2 terms, so below M it is
-    nonzero, and the log match finds the multiple.  A trinomial (w = 5)
+    Proven for the balanced split with q1 <= 1 (w = 3, 4, 5), where
+    logtmto_find_all uses it.  The w - 1 gaps of a weight-w multiple sum
+    to at most D, so some q2 + 1 consecutive terms span at most
+    ceil(D * q2 / (w - 1)): the probe half.  The other half has at most 2
+    terms.  If it is nonzero the log match finds the multiple; if it is
+    zero (1 + x^M, only from D = M on) so is the probe half, and the
+    pairing of zero halves in _log_probe finds it.  A trinomial (w = 5)
     has a probe half spanning at most max(2, D / 2): its smaller gap plus
     a term inside it, or its adjacent pair plus a neighbour, with the
     added term cancelling.  With q1 >= 2 a 3-term half can be zero
-    (P = 6,5,0, w = 6, D = 31 loses P + x^21 P).  At D >= M a 2-term half
-    can be zero too (1 + x^M), and then only the pairing of zero halves
-    in _log_probe finds the multiple, which this proof leaves out.
+    (P = 6,5,0, w = 6, D = 31 loses P + x^21 P).
     """
     if w < 3:
         raise WeightTooSmallError("second-phase bound needs weight >= 3")
@@ -485,6 +486,20 @@ class _Dedup:
         return [MultipleRecord.of(exps, prov) for exps, prov in self.best.items()]
 
 
+def _add_lower_weight(find_all, params: SearchParams, dedup: _Dedup,
+                      report: RunReport) -> None:
+    """At D < w - 2, add the multiples of weight w - 2 to dedup, searched
+    by find_all on their own split: [1, D] is too small to hold the
+    cancelling pair such a multiple needs in the weight-w split."""
+    if params.D < params.w - 2:
+        lower = find_all(SearchParams.balanced(
+            params.w - 2, params.D, params.algorithm,
+            budget_bytes=params.budget_bytes))
+        for rec in lower.records:
+            dedup.add(rec.poly.exponents, rec.provenance)
+        report.log_calls += lower.report.log_calls
+
+
 def _finalize(dedup: _Dedup, report) -> list[MultipleRecord]:
     records = sorted(dedup.records(), key=lambda r: (r.degree, r.poly.exponents))
     report.found = len(records)
@@ -534,6 +549,7 @@ def tmto_find_all(ctx: FieldContext, params: SearchParams) -> SearchResult:
                 probe = (f,) + rest
                 for stored in get(r, ()):
                     add(_classical_exps(stored, probe), (stored, probe, None))
+    _add_lower_weight(lambda p: tmto_find_all(ctx, p), params, dedup, report)
     report.phase2_seconds = time.perf_counter() - t0
     return SearchResult(records=_finalize(dedup, report), report=report)
 
@@ -548,8 +564,8 @@ def logtmto_find_all(
     (w, D), D >= M included.  Stored tuples whose polynomial reduces to
     zero are themselves multiples (weight q1 + 1); they are emitted
     directly when their weight parity matches w, and likewise for probe
-    tuples.  Where it is proven (the balanced split with q1 <= 1, and
-    D < M), phase 2 probes only tuples up to second_phase_bound.
+    tuples.  Where it is proven (the balanced split with q1 <= 1), phase
+    2 probes only tuples up to second_phase_bound.
     """
     if params.algorithm != ALGO_LOGARITHMIC:
         raise ValueError("logtmto_find_all needs algorithm='logarithmic'")
@@ -569,12 +585,11 @@ def logtmto_find_all(
         dedup.add(exps, prov)
         report.zero_residue_emits += 1
 
-    M = ctx.order
     balanced = q1 <= 1 <= q2 <= q1 + 1  # w = 3, 4, 5 with the default split
-    bound = second_phase_bound(D, params.w, q2) if balanced and D < M else D
+    bound = second_phase_bound(D, params.w, q2) if balanced else D
 
     t0 = time.perf_counter()
-    probe = _log_probe(table, q1, D, M, dedup)
+    probe = _log_probe(table, q1, D, ctx.order, dedup)
     for tup, lg in _tuple_logs(
         engine, ctx.power_table(D), enumerate_tuples(q2, bound)
     ):
@@ -582,5 +597,7 @@ def logtmto_find_all(
         report.log_calls += lg is not None
         report.zero_shift_skips += skips
         report.zero_residue_emits += emits
+    _add_lower_weight(
+        lambda p: logtmto_find_all(ctx, engine, p), params, dedup, report)
     report.phase2_seconds = time.perf_counter() - t0
     return SearchResult(records=_finalize(dedup, report), report=report)

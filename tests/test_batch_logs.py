@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lowmult import search
+from lowmult import dlog, search
 from lowmult.dlog import _BatchField, build_engine
 from lowmult.errors import LogOfZeroError
 from lowmult.gf2poly import SparsePoly, make_context, parse_poly, random_primitive_poly
@@ -157,6 +157,32 @@ def test_mul_sqr_pow_match_long_division(n, seed, data):
     assert field.pow(ax, e + 1).tolist() == [ctx.pow(x, e + 1) for x in xs]
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(2, 16) | st.sampled_from(sorted(WIDE)),
+    seed=st.integers(0, 2**16),
+    data=st.data(),
+)
+def test_tabulate_equals_plain_enumeration(n, seed, data):
+    ctx = _wide(n) if n in WIDE else _field(n, seed)
+    field = _BatchField(ctx)
+    for p, _ in ctx.factorization:
+        # full tables below n = 61; baby tables of 1, 2, 3 or up to 200
+        sizes = st.sampled_from([1, 2, 3]) | st.integers(1, 200)
+        if n not in WIDE:
+            sizes |= st.just(p)
+        m = min(p, data.draw(sizes))
+        gp = ctx.pow(2, ctx.order // p)
+        powers = [1]
+        for _ in range(m - 1):
+            powers.append(ctx.mul(powers[-1], gp))
+        order = sorted(range(m), key=powers.__getitem__)
+        vals, idx = dlog._tabulate(ctx, field, p, m)
+        assert vals.dtype.str == idx.dtype.str == "<i8"
+        assert vals.tolist() == [powers[j] for j in order]
+        assert idx.tolist() == order
+
+
 # -- chunked log-table phases -------------------------------------------------
 
 F20 = make_context(parse_poly("20,3,0"))  # 1 + x^3 + x^20 reduces to zero
@@ -252,7 +278,7 @@ def test_chunk_size_does_not_change_results(monkeypatch, w, D):
         ))
         # log_calls counts logs, not batches; one batch per started chunk
         assert sum(eng.batches) == r.log_calls
-        # every D here is below M, so w = 3, 4, 5 probe up to the bound
+        # w = 3, 4, 5 probe up to the bound
         q2_max = search.second_phase_bound(D, w, params.q2) if 3 <= w <= 5 else D
         tuples = comb(D, params.q1), comb(q2_max, params.q2)
         assert len(eng.batches) == sum(ceil(t / chunk) for t in tuples)

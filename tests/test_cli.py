@@ -66,6 +66,11 @@ def test_find_all_auto_prefers_log_for_even_weight(capsys):
     # the benchmark's n=18, w=6 instance sits below the threshold
     p18 = make_context(parse_poly("18,7,0"))
     assert cli._auto_algorithm(p18, 6, 192, DEFAULT_BUDGET_BYTES) == "tmto"
+    # not from the group order M on, where each probe walks every entry
+    for spec, want in (("6,1,0", "tmto"), ("10,3,0", "tmto"),
+                       ("11,2,0", "logtmto")):  # M = 63, 1023, 2047
+        ctx = make_context(parse_poly(spec))
+        assert cli._auto_algorithm(ctx, 4, 1024, DEFAULT_BUDGET_BYTES) == want
 
 
 def test_find_all_auto_falls_back_when_engine_budget_tight(capsys):

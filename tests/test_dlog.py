@@ -1,3 +1,4 @@
+import hashlib
 import random
 import struct
 import zlib
@@ -154,6 +155,22 @@ def test_cache_round_trip(tmp_path):
     path2 = tmp_path / "engine2.bin"
     save_engine(loaded, str(path2))
     assert path.read_bytes() == path2.read_bytes()
+
+
+# sha256 of the cache files of P=16,5,3,2,0, pinned from the engine that
+# enumerated each subgroup one scalar product at a time
+CACHE_SHA256 = {
+    None: "f161a75be265c43fdf4eb572b853c34097538377aa83c21243570596f55a32d1",
+    1: "1752e6519213f1e0cbf5b177f0e2b743fab13709e269115eb6e58ec188757790",
+}
+
+
+@pytest.mark.parametrize("threshold", [None, 1])  # full tables, all BSGS
+def test_cache_bytes_are_pinned(tmp_path, threshold):
+    path = tmp_path / "engine.bin"
+    save_engine(build_engine(make_context(parse_poly("16,5,3,2,0")), threshold),
+                str(path))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == CACHE_SHA256[threshold]
 
 
 def test_cache_rejects_corruption(tmp_path):

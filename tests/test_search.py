@@ -236,9 +236,10 @@ def test_restriction_preserves_output():
     ).exponent_sets() == {(0, 1, 2)}
 
 
-# (P, w, D) outside the bound's conditions: q1 = 2, where a bounded phase 2
-# loses 0,1,17,21,36,38 and P + x^21 P, and D >= M, where some multiples
-# split only into two halves that both reduce to zero (0,15,30,45 at P=4,1,0)
+# (P, w, D) at the edges of the bound: q1 = 2, where a bounded phase 2
+# would lose 0,1,17,21,36,38 and P + x^21 P, and D >= M, where some
+# multiples split only into two halves that both reduce to zero
+# (0,15,30,45 at P=4,1,0), which the pairing of zero halves finds
 BOUND_AND_ZERO_HALF_CASES = [
     ("11,8,7,6,4,3,0", 6, 40),
     ("6,5,0", 6, 31),
@@ -248,8 +249,18 @@ BOUND_AND_ZERO_HALF_CASES = [
     ("5,2,0", 4, 124),
 ]
 
+# D < w - 2: [1, D] is too small for either split to cancel the pair a
+# weight w - 2 multiple needs, so both routes search weight w - 2 on its
+# own (tmto missed all ten, e.g. 0,1,3 at P=3,1,0, w=7, D=3; logtmto the
+# two w = 8 cells at P=2,1,0, e.g. 0,3 at D=3)
+TINY_DEGREE_CASES = [
+    ("2,1,0", 5, 2), ("2,1,0", 7, 2), ("2,1,0", 7, 3), ("2,1,0", 8, 3),
+    ("2,1,0", 8, 4), ("2,1,0", 8, 5), ("3,1,0", 7, 3), ("3,1,0", 8, 4),
+    ("3,2,0", 7, 3), ("3,2,0", 8, 4),
+]
 
-@pytest.mark.parametrize("spec, w, D", BOUND_AND_ZERO_HALF_CASES)
+
+@pytest.mark.parametrize("spec, w, D", BOUND_AND_ZERO_HALF_CASES + TINY_DEGREE_CASES)
 def test_log_route_matches_brute_force_outside_the_bound(spec, w, D):
     ctx = make_context(parse_poly(spec))
     want = _brute_sets(ctx, w, D)
@@ -260,6 +271,21 @@ def test_log_route_matches_brute_force_outside_the_bound(spec, w, D):
         ctx, SearchParams.balanced(w, D, "classical")
     ).exponent_sets()
     assert got_l == got_c == want
+
+
+@pytest.mark.parametrize("spec, w, D", [
+    ("4,1,0", 4, 60), ("3,1,0", 3, 21), ("5,2,0", 5, 40), ("6,1,0", 4, 150),
+])
+def test_probe_bound_holds_from_the_group_order_on(spec, w, D):
+    # at P=4,1,0, w=4, D=60 an unbounded phase 2 takes 56 logs, not <= 20
+    ctx = make_context(parse_poly(spec))
+    params = SearchParams.balanced(w, D, "logarithmic")
+    res = logtmto_find_all(ctx, build_engine(ctx), params)
+    assert res.exponent_sets() == _brute_sets(ctx, w, D)
+    bound = second_phase_bound(D, w, params.q2)
+    assert D >= ctx.order and bound < D
+    phase2_logs = res.report.log_calls - res.report.table_entries
+    assert phase2_logs <= comb(bound, params.q2)
 
 
 def test_unbalanced_splits_probe_every_tuple():
@@ -330,6 +356,7 @@ def test_report_counters():
     assert rep.table_entries == 7
     assert rep.duplicates_suppressed == 3  # each multiple arises twice
     res_l = logtmto_find_all(F8, ENG8, SearchParams.balanced(3, 7, "logarithmic"))
-    # 1 stored log + 6 probe logs (the probe at degree 7 reduces to zero)
-    assert res_l.report.log_calls == 7
+    # 1 stored log + 4 probe logs: D = M, and phase 2 probes up to
+    # second_phase_bound(7, 3, 1) = 4
+    assert res_l.report.log_calls == 5
     assert res_l.report.zero_shift_skips >= 0
