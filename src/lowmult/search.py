@@ -6,7 +6,7 @@ term, degree at most D, and weight at most w *of the same parity as w*
 assembled from 1 plus a fixed number of monomials, and XOR cancellation
 removes terms in pairs.  Lower parity-matching weights fall out of the
 same pass through cancellation, as long as D >= w - 2; below that, [1, D]
-cannot hold the cancelled pair, and weight w - 2 is searched on its own.
+cannot hold the cancelled pair, and weight w - 2 is searched instead.
 
 The classical route stores residues of the smaller half-decomposition in
 a hash table and probes with the other half, looking for pairs XORing to
@@ -486,18 +486,15 @@ class _Dedup:
         return [MultipleRecord.of(exps, prov) for exps, prov in self.best.items()]
 
 
-def _add_lower_weight(find_all, params: SearchParams, dedup: _Dedup,
-                      report: RunReport) -> None:
-    """At D < w - 2, add the multiples of weight w - 2 to dedup, searched
-    by find_all on their own split: [1, D] is too small to hold the
-    cancelling pair such a multiple needs in the weight-w split."""
-    if params.D < params.w - 2:
-        lower = find_all(SearchParams.balanced(
-            params.w - 2, params.D, params.algorithm,
-            budget_bytes=params.budget_bytes))
-        for rec in lower.records:
-            dedup.add(rec.poly.exponents, rec.provenance)
-        report.log_calls += lower.report.log_calls
+def _lower_weight(params: SearchParams) -> SearchParams:
+    """The balanced weight w - 2 search that stands in for a weight-w one
+    at D < w - 2.  A weight-w multiple needs w - 1 distinct exponents in
+    [1, D], so there is none there, and [1, D] cannot hold the cancelled
+    pair through which the weight-w split finds lower weights; the
+    weight w - 2 search finds them all (recursing while D < w - 4).  The
+    run report is that search's."""
+    return SearchParams.balanced(
+        params.w - 2, params.D, params.algorithm, budget_bytes=params.budget_bytes)
 
 
 def _finalize(dedup: _Dedup, report) -> list[MultipleRecord]:
@@ -512,6 +509,8 @@ def tmto_find_all(ctx: FieldContext, params: SearchParams) -> SearchResult:
     half for pairs XORing to 1."""
     if params.algorithm != ALGO_CLASSICAL:
         raise ValueError("tmto_find_all needs algorithm='classical'")
+    if params.D < params.w - 2:
+        return tmto_find_all(ctx, _lower_weight(params))
     q1, q2, D = params.q1, params.q2, params.D
     report = RunReport(algorithm="tmto", w=params.w, D=D, q1=q1, q2=q2)
     _check_budget(comb(D, q1), D + 1, params.budget_bytes)
@@ -549,7 +548,6 @@ def tmto_find_all(ctx: FieldContext, params: SearchParams) -> SearchResult:
                 probe = (f,) + rest
                 for stored in get(r, ()):
                     add(_classical_exps(stored, probe), (stored, probe, None))
-    _add_lower_weight(lambda p: tmto_find_all(ctx, p), params, dedup, report)
     report.phase2_seconds = time.perf_counter() - t0
     return SearchResult(records=_finalize(dedup, report), report=report)
 
@@ -571,6 +569,8 @@ def logtmto_find_all(
         raise ValueError("logtmto_find_all needs algorithm='logarithmic'")
     if engine.ctx is not ctx and engine.ctx.poly != ctx.poly:
         raise ValueError("engine was built for a different modulus")
+    if params.D < params.w - 2:
+        return logtmto_find_all(ctx, engine, _lower_weight(params))
     q1, q2, D = params.q1, params.q2, params.D
     report = RunReport(algorithm="logtmto", w=params.w, D=D, q1=q1, q2=q2)
     _check_budget(comb(D, q1), D + 1, params.budget_bytes)
@@ -597,7 +597,5 @@ def logtmto_find_all(
         report.log_calls += lg is not None
         report.zero_shift_skips += skips
         report.zero_residue_emits += emits
-    _add_lower_weight(
-        lambda p: logtmto_find_all(ctx, engine, p), params, dedup, report)
     report.phase2_seconds = time.perf_counter() - t0
     return SearchResult(records=_finalize(dedup, report), report=report)

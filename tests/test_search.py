@@ -1,6 +1,5 @@
 import random
 from itertools import combinations
-from math import comb
 
 import pytest
 
@@ -215,20 +214,32 @@ def test_cross_algorithm_equality_random_fields():
 
 
 def test_restriction_preserves_output():
-    # w <= 5 below the group order: phase 2 probes only up to the bound
+    # w <= 5: phase 2 takes one log per tuple up to the bound whose
+    # 1 + tuple is nonzero, below the group order and from it on (at
+    # P=4,1,0, w=4, D=60 an unbounded phase 2 takes 56 logs, not 19)
     rng = random.Random(32)
+    cells = []
     for n in (10, 12):
         ctx = make_context(random_primitive_poly(n, rng))
-        eng = build_engine(ctx)
-        for w, D in ((3, 120), (4, 90), (5, 48)):
-            params = SearchParams.balanced(w, D, "logarithmic")
-            res = logtmto_find_all(ctx, eng, params)
-            assert res.exponent_sets() == _brute_sets(ctx, w, D)
-            bound = second_phase_bound(D, w, params.q2)
-            assert bound < D
-            rep = res.report
-            probes = rep.log_calls - rep.table_entries + rep.zero_residue_emits
-            assert probes == comb(bound, params.q2)
+        cells += [(ctx, w, D) for w, D in ((3, 120), (4, 90), (5, 48))]
+    for spec, w, D in (
+        ("4,1,0", 4, 60), ("3,1,0", 3, 21), ("5,2,0", 5, 40), ("6,1,0", 4, 150),
+    ):
+        cells.append((make_context(parse_poly(spec)), w, D))
+    for ctx, w, D in cells:
+        params = SearchParams.balanced(w, D, "logarithmic")
+        res = logtmto_find_all(ctx, build_engine(ctx), params)
+        assert res.exponent_sets() == _brute_sets(ctx, w, D)
+        bound = second_phase_bound(D, w, params.q2)
+        assert bound < D
+        xp = ctx.power_table(bound)
+        nonzero = 0
+        for tup in combinations(range(1, bound + 1), params.q2):
+            r = 1
+            for e in tup:
+                r ^= xp[e]
+            nonzero += r != 0
+        assert res.report.log_calls - res.report.table_entries == nonzero
     # 1 + x + x^2 is P at n = 2: its probe half spans 2 > ceil(2 * 2 / 4)
     f4 = make_context(parse_poly("2,1,0"))
     assert logtmto_find_all(
@@ -250,8 +261,8 @@ BOUND_AND_ZERO_HALF_CASES = [
 ]
 
 # D < w - 2: [1, D] is too small for either split to cancel the pair a
-# weight w - 2 multiple needs, so both routes search weight w - 2 on its
-# own (tmto missed all ten, e.g. 0,1,3 at P=3,1,0, w=7, D=3; logtmto the
+# weight w - 2 multiple needs, so both routes search weight w - 2
+# instead (tmto missed all ten, e.g. 0,1,3 at P=3,1,0, w=7, D=3; logtmto the
 # two w = 8 cells at P=2,1,0, e.g. 0,3 at D=3)
 TINY_DEGREE_CASES = [
     ("2,1,0", 5, 2), ("2,1,0", 7, 2), ("2,1,0", 7, 3), ("2,1,0", 8, 3),
@@ -271,21 +282,6 @@ def test_log_route_matches_brute_force_outside_the_bound(spec, w, D):
         ctx, SearchParams.balanced(w, D, "classical")
     ).exponent_sets()
     assert got_l == got_c == want
-
-
-@pytest.mark.parametrize("spec, w, D", [
-    ("4,1,0", 4, 60), ("3,1,0", 3, 21), ("5,2,0", 5, 40), ("6,1,0", 4, 150),
-])
-def test_probe_bound_holds_from_the_group_order_on(spec, w, D):
-    # at P=4,1,0, w=4, D=60 an unbounded phase 2 takes 56 logs, not <= 20
-    ctx = make_context(parse_poly(spec))
-    params = SearchParams.balanced(w, D, "logarithmic")
-    res = logtmto_find_all(ctx, build_engine(ctx), params)
-    assert res.exponent_sets() == _brute_sets(ctx, w, D)
-    bound = second_phase_bound(D, w, params.q2)
-    assert D >= ctx.order and bound < D
-    phase2_logs = res.report.log_calls - res.report.table_entries
-    assert phase2_logs <= comb(bound, params.q2)
 
 
 def test_unbalanced_splits_probe_every_tuple():
