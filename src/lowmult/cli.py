@@ -63,9 +63,10 @@ EXIT_LOG_DOMAIN = 6
 EXIT_VERIFY = 7
 
 # --algorithm auto takes the log route from this degree bound on: the
-# smallest power of two at which logtmto beat tmto at n=30, w=4 (median
-# of 5 calls each; README, Performance).
-AUTO_LOG_MIN_DEGREE = 1024
+# crossover_D of scripts/crossover.py (BENCH_crossover.json), the
+# smallest power of two from which logtmto plus its engine build beat
+# the array tmto at n=30, w=4 (medians of 5 calls; at D=2048 they tie).
+AUTO_LOG_MIN_DEGREE = 4096
 
 
 def _say(msg: str) -> None:

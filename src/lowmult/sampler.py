@@ -39,6 +39,7 @@ from .search import (
     default_split,
     _Dedup,
     _check_budget,
+    _table_bytes,
     _classical_exps,
     _log_probe,
     _one_plus,
@@ -237,7 +238,7 @@ def random_log_sample(engine, params: SampleParams) -> SampleResult:
     t0 = time.perf_counter()
     q, D = params.w - 2, params.D
     rng = Rng(params.seed)
-    _check_budget(0, D + 1, params.budget_bytes)
+    _check_budget(_table_bytes(0, D + 1), params.budget_bytes)
     xp = engine.ctx.power_table(D)
     dedup = _Dedup()
     cache: dict[int, int] = {}
@@ -281,7 +282,7 @@ def birthday_logtmto(
         raise ValueError(f"q1={q1} too large for weight {params.w}")
     K = params.K if params.K is not None else D
     t0 = time.perf_counter()
-    _check_budget(comb(K, q1) if table is None else 0, D + 1,
+    _check_budget(_table_bytes(comb(K, q1) if table is None else 0, D + 1),
                   params.budget_bytes)
     if table is None:
         table = build_log_table(engine, q1, K)
@@ -320,7 +321,7 @@ def birthday_tmto(ctx: FieldContext, params: SampleParams) -> SampleResult:
     t0 = time.perf_counter()
     q1, q2 = default_split(params.w, "classical")
     rng = Rng(params.seed)
-    _check_budget(0, params.D + 1, params.budget_bytes)
+    _check_budget(_table_bytes(0, params.D + 1), params.budget_bytes)
     xp = ctx.power_table(params.D)
     dedup = _Dedup()
     # side tables: residue -> list of tuples; one shared table when the

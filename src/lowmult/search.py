@@ -8,9 +8,11 @@ removes terms in pairs.  Lower parity-matching weights fall out of the
 same pass through cancellation, as long as D >= w - 2; below that, [1, D]
 cannot hold the cancelled pair, and weight w - 2 is searched instead.
 
-The classical route stores residues of the smaller half-decomposition in
-a hash table and probes with the other half, looking for pairs XORing to
-1.  The logarithmic route stores discrete logs of the stored half sorted
+The classical route stores residues of the smaller half-decomposition as
+sorted keys behind a bit filter and probes with the other half, looking
+for pairs XORing to 1; the probes run on arrays, and every filter hit is
+confirmed by binary search on the keys, so the lookup is exact.  The
+logarithmic route stores discrete logs of the stored half sorted
 ascending and range-queries a window of width about 2D around each probe
 log; each match yields a shift e with the two halves congruent modulo P,
 and the multiple is assembled from the shifted halves.  When the degree
@@ -32,7 +34,7 @@ import time
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, islice
+from itertools import chain, combinations, islice
 from math import comb, factorial
 from typing import Iterator, NamedTuple, Optional
 
@@ -58,6 +60,8 @@ POWER_TABLE_ENTRY_BYTES = 8
 
 # Tuples per batched discrete_log call in both log-table phases.
 LOG_CHUNK = 2048
+
+_BITS = (1 << np.arange(8)).astype(np.uint8)  # bit j of a filter byte
 
 
 def default_split(w: int, algorithm: str) -> tuple[int, int]:
@@ -441,8 +445,12 @@ def _log_probe(table: LogTable, q1: int, D: int, M: int, dedup: "_Dedup"):
     return probe
 
 
-def _check_budget(entries: int, power_slots: int, budget: int) -> None:
-    predicted = entries * TABLE_ENTRY_BYTES + power_slots * POWER_TABLE_ENTRY_BYTES
+def _table_bytes(entries: int, power_slots: int) -> int:
+    """The planning model's bytes for a log table and a power table."""
+    return entries * TABLE_ENTRY_BYTES + power_slots * POWER_TABLE_ENTRY_BYTES
+
+
+def _check_budget(predicted: int, budget: int) -> None:
     if predicted > budget:
         raise MemoryBudgetExceededError(
             f"predicted table memory {predicted} bytes exceeds budget {budget}; "
@@ -504,50 +512,132 @@ def _finalize(dedup: _Dedup, report) -> list[MultipleRecord]:
     return records
 
 
+def _combinations_array(D: int, q: int) -> np.ndarray:
+    """enumerate_tuples(q, D) as a (C(D, q), q) int64 array, lex order."""
+    n = comb(D, q)
+    flat = np.fromiter(
+        chain.from_iterable(enumerate_tuples(q, D)), np.int64, count=n * q)
+    return flat.reshape(n, q)
+
+
+def _residues(xp: np.ndarray, tuples: np.ndarray) -> np.ndarray:
+    """Residue of the sum of x^e over each row: XOR of its powers."""
+    out = np.zeros(len(tuples), np.int64)
+    for col in tuples.T:
+        out ^= xp[col]
+    return out
+
+
+def _filter_bits(n: int, keys: int) -> int:
+    """Index width k of the classical lookup's bit filter: 2^k bits are
+    at most one byte per key (a 1/32 to 1/64 load); for n <= k every
+    residue has its own bit."""
+    return min(n, keys.bit_length() + 5)
+
+
+def _suffix_size(q2: int) -> int:
+    """Trailing probe exponents the classical route vectorizes: all of a
+    single one, else up to two after a prefix of at least one."""
+    return max(1, min(q2 - 1, 2))
+
+
+def _tmto_bytes(n: int, D: int, q1: int, q2: int) -> int:
+    """Bytes that tmto_find_all allocates, counted in 8-byte words.
+
+    Per stored q1-tuple: its exponents and its key (residue), each held
+    twice while they are put in key order, and that order.  The bit
+    filter.  Per exponent up to D: its power as a list slot and int and
+    as an array entry, and its int in the tuple enumeration's pool.  Per
+    probe suffix: its exponents, its residue and three words of work.
+    """
+    entries, s = comb(D, q1), _suffix_size(q2)
+    return (
+        entries * 8 * (2 * q1 + 3)
+        + (1 << _filter_bits(n, entries)) // 8 + 1
+        + (D + 1) * 8 * 11
+        + comb(D, s) * 8 * (s + 4)
+    )
+
+
 def tmto_find_all(ctx: FieldContext, params: SearchParams) -> SearchResult:
     """Classical route: store residues of the q1 half, probe with the q2
-    half for pairs XORing to 1."""
+    half for pairs XORing to 1.
+
+    Phase 1 sorts the stored residues (keys) and sets one bit per key in
+    a filter indexed by their low _filter_bits bits.  Phase 2 loops in
+    Python over the leading probe exponents only: for each prefix, the
+    residues of the trailing _suffix_size exponents that follow it form a
+    contiguous slice of one array in lex order.  A probe whose filter
+    bit is set is confirmed by binary search on the keys, so the lookup
+    is exact however many residues share a bit.
+    """
     if params.algorithm != ALGO_CLASSICAL:
         raise ValueError("tmto_find_all needs algorithm='classical'")
     if params.D < params.w - 2:
         return tmto_find_all(ctx, _lower_weight(params))
     q1, q2, D = params.q1, params.q2, params.D
     report = RunReport(algorithm="tmto", w=params.w, D=D, q1=q1, q2=q2)
-    _check_budget(comb(D, q1), D + 1, params.budget_bytes)
-    xp = ctx.power_table(D)
+    _check_budget(_tmto_bytes(ctx.n, D, q1, q2), params.budget_bytes)
+    xp_list = ctx.power_table(D)
+    xp = np.array(xp_list, np.int64)
 
     t0 = time.perf_counter()
-    table: dict[int, list[tuple[int, ...]]] = {}
-    for tup in enumerate_tuples(q1, D):
-        r = 0
-        for e in tup:
-            r ^= xp[e]
-        table.setdefault(r, []).append(tup)
-    report.table_entries = comb(D, q1)
+    stored = _combinations_array(D, q1)
+    keys = _residues(xp, stored)
+    order = np.argsort(keys, kind="stable")  # equal keys stay in lex order
+    keys, stored = keys[order], stored[order]
+    del order
+    mask = (1 << _filter_bits(ctx.n, len(keys))) - 1
+    filt = np.zeros((mask >> 3) + 1, np.uint8)
+    slot = keys & mask
+    mark = _BITS[slot & 7]
+    slot >>= 3
+    np.bitwise_or.at(filt, slot, mark)
+    del slot, mark
+    report.table_entries = len(keys)
     report.phase1_seconds = time.perf_counter() - t0
 
     # q2 >= 1 always: q1 <= q2 and q1 + q2 + 1 = w >= 2
     t0 = time.perf_counter()
     dedup = _Dedup()
     add = dedup.add
-    get = table.get
-    for f in range(1, D + 1):
-        b1 = xp[f] ^ 1
-        if q2 == 2:
-            for j in range(f + 1, D + 1):
-                hits = get(b1 ^ xp[j])
-                if hits:
-                    probe = (f, j)
-                    for stored in hits:
-                        add(_classical_exps(stored, probe), (stored, probe, None))
-        else:
-            for rest in combinations(range(f + 1, D + 1), q2 - 1):
-                r = b1
-                for e in rest:
-                    r ^= xp[e]
-                probe = (f,) + rest
-                for stored in get(r, ()):
-                    add(_classical_exps(stored, probe), (stored, probe, None))
+    s = _suffix_size(q2)
+    suffixes = _combinations_array(D, s)
+    probes = _residues(xp, suffixes)
+    probes ^= 1
+    total = len(suffixes)
+    # per-prefix work arrays, reused so that the loop allocates little
+    work = np.empty(total, np.int64)
+    shifts, bits = np.empty(total, np.uint8), np.empty(total, np.uint8)
+    for prefix in enumerate_tuples(q2 - s, D - s):
+        start = total - comb(D - prefix[-1], s) if prefix else 0
+        base = 0
+        for e in prefix:
+            base ^= xp_list[e]
+        size = total - start
+        low = np.bitwise_xor(probes[start:], base, out=work[:size])
+        low &= mask
+        shift = np.bitwise_and(low, 7, out=shifts[:size], casting="unsafe")
+        low >>= 3
+        # (indices are in range; mode "raise" would copy out first)
+        bit = filt.take(low, out=bits[:size], mode="clip")
+        bit >>= shift
+        bit &= 1
+        cand = bit.view(bool).nonzero()[0]
+        r = probes[start + cand] ^ base
+        lo = keys.searchsorted(r)
+        hit = (keys.take(lo, mode="clip") == r).nonzero()[0]
+        if not len(hit):
+            continue
+        cand, lo, r = cand[hit], lo[hit], r[hit]
+        count = keys.searchsorted(r, "right") - lo
+        # every (probe, stored) pair: runs of count stored tuples from lo
+        ends = np.cumsum(count)
+        at = np.arange(ends[-1]) + np.repeat(lo - (ends - count), count)
+        for st, su in zip(stored[at].tolist(),
+                          suffixes[np.repeat(cand + start, count)].tolist()):
+            st, probe = tuple(st), prefix + tuple(su)
+            add(_classical_exps(st, probe), (st, probe, None))
     report.phase2_seconds = time.perf_counter() - t0
     return SearchResult(records=_finalize(dedup, report), report=report)
 
@@ -573,7 +663,7 @@ def logtmto_find_all(
         return logtmto_find_all(ctx, engine, _lower_weight(params))
     q1, q2, D = params.q1, params.q2, params.D
     report = RunReport(algorithm="logtmto", w=params.w, D=D, q1=q1, q2=q2)
-    _check_budget(comb(D, q1), D + 1, params.budget_bytes)
+    _check_budget(_table_bytes(comb(D, q1), D + 1), params.budget_bytes)
 
     table = build_log_table(engine, q1, D)
     report.table_entries = len(table.entries)

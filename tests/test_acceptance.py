@@ -241,9 +241,11 @@ def test_c08_scaling_shape():
     engine = build_engine(ctx)  # every prime tabulated
     assert {s for _, _, s, _ in engine.strategy_summary()} == {"table"}
     D = 8192
-    # batched logs make one log-route call a quarter second at D, so its
-    # time is taken over LOG_REPS calls to stay inside the timing window
+    # batched logs make one log-route call a quarter second at D, and
+    # array probes one classical call about 0.4 s, so each route is timed
+    # over several calls to stay inside the timing window
     LOG_REPS = 8
+    TMTO_REPS = 5
 
     def run(algorithm, degree):
         t0 = time.perf_counter()
@@ -253,7 +255,8 @@ def test_c08_scaling_shape():
                     ctx, engine, SearchParams.balanced(4, degree, "logarithmic")
                 )
         else:
-            tmto_find_all(ctx, SearchParams.balanced(4, degree, "classical"))
+            for _ in range(TMTO_REPS):
+                tmto_find_all(ctx, SearchParams.balanced(4, degree, "classical"))
         return time.perf_counter() - t0
 
     best = {}
@@ -271,7 +274,7 @@ def test_c08_scaling_shape():
     assert tmto_ratio >= 3.0, (tmto_ratio, best)
     _ok(8, f"n=30 w=4 at D={D}: log-route time ({LOG_REPS} calls) "
            f"x{log_ratio:.2f} for 2D (near-linear), classical "
-           f"x{tmto_ratio:.2f} (near-quadratic); "
+           f"({TMTO_REPS} calls) x{tmto_ratio:.2f} (near-quadratic); "
            f"times {', '.join(f'{best[k]:.1f}s' for k in sorted(best))}")
 
 

@@ -8,7 +8,7 @@ from lowmult import cli
 from lowmult.cli import main
 from lowmult.dlog import predict_table_bytes
 from lowmult.gf2poly import make_context, parse_poly
-from lowmult.search import DEFAULT_BUDGET_BYTES
+from lowmult.search import DEFAULT_BUDGET_BYTES, _tmto_bytes
 
 PKG_ROOT = None
 
@@ -55,34 +55,36 @@ def _auto_pick(argv, capsys):
 
 def test_find_all_auto_prefers_log_for_even_weight(capsys):
     # the log route from D = AUTO_LOG_MIN_DEGREE on, for even weights only
-    assert cli.AUTO_LOG_MIN_DEGREE == 1024
+    assert cli.AUTO_LOG_MIN_DEGREE == 4096
     p16 = ["--poly", "16,5,3,2,0"]
     assert _auto_pick(
-        p16 + ["--weight", "4", "--max-degree", "1024"], capsys) == "logtmto"
+        p16 + ["--weight", "4", "--max-degree", "4096"], capsys) == "logtmto"
     assert _auto_pick(
-        p16 + ["--weight", "4", "--max-degree", "512"], capsys) == "tmto"
+        p16 + ["--weight", "4", "--max-degree", "2048"], capsys) == "tmto"
     assert _auto_pick(
-        p16 + ["--weight", "3", "--max-degree", "1024"], capsys) == "tmto"
+        p16 + ["--weight", "3", "--max-degree", "4096"], capsys) == "tmto"
     # the benchmark's n=18, w=6 instance sits below the threshold
     p18 = make_context(parse_poly("18,7,0"))
     assert cli._auto_algorithm(p18, 6, 192, DEFAULT_BUDGET_BYTES) == "tmto"
     # not from the group order M on, where each probe walks every entry
     for spec, want in (("6,1,0", "tmto"), ("10,3,0", "tmto"),
-                       ("11,2,0", "logtmto")):  # M = 63, 1023, 2047
+                       ("12,6,4,1,0", "tmto"),  # M = 63, 1023, 4095
+                       ("13,4,3,1,0", "logtmto")):  # M = 8191
         ctx = make_context(parse_poly(spec))
-        assert cli._auto_algorithm(ctx, 4, 1024, DEFAULT_BUDGET_BYTES) == want
+        assert cli._auto_algorithm(ctx, 4, 4096, DEFAULT_BUDGET_BYTES) == want
 
 
 def test_find_all_auto_falls_back_when_engine_budget_tight(capsys):
     # 2^31 - 1 is prime: the baby-step/giant-step engine predicts about
-    # 1 MB, so a 500 kB budget rules the log route out but fits the search
-    p31 = ["--poly", "31,3,0", "--weight", "4", "--max-degree", "1024"]
-    assert _auto_pick(p31 + ["--budget-bytes", "500000"], capsys) == "tmto"
+    # 1 MB, so a 900 kB budget rules the log route out but fits the
+    # search (about 721 kB of tmto arrays at D = 4096)
+    p31 = ["--poly", "31,3,0", "--weight", "4", "--max-degree", "4096"]
+    assert _auto_pick(p31 + ["--budget-bytes", "900000"], capsys) == "tmto"
     # with 1 MB the log route fits (checked without running its BSGS logs)
     ctx = make_context(parse_poly("31,3,0"))
-    assert 500_000 < predict_table_bytes(ctx) <= 1_000_000
-    assert cli._auto_algorithm(ctx, 4, 1024, 1_000_000) == "logtmto"
-    assert cli._auto_algorithm(ctx, 4, 1024, 500_000) == "tmto"
+    assert 900_000 < predict_table_bytes(ctx) <= 1_000_000
+    assert cli._auto_algorithm(ctx, 4, 4096, 1_000_000) == "logtmto"
+    assert cli._auto_algorithm(ctx, 4, 4096, 900_000) == "tmto"
 
 
 def test_wagner_advice_threshold():
@@ -111,6 +113,18 @@ def test_find_all_budget_exit_4(capsys):
     )
     assert code == 4
     assert "budget" in err
+
+
+def test_find_all_budget_just_below_tmto_arrays_exit_4(capsys):
+    # tmto's arrays at w = 5, D = 15 (q1 = q2 = 2): a byte less stops the
+    # run with exit 4, and exactly that much lets it through
+    need = _tmto_bytes(4, 15, 2, 2)
+    argv = ["find-all", "--poly", "4,1,0", "--weight", "5", "--max-degree",
+            "15", "--algorithm", "tmto", "--budget-bytes"]
+    code, _, err = run_cli(argv + [str(need - 1)], capsys)
+    assert code == 4
+    assert "budget" in err
+    assert run_cli(argv + [str(need)], capsys)[0] == 0
 
 
 @pytest.mark.parametrize("method, extra", [

@@ -1,7 +1,13 @@
+import functools
+import hashlib
 import random
+import tracemalloc
 from itertools import combinations
+from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lowmult.dlog import build_engine
 from lowmult.errors import (
@@ -16,6 +22,7 @@ from lowmult.gf2poly import (
     residue,
     verify_multiple,
 )
+from lowmult import search
 from lowmult.reference import brute_force_multiples, poly_divides
 from lowmult.search import (
     LogTable,
@@ -356,3 +363,104 @@ def test_report_counters():
     # second_phase_bound(7, 3, 1) = 4
     assert res_l.report.log_calls == 5
     assert res_l.report.zero_shift_skips >= 0
+
+
+def _digest(records):
+    rows = [(r.poly.exponents, r.provenance) for r in records]
+    return hashlib.sha256(repr(rows).encode()).hexdigest()[:16]
+
+
+# Pinned from the classical route that looked every probe up in a dict of
+# stored residues: (records and provenances digest, w, q1, q2, found,
+# duplicates_suppressed, zero_shift_skips, zero_residue_emits,
+# table_entries, log_calls).  The cases cover q1 = 0 (w = 2), q2 = 1 to 5,
+# D >= M with q1 = 2 (stored residues that repeat, and zero residues from
+# x^a + x^(a+M)), and D < w - 2, where weight w - 2 is searched.
+TMTO_PINS = {
+    ("10,3,0", 2, 2100): ("8b988f6a7de4039b", 2, 0, 1, 2, 0, 0, 0, 1, 0),
+    ("10,3,0", 3, 300): ("a2cb51bda4703349", 3, 1, 1, 44, 44, 0, 0, 300, 0),
+    ("12,6,4,1,0", 4, 300): ("347b7515c3368da9", 4, 1, 2, 1069, 2138, 0, 0, 300, 0),
+    ("8,4,3,2,0", 6, 40): ("891289ba687544ca", 6, 2, 3, 2643, 27423, 0, 0, 780, 0),
+    ("6,1,0", 8, 20): ("9f6364abc60cb70a", 8, 3, 4, 1478, 84796, 0, 0, 1140, 0),
+    ("5,2,0", 10, 14): ("73d788cee701e451", 10, 4, 5, 247, 62413, 0, 0, 1001, 0),
+    ("4,1,0", 6, 20): ("130b121ed2f7667e", 6, 2, 3, 1038, 12496, 0, 0, 190, 0),
+    ("4,1,0", 5, 31): ("6478478ecc1a5bb8", 5, 2, 2, 1990, 11510, 0, 0, 465, 0),
+    ("3,1,0", 7, 3): ("a5626dff65e96bff", 5, 2, 2, 1, 1, 0, 0, 3, 0),
+}
+
+
+@pytest.mark.parametrize("one_bit_filter", [False, True],
+                         ids=["filter", "one-bit-filter"])
+@pytest.mark.parametrize("spec, w, D", sorted(TMTO_PINS))
+def test_tmto_pins(spec, w, D, one_bit_filter, monkeypatch):
+    # a one-bit filter makes every probe a candidate, so the binary
+    # search on the sorted keys alone decides what matches
+    if one_bit_filter:
+        monkeypatch.setattr(search, "_filter_bits", lambda n, keys: 0)
+    ctx = make_context(parse_poly(spec))
+    res = tmto_find_all(ctx, SearchParams.balanced(w, D, "classical"))
+    r = res.report
+    assert (
+        _digest(res.records), r.w, r.q1, r.q2, r.found,
+        r.duplicates_suppressed, r.zero_shift_skips, r.zero_residue_emits,
+        r.table_entries, r.log_calls,
+    ) == TMTO_PINS[(spec, w, D)]
+
+
+@functools.lru_cache(maxsize=None)
+def _field_and_engine(n, seed):
+    ctx = make_context(random_primitive_poly(n, random.Random(seed)))
+    return ctx, build_engine(ctx)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(2, 8),
+    seed=st.integers(0, 2**16),
+    w=st.integers(2, 6),
+    degree=st.floats(0, 1),
+)
+def test_tmto_equals_brute_force_and_log_route(n, seed, w, degree):
+    # D from 1 to 2M + 3, capped where brute force would take too long
+    ctx, engine = _field_and_engine(n, seed)
+    D = 1 + round(degree * (2 * ctx.order + 2))
+    while comb(D, w - 1) > 20_000:
+        D -= 1
+    got = tmto_find_all(ctx, SearchParams.balanced(w, D, "classical"))
+    log = logtmto_find_all(ctx, engine, SearchParams.balanced(w, D, "logarithmic"))
+    assert got.exponent_sets() == _brute_sets(ctx, w, D)
+    assert [r.poly.exponents for r in got.records] == [
+        r.poly.exponents for r in log.records]
+
+
+def test_tmto_checks_the_budget_before_allocating(monkeypatch):
+    params = SearchParams.balanced(5, 15, "classical")
+    need = search._tmto_bytes(F16.n, 15, params.q1, params.q2)
+
+    def allocates(*args):
+        raise AssertionError("allocated before the budget check")
+
+    with monkeypatch.context() as m:
+        m.setattr(search, "_combinations_array", allocates)
+        m.setattr(type(F16), "power_table", allocates)
+        with pytest.raises(MemoryBudgetExceededError):
+            tmto_find_all(F16, SearchParams.balanced(
+                5, 15, "classical", budget_bytes=need - 1))
+    assert tmto_find_all(F16, SearchParams.balanced(
+        5, 15, "classical", budget_bytes=need)).records
+
+
+@pytest.mark.parametrize("w, D", [(4, 3000), (5, 300), (6, 120)])
+def test_tmto_budget_bounds_its_allocations(w, D):
+    # the prediction counts what the run allocates (an upper bound, since
+    # phase 1's sorting work is gone before phase 2's arrays exist)
+    ctx = make_context(parse_poly("30,6,4,1,0"))
+    params = SearchParams.balanced(w, D, "classical")
+    predicted = search._tmto_bytes(ctx.n, D, params.q1, params.q2)
+    tracemalloc.start()
+    try:
+        tmto_find_all(ctx, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert predicted / 2 <= peak <= predicted, (peak, predicted)
