@@ -5,20 +5,23 @@ Run from the repository root:
 
     python3 scripts/crossover.py
 
-Sweeps D = 512, 1024, ..., 16384 at P = 30,6,4,1,0 (all subgroups
-tabulated), w = 4.  For each D it alternates REPS calls of
+Two sweeps: D = 512, 1024, ..., 16384 at P = 30,6,4,1,0 (all subgroups
+tabulated), w = 4, where the log route's cost is its logs; and D = 48,
+96, 192, 384 at P = 18,7,0, w = 6, where it is the match kernel (about
+445,000 matches at D = 192).  For each D it alternates REPS calls of
 ``logtmto_find_all`` and ``tmto_find_all`` in this process, checks that
 both return the same record set, and records every call's time.  The
-engine is built once, before any timing, and one untimed call of each
-route comes first so that lazy set-up is not timed.
+engine is built REPS times before any timing, and one untimed call of
+each route comes first so that lazy set-up is not timed.
 
-Writes BENCH_crossover.json at the repository root: per D, each route's
-median and quartiles; the engine build's median over REPS builds; and
-``crossover_D``, the smallest D of the sweep from which ``logtmto`` wins
-at every larger D too.  A win is ``logtmto``'s median plus the build's
-below ``tmto``'s lower quartile: ``find-all --algorithm auto`` pays the
-build, and a tie within the run-to-run spread goes to ``tmto``.
-``cli.AUTO_LOG_MIN_DEGREE`` is set from that value.
+Writes BENCH_crossover.json at the repository root, one entry per
+sweep: per D, each route's median and quartiles; the engine build's
+median over REPS builds; and ``crossover_D``, the smallest D of the
+sweep from which ``logtmto`` wins at every larger D too.  A win is
+``logtmto``'s median plus the build's below ``tmto``'s lower quartile:
+``find-all --algorithm auto`` pays the build, and a tie within the
+run-to-run spread goes to ``tmto``.  ``cli.AUTO_LOG_MIN_DEGREE`` is set
+from the w = 4 sweep's value.
 """
 
 import json
@@ -44,9 +47,10 @@ from lowmult import (  # noqa: E402
     tmto_find_all,
 )
 
-POLY = "30,6,4,1,0"
-WEIGHT = 4
-DEGREES = [2**k for k in range(9, 15)]
+SWEEPS = [
+    ("30,6,4,1,0", 4, [2**k for k in range(9, 15)]),
+    ("18,7,0", 6, [48, 96, 192, 384]),
+]
 REPS = 5
 OUT = ROOT / "BENCH_crossover.json"
 
@@ -67,8 +71,9 @@ def _summary(samples):
     return {"median_s": med, "q1_s": q1, "q3_s": q3, "samples_s": samples}
 
 
-def main():
-    ctx = make_context(parse_poly(POLY))
+def sweep(poly, weight, degrees):
+    """One instance's rows, engine build and crossover_D."""
+    ctx = make_context(parse_poly(poly))
     builds = []
     for _ in range(REPS):
         t0 = perf_counter()
@@ -77,14 +82,14 @@ def main():
     build = _summary(builds)
     routes = {
         "logtmto": lambda D: logtmto_find_all(
-            ctx, engine, SearchParams.balanced(WEIGHT, D, "logarithmic")),
+            ctx, engine, SearchParams.balanced(weight, D, "logarithmic")),
         "tmto": lambda D: tmto_find_all(
-            ctx, SearchParams.balanced(WEIGHT, D, "classical")),
+            ctx, SearchParams.balanced(weight, D, "classical")),
     }
     for run in routes.values():
-        run(DEGREES[0])
+        run(degrees[0])
     rows = []
-    for D in DEGREES:
+    for D in degrees:
         times = {name: [] for name in routes}
         sets = {}
         for _ in range(REPS):
@@ -93,14 +98,18 @@ def main():
                 result = run(D)
                 times[name].append(perf_counter() - t0)
                 sets.setdefault(name, result.exponent_sets())
+                del result
         if sets["logtmto"] != sets["tmto"]:
-            raise SystemExit(f"D={D}: the routes return different record sets")
+            raise SystemExit(f"P={poly} w={weight} D={D}: "
+                             "the routes return different record sets")
         row = {"D": D, "records": len(sets["tmto"])}
+        del sets
         row.update({name: _summary(t) for name, t in times.items()})
         row["tmto_over_logtmto"] = (
             row["tmto"]["median_s"] / row["logtmto"]["median_s"])
         rows.append(row)
-        print(f"D={D:6d}  logtmto {row['logtmto']['median_s']:.4f} s  "
+        print(f"P={poly} w={weight} D={D:6d}  "
+              f"logtmto {row['logtmto']['median_s']:.4f} s  "
               f"tmto {row['tmto']['median_s']:.4f} s  "
               f"ratio {row['tmto_over_logtmto']:.2f}", flush=True)
     crossover = None
@@ -109,8 +118,13 @@ def main():
             break
         crossover = row["D"]
     print(f"engine build {build['median_s']:.4f} s; crossover_D = {crossover}")
+    return {"instance": {"poly": poly, "w": weight}, "engine_build": build,
+            "rows": rows, "crossover_D": crossover}
+
+
+def main():
+    sweeps = [sweep(*args) for args in SWEEPS]
     OUT.write_text(json.dumps({
-        "instance": {"poly": POLY, "w": WEIGHT},
         "reps": REPS,
         "env": {
             "nproc": len(os.sched_getaffinity(0)),
@@ -119,9 +133,7 @@ def main():
             "machine": platform.machine(),
             "commit": _commit(),
         },
-        "engine_build": build,
-        "rows": rows,
-        "crossover_D": crossover,
+        "sweeps": sweeps,
     }, indent=1) + "\n")
 
 

@@ -42,7 +42,6 @@ from .dlog import (
 )
 from .search import (
     LogTable,
-    LogTableEntry,
     MultipleRecord,
     RunReport,
     SearchParams,
@@ -53,7 +52,6 @@ from .search import (
     enumerate_tuples,
     estimate_count,
     logtmto_find_all,
-    range_query,
     second_phase_bound,
     tmto_find_all,
 )
@@ -82,10 +80,10 @@ __all__ = [
     "random_primitive_poly", "residue", "verify_multiple",
     "LogEngine", "build_engine", "load_engine", "predict_table_bytes",
     "save_engine", "zech_orbit",
-    "LogTable", "LogTableEntry", "MultipleRecord", "RunReport",
+    "LogTable", "MultipleRecord", "RunReport",
     "SearchParams", "SearchResult", "assemble_multiple", "build_log_table",
     "default_split", "enumerate_tuples", "estimate_count",
-    "logtmto_find_all", "range_query", "second_phase_bound", "tmto_find_all",
+    "logtmto_find_all", "second_phase_bound", "tmto_find_all",
     "ProgressEvent", "Rng", "SampleParams", "SampleResult",
     "birthday_logtmto", "birthday_tmto", "random_log_sample",
     "unrank_combination", "write_progress_csv",

@@ -47,6 +47,12 @@ DEFAULT_MAX_TABLE_BYTES = 2**31
 # open-addressed table at 75% maximum load.
 _ENTRY_BYTES = 16
 
+# Planning bytes per element of an array discrete_log: its cofactor
+# projections, the multiplication table of the current square and the
+# CRT's lists of ints (tracemalloc: 200 to 425 B for 2048 elements of
+# tabulated engines at n = 4 to 30).
+BATCH_LOG_BYTES = 448
+
 _DICT_ACCEL_LIMIT = 2**16  # small tables also get a plain dict
 
 _CACHE_MAGIC = b"LWMENG1\x00"

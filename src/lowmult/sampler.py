@@ -29,6 +29,8 @@ import time
 from dataclasses import dataclass
 from math import comb
 
+import numpy as np
+
 from .errors import WeightTooSmallError
 from .gf2poly import FieldContext
 from .search import (
@@ -39,11 +41,15 @@ from .search import (
     default_split,
     _Dedup,
     _check_budget,
-    _table_bytes,
+    _log_route_bytes,
+    _power_bytes,
     _classical_exps,
-    _log_probe,
+    _match_blocks,
+    _match_records,
+    _match_rows,
     _one_plus,
     _zero_poly_multiples,
+    _zero_probe,
 )
 
 _MASK64 = (1 << 64) - 1
@@ -238,7 +244,7 @@ def random_log_sample(engine, params: SampleParams) -> SampleResult:
     t0 = time.perf_counter()
     q, D = params.w - 2, params.D
     rng = Rng(params.seed)
-    _check_budget(_table_bytes(0, D + 1), params.budget_bytes)
+    _check_budget(_power_bytes(D), params.budget_bytes)
     xp = engine.ctx.power_table(D)
     dedup = _Dedup()
     cache: dict[int, int] = {}
@@ -271,7 +277,8 @@ def birthday_logtmto(
     Phase 1 tabulates logs of (1 + q1-tuple) up to degree K once (the
     table only depends on the modulus, q1 and K, so callers may reuse
     one across seeds); the loop then draws random q2-tuples and runs
-    the exhaustive search's log-route probe on each.
+    the exhaustive search's match kernel on each, adding its matches in
+    the kernel's order.
     """
     if params.w < 2:
         raise WeightTooSmallError("need weight >= 2")
@@ -282,7 +289,9 @@ def birthday_logtmto(
         raise ValueError(f"q1={q1} too large for weight {params.w}")
     K = params.K if params.K is not None else D
     t0 = time.perf_counter()
-    _check_budget(_table_bytes(comb(K, q1) if table is None else 0, D + 1),
+    M = engine.ctx.order
+    stored = comb(K, q1) if table is None else len(table.logs)
+    _check_budget(_log_route_bytes(M, D, q1, q2, stored, 1, table is None),
                   params.budget_bytes)
     if table is None:
         table = build_log_table(engine, q1, K)
@@ -290,7 +299,7 @@ def birthday_logtmto(
         raise ValueError(f"prebuilt table was built for P={table.modulus}")
     elif table.max_degree != K:
         raise ValueError("prebuilt table does not match precompute degree K")
-    elif any(len(e.exponents) != q1 for e in table.entries) or any(
+    elif table.exponents.shape[1] != q1 or any(
         len(tup) != q1 for tup in table.zero_polys
     ):
         raise ValueError(f"prebuilt table does not store {q1}-tuples")
@@ -299,14 +308,22 @@ def birthday_logtmto(
         dedup.add(exps, prov)
     rng = Rng(params.seed)
     xp = engine.ctx.power_table(D)
-    probe = _log_probe(table, q1, D, engine.ctx.order, dedup)
+    tuples: dict[tuple, tuple] = {}
 
     def step():
         tup = _draw_tuple(rng, q2, D)
         r = _one_plus(xp, tup)
-        lg = engine.discrete_log(r) if r else None
-        _, _, skipped = probe(tup, lg)
-        return (0 if lg is None else 1), skipped
+        if r == 0:
+            return 0, _zero_probe(table, tup, D, M, dedup)[1]
+        probes = np.array(tup, np.int64).reshape(1, q2)
+        logs = np.array([engine.discrete_log(r)], np.int64)
+        for p, pos, shift, _ in _match_blocks(table, probes, logs, D, M):
+            rows = _match_rows(table, probes, p, pos, shift, D)
+            for exps, prov in _match_records(
+                table, rows, pos, probes[p], shift, D, tuples
+            ):
+                dedup.add(exps, prov)
+        return 1, 0
 
     return _sample(params, step, dedup, t0, table.log_calls)
 
@@ -321,7 +338,7 @@ def birthday_tmto(ctx: FieldContext, params: SampleParams) -> SampleResult:
     t0 = time.perf_counter()
     q1, q2 = default_split(params.w, "classical")
     rng = Rng(params.seed)
-    _check_budget(_table_bytes(0, params.D + 1), params.budget_bytes)
+    _check_budget(_power_bytes(params.D), params.budget_bytes)
     xp = ctx.power_table(params.D)
     dedup = _Dedup()
     # side tables: residue -> list of tuples; one shared table when the

@@ -12,34 +12,36 @@ The classical route stores residues of the smaller half-decomposition as
 sorted keys behind a bit filter and probes with the other half, looking
 for pairs XORing to 1; the probes run on arrays, and every filter hit is
 confirmed by binary search on the keys, so the lookup is exact.  The
-logarithmic route stores discrete logs of the stored half sorted
-ascending and range-queries a window of width about 2D around each probe
-log; each match yields a shift e with the two halves congruent modulo P,
-and the multiple is assembled from the shifted halves.  When the degree
-bound D reaches half the group order, several shifts e may represent the
-same congruence class, so the assembly walks every representative inside
-the admissible window rather than only the centered one.
+logarithmic route stores discrete logs of the stored half as a sorted
+array and matches a chunk of probe logs at a time against it in one
+array kernel: a cyclic window of width about 2D around each probe log is
+one or two sorted slices; each (probe, stored) pair in it gives every
+shift e congruent to the two logs' difference that keeps both shifted
+halves at degree <= D (more than one once D reaches half the group
+order); and the multiple is a sorted row of the shifted halves with
+their shared terms cancelled.
 
-Each concept has one home shared with the samplers: ``_log_probe`` is
-the log route's probe given the probe's log (window query, shift walk,
-assembly), ``_classical_exps`` the classical assembly, and ``_Dedup``
-the dedup.  Both log-table phases take their logs in batches of
-LOG_CHUNK tuples (``_tuple_logs``), one array call of
+Each concept has one home shared with the samplers: ``_match_blocks``
+and ``_match_rows`` are the log route's match kernel, ``_zero_probe`` the
+probe of a tuple without a log, ``_classical_exps`` the classical
+assembly, and ``_Dedup`` the dedup, one multiple or one block of kernel
+rows at a time.  Both log-table phases take their logs in batches of
+LOG_CHUNK tuples (``_tuple_chunks``), one array call of
 ``discrete_log`` per batch.
 """
 
 from __future__ import annotations
 
 import time
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, combinations, islice
+from itertools import chain, combinations
 from math import comb, factorial
-from typing import Iterator, NamedTuple, Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
+from .dlog import BATCH_LOG_BYTES
 from .errors import (
     MemoryBudgetExceededError,
     WeightTooSmallError,
@@ -52,14 +54,20 @@ ALGO_LOGARITHMIC = "logarithmic"
 
 DEFAULT_BUDGET_BYTES = 2**31
 
-# Planning model for table memory: element/log plus payload pointer per
-# entry, stored at 75% hash load.  Used for budget checks and reports,
-# not for actual allocation.
-TABLE_ENTRY_BYTES = 16
-POWER_TABLE_ENTRY_BYTES = 8
+# Planning bytes per exponent of a power table: a list slot and its int.
+POWER_TABLE_ENTRY_BYTES = 40
 
 # Tuples per batched discrete_log call in both log-table phases.
 LOG_CHUNK = 2048
+
+# Matches per block of the log route's match kernel, which bounds its
+# work arrays: a block takes MATCH_BLOCK // (the most shifts one (probe,
+# stored) pair can have) pairs.
+MATCH_BLOCK = 8192
+
+# Bit fields that _pack puts into one int64 at most; rows of fields that
+# need more are compared column by column.
+PACK_BITS = 63
 
 _BITS = (1 << np.arange(8)).astype(np.uint8)  # bit j of a filter byte
 
@@ -152,24 +160,22 @@ class MultipleRecord:
         return f"MultipleRecord({self.poly})"
 
 
-class LogTableEntry(NamedTuple):
-    log: int
-    exponents: tuple[int, ...]
-    max_exp: int
-
-
 @dataclass
 class LogTable:
     """Phase-1 table: logs of (1 + stored tuple), sorted ascending.
 
+    exponents[i] is the stored tuple whose log is logs[i], and ranks[i]
+    its index in the lex enumeration of stored tuples (equal logs keep
+    lex order); ranks order provenances without comparing tuples.
     zero_polys collects stored tuples whose polynomial reduced to the
     zero element; those are multiples in their own right and have no
     logarithm to store.  modulus is the P the logs were taken under.
     """
 
     modulus: SparsePoly
-    entries: list[LogTableEntry]
-    logs: list[int]  # parallel to entries, for bisection
+    logs: np.ndarray  # (N,) int64
+    exponents: np.ndarray  # (N, q1) int64
+    ranks: np.ndarray  # (N,) int64
     zero_polys: list[tuple[int, ...]]
     max_degree: int
     log_calls: int
@@ -295,22 +301,6 @@ def assemble_multiple(
     )
 
 
-def range_query(table: LogTable, lo: int, hi: int, M: int) -> list[LogTableEntry]:
-    """Entries whose log lies in the cyclic interval [lo, hi] mod M.
-
-    One or two binary-searched contiguous slices of the sorted table.
-    """
-    lo %= M
-    hi %= M
-    logs = table.logs
-    if lo <= hi:
-        return table.entries[bisect_left(logs, lo) : bisect_right(logs, hi)]
-    return (
-        table.entries[bisect_left(logs, lo) :]
-        + table.entries[: bisect_right(logs, hi)]
-    )
-
-
 def _one_plus(xp: list[int], tup: tuple[int, ...]) -> int:
     """Residue of 1 + (sum of x^e over e in tup), from the power table xp."""
     r = 1
@@ -319,77 +309,177 @@ def _one_plus(xp: list[int], tup: tuple[int, ...]) -> int:
     return r
 
 
-def _tuple_logs(engine, xp: list[int], tuples):
-    """(tup, log of 1 + tup) for every tuple, in order; the log is None
-    where 1 + tup reduces to zero.
+def _tuple_chunks(engine, xp: np.ndarray, q: int, max_deg: int):
+    """The q-tuples over [1, max_deg] in lex order, LOG_CHUNK at a time.
 
-    The logs are taken LOG_CHUNK tuples at a time, one batched
+    Yields (tuples, logs): tuples a (k, q) int64 array, logs the int64
+    logs of 1 + each tuple, -1 where it reduces to zero.  One batched
     discrete_log call per chunk.
     """
-    it = iter(tuples)
-    while chunk := list(islice(it, LOG_CHUNK)):
-        res = [_one_plus(xp, tup) for tup in chunk]
-        logs = iter(engine.discrete_log(
-            np.array([r for r in res if r], dtype=np.uint64)
-        ).tolist())
-        for tup, r in zip(chunk, res):
-            yield tup, (next(logs) if r else None)
+    flat = chain.from_iterable(enumerate_tuples(q, max_deg))
+    total = comb(max_deg, q)
+    for start in range(0, total, LOG_CHUNK):
+        k = min(LOG_CHUNK, total - start)
+        tuples = np.fromiter(flat, np.int64, count=k * q).reshape(k, q)
+        res = _residues(xp, tuples)
+        res ^= 1
+        logs = np.full(k, -1, np.int64)
+        nonzero = res != 0
+        logs[nonzero] = engine.discrete_log(res[nonzero].view(np.uint64))
+        yield tuples, logs
 
 
 def build_log_table(engine, q1: int, max_deg: int) -> LogTable:
     """Phase 1 of the log route: log of (1 + tuple) for every q1-tuple
     with exponents up to max_deg, sorted by log."""
-    ctx = engine.ctx
     t0 = time.perf_counter()
-    xp = ctx.power_table(max_deg)
-    raw: list[LogTableEntry] = []
-    zero_polys: list[tuple[int, ...]] = []
-    for tup, lg in _tuple_logs(engine, xp, enumerate_tuples(q1, max_deg)):
-        if lg is None:
-            zero_polys.append(tup)
-        else:
-            raw.append(LogTableEntry(lg, tup, tup[-1] if tup else 0))
-    raw.sort()
+    xp = np.array(engine.ctx.power_table(max_deg), np.int64)
+    total = comb(max_deg, q1)
+    exps = np.empty((total, q1), np.int64)
+    logs = np.empty(total, np.int64)
+    at = 0
+    for tuples, chunk_logs in _tuple_chunks(engine, xp, q1, max_deg):
+        exps[at:at + len(tuples)] = tuples
+        logs[at:at + len(tuples)] = chunk_logs
+        at += len(tuples)
+    ranks = np.flatnonzero(logs >= 0)
+    ranks = ranks[np.argsort(logs[ranks], kind="stable")]
     return LogTable(
-        modulus=ctx.poly,
-        entries=raw,
-        logs=[entry.log for entry in raw],
-        zero_polys=zero_polys,
+        modulus=engine.ctx.poly,
+        logs=logs[ranks],
+        exponents=exps[ranks],
+        ranks=ranks,
+        zero_polys=[tuple(tup) for tup in exps[logs < 0].tolist()],
         max_degree=max_deg,
-        log_calls=len(raw),
+        log_calls=len(ranks),
         build_seconds=time.perf_counter() - t0,
     )
 
 
-def _window_matches(
-    table: LogTable, probe_log: int, probe_max: int, D: int, M: int
-) -> Iterator[tuple[tuple[int, ...], int]]:
-    """Every (stored tuple, shift) pairing a probe with the table.
+def _match_blocks(table: LogTable, probes: np.ndarray, probe_logs: np.ndarray,
+                  D: int, M: int):
+    """The log route's match kernel: every match of the probe tuples (the
+    rows of probes, whose 1 + tuple has the log in probe_logs) with the
+    table, one block at a time.
 
-    The shift e is congruent to (stored log - probe_log) mod M and lies
-    in [stored max - D, D - probe_max], which keeps both shifted halves
-    at degree <= D.  Only logs in the cyclic window starting D below
-    probe_log can match, so one range query finds them; once the window
-    spans the whole group every entry is walked.  Shift 0 is yielded
-    too (both halves reduce to the same element); callers count or skip
-    it.
+    A match pairs a probe with a stored entry at a shift e congruent to
+    (stored log - probe log) mod M inside [stored max - D, D - probe
+    max], which keeps both shifted halves at degree <= D.  Only stored
+    logs in the cyclic window from probe log + 1 - D (- D for q1 = 0) to
+    probe log + D - probe max can match: one or two slices of the sorted
+    logs, found by searchsorted, or the whole table once the window spans
+    the group.  The (probe, entry) pairs of all windows are taken
+    MATCH_BLOCK // (the most shifts one pair can have) at a time, and
+    each pair yields every congruent shift in its range: at most one
+    below D = M / 2, more from there on.  Matches come in probe order,
+    then window order (log ascending from the window's start), then
+    ascending shift.  Each block is (probe row, table position, shift)
+    arrays and the number of shifts 0 dropped from it: there both halves
+    reduce to the same element, and no multiple arises.
     """
+    logs, entries = table.logs, len(table.logs)
+    q1 = table.exponents.shape[1]
+    stored_max = table.exponents[:, -1] if q1 else np.zeros(entries, np.int64)
+    probe_max = (probes[:, -1] if probes.shape[1]
+                 else np.zeros(len(probes), np.int64))
+    shift_lo = (1 if q1 else 0) - D  # lowest shift of any stored tuple
     shift_hi = D - probe_max
-    # smallest possible max exponent of a stored tuple: 0 only for q1 = 0
-    stored_min = 1 if table.entries and table.entries[0].exponents else 0
-    if shift_hi - (stored_min - D) + 1 >= M:
-        hits = table.entries
-    else:
-        hits = range_query(
-            table, probe_log + stored_min - D, probe_log + shift_hi, M
-        )
-    for stored_log, stored, stored_max in hits:
-        lo = stored_max - D
-        # walk every shift congruent to stored_log - probe_log inside [lo, shift_hi]
-        shift = lo + ((stored_log - probe_log - lo) % M)
-        while shift <= shift_hi:
-            yield stored, shift
-            shift += M
+    # (sums and differences stay below M + D in size: no int64 overflow
+    # where M = 2^63 - 1)
+    lo = (probe_logs + shift_lo) % M
+    hi = (probe_logs - (M - shift_hi)) % M
+    start = logs.searchsorted(lo)
+    stop = logs.searchsorted(hi, "right")
+    wrap = lo > hi
+    head = np.where(wrap, entries - start, stop - start)  # from start on
+    count = head + np.where(wrap, stop, 0)  # then from 0 where it wraps
+    whole = shift_hi - shift_lo + 1 >= M
+    start[whole], head[whole], count[whole] = 0, entries, entries
+    ends = np.cumsum(count)
+    total = int(ends[-1]) if len(ends) else 0
+    step = max(1, MATCH_BLOCK // (2 * D // M + 1))  # a range holds <= 2D + 1
+    for first in range(0, total, step):
+        k = np.arange(first, min(first + step, total))
+        p = ends.searchsorted(k, "right")
+        j = k - (ends[p] - count[p])
+        pos = np.where(j < head[p], start[p] + j, j - head[p])
+        low = stored_max[pos] - D
+        shift = low + ((logs[pos] - probe_logs[p]) % M - low % M) % M
+        n = (shift_hi[p] - shift) // M + 1  # congruent shifts in range
+        np.maximum(n, 0, out=n)
+        pair = np.repeat(np.arange(len(k)), n)
+        walk = np.arange(len(pair)) - np.repeat(np.cumsum(n) - n, n)
+        p, pos, shift = p[pair], pos[pair], shift[pair] + M * walk
+        zero = shift == 0
+        skips = int(np.count_nonzero(zero))
+        if skips:
+            keep = ~zero
+            p, pos, shift = p[keep], pos[keep], shift[keep]
+        yield p, pos, shift, skips
+
+
+def _match_rows(table: LogTable, probes: np.ndarray, p: np.ndarray,
+                pos: np.ndarray, shift: np.ndarray, D: int) -> np.ndarray:
+    """The multiple of each match as an int64 row of w = q1 + q2 + 2
+    exponents, ascending and padded with D + 1.
+
+    The row is (1 + stored) shifted up by -shift where shift < 0, plus
+    (1 + probe) shifted up by shift where shift > 0.  Each half's terms
+    are distinct, so the terms they share are equal neighbours in the
+    sorted row; both of each such pair cancel to D + 1.
+    """
+    q1 = table.exponents.shape[1]
+    rows = np.empty((len(shift), q1 + probes.shape[1] + 2), np.int64)
+    up = np.maximum(-shift, 0)[:, None]
+    rows[:, :1] = up
+    rows[:, 1:q1 + 1] = table.exponents[pos] + up
+    up = np.maximum(shift, 0)[:, None]
+    rows[:, q1 + 1:q1 + 2] = up
+    rows[:, q1 + 2:] = probes[p] + up
+    rows.sort(axis=1)
+    pair = rows[:, 1:] == rows[:, :-1]
+    rows[:, 1:][pair] = D + 1
+    rows[:, :-1][pair] = D + 1
+    rows.sort(axis=1)
+    return rows
+
+
+def _pack(cols: np.ndarray, widths: list[int]) -> np.ndarray:
+    """The non-negative int64 columns as one column of bit fields of the
+    given widths, the first most significant, where they fit in
+    PACK_BITS bits; else the columns unchanged.  Either way rows compare
+    alike, lexicographically."""
+    if sum(widths) > PACK_BITS:
+        return cols
+    out = cols[:, 0].copy()
+    for col, bits in zip(cols.T[1:], widths[1:]):
+        out <<= bits
+        out |= col
+    return out[:, None]
+
+
+def _unpack(packed: np.ndarray, widths: list[int]) -> np.ndarray:
+    """The columns that _pack made packed of."""
+    if packed.shape[1] > 1:
+        return packed
+    low = np.cumsum([0] + widths[:0:-1])[::-1]  # bits below each field
+    return (packed >> low) & ((1 << np.array(widths)) - 1)
+
+
+def _match_records(table: LogTable, rows, pos, probes, shift, D: int,
+                   tuples: dict):
+    """(exponents, provenance) of matches, given their _match_rows rows,
+    table positions, probe tuples (as rows) and shifts.  The tuples of
+    provenances are shared through the dict tuples, as the records of
+    one stored or probe tuple share it in a scalar probe loop."""
+    share = tuples.setdefault
+    sizes = (rows <= D).sum(axis=1).tolist()
+    for row, size, stored, probe, e in zip(
+        rows.tolist(), sizes, table.exponents[pos].tolist(), probes.tolist(),
+        shift.tolist(),
+    ):
+        stored, probe = tuple(stored), tuple(probe)
+        yield tuple(row[:size]), (share(stored, stored), share(probe, probe), e)
 
 
 def _zero_poly_multiples(table: LogTable, q2: int) -> list[tuple[tuple, tuple]]:
@@ -403,51 +493,64 @@ def _zero_poly_multiples(table: LogTable, q2: int) -> list[tuple[tuple, tuple]]:
     return [((0,) + tup, (tup, (), None)) for tup in table.zero_polys]
 
 
-def _log_probe(table: LogTable, q1: int, D: int, M: int, dedup: "_Dedup"):
-    """The log-route probe: a function of one probe tuple and the log of
-    1 + tuple that adds every multiple it completes against the table
-    to dedup.
+def _zero_probe(table: LogTable, tup: tuple[int, ...], D: int, M: int,
+                dedup: "_Dedup") -> tuple[int, int]:
+    """The probe of a tuple whose 1 + tuple reduces to zero, so that it
+    has no log; returns (zero-residue emits, skipped).
 
-    The log is None when 1 + tuple reduces to zero: then it is a
-    multiple of weight q2 + 1 by itself, with the parity of
-    w = q1 + q2 + 2 only when q1 is odd.  At D >= M it is also paired,
-    at every admissible nonzero shift, with each stored tuple that
-    reduces to zero (below M no multiple needs that: swapping one term
-    between two zero halves leaves x^a + x^b, nonzero for |a - b| < M,
-    in each).  Otherwise every window match with a nonzero shift is
-    assembled.  The function returns (zero-shift skips, zero-residue
-    emits, skipped), where skipped counts a zero residue of the wrong
-    parity.
+    1 + tuple is a multiple of weight q2 + 1 by itself, with the parity
+    of w = q1 + q2 + 2 only when q1 is odd; skipped counts it otherwise.
+    At D >= M it is also paired, at every admissible nonzero shift, with
+    each stored tuple that reduces to zero (below M no multiple needs
+    that: swapping one term between two zero halves leaves x^a + x^b,
+    nonzero for |a - b| < M, in each).
     """
-    add = dedup.add
-
-    def probe(tup: tuple[int, ...], probe_log: int | None) -> tuple[int, int, int]:
-        probe_max = tup[-1] if tup else 0
-        if probe_log is None:
-            emits = 0
-            for stored in table.zero_polys if D >= M else ():
-                for shift in range(stored[-1] - D, D - probe_max + 1):
-                    if shift:
-                        add(_assemble_exps(stored, tup, shift), (stored, tup, shift))
-                        emits += 1
-            if q1 % 2 == 1:
-                add((0,) + tup, (tup, (), None))
-                return 0, emits + 1, 0
-            return 0, emits, 1
-        skips = 0
-        for stored, shift in _window_matches(table, probe_log, probe_max, D, M):
+    probe_max = tup[-1] if tup else 0
+    emits = 0
+    for stored in table.zero_polys if D >= M else ():
+        for shift in range(stored[-1] - D, D - probe_max + 1):
             if shift:
-                add(_assemble_exps(stored, tup, shift), (stored, tup, shift))
-            else:
-                skips += 1
-        return skips, 0, 0
+                dedup.add(_assemble_exps(stored, tup, shift), (stored, tup, shift))
+                emits += 1
+    if table.exponents.shape[1] % 2 == 1:
+        dedup.add((0,) + tup, (tup, (), None))
+        return emits + 1, 0
+    return emits, 1
 
-    return probe
+
+def _power_bytes(D: int) -> int:
+    """Bytes of ctx.power_table(D)."""
+    return (D + 1) * POWER_TABLE_ENTRY_BYTES
 
 
-def _table_bytes(entries: int, power_slots: int) -> int:
-    """The planning model's bytes for a log table and a power table."""
-    return entries * TABLE_ENTRY_BYTES + power_slots * POWER_TABLE_ENTRY_BYTES
+def _log_route_bytes(M: int, D: int, q1: int, q2: int, stored: int,
+                     probes: int, build: bool = True) -> int:
+    """Bytes that the log route allocates to match `probes` q2-tuples
+    against a table of `stored` q1-tuples, counted in 8-byte words
+    (with build False the table exists and is not charged).
+
+    The power table up to x^D, also as an array, and each exponent's int
+    in the tuple enumeration's pool.  Per stored tuple: its exponents
+    and log while they are sorted, the sort order twice, and the table's
+    exponents, log and rank.  One chunk of at most LOG_CHUNK tuples:
+    exponents, residues, logs and window bounds, and the engine's
+    BATCH_LOG_BYTES per log.  One match block: the matches a chunk of
+    probes is expected to make (a window of 2D + 1 logs holds a
+    (2D + 1) / M share of the table), at most MATCH_BLOCK, each with the
+    kernel's indices, its row and its dedup rows, pending and in the
+    block.  The distinct multiples the dedup keeps are the run's output
+    and not counted.
+    """
+    w = q1 + q2 + 2
+    matches = min(MATCH_BLOCK,
+                  -(-min(LOG_CHUNK, probes) * stored * (2 * D + 1) // M))
+    return (
+        _power_bytes(D) + (D + 1) * 8 * 6
+        + (stored * 8 * (2 * q1 + 5) if build else 0)
+        + min(LOG_CHUNK, max(stored if build else 0, probes))
+        * (8 * (2 * max(q1, q2) + 20) + BATCH_LOG_BYTES)
+        + matches * 8 * (3 * w + 2 * q2 + 23)
+    )
 
 
 def _check_budget(predicted: int, budget: int) -> None:
@@ -465,6 +568,31 @@ def _provenance_key(prov):
     return (stored, probe, 0 if shift is None else shift)
 
 
+def _distinct(rows: np.ndarray, width: int) -> np.ndarray:
+    """One row per distinct key (the first width columns): the one whose
+    other columns, the provenance, are lexicographically smallest.
+
+    Rows are grouped by sorting the key, and each group is narrowed to
+    its minimum one provenance column at a time; no two matches share a
+    provenance, so one row per group is left.
+    """
+    if width == 1:
+        order = rows[:, 0].argsort()
+    else:
+        order = np.lexsort(rows[:, width - 1::-1].T)
+    keys = rows[order, :width]
+    new = np.ones(len(order), bool)
+    new[1:] = (keys[1:] != keys[:-1]).any(axis=1)
+    del keys
+    starts = np.flatnonzero(new)
+    sizes = np.diff(starts, append=len(order))
+    best = np.ones(len(order), bool)
+    for col in range(width, rows.shape[1]):
+        vals = np.where(best, rows[order, col], np.iinfo(np.int64).max)
+        best &= vals == np.repeat(np.minimum.reduceat(vals, starts), sizes)
+    return rows[order[best]]
+
+
 class _Dedup:
     """Incremental canonical-set dedup, shared by every search.
 
@@ -473,15 +601,28 @@ class _Dedup:
     degree bound nears half the group order).  Keeping the smallest
     provenance makes the outcome independent of arrival order, so a
     probe loop that batches or reorders its probes reports the same
-    provenances.  The dict keeps first-discovery order, which is the
-    order the samplers report.
+    provenances.
+
+    add() takes one multiple into a dict, which keeps first-discovery
+    order: the order the samplers report.  add_rows() takes a block of
+    the log route's match kernel as int64 rows: width key columns (the
+    exponent row, packed or plain), then the provenance columns (stored
+    rank, probe exponents, shift + D, packed or plain), which order like
+    the provenance tuples.
+    Blocks are held until they outgrow the running distinct set (or one
+    MATCH_BLOCK), then reduced into it with the smallest provenance per
+    key, so the rows held stay within about twice the distinct multiples
+    plus a block.  take_rows() hands that set over; its records go in
+    through keep().
     """
 
-    __slots__ = ("best", "seen")
+    __slots__ = ("best", "seen", "_blocks", "_held", "_width")
 
     def __init__(self):
         self.best: dict[tuple[int, ...], tuple] = {}
         self.seen = 0
+        self._blocks: list[np.ndarray] = []
+        self._held = 0  # rows in the reduced set, self._blocks[0]
 
     def add(self, exps: tuple[int, ...], prov) -> None:
         self.seen += 1
@@ -489,9 +630,57 @@ class _Dedup:
         if cur is None or _provenance_key(prov) < _provenance_key(cur):
             self.best[exps] = prov
 
+    def keep(self, exps: tuple[int, ...], prov) -> None:
+        """add() without counting an arrival."""
+        cur = self.best.get(exps)
+        if cur is None or _provenance_key(prov) < _provenance_key(cur):
+            self.best[exps] = prov
+
+    def add_rows(self, rows: np.ndarray, width: int) -> None:
+        self.seen += len(rows)
+        self._width = width
+        self._blocks.append(rows)
+        if sum(map(len, self._blocks)) - self._held > max(self._held, MATCH_BLOCK):
+            self._reduce()
+
+    def _reduce(self) -> None:
+        rows = np.concatenate(self._blocks)
+        self._blocks = []  # freed before _distinct's work arrays exist
+        self._blocks = [_distinct(rows, self._width)]
+        self._held = len(self._blocks[0])
+
+    def take_rows(self) -> tuple[np.ndarray | None, int]:
+        """The distinct rows added so far and their key width; the dedup
+        holds no rows afterwards."""
+        if not self._blocks:
+            return None, 0
+        self._reduce()
+        rows, self._blocks, self._held = self._blocks[0], [], 0
+        return rows, self._width
+
     def records(self) -> list[MultipleRecord]:
-        """One record per distinct multiple, in discovery order."""
+        """One record per distinct multiple of add() and keep(), in
+        discovery order."""
         return [MultipleRecord.of(exps, prov) for exps, prov in self.best.items()]
+
+
+def _keep_rows(dedup: _Dedup, table: LogTable, D: int, key_bits: list[int],
+               prov_bits: list[int]) -> None:
+    """Move the rows that logtmto_find_all added to dedup into its
+    records, MATCH_BLOCK rows at a time."""
+    rows, width = dedup.take_rows()
+    if rows is None:
+        return
+    by_rank, tuples = table.ranks.argsort(), {}
+    for at in range(0, len(rows), MATCH_BLOCK):
+        part = rows[at:at + MATCH_BLOCK]
+        fields = _unpack(part[:, width:], prov_bits)
+        pos = by_rank[table.ranks[by_rank].searchsorted(fields[:, 0])]
+        for exps, prov in _match_records(
+            table, _unpack(part[:, :width], key_bits), pos, fields[:, 1:-1],
+            fields[:, -1] - D, D, tuples,
+        ):
+            dedup.keep(exps, prov)
 
 
 def _lower_weight(params: SearchParams) -> SearchParams:
@@ -645,15 +834,23 @@ def tmto_find_all(ctx: FieldContext, params: SearchParams) -> SearchResult:
 def logtmto_find_all(
     ctx: FieldContext, engine, params: SearchParams
 ) -> SearchResult:
-    """Log route: sorted log table for the q1 half, a cyclic window
-    query of width about 2D per q2-probe, shift-based assembly.
+    """Log route: sorted log table for the q1 half, probed a chunk of
+    q2-tuples at a time through the match kernel.
+
+    Phase 1 is build_log_table.  Phase 2 takes the logs of LOG_CHUNK
+    probe tuples in one batch and runs the chunk through _match_blocks
+    and _match_rows a block of at most MATCH_BLOCK matches at a time;
+    each block goes to the dedup as rows of the multiple and its
+    provenance, packed into int64 where they fit, and is reduced there
+    to the distinct multiples with their smallest provenance.
 
     Produces exactly the same set as the classical route at equal
     (w, D), D >= M included.  Stored tuples whose polynomial reduces to
     zero are themselves multiples (weight q1 + 1); they are emitted
     directly when their weight parity matches w, and likewise for probe
-    tuples.  Where it is proven (the balanced split with q1 <= 1), phase
-    2 probes only tuples up to second_phase_bound.
+    tuples (_zero_probe, one at a time).  Where it is proven (the
+    balanced split with q1 <= 1), phase 2 probes only tuples up to
+    second_phase_bound.
     """
     if params.algorithm != ALGO_LOGARITHMIC:
         raise ValueError("logtmto_find_all needs algorithm='logarithmic'")
@@ -663,10 +860,14 @@ def logtmto_find_all(
         return logtmto_find_all(ctx, engine, _lower_weight(params))
     q1, q2, D = params.q1, params.q2, params.D
     report = RunReport(algorithm="logtmto", w=params.w, D=D, q1=q1, q2=q2)
-    _check_budget(_table_bytes(comb(D, q1), D + 1), params.budget_bytes)
+    balanced = q1 <= 1 <= q2 <= q1 + 1  # w = 3, 4, 5 with the default split
+    bound = second_phase_bound(D, params.w, q2) if balanced else D
+    _check_budget(
+        _log_route_bytes(ctx.order, D, q1, q2, comb(D, q1), comb(bound, q2)),
+        params.budget_bytes)
 
     table = build_log_table(engine, q1, D)
-    report.table_entries = len(table.entries)
+    report.table_entries = len(table.logs)
     report.log_calls += table.log_calls
     report.phase1_seconds = table.build_seconds
 
@@ -675,17 +876,26 @@ def logtmto_find_all(
         dedup.add(exps, prov)
         report.zero_residue_emits += 1
 
-    balanced = q1 <= 1 <= q2 <= q1 + 1  # w = 3, 4, 5 with the default split
-    bound = second_phase_bound(D, params.w, q2) if balanced else D
-
     t0 = time.perf_counter()
-    probe = _log_probe(table, q1, D, ctx.order, dedup)
-    for tup, lg in _tuple_logs(
-        engine, ctx.power_table(D), enumerate_tuples(q2, bound)
-    ):
-        skips, emits, _ = probe(tup, lg)
-        report.log_calls += lg is not None
-        report.zero_shift_skips += skips
-        report.zero_residue_emits += emits
+    M = ctx.order
+    xp = np.array(ctx.power_table(D), np.int64)
+    # dedup rows: the match row, then the provenance (stored rank, probe,
+    # shift + D), each packed into one int64 where it fits
+    key_bits = [(D + 1).bit_length()] * params.w
+    prov_bits = ([comb(D, q1).bit_length()] + [D.bit_length()] * q2
+                 + [(2 * D).bit_length()])
+    for probes, logs in _tuple_chunks(engine, xp, q2, bound):
+        for tup in probes[logs < 0].tolist():
+            report.zero_residue_emits += _zero_probe(table, tuple(tup), D, M, dedup)[0]
+        has_log = logs >= 0
+        probes, logs = probes[has_log], logs[has_log]
+        report.log_calls += len(logs)
+        for p, pos, shift, skips in _match_blocks(table, probes, logs, D, M):
+            report.zero_shift_skips += skips
+            keys = _pack(_match_rows(table, probes, p, pos, shift, D), key_bits)
+            provs = _pack(np.column_stack(
+                (table.ranks[pos], probes[p], shift + D)), prov_bits)
+            dedup.add_rows(np.hstack((keys, provs)), keys.shape[1])
+    _keep_rows(dedup, table, D, key_bits, prov_bits)
     report.phase2_seconds = time.perf_counter() - t0
     return SearchResult(records=_finalize(dedup, report), report=report)

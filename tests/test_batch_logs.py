@@ -223,6 +223,58 @@ def test_find_all_across_chunk_boundaries(w, D):
     ) == FIND_ALL_PINS[(w, D)]
 
 
+# Pinned like FIND_ALL_PINS, from the search that walked every shift of
+# every window entry in Python: D >= M, where windows span the group,
+# (probe, entry) pairs take up to 2D / M + 1 shifts, stored and probe
+# tuples reduce to zero, and zero halves are paired (P=4,1,0 and 5,2,0).
+BEYOND_ORDER_PINS = {
+    ("6,1,0", 6, 40): ("4cdab258c862f482", 10361, 226603, 9629, 0, 769, 1538),
+    ("4,1,0", 6, 20): ("d167a0dd651c9ebd", 1038, 26030, 2145, 2106, 177, 354),
+    ("5,2,0", 5, 40): ("d6efd68fc7b80ee1", 2876, 7919, 232, 248, 39, 222),
+}
+
+
+def _pinned_run(spec, w, D):
+    ctx = make_context(parse_poly(spec)) if spec else F20
+    engine = _engine_of(spec)
+    res = logtmto_find_all(ctx, engine, SearchParams.balanced(w, D, "logarithmic"))
+    r = res.report
+    return (
+        _digest(res.records), r.found, r.duplicates_suppressed,
+        r.zero_shift_skips, r.zero_residue_emits, r.table_entries, r.log_calls,
+    )
+
+
+@functools.lru_cache(maxsize=None)
+def _engine_of(spec):
+    return build_engine(make_context(parse_poly(spec))) if spec else ENG20
+
+
+PINS = {(None, w, D): pin for (w, D), pin in FIND_ALL_PINS.items()}
+PINS.update(BEYOND_ORDER_PINS)
+
+
+@pytest.mark.parametrize("spec, w, D", sorted(BEYOND_ORDER_PINS))
+def test_find_all_beyond_group_order(spec, w, D):
+    assert _pinned_run(spec, w, D) == BEYOND_ORDER_PINS[(spec, w, D)]
+
+
+@pytest.mark.parametrize("block", [1, 7, search.MATCH_BLOCK])
+@pytest.mark.parametrize("spec, w, D", [
+    (None, 6, 64), (None, 5, 130), ("4,1,0", 6, 20), ("5,2,0", 5, 40),
+])
+def test_match_block_size_does_not_change_results(monkeypatch, block, spec, w, D):
+    monkeypatch.setattr(search, "MATCH_BLOCK", block)
+    assert _pinned_run(spec, w, D) == PINS[(spec, w, D)]
+
+
+@pytest.mark.parametrize("spec, w, D", sorted(PINS, key=repr))
+def test_unpacked_rows_give_the_pins(monkeypatch, spec, w, D):
+    # nothing fits in zero bits: match rows and provenances stay unpacked
+    monkeypatch.setattr(search, "PACK_BITS", 0)
+    assert _pinned_run(spec, w, D) == PINS[(spec, w, D)]
+
+
 # Pinned likewise: (records and provenances digest, iterations, found,
 # exhausted, duplicates, skipped, log_calls, progress events digest) of
 # birthday_logtmto(w, D=4096, B=50, q1, K, seed=3, max_iterations=3000,

@@ -18,7 +18,7 @@ from lowmult.sampler import (
     unrank_combination,
     write_progress_csv,
 )
-from lowmult.search import build_log_table
+from lowmult.search import _log_route_bytes, build_log_table
 
 F8 = make_context(parse_poly("3,1,0"))
 F16 = make_context(parse_poly("4,1,0"))
@@ -159,19 +159,23 @@ def test_birthday_logtmto_respects_prebuilt_table():
 
 
 def test_samplers_check_the_budget_before_allocating():
-    # a 201-entry power table (1608 model bytes) fits in 10^4 bytes
+    # a 201-entry power table (8040 model bytes) fits in 10^4 bytes
     small = dict(w=6, D=200, B=1, seed=1, max_iterations=5, budget_bytes=10**4)
     for run in (lambda p: random_log_sample(ENG16, p),
                 lambda p: birthday_tmto(F16, p)):
         run(SampleParams(**small))
         with pytest.raises(MemoryBudgetExceededError):
             run(SampleParams(**dict(small, D=2000)))
-    # the C(200, 2)-entry K-table of birthday_logtmto does not; a prebuilt
-    # table is not charged again
+    # birthday_logtmto charges its C(200, 2)-entry K-table only when it
+    # builds it; a prebuilt table is not charged again
+    stored = comb(200, 2)
+    prebuilt = _log_route_bytes(F16.order, 200, 2, 2, stored, 1, build=False)
+    assert _log_route_bytes(F16.order, 200, 2, 2, stored, 1) > prebuilt
+    tight = dict(small, budget_bytes=prebuilt)
     with pytest.raises(MemoryBudgetExceededError):
-        birthday_logtmto(ENG16, SampleParams(q1=2, **small))
+        birthday_logtmto(ENG16, SampleParams(q1=2, **tight))
     table = build_log_table(ENG16, 2, 200)
-    birthday_logtmto(ENG16, SampleParams(q1=2, **small), table=table)
+    birthday_logtmto(ENG16, SampleParams(q1=2, **tight), table=table)
 
 
 def test_birthday_logtmto_unbalanced_split():

@@ -5,6 +5,7 @@ import tracemalloc
 from itertools import combinations
 from math import comb
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -26,7 +27,6 @@ from lowmult import search
 from lowmult.reference import brute_force_multiples, poly_divides
 from lowmult.search import (
     LogTable,
-    LogTableEntry,
     SearchParams,
     assemble_multiple,
     build_log_table,
@@ -34,7 +34,6 @@ from lowmult.search import (
     enumerate_tuples,
     estimate_count,
     logtmto_find_all,
-    range_query,
     second_phase_bound,
     tmto_find_all,
 )
@@ -115,40 +114,97 @@ def test_assemble_residue_zero_when_logs_match():
         assert residue(rec.poly, F16) == 0
 
 
-def _table_from_logs(logs):
-    entries = sorted(LogTableEntry(lg, (i,), i) for i, lg in enumerate(logs))
-    return LogTable(
+def _brute_matches(table, probes, probe_logs, D, M):
+    """Every (probe row, table position, shift) with the shift congruent
+    to (stored log - probe log) mod M in [stored max - D, D - probe max],
+    in the kernel's order: probe, then window (log ascending from the
+    window's start, or table order where the window spans the group),
+    then shift."""
+    out = []
+    for i, (probe, lg) in enumerate(zip(probes.tolist(), probe_logs.tolist())):
+        hits = []
+        for pos, (stored, slog) in enumerate(
+            zip(table.exponents.tolist(), table.logs.tolist())
+        ):
+            for shift in range(max(stored, default=0) - D,
+                               D - max(probe, default=0) + 1):
+                if (shift - slog + lg) % M == 0:
+                    hits.append((i, pos, shift))
+        # a window starts at log probe log + 1 - D (- D for q1 = 0), or
+        # at the table's start where it spans the group
+        low = (1 if table.exponents.shape[1] else 0) - D
+        first = (lg + low) % M if D - max(probe, default=0) - low + 1 < M else 0
+        hits.sort(key=lambda h: ((table.logs[h[1]] - first) % M, h[1], h[2]))
+        out += hits
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    M=st.one_of(st.integers(1, 40), st.just(2**63 - 1)),
+    D=st.integers(1, 45),
+    q1=st.integers(0, 2),
+    q2=st.integers(0, 2),
+    data=st.data(),
+    block=st.sampled_from([1, 7, search.MATCH_BLOCK]),
+)
+def test_match_kernel_equals_every_congruent_shift(M, D, q1, q2, data, block):
+    # small logs repeat, D up to M + 5 makes windows that wrap and ones
+    # that span the group, and empty probes or tables have no hits; logs
+    # next to 0 and M - 1 for M = 2^63 - 1 wrap where int64 sums overflow
+    tuples = st.lists(st.integers(1, D), min_size=q1, max_size=q1, unique=True)
+    if q1 > D or q2 > D:
+        return
+    log = (st.integers(0, M - 1) if M < 100
+           else st.one_of(st.integers(0, 50), st.integers(M - 50, M - 1)))
+    stored = data.draw(st.lists(tuples.map(sorted), max_size=6))
+    logs = data.draw(st.lists(log, min_size=len(stored), max_size=len(stored)))
+    probe_tuples = st.lists(st.integers(1, D), min_size=q2, max_size=q2,
+                            unique=True).map(sorted)
+    probes = data.draw(st.lists(probe_tuples, max_size=4))
+    probe_logs = data.draw(st.lists(log, min_size=len(probes),
+                                    max_size=len(probes)))
+    _check_kernel(stored, logs, probes, probe_logs, q1, q2, D, M, block)
+
+
+def test_match_kernel_at_the_int64_edge():
+    # probe logs next to M - 1 = 2^63 - 2 put the window's end past 2^63
+    # before it is reduced mod M
+    M = 2**63 - 1
+    logs = list(range(20)) + list(range(M - 10, M))
+    stored = [[e] for e in range(1, 31)]
+    probes = [[1], [2], [3], [29]]
+    for block in (1, search.MATCH_BLOCK):
+        _check_kernel(stored, logs, probes, [M - 1, M - 3, 0, 4], 1, 1, 30, M,
+                      block)
+
+
+def _check_kernel(stored, logs, probes, probe_logs, q1, q2, D, M, block):
+    order = sorted(range(len(stored)), key=lambda i: logs[i])
+    table = LogTable(
         modulus=F16.poly,
-        entries=entries,
-        logs=[e.log for e in entries],
-        zero_polys=[],
-        max_degree=0,
-        log_calls=0,
-        build_seconds=0.0,
+        logs=np.array([logs[i] for i in order], np.int64),
+        exponents=np.array([stored[i] for i in order], np.int64).reshape(
+            len(stored), q1),
+        ranks=np.array(order, np.int64),
+        zero_polys=[], max_degree=D, log_calls=0, build_seconds=0.0,
     )
-
-
-def test_range_query_examples():
-    table = _table_from_logs([1, 3, 6])
-    assert [e.log for e in range_query(table, 2, 4, 7)] == [3]
-    assert sorted(e.log for e in range_query(table, 6, 1, 7)) == [1, 6]
-    assert sorted(e.log for e in range_query(table, 0, 6, 7)) == [1, 3, 6]
-
-
-def test_range_query_matches_linear_scan():
-    rng = random.Random(4)
-    M = 101
-    logs = [rng.randrange(M) for _ in range(40)]
-    table = _table_from_logs(logs)
-    for _ in range(300):
-        lo = rng.randrange(M)
-        hi = rng.randrange(M)
-        got = sorted(e.log for e in range_query(table, lo, hi, M))
-        if lo <= hi:
-            want = sorted(lg for lg in logs if lo <= lg <= hi)
-        else:
-            want = sorted(lg for lg in logs if lg >= lo or lg <= hi)
-        assert got == want
+    probes = np.array(probes, np.int64).reshape(len(probes), q2)
+    probe_logs = np.array(probe_logs, np.int64)
+    old = search.MATCH_BLOCK
+    search.MATCH_BLOCK = block
+    try:
+        got, skips = [], 0
+        for p, pos, shift, zero in search._match_blocks(
+            table, probes, probe_logs, D, M
+        ):
+            got += zip(p.tolist(), pos.tolist(), shift.tolist())
+            skips += zero
+    finally:
+        search.MATCH_BLOCK = old
+    want = _brute_matches(table, probes, probe_logs, D, M)
+    assert got == [m for m in want if m[2]]
+    assert skips == sum(1 for m in want if not m[2])
 
 
 def test_params_validation():
@@ -343,13 +399,13 @@ def test_memory_budget_enforced():
 
 def test_build_log_table_sorted_and_complete():
     table = build_log_table(ENG16, 1, 15)
-    assert table.logs == sorted(table.logs)
+    assert table.logs.tolist() == sorted(table.logs.tolist())
     # 1 + x^15 = 0 lands in zero_polys, everything else gets a log
     assert table.zero_polys == [(15,)]
-    assert len(table.entries) == 14
-    for entry in table.entries:
-        r = 1 ^ F16.monomial_residue(entry.exponents[0])
-        assert ENG16.discrete_log(r) == entry.log
+    assert len(table.logs) == 14
+    for lg, (e,), rank in zip(table.logs, table.exponents, table.ranks):
+        assert e == rank + 1  # the rank is the index in enumeration order
+        assert ENG16.discrete_log(1 ^ F16.monomial_residue(int(e))) == lg
 
 
 def test_report_counters():
@@ -460,6 +516,59 @@ def test_tmto_budget_bounds_its_allocations(w, D):
     tracemalloc.start()
     try:
         tmto_find_all(ctx, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert predicted / 2 <= peak <= predicted, (peak, predicted)
+
+
+def _log_route_need(ctx, w, D):
+    params = SearchParams.balanced(w, D, "logarithmic")
+    bound = second_phase_bound(D, w, params.q2) if w in (3, 4, 5) else D
+    return params, search._log_route_bytes(
+        ctx.order, D, params.q1, params.q2, comb(D, params.q1),
+        comb(bound, params.q2))
+
+
+def test_log_route_checks_the_budget_before_allocating(monkeypatch):
+    from lowmult.sampler import SampleParams, birthday_logtmto
+
+    params, need = _log_route_need(F16, 4, 15)
+    # birthday_logtmto draws one probe at a time against a table to build
+    draw = SampleParams(w=4, D=15, B=1, q1=1, seed=1, max_iterations=5)
+    draw_need = search._log_route_bytes(F16.order, 15, 1, 1, 15, 1)
+
+    def allocates(*args):
+        raise AssertionError("allocated before the budget check")
+
+    with monkeypatch.context() as m:
+        m.setattr(search, "build_log_table", allocates)
+        m.setattr(search, "_tuple_chunks", allocates)
+        m.setattr(type(F16), "power_table", allocates)
+        with pytest.raises(MemoryBudgetExceededError):
+            logtmto_find_all(F16, ENG16, SearchParams.balanced(
+                4, 15, "logarithmic", budget_bytes=need - 1))
+        m.setattr("lowmult.sampler.build_log_table", allocates)
+        with pytest.raises(MemoryBudgetExceededError):
+            birthday_logtmto(ENG16, SampleParams(
+                **dict(draw.__dict__, budget_bytes=draw_need - 1)))
+    assert logtmto_find_all(F16, ENG16, SearchParams.balanced(
+        4, 15, "logarithmic", budget_bytes=need)).records
+    assert birthday_logtmto(ENG16, SampleParams(
+        **dict(draw.__dict__, budget_bytes=draw_need))).records
+
+
+@pytest.mark.parametrize("w, D", [(4, 3000), (5, 300), (6, 120)])
+def test_log_route_budget_bounds_its_allocations(w, D):
+    # the prediction counts the table, the power table, one log batch and
+    # one match block (an upper bound: the phases do not overlap)
+    ctx = make_context(parse_poly("30,6,4,1,0"))
+    engine = build_engine(ctx)
+    params, predicted = _log_route_need(ctx, w, D)
+    logtmto_find_all(ctx, engine, params)  # the engine's lazy set-up
+    tracemalloc.start()
+    try:
+        logtmto_find_all(ctx, engine, params)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
