@@ -20,7 +20,6 @@ from .errors import (
     VerificationError,
     WeightTooSmallError,
     ZechUndefinedError,
-    ZeroShiftError,
 )
 from .factorint import factorize, is_probable_prime
 from .gf2poly import (
@@ -46,7 +45,6 @@ from .search import (
     RunReport,
     SearchParams,
     SearchResult,
-    assemble_multiple,
     build_log_table,
     default_split,
     enumerate_tuples,
@@ -74,14 +72,14 @@ __all__ = [
     "DegreeOutOfRangeError", "InstanceTooLargeError", "LogOfZeroError",
     "LowMultError", "MemoryBudgetExceededError", "NotPrimitiveError",
     "PolyParseError", "VerificationError", "WeightTooSmallError",
-    "ZechUndefinedError", "ZeroShiftError",
+    "ZechUndefinedError",
     "factorize", "is_probable_prime",
     "FieldContext", "SparsePoly", "make_context", "parse_poly",
     "random_primitive_poly", "residue", "verify_multiple",
     "LogEngine", "build_engine", "load_engine", "predict_table_bytes",
     "save_engine", "zech_orbit",
     "LogTable", "MultipleRecord", "RunReport",
-    "SearchParams", "SearchResult", "assemble_multiple", "build_log_table",
+    "SearchParams", "SearchResult", "build_log_table",
     "default_split", "enumerate_tuples", "estimate_count",
     "logtmto_find_all", "second_phase_bound", "tmto_find_all",
     "ProgressEvent", "Rng", "SampleParams", "SampleResult",

@@ -216,16 +216,24 @@ class _SubgroupLog:
             cur = ctx.mul(cur, self.giant)
         raise ValueError("element not found in subgroup (corrupt table?)")
 
-    def lookup_array(self, ctx, h):
-        """lookup for every element of the uint64 array h."""
-        if self.steps:  # baby-step giant-step: one scalar walk each
-            return np.array([self.lookup(ctx, v) for v in h.tolist()],
-                            dtype=np.int64)
-        h = h.view(np.int64)
-        i = np.minimum(np.searchsorted(self.vals, h), self.m - 1)
-        if not np.array_equal(self.vals[i], h):
-            raise ValueError("element not found in subgroup (corrupt table?)")
-        return self.idx[i]
+    def lookup_array(self, field, h):
+        """lookup for every element of the uint64 array h: the elements
+        not yet in the baby table all take the next giant step together,
+        one array product (none for a full table)."""
+        out = np.empty(len(h), np.int64)
+        todo = np.arange(len(h))
+        giant = field.table(self.giant) if self.steps else None
+        for i in range(self.steps + 1):
+            cur = h.view(np.int64)
+            at = np.minimum(self.vals.searchsorted(cur), self.m - 1)
+            found = self.vals[at] == cur
+            out[todo[found]] = i * self.m + self.idx[at[found]]
+            todo, h = todo[~found], h[~found]
+            if not len(todo):
+                return out
+            if i < self.steps:
+                h = field.mul_table(giant, h)
+        raise ValueError("element not found in subgroup (corrupt table?)")
 
 
 class _PrimePowerSolver:
@@ -272,11 +280,11 @@ class _PrimePowerSolver:
     def component_log_array(self, ctx, field, h):
         """component_log for the uint64 array h of projections a^(M/q)."""
         if self.e == 1:
-            return self.sub.lookup_array(ctx, h)
+            return self.sub.lookup_array(field, h)
         y = np.zeros(len(h), dtype=np.int64)
         for k in range(self.e):
             c = field.pow(h, self.p_pows[self.e - 1 - k])
-            d = self.sub.lookup_array(ctx, c)
+            d = self.sub.lookup_array(field, c)
             # h *= inv_pows[k]^d, one bit of the digit d at a time
             g = self.inv_pows[k]
             for bit in range(self.p.bit_length()):

@@ -33,10 +33,6 @@ class WeightTooSmallError(LowMultError):
     """The target weight is too small for the chosen split rule."""
 
 
-class ZeroShiftError(LowMultError):
-    """Multiple assembly was attempted with shift 0 (equal-residue halves)."""
-
-
 class InstanceTooLargeError(LowMultError):
     """A brute-force reference guard tripped; the instance is too big."""
 

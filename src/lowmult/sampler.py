@@ -318,9 +318,9 @@ def birthday_logtmto(
         probes = np.array(tup, np.int64).reshape(1, q2)
         logs = np.array([engine.discrete_log(r)], np.int64)
         for p, pos, shift, _ in _match_blocks(table, probes, logs, D, M):
-            rows = _match_rows(table, probes, p, pos, shift, D)
+            st, probe = table.exponents[pos], probes[p]
             for exps, prov in _match_records(
-                table, rows, pos, probes[p], shift, D, tuples
+                _match_rows(st, probe, shift, D), st, probe, shift, D, tuples
             ):
                 dedup.add(exps, prov)
         return 1, 0

@@ -8,25 +8,27 @@ removes terms in pairs.  Lower parity-matching weights fall out of the
 same pass through cancellation, as long as D >= w - 2; below that, [1, D]
 cannot hold the cancelled pair, and weight w - 2 is searched instead.
 
-The classical route stores residues of the smaller half-decomposition as
-sorted keys behind a bit filter and probes with the other half, looking
-for pairs XORing to 1; the probes run on arrays, and every filter hit is
-confirmed by binary search on the keys, so the lookup is exact.  The
-logarithmic route stores discrete logs of the stored half as a sorted
-array and matches a chunk of probe logs at a time against it in one
-array kernel: a cyclic window of width about 2D around each probe log is
-one or two sorted slices; each (probe, stored) pair in it gives every
-shift e congruent to the two logs' difference that keeps both shifted
-halves at degree <= D (more than one once D reaches half the group
-order); and the multiple is a sorted row of the shifted halves with
-their shared terms cancelled.
+The two routes differ only in how they match two halves.  The classical
+route stores residues of the smaller half-decomposition as sorted keys
+behind a bit filter and probes with the other half, looking for pairs
+XORing to 1; the probes run on arrays, and every filter hit is confirmed
+by binary search on the keys, so the lookup is exact.  The logarithmic
+route stores discrete logs of the stored half as a sorted array and
+matches a chunk of probe logs at a time against it in one array kernel:
+a cyclic window of width about 2D around each probe log is one or two
+sorted slices, and each (probe, stored) pair in it gives every shift e
+congruent to the two logs' difference that keeps both shifted halves at
+degree <= D (more than one once D reaches half the group order).  Both
+routes then share one back end: a match is a row of its halves with
+their shared terms cancelled (``_cancel``), ``_Dedup.add_rows`` keeps
+the smallest provenance per multiple, and ``_keep_rows`` makes records.
 
 Each concept has one home shared with the samplers: ``_match_blocks``
 and ``_match_rows`` are the log route's match kernel, ``_zero_probe`` the
-probe of a tuple without a log, ``_classical_exps`` the classical
-assembly, and ``_Dedup`` the dedup, one multiple or one block of kernel
-rows at a time.  Both log-table phases take their logs in batches of
-LOG_CHUNK tuples (``_tuple_chunks``), one array call of
+probe of a tuple without a log, ``_classical_exps`` the assembly of
+``birthday_tmto``'s matches, and ``_Dedup`` the dedup, one multiple or
+one block of rows at a time.  Both log-table phases take their logs in
+batches of LOG_CHUNK tuples (``_tuple_chunks``), one array call of
 ``discrete_log`` per batch.
 """
 
@@ -42,11 +44,7 @@ from typing import Iterator, Optional
 import numpy as np
 
 from .dlog import BATCH_LOG_BYTES
-from .errors import (
-    MemoryBudgetExceededError,
-    WeightTooSmallError,
-    ZeroShiftError,
-)
+from .errors import MemoryBudgetExceededError, WeightTooSmallError
 from .gf2poly import FieldContext, SparsePoly
 
 ALGO_CLASSICAL = "classical"
@@ -164,18 +162,16 @@ class MultipleRecord:
 class LogTable:
     """Phase-1 table: logs of (1 + stored tuple), sorted ascending.
 
-    exponents[i] is the stored tuple whose log is logs[i], and ranks[i]
-    its index in the lex enumeration of stored tuples (equal logs keep
-    lex order); ranks order provenances without comparing tuples.
-    zero_polys collects stored tuples whose polynomial reduced to the
-    zero element; those are multiples in their own right and have no
-    logarithm to store.  modulus is the P the logs were taken under.
+    exponents[i] is the stored tuple whose log is logs[i]; equal logs
+    keep the tuples' lex order.  zero_polys collects stored tuples whose
+    polynomial reduced to the zero element; those are multiples in their
+    own right and have no logarithm to store.  modulus is the P the logs
+    were taken under.
     """
 
     modulus: SparsePoly
     logs: np.ndarray  # (N,) int64
     exponents: np.ndarray  # (N, q1) int64
-    ranks: np.ndarray  # (N,) int64
     zero_polys: list[tuple[int, ...]]
     max_degree: int
     log_calls: int
@@ -283,24 +279,6 @@ def _classical_exps(
     return tuple(sorted({0} | (set(stored) ^ set(probe))))
 
 
-def assemble_multiple(
-    stored: tuple[int, ...], probe: tuple[int, ...], shift: int
-) -> MultipleRecord:
-    """Assemble (1 + stored half) with x^shift * (1 + probe half).
-
-    shift > 0 shifts the probe half up; shift < 0 shifts the stored
-    half up by -shift.  Coinciding exponents cancel, so the result can
-    have lower weight than the nominal q1 + q2 + 2.  shift = 0 means
-    the two halves reduced to the same element and no multiple arises.
-    """
-    if shift == 0:
-        raise ZeroShiftError("equal-residue halves assemble to zero")
-    stored, probe = tuple(stored), tuple(probe)
-    return MultipleRecord.of(
-        _assemble_exps(stored, probe, shift), (stored, probe, shift)
-    )
-
-
 def _one_plus(xp: list[int], tup: tuple[int, ...]) -> int:
     """Residue of 1 + (sum of x^e over e in tup), from the power table xp."""
     r = 1
@@ -342,16 +320,15 @@ def build_log_table(engine, q1: int, max_deg: int) -> LogTable:
         exps[at:at + len(tuples)] = tuples
         logs[at:at + len(tuples)] = chunk_logs
         at += len(tuples)
-    ranks = np.flatnonzero(logs >= 0)
-    ranks = ranks[np.argsort(logs[ranks], kind="stable")]
+    order = np.flatnonzero(logs >= 0)
+    order = order[np.argsort(logs[order], kind="stable")]
     return LogTable(
         modulus=engine.ctx.poly,
-        logs=logs[ranks],
-        exponents=exps[ranks],
-        ranks=ranks,
+        logs=logs[order],
+        exponents=exps[order],
         zero_polys=[tuple(tup) for tup in exps[logs < 0].tolist()],
         max_degree=max_deg,
-        log_calls=len(ranks),
+        log_calls=len(order),
         build_seconds=time.perf_counter() - t0,
     )
 
@@ -418,24 +395,28 @@ def _match_blocks(table: LogTable, probes: np.ndarray, probe_logs: np.ndarray,
         yield p, pos, shift, skips
 
 
-def _match_rows(table: LogTable, probes: np.ndarray, p: np.ndarray,
-                pos: np.ndarray, shift: np.ndarray, D: int) -> np.ndarray:
-    """The multiple of each match as an int64 row of w = q1 + q2 + 2
-    exponents, ascending and padded with D + 1.
-
-    The row is (1 + stored) shifted up by -shift where shift < 0, plus
-    (1 + probe) shifted up by shift where shift > 0.  Each half's terms
-    are distinct, so the terms they share are equal neighbours in the
-    sorted row; both of each such pair cancel to D + 1.
-    """
-    q1 = table.exponents.shape[1]
+def _match_rows(stored: np.ndarray, probes: np.ndarray, shift: np.ndarray,
+                D: int) -> np.ndarray:
+    """The multiple of each log-route match, given its stored and probe
+    tuples (as rows) and shift, as a _cancel row of w = q1 + q2 + 2
+    exponents: (1 + stored) shifted up by -shift where shift < 0, plus
+    (1 + probe) shifted up by shift where shift > 0."""
+    q1 = stored.shape[1]
     rows = np.empty((len(shift), q1 + probes.shape[1] + 2), np.int64)
     up = np.maximum(-shift, 0)[:, None]
     rows[:, :1] = up
-    rows[:, 1:q1 + 1] = table.exponents[pos] + up
+    rows[:, 1:q1 + 1] = stored + up
     up = np.maximum(shift, 0)[:, None]
     rows[:, q1 + 1:q1 + 2] = up
-    rows[:, q1 + 2:] = probes[p] + up
+    rows[:, q1 + 2:] = probes + up
+    return _cancel(rows, D)
+
+
+def _cancel(rows: np.ndarray, D: int) -> np.ndarray:
+    """The rows, each the terms of two halves of a multiple, as its
+    exponents: ascending, padded with D + 1.  Each half's terms are
+    distinct, so the terms they share are equal neighbours in the sorted
+    row; both of each such pair cancel to D + 1."""
     rows.sort(axis=1)
     pair = rows[:, 1:] == rows[:, :-1]
     rows[:, 1:][pair] = D + 1
@@ -466,20 +447,18 @@ def _unpack(packed: np.ndarray, widths: list[int]) -> np.ndarray:
     return (packed >> low) & ((1 << np.array(widths)) - 1)
 
 
-def _match_records(table: LogTable, rows, pos, probes, shift, D: int,
-                   tuples: dict):
-    """(exponents, provenance) of matches, given their _match_rows rows,
-    table positions, probe tuples (as rows) and shifts.  The tuples of
-    provenances are shared through the dict tuples, as the records of
-    one stored or probe tuple share it in a scalar probe loop."""
+def _match_records(rows, stored, probes, shift, D: int, tuples: dict):
+    """(exponents, provenance) of matches, given their _cancel rows,
+    stored and probe tuples (as rows) and shifts; shift 0, which the
+    log route's kernel never emits, is the classical None.  Provenances
+    share their tuples through the dict tuples."""
     share = tuples.setdefault
     sizes = (rows <= D).sum(axis=1).tolist()
-    for row, size, stored, probe, e in zip(
-        rows.tolist(), sizes, table.exponents[pos].tolist(), probes.tolist(),
-        shift.tolist(),
+    for row, size, st, probe, e in zip(
+        rows.tolist(), sizes, stored.tolist(), probes.tolist(), shift.tolist()
     ):
-        stored, probe = tuple(stored), tuple(probe)
-        yield tuple(row[:size]), (share(stored, stored), share(probe, probe), e)
+        st, probe = tuple(st), tuple(probe)
+        yield tuple(row[:size]), (share(st, st), share(probe, probe), e or None)
 
 
 def _zero_poly_multiples(table: LogTable, q2: int) -> list[tuple[tuple, tuple]]:
@@ -531,8 +510,8 @@ def _log_route_bytes(M: int, D: int, q1: int, q2: int, stored: int,
 
     The power table up to x^D, also as an array, and each exponent's int
     in the tuple enumeration's pool.  Per stored tuple: its exponents
-    and log while they are sorted, the sort order twice, and the table's
-    exponents, log and rank.  One chunk of at most LOG_CHUNK tuples:
+    and log while they are sorted, three words of sort work, and the
+    table's exponents and log.  One chunk of at most LOG_CHUNK tuples:
     exponents, residues, logs and window bounds, and the engine's
     BATCH_LOG_BYTES per log.  One match block: the matches a chunk of
     probes is expected to make (a window of 2D + 1 logs holds a
@@ -605,18 +584,17 @@ class _Dedup:
 
     add() takes one multiple into a dict, which keeps first-discovery
     order: the order the samplers report.  add_rows() takes a block of
-    the log route's match kernel as int64 rows: width key columns (the
-    exponent row, packed or plain), then the provenance columns (stored
-    rank, probe exponents, shift + D, packed or plain), which order like
-    the provenance tuples.
-    Blocks are held until they outgrow the running distinct set (or one
-    MATCH_BLOCK), then reduced into it with the smallest provenance per
-    key, so the rows held stay within about twice the distinct multiples
-    plus a block.  take_rows() hands that set over; its records go in
-    through keep().
+    either exhaustive route's matches: _cancel rows with their stored
+    tuples, probe tuples and shifts (0 for the classical None), held in
+    one row format: the row as key, then stored, probe and shift + D,
+    which order like _provenance_key, each part packed into one int64
+    where it fits.  Blocks are held until they outgrow the running
+    distinct set (or one MATCH_BLOCK), then reduced into it with the
+    smallest provenance per key, so the rows held stay within about
+    twice the distinct multiples plus a block.
     """
 
-    __slots__ = ("best", "seen", "_blocks", "_held", "_width")
+    __slots__ = ("best", "seen", "_blocks", "_held", "_width", "_format")
 
     def __init__(self):
         self.best: dict[tuple[int, ...], tuple] = {}
@@ -626,9 +604,7 @@ class _Dedup:
 
     def add(self, exps: tuple[int, ...], prov) -> None:
         self.seen += 1
-        cur = self.best.get(exps)
-        if cur is None or _provenance_key(prov) < _provenance_key(cur):
-            self.best[exps] = prov
+        self.keep(exps, prov)
 
     def keep(self, exps: tuple[int, ...], prov) -> None:
         """add() without counting an arrival."""
@@ -636,10 +612,20 @@ class _Dedup:
         if cur is None or _provenance_key(prov) < _provenance_key(cur):
             self.best[exps] = prov
 
-    def add_rows(self, rows: np.ndarray, width: int) -> None:
+    def add_rows(self, rows: np.ndarray, stored: np.ndarray,
+                 probes: np.ndarray, shift: np.ndarray, D: int) -> None:
         self.seen += len(rows)
-        self._width = width
-        self._blocks.append(rows)
+        # bits of each field: exponents up to the pad D + 1 in the key,
+        # exponents up to D and shift + D up to 2D in the provenance
+        self._format = fmt = (
+            D, stored.shape[1], [(D + 1).bit_length()] * rows.shape[1],
+            [D.bit_length()] * (stored.shape[1] + probes.shape[1])
+            + [(2 * D).bit_length()],
+        )
+        keys = _pack(rows, fmt[2])
+        self._width = keys.shape[1]
+        provs = _pack(np.column_stack((stored, probes, shift + D)), fmt[3])
+        self._blocks.append(np.hstack((keys, provs)))
         if sum(map(len, self._blocks)) - self._held > max(self._held, MATCH_BLOCK):
             self._reduce()
 
@@ -649,14 +635,19 @@ class _Dedup:
         self._blocks = [_distinct(rows, self._width)]
         self._held = len(self._blocks[0])
 
-    def take_rows(self) -> tuple[np.ndarray | None, int]:
-        """The distinct rows added so far and their key width; the dedup
-        holds no rows afterwards."""
+    def take_rows(self):
+        """The distinct multiples of add_rows, as it took them, MATCH_BLOCK
+        at a time; the dedup holds no rows afterwards."""
         if not self._blocks:
-            return None, 0
+            return
         self._reduce()
         rows, self._blocks, self._held = self._blocks[0], [], 0
-        return rows, self._width
+        D, q1, key_bits, prov_bits = self._format
+        for at in range(0, len(rows), MATCH_BLOCK):
+            part = rows[at:at + MATCH_BLOCK]
+            prov = _unpack(part[:, self._width:], prov_bits)
+            yield (_unpack(part[:, :self._width], key_bits), prov[:, :q1],
+                   prov[:, q1:-1], prov[:, -1] - D)
 
     def records(self) -> list[MultipleRecord]:
         """One record per distinct multiple of add() and keep(), in
@@ -664,22 +655,11 @@ class _Dedup:
         return [MultipleRecord.of(exps, prov) for exps, prov in self.best.items()]
 
 
-def _keep_rows(dedup: _Dedup, table: LogTable, D: int, key_bits: list[int],
-               prov_bits: list[int]) -> None:
-    """Move the rows that logtmto_find_all added to dedup into its
-    records, MATCH_BLOCK rows at a time."""
-    rows, width = dedup.take_rows()
-    if rows is None:
-        return
-    by_rank, tuples = table.ranks.argsort(), {}
-    for at in range(0, len(rows), MATCH_BLOCK):
-        part = rows[at:at + MATCH_BLOCK]
-        fields = _unpack(part[:, width:], prov_bits)
-        pos = by_rank[table.ranks[by_rank].searchsorted(fields[:, 0])]
-        for exps, prov in _match_records(
-            table, _unpack(part[:, :width], key_bits), pos, fields[:, 1:-1],
-            fields[:, -1] - D, D, tuples,
-        ):
+def _keep_rows(dedup: _Dedup, D: int) -> None:
+    """Move the rows added to dedup into its records."""
+    tuples = {}
+    for block in dedup.take_rows():
+        for exps, prov in _match_records(*block, D, tuples):
             dedup.keep(exps, prov)
 
 
@@ -738,14 +718,31 @@ def _tmto_bytes(n: int, D: int, q1: int, q2: int) -> int:
     filter.  Per exponent up to D: its power as a list slot and int and
     as an array entry, and its int in the tuple enumeration's pool.  Per
     probe suffix: its exponents, its residue and three words of work.
+    One block of rows, MATCH_BLOCK plus the C(D, s) C(D, q1) / M hits a
+    prefix's suffixes are expected to make, but no more than all hits:
+    each row of w exponents, its halves and provenance, its packed dedup
+    row and the work of building them.  The distinct multiples the dedup
+    keeps are the run's output and not counted.
     """
-    entries, s = comb(D, q1), _suffix_size(q2)
+    entries, s, w, M = comb(D, q1), _suffix_size(q2), q1 + q2 + 1, (1 << n) - 1
+    rows = min(MATCH_BLOCK - (-comb(D, s) * entries // M),
+               -(-comb(D, q2) * entries // M))
     return (
         entries * 8 * (2 * q1 + 3)
         + (1 << _filter_bits(n, entries)) // 8 + 1
         + (D + 1) * 8 * 11
         + comb(D, s) * 8 * (s + 4)
+        + rows * 8 * (4 * w + 8)
     )
+
+
+def _add_hits(dedup: _Dedup, pending: list, q1: int, D: int) -> None:
+    """Move tmto's pending rows of 1 + stored + probe into dedup."""
+    if pending:
+        rows = np.concatenate(pending)
+        pending.clear()
+        dedup.add_rows(_cancel(rows.copy(), D), rows[:, 1:q1 + 1],
+                       rows[:, q1 + 1:], np.zeros(len(rows), np.int64), D)
 
 
 def tmto_find_all(ctx: FieldContext, params: SearchParams) -> SearchResult:
@@ -758,7 +755,9 @@ def tmto_find_all(ctx: FieldContext, params: SearchParams) -> SearchResult:
     residues of the trailing _suffix_size exponents that follow it form a
     contiguous slice of one array in lex order.  A probe whose filter
     bit is set is confirmed by binary search on the keys, so the lookup
-    is exact however many residues share a bit.
+    is exact however many residues share a bit.  The hits go to the
+    dedup about MATCH_BLOCK at a time, as the log route's matches do:
+    rows of 1 plus both halves through _cancel, with shift 0 (None).
     """
     if params.algorithm != ALGO_CLASSICAL:
         raise ValueError("tmto_find_all needs algorithm='classical'")
@@ -788,8 +787,7 @@ def tmto_find_all(ctx: FieldContext, params: SearchParams) -> SearchResult:
 
     # q2 >= 1 always: q1 <= q2 and q1 + q2 + 1 = w >= 2
     t0 = time.perf_counter()
-    dedup = _Dedup()
-    add = dedup.add
+    dedup, pending = _Dedup(), []  # hits added MATCH_BLOCK rows at a time
     s = _suffix_size(q2)
     suffixes = _combinations_array(D, s)
     probes = _residues(xp, suffixes)
@@ -823,10 +821,15 @@ def tmto_find_all(ctx: FieldContext, params: SearchParams) -> SearchResult:
         # every (probe, stored) pair: runs of count stored tuples from lo
         ends = np.cumsum(count)
         at = np.arange(ends[-1]) + np.repeat(lo - (ends - count), count)
-        for st, su in zip(stored[at].tolist(),
-                          suffixes[np.repeat(cand + start, count)].tolist()):
-            st, probe = tuple(st), prefix + tuple(su)
-            add(_classical_exps(st, probe), (st, probe, None))
+        rows = np.zeros((len(at), params.w), np.int64)  # 1 + stored + probe
+        rows[:, 1:q1 + 1] = stored[at]
+        rows[:, q1 + 1:params.w - s] = prefix
+        rows[:, params.w - s:] = suffixes[np.repeat(cand + start, count)]
+        pending.append(rows)
+        if sum(map(len, pending)) >= MATCH_BLOCK:
+            _add_hits(dedup, pending, q1, D)
+    _add_hits(dedup, pending, q1, D)
+    _keep_rows(dedup, D)
     report.phase2_seconds = time.perf_counter() - t0
     return SearchResult(records=_finalize(dedup, report), report=report)
 
@@ -840,9 +843,8 @@ def logtmto_find_all(
     Phase 1 is build_log_table.  Phase 2 takes the logs of LOG_CHUNK
     probe tuples in one batch and runs the chunk through _match_blocks
     and _match_rows a block of at most MATCH_BLOCK matches at a time;
-    each block goes to the dedup as rows of the multiple and its
-    provenance, packed into int64 where they fit, and is reduced there
-    to the distinct multiples with their smallest provenance.
+    each block goes to the dedup (_Dedup.add_rows), which reduces the
+    blocks to the distinct multiples with their smallest provenance.
 
     Produces exactly the same set as the classical route at equal
     (w, D), D >= M included.  Stored tuples whose polynomial reduces to
@@ -879,11 +881,6 @@ def logtmto_find_all(
     t0 = time.perf_counter()
     M = ctx.order
     xp = np.array(ctx.power_table(D), np.int64)
-    # dedup rows: the match row, then the provenance (stored rank, probe,
-    # shift + D), each packed into one int64 where it fits
-    key_bits = [(D + 1).bit_length()] * params.w
-    prov_bits = ([comb(D, q1).bit_length()] + [D.bit_length()] * q2
-                 + [(2 * D).bit_length()])
     for probes, logs in _tuple_chunks(engine, xp, q2, bound):
         for tup in probes[logs < 0].tolist():
             report.zero_residue_emits += _zero_probe(table, tuple(tup), D, M, dedup)[0]
@@ -892,10 +889,9 @@ def logtmto_find_all(
         report.log_calls += len(logs)
         for p, pos, shift, skips in _match_blocks(table, probes, logs, D, M):
             report.zero_shift_skips += skips
-            keys = _pack(_match_rows(table, probes, p, pos, shift, D), key_bits)
-            provs = _pack(np.column_stack(
-                (table.ranks[pos], probes[p], shift + D)), prov_bits)
-            dedup.add_rows(np.hstack((keys, provs)), keys.shape[1])
-    _keep_rows(dedup, table, D, key_bits, prov_bits)
+            stored, probe = table.exponents[pos], probes[p]
+            dedup.add_rows(_match_rows(stored, probe, shift, D), stored, probe,
+                           shift, D)
+    _keep_rows(dedup, D)
     report.phase2_seconds = time.perf_counter() - t0
     return SearchResult(records=_finalize(dedup, report), report=report)

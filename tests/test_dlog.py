@@ -3,6 +3,7 @@ import random
 import struct
 import zlib
 
+import numpy as np
 import pytest
 
 from lowmult.cli import main
@@ -251,3 +252,5 @@ def test_subgroup_lookup_miss_raises_value_error(solver):
     sub = eng.solvers[solver].sub
     with pytest.raises(ValueError):
         sub.lookup(eng.ctx, 2)  # x has order 1023, outside the subgroup
+    with pytest.raises(ValueError):  # also next to elements it finds
+        sub.lookup_array(eng._field, np.array([1, 2, 1], np.uint64))

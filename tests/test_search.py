@@ -11,24 +11,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lowmult.dlog import build_engine
-from lowmult.errors import (
-    MemoryBudgetExceededError,
-    WeightTooSmallError,
-    ZeroShiftError,
-)
+from lowmult.errors import MemoryBudgetExceededError, WeightTooSmallError
 from lowmult.gf2poly import (
     make_context,
     parse_poly,
     random_primitive_poly,
-    residue,
     verify_multiple,
 )
 from lowmult import search
-from lowmult.reference import brute_force_multiples, poly_divides
+from lowmult.reference import brute_force_multiples
 from lowmult.search import (
     LogTable,
     SearchParams,
-    assemble_multiple,
     build_log_table,
     default_split,
     enumerate_tuples,
@@ -76,42 +70,6 @@ def test_estimate_count():
     assert estimate_count(3, 3, 7) == pytest.approx(49 / 16)
     assert estimate_count(4, 3, 15) == pytest.approx(225 / 32)
     assert estimate_count(53, 4, 2**20) == pytest.approx(128 / 6)
-
-
-def test_assemble_multiple():
-    # shift < 0: x^-e (1 + stored) + (1 + probe)
-    rec = assemble_multiple((1,), (2,), -3)
-    assert rec.poly.exponents == (0, 2, 3, 4)
-    assert poly_divides(F8.poly, rec.poly)
-    rec2 = assemble_multiple((3,), (1,), -2)
-    assert rec2.poly.exponents == (0, 1, 2, 5)
-    assert poly_divides(F8.poly, rec2.poly)
-    with pytest.raises(ZeroShiftError):
-        assemble_multiple((1,), (1,), 0)
-
-
-def test_assemble_cancellation_lowers_weight():
-    # probe term shifted onto a stored term cancels a pair
-    rec = assemble_multiple((4,), (2,), 2)
-    assert rec.poly.exponents == (0, 2)
-    assert rec.weight == 2
-
-
-def test_assemble_residue_zero_when_logs_match():
-    rng = random.Random(0)
-    M = F16.order
-    for _ in range(100):
-        stored = tuple(sorted(rng.sample(range(1, 16), 2)))
-        probe = tuple(sorted(rng.sample(range(1, 16), 2)))
-        rs = 1 ^ F16.monomial_residue(stored[0]) ^ F16.monomial_residue(stored[1])
-        rp = 1 ^ F16.monomial_residue(probe[0]) ^ F16.monomial_residue(probe[1])
-        if rs == 0 or rp == 0:
-            continue
-        e = (ENG16.discrete_log(rs) - ENG16.discrete_log(rp)) % M
-        if e == 0:
-            continue
-        rec = assemble_multiple(stored, probe, e)
-        assert residue(rec.poly, F16) == 0
 
 
 def _brute_matches(table, probes, probe_logs, D, M):
@@ -186,7 +144,6 @@ def _check_kernel(stored, logs, probes, probe_logs, q1, q2, D, M, block):
         logs=np.array([logs[i] for i in order], np.int64),
         exponents=np.array([stored[i] for i in order], np.int64).reshape(
             len(stored), q1),
-        ranks=np.array(order, np.int64),
         zero_polys=[], max_degree=D, log_calls=0, build_seconds=0.0,
     )
     probes = np.array(probes, np.int64).reshape(len(probes), q2)
@@ -402,9 +359,8 @@ def test_build_log_table_sorted_and_complete():
     assert table.logs.tolist() == sorted(table.logs.tolist())
     # 1 + x^15 = 0 lands in zero_polys, everything else gets a log
     assert table.zero_polys == [(15,)]
-    assert len(table.logs) == 14
-    for lg, (e,), rank in zip(table.logs, table.exponents, table.ranks):
-        assert e == rank + 1  # the rank is the index in enumeration order
+    assert sorted(table.exponents.tolist()) == [[e] for e in range(1, 15)]
+    for lg, (e,) in zip(table.logs, table.exponents):
         assert ENG16.discrete_log(1 ^ F16.monomial_residue(int(e))) == lg
 
 
@@ -445,14 +401,20 @@ TMTO_PINS = {
 }
 
 
-@pytest.mark.parametrize("one_bit_filter", [False, True],
-                         ids=["filter", "one-bit-filter"])
-@pytest.mark.parametrize("spec, w, D", sorted(TMTO_PINS))
-def test_tmto_pins(spec, w, D, one_bit_filter, monkeypatch):
+@pytest.mark.parametrize("variant", [
+    None,
     # a one-bit filter makes every probe a candidate, so the binary
     # search on the sorted keys alone decides what matches
-    if one_bit_filter:
-        monkeypatch.setattr(search, "_filter_bits", lambda n, keys: 0)
+    ("_filter_bits", lambda n, keys: 0),
+    # nothing fits in zero bits: dedup rows and provenances stay unpacked
+    ("PACK_BITS", 0),
+    # the dedup reduces its rows after every block
+    ("MATCH_BLOCK", 1),
+], ids=["filter", "one-bit-filter", "unpacked-rows", "match-block-1"])
+@pytest.mark.parametrize("spec, w, D", sorted(TMTO_PINS))
+def test_tmto_pins(spec, w, D, variant, monkeypatch):
+    if variant:
+        monkeypatch.setattr(search, *variant)
     ctx = make_context(parse_poly(spec))
     res = tmto_find_all(ctx, SearchParams.balanced(w, D, "classical"))
     r = res.report
