@@ -5,7 +5,14 @@ one subgroup solver, either
 
 * a full table of the order-p subgroup (p entries, O(1) lookups), or
 * baby-step giant-step state (a baby table of configurable size m,
-  default ceil(sqrt(p)), and the giant multiplier g^-m).
+  default ceil(sqrt(p)), the giant multiplier g^-m and a giant block of
+  its first GIANT_BLOCK powers, at most 8 * GIANT_BLOCK bytes per
+  solver that the memory model leaves out).
+
+Giant steps run blocked: the elements of a batch still unresolved
+share one pass of about GIANT_BLOCK giant steps, a block of steps each
+in one array product against the giant block.  A scalar log runs the
+same kernel on a one-element array.
 
 Digits of prime powers p^e are lifted one at a time through the order-p
 subgroup, so correctness never depends on M being squarefree.  Component
@@ -16,9 +23,12 @@ on group orders whose largest prime factor is otherwise out of reach.
 ``LogEngine.discrete_log`` also takes a numpy array of elements and then
 runs the same steps on uint64 arrays (``_BatchField``): one call per
 batch instead of one Python-level Pohlig-Hellman walk per element.  The
-scalar path stays the oracle the array path is tested against.  Each
-engine owns one ``_BatchField``, which also fills its subgroup tables by
-doubling (vals[k:2k] = vals[:k] * gp^k, one array product per step).
+scalar path stays the oracle the array path is tested against, except
+for giant steps: both run the one blocked kernel, which is tested
+against full-table engines and brute force.
+Each engine owns one ``_BatchField``, which also fills its subgroup
+tables and giant blocks by doubling (``_powers``: out[k:2k] = out[:k] *
+g^k, one array product per step).
 
 Engines are immutable after build and safe to share between threads.
 Tables can be dumped to and loaded from a little-endian cache file that
@@ -53,7 +63,11 @@ _ENTRY_BYTES = 16
 # tabulated engines at n = 4 to 30).
 BATCH_LOG_BYTES = 448
 
-_DICT_ACCEL_LIMIT = 2**16  # small tables also get a plain dict
+_DICT_ACCEL_LIMIT = 2**16  # small full tables also get a plain dict
+
+# Giant steps per pass of a baby-step giant-step lookup, shared by the
+# elements the pass carries (each takes GIANT_BLOCK // k of k elements).
+GIANT_BLOCK = 2**14
 
 _CACHE_MAGIC = b"LWMENG1\x00"
 _CACHE_VERSION = 1
@@ -70,19 +84,26 @@ def _model_bytes(entries: int) -> int:
     return _slots(entries) * _ENTRY_BYTES
 
 
+def _powers(ctx, field, g, count):
+    """g^t for t < count as a uint64 array, filled by doubling:
+    out[k:2k] = out[:k] * g^k, one array product per step."""
+    out = np.empty(count, dtype=np.uint64)
+    out[0] = 1
+    k, step = 1, g
+    while k < count:
+        t = min(k, count - k)
+        out[k:k + t] = field.mul(out[:t], step)
+        k += t
+        step = ctx.sqr(step)
+    return out
+
+
 def _tabulate(ctx, field, p, baby_entries):
     """gp^j for j < min(p, baby_entries), where gp = x^(M/p) has order p,
     as (values sorted ascending, their exponents j)."""
     gp = ctx.pow(2, ctx.order // p)
     m = min(p, baby_entries)
-    vals = np.empty(m, dtype=np.uint64)
-    vals[0] = 1
-    k, step = 1, gp  # doubling: vals[k:2k] = vals[:k] * (step = gp^k)
-    while k < m:
-        t = min(k, m - k)
-        vals[k:k + t] = field.mul(vals[:t], step)
-        k += t
-        step = ctx.sqr(step)
+    vals = _powers(ctx, field, gp, m)
     if m == p and ctx.mul(int(vals[-1]), gp) != 1:
         raise AssertionError("subgroup enumeration did not close")
     vals = vals.view("<i8")
@@ -176,64 +197,114 @@ class _SubgroupLog:
 
     vals holds gp^j for j < m sorted ascending and idx the matching j.
     m == p is a full table; a smaller m is the baby table of baby-step
-    giant-step.
+    giant-step, which also keeps
+    - the giant block G[t] = gp^(-m t) for t < min(steps + 1,
+      GIANT_BLOCK): at most 8 * GIANT_BLOCK bytes, outside the memory
+      model;
+    - a bit filter of vals indexed by their low bit_length(m) + 4 bits:
+      2 to 4 bytes per baby entry, within the model's 16 * 4/3 bytes
+      per entry.
     """
 
-    __slots__ = ("p", "m", "vals", "idx", "accel", "giant", "steps")
+    __slots__ = ("p", "m", "vals", "idx", "accel", "giant", "steps",
+                 "block", "filter", "mask")
 
-    def __init__(self, ctx, p, vals, idx):
+    def __init__(self, ctx, field, p, vals, idx):
         self.p = p
         self.m = m = len(vals)
         self.vals = vals
         self.idx = idx
-        self.accel = (
-            dict(zip(vals.tolist(), idx.tolist()))
-            if m <= _DICT_ACCEL_LIMIT
-            else None
-        )
         self.giant = ctx.pow(2, ctx.order // p * (p - m))  # gp^-m; 1 if m == p
         self.steps = (p - 1) // m  # 0 for a full table
+        # scalar lookups in small full tables go through a plain dict
+        self.accel = (
+            dict(zip(vals.tolist(), idx.tolist()))
+            if not self.steps and m <= _DICT_ACCEL_LIMIT
+            else None
+        )
+        self.block = self.filter = self.mask = None
+        if self.steps:
+            self.block = _powers(ctx, field, self.giant,
+                                 min(self.steps + 1, GIANT_BLOCK))
+            self.mask = (1 << (m.bit_length() + 4)) - 1
+            self.filter = np.zeros((self.mask >> 3) + 1, np.uint8)
+            low = vals & self.mask
+            bit = (low & 7).astype(np.uint8)
+            np.left_shift(np.uint8(1), bit, out=bit)
+            low >>= 3
+            np.bitwise_or.at(self.filter, low, bit)
 
     @property
     def strategy(self) -> str:
         return STRATEGY_TABLE if self.m == self.p else STRATEGY_BSGS
 
-    def _baby(self, h):
-        if self.accel is not None:
-            return self.accel.get(h)
-        i = int(np.searchsorted(self.vals, h))
-        if i < self.m and int(self.vals[i]) == h:
-            return int(self.idx[i])
-        return None
+    def _find(self, h):
+        """Positions in vals of the uint64 array h, and which are hits."""
+        cur = h.view(np.int64)
+        at = np.minimum(self.vals.searchsorted(cur), self.m - 1)
+        return at, self.vals[at] == cur
 
-    def lookup(self, ctx, h: int) -> int:
-        """j with gp^j == h, for h in the subgroup."""
-        cur = h
-        for i in range(self.steps + 1):
-            j = self._baby(cur)
-            if j is not None:
-                return i * self.m + j
-            cur = ctx.mul(cur, self.giant)
-        raise ValueError("element not found in subgroup (corrupt table?)")
+    def lookup(self, field, h: int) -> int:
+        """j with gp^j == h, for h in the subgroup.  Baby-step
+        giant-step runs the blocked kernel of lookup_array on h alone."""
+        if self.steps:
+            return int(self.lookup_array(field, np.array([h], np.uint64))[0])
+        if self.accel is not None:
+            j = self.accel.get(h)
+        else:
+            i = int(np.searchsorted(self.vals, h))
+            j = int(self.idx[i]) if i < self.m and int(self.vals[i]) == h else None
+        if j is None:
+            raise ValueError("element not found in subgroup (corrupt table?)")
+        return j
 
     def lookup_array(self, field, h):
-        """lookup for every element of the uint64 array h: the elements
-        not yet in the baby table all take the next giant step together,
-        one array product (none for a full table)."""
+        """lookup for every element of the uint64 array h.
+
+        A full table is one searchsorted.  Baby-step giant-step runs in
+        blocked passes: the k elements not yet found each take w =
+        GIANT_BLOCK // k giant steps at once (at least 1, at most
+        len(block), never past steps), as one k x w product h * G[:w].
+        The products that pass the bit filter are looked up in vals,
+        each row keeps its first hit, and the rest advance by gp^(-m w)
+        to the next pass.
+        """
+        if not self.steps:
+            at, hit = self._find(h)
+            if not hit.all():
+                raise ValueError("element not found in subgroup (corrupt table?)")
+            return self.idx[at]
         out = np.empty(len(h), np.int64)
         todo = np.arange(len(h))
-        giant = field.table(self.giant) if self.steps else None
-        for i in range(self.steps + 1):
-            cur = h.view(np.int64)
-            at = np.minimum(self.vals.searchsorted(cur), self.m - 1)
-            found = self.vals[at] == cur
-            out[todo[found]] = i * self.m + self.idx[at[found]]
-            todo, h = todo[~found], h[~found]
-            if not len(todo):
-                return out
-            if i < self.steps:
-                h = field.mul_table(giant, h)
-        raise ValueError("element not found in subgroup (corrupt table?)")
+        base = 0  # giant steps taken by every element of todo
+        while len(todo):
+            k = len(todo)
+            w = min(len(self.block), max(1, GIANT_BLOCK // k),
+                    self.steps + 1 - base)
+            # product i * w + t is h[i] * G[t]: the table of h, with the
+            # offset of each element repeated along its row
+            flat, width, _ = field.table(h)
+            rows = np.repeat(np.arange(k, dtype=np.uint64), w)
+            prods = field.mul_table((flat, width, rows),
+                                    np.tile(self.block[:w], k))
+            low = prods & np.uint64(self.mask)
+            bits = self.filter[low >> np.uint64(3)]
+            bits >>= (low & np.uint64(7)).astype(np.uint8)
+            cand = np.flatnonzero(bits & 1)
+            at, hit = self._find(prods[cand])
+            row, col = np.divmod(cand[hit], w)
+            first = np.flatnonzero(np.diff(row, prepend=-1))  # rows ascend
+            row, col, at = row[first], col[first], at[hit][first]
+            out[todo[row]] = (base + col) * self.m + self.idx[at]
+            left = np.ones(k, bool)
+            left[row] = False
+            todo, base = todo[left], base + w
+            if len(todo):
+                if base > self.steps:
+                    raise ValueError(
+                        "element not found in subgroup (corrupt table?)")
+                h = field.mul(prods.reshape(k, w)[left, w - 1], self.giant)
+        return out
 
 
 class _PrimePowerSolver:
@@ -241,7 +312,7 @@ class _PrimePowerSolver:
 
     __slots__ = ("p", "e", "q", "cofactor", "gq", "sub", "inv_pows", "p_pows")
 
-    def __init__(self, ctx, p, e, tables):
+    def __init__(self, ctx, field, p, e, tables):
         """tables: the sorted (vals, idx) of the order-p subgroup."""
         self.p = p
         self.e = e
@@ -249,12 +320,12 @@ class _PrimePowerSolver:
         M = ctx.order
         self.cofactor = M // self.q
         self.gq = ctx.pow(2, self.cofactor)  # order exactly q
-        self.sub = _SubgroupLog(ctx, p, *tables)
+        self.sub = _SubgroupLog(ctx, field, p, *tables)
         gq_inv = ctx.pow(self.gq, self.q - 1)
         self.p_pows = [p**k for k in range(e)]
         self.inv_pows = [ctx.pow(gq_inv, pk) for pk in self.p_pows]
 
-    def component_log(self, ctx, chain: list[int]) -> int:
+    def component_log(self, ctx, field, chain: list[int]) -> int:
         # project into the order-q subgroup off the shared square chain
         # (chain[j] = a^(2^j)): a^(M/q) is the product over the set bits
         # of the cofactor
@@ -267,11 +338,11 @@ class _PrimePowerSolver:
             cof >>= 1
             j += 1
         if self.e == 1:
-            return self.sub.lookup(ctx, h)
+            return self.sub.lookup(field, h)
         y = 0
         for k in range(self.e):
             c = ctx.pow(h, self.p_pows[self.e - 1 - k])
-            d = self.sub.lookup(ctx, c)
+            d = self.sub.lookup(field, c)
             if d:
                 h = ctx.mul(h, ctx.pow(self.inv_pows[k], d))
                 y += d * self.p_pows[k]
@@ -336,7 +407,7 @@ class LogEngine:
             chain.append(sqr(chain[-1]))
         out = 0
         for solver, weight in self._crt:
-            y = solver.component_log(ctx, chain)
+            y = solver.component_log(ctx, self._field, chain)
             if y:
                 out = (out + y * weight) % M
         return out
@@ -437,7 +508,11 @@ def build_engine(
     tabulates ascending primes within a 2^26-entry total budget and
     spills the rest to BSGS.  bsgs_baby_entries oversizes the BSGS baby
     tables beyond the default ceil(sqrt(p)), trading memory for time on
-    orders with a huge prime factor.
+    orders with a huge prime factor.  Each BSGS solver also holds a
+    giant block of at most GIANT_BLOCK powers (8 * GIANT_BLOCK bytes)
+    and a bit filter of its baby table (2 to 4 bytes per entry); the
+    predicted bytes leave out the block, and the filter fits in the
+    model's 16 * 4/3 bytes per entry beside the 16 the table takes.
     """
     if tabulation_threshold is not None and tabulation_threshold < 1:
         raise ValueError("tabulation threshold must be >= 1")
@@ -449,7 +524,8 @@ def build_engine(
         )
     field = _BatchField(ctx)
     solvers = [
-        _PrimePowerSolver(ctx, p, e, _tabulate(ctx, field, p, baby_entries))
+        _PrimePowerSolver(ctx, field, p, e,
+                          _tabulate(ctx, field, p, baby_entries))
         for p, e, baby_entries in plan
     ]
     return LogEngine(
@@ -565,6 +641,7 @@ def load_engine(path: str) -> LogEngine:
     (nsolvers,) = take("<I")
     if nsolvers != len(ctx.factorization):
         raise ValueError(f"{path}: solver count does not match the modulus")
+    field = _BatchField(ctx)
     solvers = []
     predicted = 0
     for prime_power in ctx.factorization:
@@ -579,8 +656,8 @@ def load_engine(path: str) -> LogEngine:
         idx = np.frombuffer(body, dtype="<i8", count=m, offset=off + 8 * m)
         off += 16 * m
         _check_table(ctx, p, vals, idx, path)
-        solvers.append(_PrimePowerSolver(ctx, p, e, (vals, idx)))
+        solvers.append(_PrimePowerSolver(ctx, field, p, e, (vals, idx)))
         predicted += _model_bytes(m)
     if off != len(body):
         raise ValueError(f"{path}: trailing bytes in engine cache")
-    return LogEngine(ctx, _BatchField(ctx), solvers, thr, baby, predicted)
+    return LogEngine(ctx, field, solvers, thr, baby, predicted)

@@ -301,7 +301,8 @@ def test_c09_sampling_hit_rate():
 def degree31_engine():
     ctx = make_context(parse_poly("31,3,0"))
     # the group order is prime, so subgroup tabulation is out of reach;
-    # an oversized baby-step table keeps each log around a millisecond
+    # an oversized baby-step table keeps each log to one blocked pass
+    # of at most 256 giant steps
     return build_engine(ctx, bsgs_baby_entries=2**23)
 
 

@@ -58,6 +58,66 @@ def test_array_logs_equal_scalar_and_brute_force(n, seed, plan, raw):
     assert got[:4] == [brute_force_log(ctx, a) for a in elems[:4]]
 
 
+@settings(max_examples=25, deadline=None)
+@given(
+    n=st.integers(2, 20),
+    seed=st.integers(0, 2**16),
+    plan=st.sampled_from(sorted(PLANS)),
+    ks=st.lists(st.integers(0, 2**20), min_size=1, max_size=16),
+)
+def test_logs_round_trip_up_to_n20(n, seed, plan, ks):
+    ctx = _field(n, seed)
+    engine = build_engine(ctx, **PLANS[plan])  # not cached: n = 19 is 8 MB
+    want = [k % ctx.order for k in ks]
+    elems = [ctx.monomial_residue(k) for k in want]
+    assert _logs(engine, elems) == want
+    assert [engine.discrete_log(a) for a in elems] == want
+
+
+# n = 13 is left out: 2^13 - 1 is prime, and one baby entry with one
+# giant step per pass would take thousands of passes per scalar log
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(2, 12) | st.sampled_from([14, 15, 16]),
+    seed=st.integers(0, 2**16),
+    baby=st.sampled_from([None, 1, 64]) | st.integers(1, 300),
+    block=st.sampled_from([1, 2, 3]) | st.integers(1, 600),
+    raw=st.lists(st.integers(0, 2**16), max_size=16),
+)
+def test_blocked_giant_steps_equal_full_tables(n, seed, baby, block, raw):
+    # every prime by baby-step giant-step; small blocks end in a partial
+    # pass and find the elements of one array in different passes
+    ctx = _field(n, seed)
+    elems = [1] + [v % ctx.order + 1 for v in raw]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dlog, "GIANT_BLOCK", block)
+        engine = build_engine(ctx, tabulation_threshold=1, bsgs_baby_entries=baby)
+        got = _logs(engine, elems)
+        scalar = [engine.discrete_log(a) for a in elems]
+    assert got == scalar == _logs(_engine(n, seed, "table"), elems)
+    assert got[:3] == [brute_force_log(ctx, a) for a in elems[:3]]
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 7, dlog.GIANT_BLOCK])
+@pytest.mark.parametrize("baby", [None, 1, 30])
+def test_element_outside_subgroup_raises(monkeypatch, block, baby):
+    # M = 3 * 11 * 31; threshold 11 leaves the prime 31 to baby-step
+    # giant-step (6, 1 or 30 baby entries)
+    monkeypatch.setattr(dlog, "GIANT_BLOCK", block)
+    ctx = make_context(parse_poly("10,3,0"))
+    engine = build_engine(ctx, 11, bsgs_baby_entries=baby)
+    sub, field = engine.solvers[2].sub, engine._field
+    assert (sub.p, sub.strategy) == (31, "bsgs")
+    gp = ctx.pow(2, ctx.order // 31)
+    inside = [ctx.pow(gp, j) for j in range(31)]
+    assert [sub.lookup(field, h) for h in inside] == list(range(31))
+    assert sub.lookup_array(field, np.array(inside, np.uint64)).tolist() == list(range(31))
+    with pytest.raises(ValueError, match="not found in subgroup"):
+        sub.lookup(field, 2)  # x has order 1023
+    with pytest.raises(ValueError, match="not found in subgroup"):
+        sub.lookup_array(field, np.array(inside + [2] + inside, np.uint64))
+
+
 @pytest.mark.parametrize("plan", sorted(PLANS))
 @pytest.mark.parametrize("spec", ["6,1,0", "12,6,4,1,0"])
 def test_prime_powers_over_the_whole_group(spec, plan):

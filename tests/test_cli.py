@@ -244,6 +244,13 @@ def test_log_command(capsys):
     assert code == 6
 
 
+@pytest.mark.parametrize("k", [0, 1, 30, 12345, 2**31 - 2])
+def test_log_command_at_n31(capsys, k):
+    # 2^31 - 1 is prime, so the log is a baby-step giant-step search
+    code, out, _ = run_cli(["log", "--poly", "31,3,0", "--element", str(k)], capsys)
+    assert code == 0 and out.strip() == str(k)
+
+
 def test_zech_command(capsys):
     code, out, _ = run_cli(["zech", "--poly", "3,1,0", "--exponent", "1"], capsys)
     assert code == 0 and out.strip() == "3"

@@ -251,6 +251,6 @@ def test_subgroup_lookup_miss_raises_value_error(solver):
     eng = build_engine(make_context(parse_poly("10,3,0")), 11)
     sub = eng.solvers[solver].sub
     with pytest.raises(ValueError):
-        sub.lookup(eng.ctx, 2)  # x has order 1023, outside the subgroup
+        sub.lookup(eng._field, 2)  # x has order 1023, outside the subgroup
     with pytest.raises(ValueError):  # also next to elements it finds
         sub.lookup_array(eng._field, np.array([1, 2, 1], np.uint64))

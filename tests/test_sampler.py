@@ -1,8 +1,12 @@
+import hashlib
 import random
 from itertools import combinations
 from math import comb
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lowmult.dlog import build_engine
 from lowmult.errors import MemoryBudgetExceededError, WeightTooSmallError
@@ -50,6 +54,18 @@ def test_unrank_matches_lexicographic_enumeration():
         assert got == want
     with pytest.raises(ValueError):
         unrank_combination(comb(6, 3), 3, 6)
+
+
+@settings(max_examples=60, deadline=None)
+@given(q=st.integers(0, 4), max_val=st.integers(0, 9), data=st.data())
+def test_unrank_matches_combination_ranks(q, max_val, data):
+    tuples = list(combinations(range(1, max_val + 1), q))
+    rank = data.draw(st.integers(-3, len(tuples) + 3))
+    if 0 <= rank < len(tuples):
+        assert unrank_combination(rank, q, max_val) == tuples[rank]
+    else:
+        with pytest.raises(ValueError):
+            unrank_combination(rank, q, max_val)
 
 
 def test_random_log_sample_finds_known_set():
@@ -227,3 +243,59 @@ def test_sample_params_validation():
         SampleParams(w=3, D=10, B=1, K=11)
     with pytest.raises(ValueError):
         SampleParams(w=3, D=10, B=1, max_iterations=-1)
+
+
+# -- pinned at n = 31 -----------------------------------------------------------
+
+class _Recorder:
+    """Keeps every discrete_log answer of the wrapped engine."""
+
+    def __init__(self, engine):
+        self.ctx = engine.ctx
+        self._engine = engine
+        self.answers = []
+
+    def discrete_log(self, a):
+        y = self._engine.discrete_log(a)
+        if isinstance(a, np.ndarray):
+            self.answers.append((a.tolist(), y.tolist()))
+        else:
+            self.answers.append((a, y))
+        return y
+
+
+def _digest(obj):
+    return hashlib.sha256(repr(obj).encode()).hexdigest()[:16]
+
+
+@pytest.fixture(scope="module")
+def n31_engine():
+    # 2^31 - 1 is prime: every log is a baby-step giant-step search
+    return build_engine(make_context(parse_poly("31,3,0")))
+
+
+# Pinned from the engine that walked one giant step at a time: (records
+# and provenances digest, iterations, found, duplicates, skipped,
+# log_calls, digest of every discrete_log argument and answer)
+N31_PINS = {
+    "random_log_sample": (
+        "4f53cda18c2baa0c", 16, 0, 0, 16, 16, "2a66fd1c0bbe637c"),
+    "birthday_logtmto": (
+        "cdc992a232b072d9", 200, 39, 0, 0, 264, "886b4f50bc6af40d"),
+}
+
+
+@pytest.mark.parametrize("method", sorted(N31_PINS))
+def test_samplers_at_n31_are_pinned(n31_engine, method):
+    engine = _Recorder(n31_engine)
+    if method == "random_log_sample":
+        res = random_log_sample(engine, SampleParams(
+            w=5, D=4096, B=16, seed=31, max_iterations=16))
+    else:  # a K = 64 table (one array call), then one log per draw
+        res = birthday_logtmto(engine, SampleParams(
+            w=4, D=4096, B=10**6, K=64, seed=31, max_iterations=200))
+    assert (
+        _digest([(r.poly.exponents, r.provenance) for r in res.records]),
+        res.iterations, res.found, res.duplicates, res.skipped,
+        res.log_calls, _digest(engine.answers),
+    ) == N31_PINS[method]
