@@ -37,7 +37,6 @@ from .dlog import (
     load_engine,
     predict_table_bytes,
     save_engine,
-    zech_orbit,
 )
 from .search import (
     LogTable,
@@ -77,7 +76,7 @@ __all__ = [
     "FieldContext", "SparsePoly", "make_context", "parse_poly",
     "random_primitive_poly", "residue", "verify_multiple",
     "LogEngine", "build_engine", "load_engine", "predict_table_bytes",
-    "save_engine", "zech_orbit",
+    "save_engine",
     "LogTable", "MultipleRecord", "RunReport",
     "SearchParams", "SearchResult", "build_log_table",
     "default_split", "enumerate_tuples", "estimate_count",

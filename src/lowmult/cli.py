@@ -65,8 +65,8 @@ EXIT_VERIFY = 7
 # --algorithm auto takes the log route from this degree bound on: the
 # crossover_D of scripts/crossover.py (BENCH_crossover.json), the
 # smallest power of two from which logtmto plus its engine build beat
-# the array tmto at n=30, w=4 (medians of 5 calls; at D=2048 they tie).
-AUTO_LOG_MIN_DEGREE = 4096
+# the array tmto at n=30, w=4 (medians of 5 calls; at D=1024 tmto leads).
+AUTO_LOG_MIN_DEGREE = 2048
 
 
 def _say(msg: str) -> None:

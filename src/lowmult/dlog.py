@@ -533,27 +533,6 @@ def build_engine(
     )
 
 
-def zech_orbit(i: int, zi: int, M: int) -> set[tuple[int, int]]:
-    """Closure of the pair (i, Z(i)) under the three Zech identities.
-
-    Z(2i) = 2 Z(i) mod M (Frobenius), Z(M-i) = Z(i) - i mod M, and
-    Z(Z(i)) = i.  One computed logarithm therefore yields up to 6n
-    valid pairs for free.
-    """
-    start = (i % M, zi % M)
-    seen: set[tuple[int, int]] = set()
-    frontier = [start]
-    while frontier:
-        j, z = frontier.pop()
-        if (j, z) in seen:
-            continue
-        seen.add((j, z))
-        frontier.append((2 * j % M, 2 * z % M))
-        frontier.append((M - j, (z - j) % M))
-        frontier.append((z, j))
-    return seen
-
-
 # -- cache file ----------------------------------------------------------
 
 

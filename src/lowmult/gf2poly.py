@@ -60,6 +60,14 @@ class SparsePoly:
         self.exponents = exps
 
     @classmethod
+    def canonical(cls, exps: tuple[int, ...]) -> "SparsePoly":
+        """The polynomial of an exponent tuple already in canonical form
+        (strictly increasing, in [0, MAX_EXPONENT]), without checking it."""
+        poly = object.__new__(cls)
+        poly.exponents = exps
+        return poly
+
+    @classmethod
     def from_terms(cls, terms) -> "SparsePoly":
         """Build the XOR-canonical polynomial from any exponent iterable.
 

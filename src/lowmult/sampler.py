@@ -42,6 +42,7 @@ from .search import (
     _Dedup,
     _check_budget,
     _log_route_bytes,
+    _logged_tuples,
     _power_bytes,
     _classical_exps,
     _match_blocks,
@@ -291,8 +292,10 @@ def birthday_logtmto(
     t0 = time.perf_counter()
     M = engine.ctx.order
     stored = comb(K, q1) if table is None else len(table.logs)
-    _check_budget(_log_route_bytes(M, D, q1, q2, stored, 1, table is None),
-                  params.budget_bytes)
+    logged = max(_logged_tuples(K, q1), 1) if table is None else 1
+    _check_budget(
+        _log_route_bytes(M, D, q1, q2, stored, 1, logged, table is None),
+        params.budget_bytes)
     if table is None:
         table = build_log_table(engine, q1, K)
     elif table.modulus != engine.ctx.poly:

@@ -27,9 +27,12 @@ Each concept has one home shared with the samplers: ``_match_blocks``
 and ``_match_rows`` are the log route's match kernel, ``_zero_probe`` the
 probe of a tuple without a log, ``_classical_exps`` the assembly of
 ``birthday_tmto``'s matches, and ``_Dedup`` the dedup, one multiple or
-one block of rows at a time.  Both log-table phases take their logs in
-batches of LOG_CHUNK tuples (``_tuple_chunks``), one array call of
-``discrete_log`` per batch.
+one block of rows at a time.  Each Zech-style log log(1 + tuple) is
+taken once: phase 1 takes the logs of the tuples with an odd exponent in
+batches of LOG_CHUNK, one array call of ``discrete_log`` per batch, and
+``_fill_even`` derives the rest by the Frobenius identity; phase 2 reads
+its probes' logs from phase 1 when both halves have the same size, and
+otherwise takes them a chunk of LOG_CHUNK probes at a time.
 """
 
 from __future__ import annotations
@@ -149,9 +152,15 @@ class MultipleRecord:
         return hash(self.poly.exponents)
 
     @classmethod
-    def of(cls, exponents, provenance=None) -> "MultipleRecord":
-        """The record of an exponent set; weight and degree are derived."""
-        poly = SparsePoly(exponents)
+    def of(cls, exponents, provenance=None, *,
+           checked: bool = True) -> "MultipleRecord":
+        """The record of an exponent set; weight and degree are derived.
+
+        checked=False takes a tuple that is already canonical (strictly
+        increasing, in range) without SparsePoly's check of every pair:
+        the searches build their tuples so.
+        """
+        poly = SparsePoly(exponents) if checked else SparsePoly.canonical(exponents)
         return cls(poly, poly.weight(), poly.degree(), provenance)
 
     def __repr__(self):
@@ -165,8 +174,10 @@ class LogTable:
     exponents[i] is the stored tuple whose log is logs[i]; equal logs
     keep the tuples' lex order.  zero_polys collects stored tuples whose
     polynomial reduced to the zero element; those are multiples in their
-    own right and have no logarithm to store.  modulus is the P the logs
-    were taken under.
+    own right and have no logarithm to store.  lex_logs holds the log of
+    every q1-tuple over [1, max_degree] in enumerate_tuples order, -1
+    where it reduces to zero.  modulus is the P the logs were taken
+    under; log_calls counts the logs actually taken.
     """
 
     modulus: SparsePoly
@@ -176,6 +187,7 @@ class LogTable:
     max_degree: int
     log_calls: int
     build_seconds: float
+    lex_logs: np.ndarray  # (C(max_degree, q1),) int64
 
 
 @dataclass(frozen=True)
@@ -221,7 +233,12 @@ class SearchParams:
 
 @dataclass
 class RunReport:
-    """Counters and timings from one solver run."""
+    """Counters and timings from one solver run.
+
+    probes counts the phase-2 probe tuples, those that reduce to zero
+    included; log_calls counts only the logs actually taken.  lines()
+    leaves probes out, so the find-all report text stays as it was.
+    """
 
     algorithm: str
     w: int
@@ -234,6 +251,7 @@ class RunReport:
     zero_residue_emits: int = 0
     table_entries: int = 0
     log_calls: int = 0
+    probes: int = 0
     phase1_seconds: float = 0.0
     phase2_seconds: float = 0.0
 
@@ -287,39 +305,93 @@ def _one_plus(xp: list[int], tup: tuple[int, ...]) -> int:
     return r
 
 
-def _tuple_chunks(engine, xp: np.ndarray, q: int, max_deg: int):
-    """The q-tuples over [1, max_deg] in lex order, LOG_CHUNK at a time.
-
-    Yields (tuples, logs): tuples a (k, q) int64 array, logs the int64
-    logs of 1 + each tuple, -1 where it reduces to zero.  One batched
-    discrete_log call per chunk.
-    """
+def _tuple_chunks(q: int, max_deg: int):
+    """The q-tuples over [1, max_deg] in lex order, as (k, q) int64
+    arrays of at most LOG_CHUNK rows."""
     flat = chain.from_iterable(enumerate_tuples(q, max_deg))
     total = comb(max_deg, q)
     for start in range(0, total, LOG_CHUNK):
         k = min(LOG_CHUNK, total - start)
-        tuples = np.fromiter(flat, np.int64, count=k * q).reshape(k, q)
-        res = _residues(xp, tuples)
-        res ^= 1
-        logs = np.full(k, -1, np.int64)
-        nonzero = res != 0
-        logs[nonzero] = engine.discrete_log(res[nonzero].view(np.uint64))
-        yield tuples, logs
+        yield np.fromiter(flat, np.int64, count=k * q).reshape(k, q)
+
+
+def _tuple_logs(engine, xp: np.ndarray, tuples: np.ndarray) -> np.ndarray:
+    """The int64 logs of 1 + each row of tuples, -1 where it reduces to
+    zero: one batched discrete_log call."""
+    res = _residues(xp, tuples)
+    res ^= 1
+    logs = np.full(len(tuples), -1, np.int64)
+    nonzero = res != 0
+    logs[nonzero] = engine.discrete_log(res[nonzero].view(np.uint64))
+    return logs
+
+
+def _lex_rank(tuples: np.ndarray, N: int) -> np.ndarray:
+    """The position of each row, a strictly increasing q-tuple over
+    [1, N], in enumerate_tuples(q, N): C(N, q) - 1 minus the tuples
+    after it, of which C(N - a_i, q - i) agree with it before column i
+    (from 0) and exceed it there."""
+    q = tuples.shape[1]
+    rank = np.full(len(tuples), comb(N, q) - 1, np.int64)
+    col = np.ones(N + 1, np.int64)  # C(m, 0) for m <= N
+    for i in range(q - 1, -1, -1):
+        # C(m, k) is the sum of C(j, k - 1) over j < m; int64 sums that
+        # wrap stay exact mod 2^64, and the terms read are below C(N, q)
+        col = np.concatenate(([0], np.cumsum(col[:-1])))
+        rank -= col[N - tuples[:, i]]
+    return rank
+
+
+def _fill_even(exps: np.ndarray, logs: np.ndarray, even: np.ndarray,
+               max_deg: int, M: int) -> None:
+    """Fill logs[even], the logs of the all-even tuples among exps (every
+    q-tuple over [1, max_deg] in lex order), from the logs of the others.
+
+    Squaring is the field's Frobenius map: (1 + sum x^u_i)^2 =
+    1 + sum x^(2 u_i).  So a tuple t = 2^v u, with u holding an odd
+    exponent, has log(1 + t) = 2^v log(1 + u) mod M, and u lies in
+    [1, max_deg] with its log already in logs.  Squaring is a bijection
+    that fixes zero, so 1 + t reduces to zero exactly when 1 + u does:
+    the -1 of a zero residue carries over.  The doubling runs in uint64:
+    a log is below M < 2^63, so twice it fits (n <= 63).
+    """
+    if not len(even):
+        return
+    t = exps[even]
+    low = np.bitwise_or.reduce(t, axis=1)
+    low &= -low  # 2^v, the largest power of two dividing every exponent
+    half = logs[_lex_rank(t // low[:, None], max_deg)]
+    known = half >= 0
+    y, low, m = half[known].view(np.uint64), low[known], np.uint64(M)
+    for _ in range(int(low.max(initial=1)).bit_length() - 1):
+        twice = y << np.uint64(1)
+        twice[twice >= m] -= m
+        y = np.where(low > 1, twice, y)
+        low >>= 1
+    half[known] = y.view(np.int64)
+    logs[even] = half
 
 
 def build_log_table(engine, q1: int, max_deg: int) -> LogTable:
     """Phase 1 of the log route: log of (1 + tuple) for every q1-tuple
-    with exponents up to max_deg, sorted by log."""
+    with exponents up to max_deg, sorted by log.
+
+    Only the tuples with an odd exponent take a log, LOG_CHUNK per
+    batched call (the empty tuple of q1 = 0 is its own half, so it takes
+    one too); _fill_even derives the all-even ones.
+    """
     t0 = time.perf_counter()
     xp = np.array(engine.ctx.power_table(max_deg), np.int64)
-    total = comb(max_deg, q1)
-    exps = np.empty((total, q1), np.int64)
-    logs = np.empty(total, np.int64)
-    at = 0
-    for tuples, chunk_logs in _tuple_chunks(engine, xp, q1, max_deg):
-        exps[at:at + len(tuples)] = tuples
-        logs[at:at + len(tuples)] = chunk_logs
-        at += len(tuples)
+    exps = _combinations_array(max_deg, q1)
+    odd = (exps & 1).any(axis=1) if q1 else np.ones(len(exps), bool)
+    logs = np.full(len(exps), -1, np.int64)
+    rows = np.flatnonzero(odd)
+    for at in range(0, len(rows), LOG_CHUNK):
+        part = rows[at:at + LOG_CHUNK]
+        logs[part] = _tuple_logs(engine, xp, exps[part])
+    del rows
+    log_calls = int(np.count_nonzero(logs >= 0))
+    _fill_even(exps, logs, np.flatnonzero(~odd), max_deg, engine.ctx.order)
     order = np.flatnonzero(logs >= 0)
     order = order[np.argsort(logs[order], kind="stable")]
     return LogTable(
@@ -328,8 +400,9 @@ def build_log_table(engine, q1: int, max_deg: int) -> LogTable:
         exponents=exps[order],
         zero_polys=[tuple(tup) for tup in exps[logs < 0].tolist()],
         max_degree=max_deg,
-        log_calls=len(order),
+        log_calls=log_calls,
         build_seconds=time.perf_counter() - t0,
+        lex_logs=logs,
     )
 
 
@@ -502,22 +575,29 @@ def _power_bytes(D: int) -> int:
     return (D + 1) * POWER_TABLE_ENTRY_BYTES
 
 
+def _logged_tuples(K: int, q: int) -> int:
+    """The q-tuples over [1, K] that build_log_table takes a log of: those
+    with an odd exponent, or the empty tuple."""
+    return comb(K, q) - comb(K // 2, q) if q else 1
+
+
 def _log_route_bytes(M: int, D: int, q1: int, q2: int, stored: int,
-                     probes: int, build: bool = True) -> int:
+                     probes: int, logged: int, build: bool = True) -> int:
     """Bytes that the log route allocates to match `probes` q2-tuples
     against a table of `stored` q1-tuples, counted in 8-byte words
-    (with build False the table exists and is not charged).
+    (with build False the table exists and is not charged); `logged` is
+    the most tuples whose logs one phase takes.
 
     The power table up to x^D, also as an array, and each exponent's int
     in the tuple enumeration's pool.  Per stored tuple: its exponents
     and log while they are sorted, three words of sort work, and the
-    table's exponents and log.  One chunk of at most LOG_CHUNK tuples:
-    exponents, residues, logs and window bounds, and the engine's
-    BATCH_LOG_BYTES per log.  One match block: the matches a chunk of
-    probes is expected to make (a window of 2D + 1 logs holds a
-    (2D + 1) / M share of the table), at most MATCH_BLOCK, each with the
-    kernel's indices, its row and its dedup rows, pending and in the
-    block.  The distinct multiples the dedup keeps are the run's output
+    table's exponents and log.  One chunk of at most LOG_CHUNK tuples, a
+    phase-1 batch or phase-2 probes: exponents, residues, logs and window
+    bounds, and the engine's BATCH_LOG_BYTES per log of one batch.  One
+    match block: the matches a chunk of probes is expected to make (a
+    window of 2D + 1 logs holds a (2D + 1) / M share of the table), at
+    most MATCH_BLOCK, each with the kernel's indices, its row and its
+    dedup rows, pending and in the block.  The distinct multiples the dedup keeps are the run's output
     and not counted.
     """
     w = q1 + q2 + 2
@@ -526,8 +606,8 @@ def _log_route_bytes(M: int, D: int, q1: int, q2: int, stored: int,
     return (
         _power_bytes(D) + (D + 1) * 8 * 6
         + (stored * 8 * (2 * q1 + 5) if build else 0)
-        + min(LOG_CHUNK, max(stored if build else 0, probes))
-        * (8 * (2 * max(q1, q2) + 20) + BATCH_LOG_BYTES)
+        + min(LOG_CHUNK, max(logged, probes)) * 8 * (2 * max(q1, q2) + 20)
+        + min(LOG_CHUNK, logged) * BATCH_LOG_BYTES
         + matches * 8 * (3 * w + 2 * q2 + 23)
     )
 
@@ -651,8 +731,10 @@ class _Dedup:
 
     def records(self) -> list[MultipleRecord]:
         """One record per distinct multiple of add() and keep(), in
-        discovery order."""
-        return [MultipleRecord.of(exps, prov) for exps, prov in self.best.items()]
+        discovery order.  Every search hands in canonical tuples, so
+        they are not checked again."""
+        return [MultipleRecord.of(exps, prov, checked=False)
+                for exps, prov in self.best.items()]
 
 
 def _keep_rows(dedup: _Dedup, D: int) -> None:
@@ -699,8 +781,8 @@ def _residues(xp: np.ndarray, tuples: np.ndarray) -> np.ndarray:
 
 def _filter_bits(n: int, keys: int) -> int:
     """Index width k of the classical lookup's bit filter: 2^k bits are
-    at most one byte per key (a 1/32 to 1/64 load); for n <= k every
-    residue has its own bit."""
+    32 to 64 bits (4 to 8 bytes) per key, a 1/32 to 1/64 load; for
+    n <= k every residue has its own bit."""
     return min(n, keys.bit_length() + 5)
 
 
@@ -783,6 +865,7 @@ def tmto_find_all(ctx: FieldContext, params: SearchParams) -> SearchResult:
     np.bitwise_or.at(filt, slot, mark)
     del slot, mark
     report.table_entries = len(keys)
+    report.probes = comb(D, q2)
     report.phase1_seconds = time.perf_counter() - t0
 
     # q2 >= 1 always: q1 <= q2 and q1 + q2 + 1 = w >= 2
@@ -841,7 +924,9 @@ def logtmto_find_all(
     q2-tuples at a time through the match kernel.
 
     Phase 1 is build_log_table.  Phase 2 takes the logs of LOG_CHUNK
-    probe tuples in one batch and runs the chunk through _match_blocks
+    probe tuples in one batch, or reads them from the table's lex_logs
+    where the probes are table tuples (q1 = q2: w = 2, 4, 6 with the
+    default split), and runs the chunk through _match_blocks
     and _match_rows a block of at most MATCH_BLOCK matches at a time;
     each block goes to the dedup (_Dedup.add_rows), which reduces the
     blocks to the distinct multiples with their smallest provenance.
@@ -864,8 +949,13 @@ def logtmto_find_all(
     report = RunReport(algorithm="logtmto", w=params.w, D=D, q1=q1, q2=q2)
     balanced = q1 <= 1 <= q2 <= q1 + 1  # w = 3, 4, 5 with the default split
     bound = second_phase_bound(D, params.w, q2) if balanced else D
+    # with q1 = q2 the probes, q2-tuples up to bound, are the table's
+    # first tuples in lex order (bound < D only where q2 = 1)
+    reuse = q1 == q2
+    probed = comb(bound, q2)
     _check_budget(
-        _log_route_bytes(ctx.order, D, q1, q2, comb(D, q1), comb(bound, q2)),
+        _log_route_bytes(ctx.order, D, q1, q2, comb(D, q1), probed,
+                         max(_logged_tuples(D, q1), 0 if reuse else probed)),
         params.budget_bytes)
 
     table = build_log_table(engine, q1, D)
@@ -880,13 +970,19 @@ def logtmto_find_all(
 
     t0 = time.perf_counter()
     M = ctx.order
-    xp = np.array(ctx.power_table(D), np.int64)
-    for probes, logs in _tuple_chunks(engine, xp, q2, bound):
+    xp = None if reuse else np.array(ctx.power_table(D), np.int64)
+    for probes in _tuple_chunks(q2, bound):
+        start = report.probes
+        report.probes += len(probes)
+        if reuse:
+            logs = table.lex_logs[start:report.probes]
+        else:
+            logs = _tuple_logs(engine, xp, probes)
+            report.log_calls += int(np.count_nonzero(logs >= 0))
         for tup in probes[logs < 0].tolist():
             report.zero_residue_emits += _zero_probe(table, tuple(tup), D, M, dedup)[0]
         has_log = logs >= 0
         probes, logs = probes[has_log], logs[has_log]
-        report.log_calls += len(logs)
         for p, pos, shift, skips in _match_blocks(table, probes, logs, D, M):
             report.zero_shift_skips += skips
             stored, probe = table.exponents[pos], probes[p]

@@ -6,6 +6,7 @@ results of the one-log-per-tuple search."""
 import functools
 import hashlib
 import random
+from itertools import combinations
 from math import ceil, comb, isqrt
 
 import numpy as np
@@ -263,13 +264,16 @@ def _digest(records):
 # rows were re-pinned when phase 2 became bounded for w <= 5: the same
 # records as the unbounded search, fewer probes, so fewer duplicates,
 # skips and logs, and some smallest provenances come from other probes.
+# log_calls was re-pinned when each log of 1 + tuple came to be taken
+# once: phase 1 logs only tuples with an odd exponent, and phase 2 reads
+# the table's logs where q1 = q2 (w = 4, 6); records are unchanged.
 FIND_ALL_PINS = {
-    (4, 2047): ("c6675e826ea11fae", 2978, 5885, 683, 0, 2047, 2730),
-    (4, 2048): ("0686d376204b35e0", 2988, 5895, 683, 0, 2048, 2731),
-    (4, 2049): ("738ac8eed9d3d3d5", 2996, 5906, 683, 0, 2049, 2732),
-    (6, 64): ("85f05167cc1e940f", 277, 9143, 3122, 0, 2014, 4028),
-    (6, 65): ("3162b32015129fbd", 285, 9359, 3258, 0, 2078, 4156),
-    (5, 130): ("490fb957e0914d24", 320, 1517, 311, 2, 130, 2208),
+    (4, 2047): ("c6675e826ea11fae", 2978, 5885, 683, 0, 2047, 1024),
+    (4, 2048): ("0686d376204b35e0", 2988, 5895, 683, 0, 2048, 1024),
+    (4, 2049): ("738ac8eed9d3d3d5", 2996, 5906, 683, 0, 2049, 1025),
+    (6, 64): ("85f05167cc1e940f", 277, 9143, 3122, 0, 2014, 1519),
+    (6, 65): ("3162b32015129fbd", 285, 9359, 3258, 0, 2078, 1583),
+    (5, 130): ("490fb957e0914d24", 320, 1517, 311, 2, 130, 2143),
 }
 
 
@@ -287,10 +291,11 @@ def test_find_all_across_chunk_boundaries(w, D):
 # every window entry in Python: D >= M, where windows span the group,
 # (probe, entry) pairs take up to 2D / M + 1 shifts, stored and probe
 # tuples reduce to zero, and zero halves are paired (P=4,1,0 and 5,2,0).
+# log_calls re-pinned as in FIND_ALL_PINS.
 BEYOND_ORDER_PINS = {
-    ("6,1,0", 6, 40): ("4cdab258c862f482", 10361, 226603, 9629, 0, 769, 1538),
-    ("4,1,0", 6, 20): ("d167a0dd651c9ebd", 1038, 26030, 2145, 2106, 177, 354),
-    ("5,2,0", 5, 40): ("d6efd68fc7b80ee1", 2876, 7919, 232, 248, 39, 222),
+    ("6,1,0", 6, 40): ("4cdab258c862f482", 10361, 226603, 9629, 0, 769, 581),
+    ("4,1,0", 6, 20): ("d167a0dd651c9ebd", 1038, 26030, 2145, 2106, 177, 136),
+    ("5,2,0", 5, 40): ("d6efd68fc7b80ee1", 2876, 7919, 232, 248, 39, 202),
 }
 
 
@@ -338,13 +343,14 @@ def test_unpacked_rows_give_the_pins(monkeypatch, spec, w, D):
 # Pinned likewise: (records and provenances digest, iterations, found,
 # exhausted, duplicates, skipped, log_calls, progress events digest) of
 # birthday_logtmto(w, D=4096, B=50, q1, K, seed=3, max_iterations=3000,
-# progress_stride=500), whose K-table straddles the chunk.
+# progress_stride=500), whose K-table straddles the chunk.  log_calls
+# re-pinned when the K-table came to log only tuples with an odd exponent.
 BIRTHDAY_PINS = {
-    (4, 2047, 1): ("efac45c4254f5280", 5, 54, False, 0, 0, 2052, "4f925f8350787360"),
-    (4, 2048, 1): ("efac45c4254f5280", 5, 54, False, 0, 0, 2053, "4f925f8350787360"),
-    (4, 2049, 1): ("efac45c4254f5280", 5, 54, False, 0, 0, 2054, "4f925f8350787360"),
-    (5, 2049, 1): ("566eb43b89f85eab", 5, 55, False, 0, 0, 2054, "e37fae6b46ee3522"),
-    (6, 65, 2): ("535eb272c2f32adf", 5, 50, False, 0, 0, 2083, "3c3829a1a68b6759"),
+    (4, 2047, 1): ("efac45c4254f5280", 5, 54, False, 0, 0, 1029, "4f925f8350787360"),
+    (4, 2048, 1): ("efac45c4254f5280", 5, 54, False, 0, 0, 1029, "4f925f8350787360"),
+    (4, 2049, 1): ("efac45c4254f5280", 5, 54, False, 0, 0, 1030, "4f925f8350787360"),
+    (5, 2049, 1): ("566eb43b89f85eab", 5, 55, False, 0, 0, 1030, "e37fae6b46ee3522"),
+    (6, 65, 2): ("535eb272c2f32adf", 5, 50, False, 0, 0, 1588, "3c3829a1a68b6759"),
 }
 
 
@@ -390,8 +396,106 @@ def test_chunk_size_does_not_change_results(monkeypatch, w, D):
         ))
         # log_calls counts logs, not batches; one batch per started chunk
         assert sum(eng.batches) == r.log_calls
-        # w = 3, 4, 5 probe up to the bound
-        q2_max = search.second_phase_bound(D, w, params.q2) if 3 <= w <= 5 else D
-        tuples = comb(D, params.q1), comb(q2_max, params.q2)
+        # phase 1 logs the q1-tuples with an odd exponent (the empty one
+        # at q1 = 0); phase 2 reads the table's logs where q1 = q2 and
+        # otherwise logs its probes, up to the bound at w = 3, 4, 5
+        q1, q2 = params.q1, params.q2
+        tuples = [comb(D, q1) - comb(D // 2, q1) if q1 else 1]
+        if q1 != q2:
+            q2_max = search.second_phase_bound(D, w, q2) if 3 <= w <= 5 else D
+            tuples.append(comb(q2_max, q2))
         assert len(eng.batches) == sum(ceil(t / chunk) for t in tuples)
     assert runs[0] == runs[1] == runs[2]
+
+
+@pytest.mark.parametrize("w, D", [(4, 300), (4, 2049), (6, 40), (6, 65)])
+def test_no_phase2_logs_when_the_probes_are_table_tuples(w, D):
+    # q1 = q2 at w = 4 and 6: every probe is a stored tuple, so the run
+    # takes exactly the batches of its phase-1 table
+    params = SearchParams.balanced(w, D, "logarithmic")
+    table_eng, eng = _CountingEngine(ENG20), _CountingEngine(ENG20)
+    search.build_log_table(table_eng, params.q1, D)
+    res = logtmto_find_all(eng.ctx, eng, params)
+    assert eng.batches == table_eng.batches
+    assert res.report.log_calls == sum(eng.batches)
+    bound = search.second_phase_bound(D, w, params.q2) if w == 4 else D
+    assert res.report.probes == comb(bound, params.q2)
+
+
+def _direct_logs(engine, q, D):
+    """Every q-tuple over [1, D] in lex order, with the scalar log of its
+    1 + tuple (-1 where that reduces to zero)."""
+    ctx = engine.ctx
+    tuples = list(combinations(range(1, D + 1), q))
+    logs = []
+    for tup in tuples:
+        r = 1
+        for e in tup:
+            r ^= ctx.monomial_residue(e)
+        logs.append(engine.discrete_log(r) if r else -1)
+    return tuples, logs
+
+
+def _check_table(engine, q, D):
+    tuples, want = _direct_logs(engine, q, D)
+    table = search.build_log_table(engine, q, D)
+    assert table.lex_logs.tolist() == want
+    assert table.logs.tolist() == sorted(lg for lg in want if lg >= 0)
+    assert table.zero_polys == [t for t, lg in zip(tuples, want) if lg < 0]
+    rank = {t: i for i, t in enumerate(tuples)}
+    assert [want[rank[tuple(t)]] for t in table.exponents.tolist()] == (
+        table.logs.tolist())
+    # only the tuples with an odd exponent took a log
+    assert table.log_calls == sum(
+        lg >= 0 and any(e % 2 for e in t) for t, lg in zip(tuples, want))
+    return tuples, want
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n=st.integers(2, 12),
+    seed=st.integers(0, 2**16),
+    plan=st.sampled_from(sorted(PLANS)),
+    q=st.integers(1, 3),
+    span=st.floats(0, 1),
+    pick=st.randoms(use_true_random=False),
+)
+def test_table_logs_equal_direct_logs(n, seed, plan, q, span, pick):
+    # D from 1 to 2M + 2, on both sides of the group order: zero
+    # residues, and all-even tuples whose half reduces to zero
+    engine = _engine(n, seed, plan)
+    D = 1 + round(span * (2 * engine.ctx.order + 1))
+    while comb(D, q) > 1500:
+        D -= 1
+    tuples, want = _check_table(engine, q, D)
+    for i in pick.sample(range(len(tuples)), min(3, len(tuples))):
+        if want[i] >= 0:
+            r = 1
+            for e in tuples[i]:
+                r ^= engine.ctx.monomial_residue(e)
+            assert brute_force_log(engine.ctx, r) == want[i]
+
+
+@pytest.mark.parametrize("even, half, v", [
+    ((30,), (15,), 1),  # 1 + x^15 = 0 at M = 15, so 1 + x^30 = 0 too
+    ((2, 8), (1, 4), 1),  # 1 + x + x^4 is P itself
+    ((4, 8, 16), (1, 2, 4), 2),
+    ((8, 16, 24), (1, 2, 3), 3),
+])
+def test_table_fills_all_even_tuples_by_frobenius(even, half, v):
+    # P=4,1,0 up to D = 32, past twice the group order
+    q, M = len(even), 15
+    tuples, want = _check_table(_engine_of("4,1,0"), q, 32)
+    lg, half_lg = want[tuples.index(even)], want[tuples.index(half)]
+    assert lg == (-1 if half_lg < 0 else half_lg * 2**v % M)
+    ranks = search._lex_rank(np.array(tuples, np.int64).reshape(-1, q), 32)
+    assert ranks.tolist() == list(range(len(tuples)))
+
+
+def test_frobenius_fill_does_not_overflow_at_n63():
+    # a log just below M = 2^63 - 1 doubles past int64, not past uint64
+    M = 2**63 - 1
+    exps = np.array([[1], [2], [3], [4], [8]], np.int64)
+    logs = np.array([M - 1, -1, 5, -1, -1], np.int64)
+    search._fill_even(exps, logs, np.array([1, 3, 4]), 8, M)
+    assert logs.tolist() == [M - 1, M - 2, 5, M - 4, M - 8]

@@ -55,14 +55,14 @@ def _auto_pick(argv, capsys):
 
 def test_find_all_auto_prefers_log_for_even_weight(capsys):
     # the log route from D = AUTO_LOG_MIN_DEGREE on, for even weights only
-    assert cli.AUTO_LOG_MIN_DEGREE == 4096
+    assert cli.AUTO_LOG_MIN_DEGREE == 2048
     p16 = ["--poly", "16,5,3,2,0"]
     assert _auto_pick(
-        p16 + ["--weight", "4", "--max-degree", "4096"], capsys) == "logtmto"
+        p16 + ["--weight", "4", "--max-degree", "2048"], capsys) == "logtmto"
     assert _auto_pick(
-        p16 + ["--weight", "4", "--max-degree", "2048"], capsys) == "tmto"
+        p16 + ["--weight", "4", "--max-degree", "2047"], capsys) == "tmto"
     assert _auto_pick(
-        p16 + ["--weight", "3", "--max-degree", "4096"], capsys) == "tmto"
+        p16 + ["--weight", "3", "--max-degree", "2048"], capsys) == "tmto"
     # the benchmark's n=18, w=6 instance sits below the threshold
     p18 = make_context(parse_poly("18,7,0"))
     assert cli._auto_algorithm(p18, 6, 192, DEFAULT_BUDGET_BYTES) == "tmto"

@@ -12,7 +12,6 @@ from lowmult.dlog import (
     load_engine,
     predict_table_bytes,
     save_engine,
-    zech_orbit,
 )
 from lowmult.errors import (
     LogOfZeroError,
@@ -107,23 +106,6 @@ def test_zech_examples():
     with pytest.raises(ZechUndefinedError):
         ENG8.zech_log(0)
     assert ENG8.zech_log(8) == ENG8.zech_log(1)  # argument taken mod M
-
-
-def test_zech_orbit_contains_known_pairs():
-    orbit = zech_orbit(1, 3, 7)
-    assert {(3, 1), (2, 6), (6, 2)} <= orbit
-    assert all(1 <= j <= 6 and 1 <= z <= 6 for j, z in orbit)
-
-
-def test_zech_orbit_pairs_are_valid_and_bounded():
-    for ctx, eng in ((F8, ENG8), (F16, ENG16)):
-        M = ctx.order
-        for i in range(1, M):
-            zi = eng.zech_log(i)
-            orbit = zech_orbit(i, zi, M)
-            assert len(orbit) <= 6 * ctx.n
-            for j, zj in orbit:
-                assert eng.zech_log(j) == zj
 
 
 def test_memory_prediction_and_budget():

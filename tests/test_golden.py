@@ -3,7 +3,10 @@
 The expected values were captured from a known-good build.  A change
 that is meant to keep behaviour (a refactor, a speed-up) must keep every
 case here byte-identical; a change that alters output on purpose updates
-the pins and says why.
+the pins and says why.  The logtmto and birthday-log log_calls lines
+were re-pinned when each log of 1 + tuple came to be taken once (phase 1
+logs only tuples with an odd exponent; phase 2 reads the table's logs
+where both halves have the same size).
 """
 
 import hashlib
@@ -38,7 +41,7 @@ GOLDEN = {
             "# run report", "algorithm: logtmto", "w: 6", "D: 48", "q1: 2",
             "q2: 2", "found: 1737",
             "duplicates_suppressed: 38559", "zero_shift_skips: 3255",
-            "zero_residue_emits: 0", "table_entries: 1125", "log_calls: 2250",
+            "zero_residue_emits: 0", "table_entries: 1125", "log_calls: 851",
         ],
     ),
     "find-some-logsample": (
@@ -62,7 +65,7 @@ GOLDEN = {
         "4fd49bd95ccbfa45156d13182591aa267d74c9c318eea9ddb7498256942ed3f1", 20,
         [
             "# sampling report", "method: birthday-log", "found: 20",
-            "iterations: 56", "duplicates_suppressed: 27", "log_calls: 256",
+            "iterations: 56", "duplicates_suppressed: 27", "log_calls: 156",
         ],
     ),
 }

@@ -145,6 +145,7 @@ def _check_kernel(stored, logs, probes, probe_logs, q1, q2, D, M, block):
         exponents=np.array([stored[i] for i in order], np.int64).reshape(
             len(stored), q1),
         zero_polys=[], max_degree=D, log_calls=0, build_seconds=0.0,
+        lex_logs=np.array(logs, np.int64),  # (the kernel does not read it)
     )
     probes = np.array(probes, np.int64).reshape(len(probes), q2)
     probe_logs = np.array(probe_logs, np.int64)
@@ -233,10 +234,26 @@ def test_cross_algorithm_equality_random_fields():
             assert got_l == want, (n, w, D, "logarithmic")
 
 
+def _nonzero_tuples(ctx, q, top, odd_only=False):
+    """q-tuples over [1, top] whose 1 + tuple is nonzero, optionally only
+    those with an odd exponent (or the empty tuple)."""
+    xp = ctx.power_table(top)
+    count = 0
+    for tup in combinations(range(1, top + 1), q):
+        if odd_only and tup and not any(e % 2 for e in tup):
+            continue
+        r = 1
+        for e in tup:
+            r ^= xp[e]
+        count += r != 0
+    return count
+
+
 def test_restriction_preserves_output():
-    # w <= 5: phase 2 takes one log per tuple up to the bound whose
-    # 1 + tuple is nonzero, below the group order and from it on (at
-    # P=4,1,0, w=4, D=60 an unbounded phase 2 takes 56 logs, not 19)
+    # w <= 5: phase 2 probes every tuple up to the bound, below the
+    # group order and from it on (at P=4,1,0, w=4, D=60 an unbounded
+    # phase 2 probes 60 tuples, not 20); it logs the nonzero ones except
+    # at w = 4, where the probes are stored tuples with logs in the table
     rng = random.Random(32)
     cells = []
     for n in (10, 12):
@@ -252,14 +269,11 @@ def test_restriction_preserves_output():
         assert res.exponent_sets() == _brute_sets(ctx, w, D)
         bound = second_phase_bound(D, w, params.q2)
         assert bound < D
-        xp = ctx.power_table(bound)
-        nonzero = 0
-        for tup in combinations(range(1, bound + 1), params.q2):
-            r = 1
-            for e in tup:
-                r ^= xp[e]
-            nonzero += r != 0
-        assert res.report.log_calls - res.report.table_entries == nonzero
+        assert res.report.probes == comb(bound, params.q2)
+        logs = _nonzero_tuples(ctx, params.q1, D, odd_only=True)
+        if params.q1 != params.q2:
+            logs += _nonzero_tuples(ctx, params.q2, bound)
+        assert res.report.log_calls == logs
     # 1 + x + x^2 is P at n = 2: its probe half spans 2 > ceil(2 * 2 / 4)
     f4 = make_context(parse_poly("2,1,0"))
     assert logtmto_find_all(
@@ -487,9 +501,12 @@ def test_tmto_budget_bounds_its_allocations(w, D):
 def _log_route_need(ctx, w, D):
     params = SearchParams.balanced(w, D, "logarithmic")
     bound = second_phase_bound(D, w, params.q2) if w in (3, 4, 5) else D
+    probes = comb(bound, params.q2)
+    # phase 2 logs no probe where q1 = q2: they are stored tuples
+    logged = max(search._logged_tuples(D, params.q1),
+                 0 if params.q1 == params.q2 else probes)
     return params, search._log_route_bytes(
-        ctx.order, D, params.q1, params.q2, comb(D, params.q1),
-        comb(bound, params.q2))
+        ctx.order, D, params.q1, params.q2, comb(D, params.q1), probes, logged)
 
 
 def test_log_route_checks_the_budget_before_allocating(monkeypatch):
@@ -498,7 +515,8 @@ def test_log_route_checks_the_budget_before_allocating(monkeypatch):
     params, need = _log_route_need(F16, 4, 15)
     # birthday_logtmto draws one probe at a time against a table to build
     draw = SampleParams(w=4, D=15, B=1, q1=1, seed=1, max_iterations=5)
-    draw_need = search._log_route_bytes(F16.order, 15, 1, 1, 15, 1)
+    draw_need = search._log_route_bytes(
+        F16.order, 15, 1, 1, 15, 1, search._logged_tuples(15, 1))
 
     def allocates(*args):
         raise AssertionError("allocated before the budget check")
