@@ -291,11 +291,15 @@ def test_find_all_across_chunk_boundaries(w, D):
 # every window entry in Python: D >= M, where windows span the group,
 # (probe, entry) pairs take up to 2D / M + 1 shifts, stored and probe
 # tuples reduce to zero, and zero halves are paired (P=4,1,0 and 5,2,0).
-# log_calls re-pinned as in FIND_ALL_PINS.
+# log_calls re-pinned as in FIND_ALL_PINS.  The P=4,1,0 cases at w = 4
+# and 7 (q2 odd) also emit the stored tuples that reduce to zero, 1 + x^15
+# and 1 + x^a + x^(a + 15), each a multiple by itself.
 BEYOND_ORDER_PINS = {
     ("6,1,0", 6, 40): ("4cdab258c862f482", 10361, 226603, 9629, 0, 769, 581),
     ("4,1,0", 6, 20): ("d167a0dd651c9ebd", 1038, 26030, 2145, 2106, 177, 136),
     ("5,2,0", 5, 40): ("d6efd68fc7b80ee1", 2876, 7919, 232, 248, 39, 202),
+    ("4,1,0", 4, 40): ("0024e7477c5297c1", 625, 1220, 38, 2, 38, 19),
+    ("4,1,0", 7, 20): ("8e09b5abd2977125", 2753, 136127, 12542, 10138, 177, 1203),
 }
 
 
@@ -327,6 +331,7 @@ def test_find_all_beyond_group_order(spec, w, D):
 @pytest.mark.parametrize("block", [1, 7, search.MATCH_BLOCK])
 @pytest.mark.parametrize("spec, w, D", [
     (None, 6, 64), (None, 5, 130), ("4,1,0", 6, 20), ("5,2,0", 5, 40),
+    ("4,1,0", 4, 40), ("4,1,0", 7, 20),
 ])
 def test_match_block_size_does_not_change_results(monkeypatch, block, spec, w, D):
     monkeypatch.setattr(search, "MATCH_BLOCK", block)

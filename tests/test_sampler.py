@@ -145,12 +145,16 @@ def test_birthday_logtmto_converges_to_oracle():
 
 def test_birthday_logtmto_pairs_zero_halves_beyond_group_order():
     # at D >= 15 = M, 1 + x^15 + x^30 + x^45 splits only into halves that
-    # both reduce to zero; 3000 draws cover all 48 probes
+    # both reduce to zero; 3000 draws cover all 48 probes.  The digest of
+    # the records and provenances, in discovery order, is pinned from the
+    # sampler that paired zero halves one at a time.
     res = birthday_logtmto(ENG16, SampleParams(
         w=4, D=48, B=10**9, q1=1, K=48, seed=1, max_iterations=3000))
     got = {r.poly.exponents for r in res.records}
     assert (0, 15, 30, 45) in got
     assert got == _brute_sets(F16, 4, 48)
+    assert (_digest([(r.poly.exponents, r.provenance) for r in res.records]),
+            res.found, res.duplicates) == ("d925da7641b44d10", 1084, 420737)
 
 
 def test_birthday_logtmto_respects_prebuilt_table():
