@@ -5,7 +5,8 @@ one per line, or as JSON records behind --json.  Run reports, progress
 notes, and advisory messages go to stderr so the record stream stays
 clean in pipelines.
 
-Exit codes: 0 success; 2 invalid flags or engine cache; 3 modulus not
+Exit codes: 0 success; 2 invalid flags or values, an invalid engine
+cache, or a file that cannot be read or written; 3 modulus not
 primitive; 4 memory budget exceeded or memory exhausted; 5 sampling
 stopped short of the requested count (records found so far are still
 emitted); 6 logarithm of zero or an undefined Zech argument; 7 a record
@@ -208,9 +209,9 @@ def cmd_find_some(args) -> int:
             result = birthday_logtmto(engine, params)
     if args.verify:
         _verify_records(result.records, ctx, args.weight, args.max_degree)
-    _emit_records(result.records, args.json)
     if args.progress_csv:
         write_progress_csv(args.progress_csv, result.events)
+    _emit_records(result.records, args.json)
     _say("# sampling report")
     _say(f"method: {args.method}")
     _say(f"found: {result.found}")
@@ -420,7 +421,7 @@ def main(argv=None) -> int:
     except (LogOfZeroError, ZechUndefinedError) as exc:
         _say(f"error: {exc}")
         return EXIT_LOG_DOMAIN
-    except (LowMultError, ValueError) as exc:
+    except (LowMultError, ValueError, OSError) as exc:
         _say(f"error: {exc}")
         return EXIT_USAGE
 

@@ -45,6 +45,7 @@ import numpy as np
 
 from .errors import (
     LogOfZeroError,
+    LowMultError,
     MemoryBudgetExceededError,
     ZechUndefinedError,
 )
@@ -581,7 +582,8 @@ def _check_table(ctx, p, vals, idx, path) -> None:
 def load_engine(path: str) -> LogEngine:
     """Rebuild an engine from a cache file.
 
-    Raises ValueError for a bad checksum, a foreign or short file,
+    Raises ValueError for a bad checksum, a foreign or short file, a
+    stored modulus that is not a primitive polynomial of degree 2..63,
     solver records that disagree with the modulus's factorization, or
     tables that fail the consistency check.
     """
@@ -612,7 +614,10 @@ def load_engine(path: str) -> LogEngine:
     (nexp,) = take("<H")
     exps = take(f"<{nexp}Q")
     thr_raw, baby_raw = take("<QQ")
-    ctx = make_context(SparsePoly(exps))
+    try:
+        ctx = make_context(SparsePoly(exps))
+    except (LowMultError, ValueError) as exc:
+        raise ValueError(f"{path}: engine cache modulus: {exc}") from exc
     if ctx.n != n:
         raise ValueError(f"{path}: inconsistent modulus degree")
     thr = None if thr_raw == 0 else thr_raw - 1

@@ -49,8 +49,7 @@ from .search import (
     _match_records,
     _match_rows,
     _one_plus,
-    _zero_poly_multiples,
-    _zero_probe,
+    _zero_blocks,
 )
 
 _MASK64 = (1 << 64) - 1
@@ -169,8 +168,8 @@ class SampleParams:
             raise ValueError("need B >= 1")
         if self.D < 1:
             raise ValueError("need max degree >= 1")
-        if self.K is not None and self.K > self.D:
-            raise ValueError("precompute degree K must be <= D")
+        if self.K is not None and not 1 <= self.K <= self.D:
+            raise ValueError("precompute degree K must be in 1..D")
         if self.max_iterations < 0:
             raise ValueError("max_iterations must be >= 0")
         if self.progress_stride < 1:
@@ -289,6 +288,8 @@ def birthday_logtmto(
     if q2 < 0:
         raise ValueError(f"q1={q1} too large for weight {params.w}")
     K = params.K if params.K is not None else D
+    if K < q1:
+        raise ValueError(f"precompute degree {K} holds no {q1}-tuple")
     t0 = time.perf_counter()
     M = engine.ctx.order
     stored = comb(K, q1) if table is None else len(table.logs)
@@ -307,25 +308,27 @@ def birthday_logtmto(
     ):
         raise ValueError(f"prebuilt table does not store {q1}-tuples")
     dedup = _Dedup()
-    for exps, prov in _zero_poly_multiples(table, q2):
-        dedup.add(exps, prov)
+    tuples: dict[tuple, tuple] = {}
+
+    def add(blocks):
+        for block in blocks:
+            for exps, prov in _match_records(*block, D, tuples):
+                dedup.add(exps, prov)
+
+    add(_zero_blocks(table, q2, D, M))
     rng = Rng(params.seed)
     xp = engine.ctx.power_table(D)
-    tuples: dict[tuple, tuple] = {}
 
     def step():
         tup = _draw_tuple(rng, q2, D)
         r = _one_plus(xp, tup)
-        if r == 0:
-            return 0, _zero_probe(table, tup, D, M, dedup)[1]
         probes = np.array(tup, np.int64).reshape(1, q2)
+        if r == 0:  # no log; skipped unless its own multiple has w's parity
+            add(_zero_blocks(table, q2, D, M, probes))
+            return 0, 1 - q1 % 2
         logs = np.array([engine.discrete_log(r)], np.int64)
-        for p, pos, shift, _ in _match_blocks(table, probes, logs, D, M):
-            st, probe = table.exponents[pos], probes[p]
-            for exps, prov in _match_records(
-                _match_rows(st, probe, shift, D), st, probe, shift, D, tuples
-            ):
-                dedup.add(exps, prov)
+        add(_match_rows(table.exponents[pos], probes[p], shift, D)
+            for p, pos, shift, _ in _match_blocks(table, probes, logs, D, M))
         return 1, 0
 
     return _sample(params, step, dedup, t0, table.log_calls)

@@ -19,14 +19,14 @@ a cyclic window of width about 2D around each probe log is one or two
 sorted slices, and each (probe, stored) pair in it gives every shift e
 congruent to the two logs' difference that keeps both shifted halves at
 degree <= D (more than one once D reaches half the group order).  Both
-routes then share one back end: a match is a row of its halves with
-their shared terms cancelled (``_cancel``), ``_Dedup.add_rows`` keeps
-the smallest provenance per multiple, and ``_keep_rows`` makes records.
+routes then share one back end on arrays: a match is a row of its halves
+with their shared terms cancelled (``_cancel``), and ``_Dedup`` keeps
+the smallest provenance per multiple and makes the sorted records.
 
 Each concept has one home shared with the samplers: ``_match_blocks``
-and ``_match_rows`` are the log route's match kernel, ``_zero_probe`` the
-probe of a tuple without a log, ``_classical_exps`` the assembly of
-``birthday_tmto``'s matches, and ``_Dedup`` the dedup, one multiple or
+and ``_match_rows`` are the log route's match kernel, ``_zero_blocks``
+the multiples that zero residues make, ``_classical_exps`` the assembly
+of ``birthday_tmto``'s matches, and ``_Dedup`` the dedup, one multiple or
 one block of rows at a time.  Each Zech-style log log(1 + tuple) is
 taken once: phase 1 takes the logs of the tuples with an odd exponent in
 batches of LOG_CHUNK, one array call of ``discrete_log`` per batch, and
@@ -38,7 +38,7 @@ otherwise takes them a chunk of LOG_CHUNK probes at a time.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import chain, combinations
 from math import comb, factorial
@@ -47,7 +47,11 @@ from typing import Iterator, Optional
 import numpy as np
 
 from .dlog import BATCH_LOG_BYTES
-from .errors import MemoryBudgetExceededError, WeightTooSmallError
+from .errors import (
+    DegreeOutOfRangeError,
+    MemoryBudgetExceededError,
+    WeightTooSmallError,
+)
 from .gf2poly import FieldContext, SparsePoly
 
 ALGO_CLASSICAL = "classical"
@@ -110,7 +114,7 @@ def second_phase_bound(D: int, w: int, q2: int) -> int:
     ceil(D * q2 / (w - 1)): the probe half.  The other half has at most 2
     terms.  If it is nonzero the log match finds the multiple; if it is
     zero (1 + x^M, only from D = M on) so is the probe half, and the
-    pairing of zero halves in _log_probe finds it.  A trinomial (w = 5)
+    pairing of zero halves in _zero_blocks finds it.  A trinomial (w = 5)
     has a probe half spanning at most max(2, D / 2): its smaller gap plus
     a term inside it, or its adjacent pair plus a neighbour, with the
     added term cancelling.  With q1 >= 2 a 3-term half can be zero
@@ -125,6 +129,10 @@ def estimate_count(n: int, w: int, D: int) -> float:
     """Expected number of weight-w degree-<=D multiples: D^(w-1) / ((w-1)! 2^n)."""
     if w < 2:
         raise WeightTooSmallError("estimate needs weight >= 2")
+    if not 2 <= n <= 63:
+        raise DegreeOutOfRangeError(f"modulus degree must be in 2..63, got {n}")
+    if D < 1:
+        raise ValueError("max degree must be >= 1")
     return float(Fraction(D ** (w - 1), factorial(w - 1) * (1 << n)))
 
 
@@ -275,19 +283,6 @@ class SearchResult:
 
     def exponent_sets(self) -> frozenset[tuple[int, ...]]:
         return frozenset(r.poly.exponents for r in self.records)
-
-
-def _assemble_exps(
-    stored: tuple[int, ...], probe: tuple[int, ...], shift: int
-) -> tuple[int, ...]:
-    if shift > 0:
-        half_a = {0, *stored}
-        half_b = {shift, *(shift + d for d in probe)}
-    else:
-        k = -shift
-        half_a = {k, *(k + g for g in stored)}
-        half_b = {0, *probe}
-    return tuple(sorted(half_a ^ half_b))
 
 
 def _classical_exps(
@@ -469,20 +464,28 @@ def _match_blocks(table: LogTable, probes: np.ndarray, probe_logs: np.ndarray,
 
 
 def _match_rows(stored: np.ndarray, probes: np.ndarray, shift: np.ndarray,
-                D: int) -> np.ndarray:
-    """The multiple of each log-route match, given its stored and probe
-    tuples (as rows) and shift, as a _cancel row of w = q1 + q2 + 2
-    exponents: (1 + stored) shifted up by -shift where shift < 0, plus
-    (1 + probe) shifted up by shift where shift > 0."""
-    q1 = stored.shape[1]
-    rows = np.empty((len(shift), q1 + probes.shape[1] + 2), np.int64)
+                D: int):
+    """The block (rows, _stored_cols, probes, shift) of log-route matches:
+    each multiple as a _cancel row of w = q1 + q2 + 2 exponents, (1 +
+    stored) shifted up by -shift where shift < 0, plus (1 + probe)
+    shifted up by shift where shift > 0."""
+    q1, q2 = stored.shape[1], probes.shape[1]
+    rows = np.empty((len(shift), q1 + q2 + 2), np.int64)
     up = np.maximum(-shift, 0)[:, None]
     rows[:, :1] = up
     rows[:, 1:q1 + 1] = stored + up
     up = np.maximum(shift, 0)[:, None]
     rows[:, q1 + 1:q1 + 2] = up
     rows[:, q1 + 2:] = probes + up
-    return _cancel(rows, D)
+    return _cancel(rows, D), _stored_cols(stored, q1, q2), probes, shift
+
+
+def _stored_cols(tuples: np.ndarray, q1: int, q2: int) -> np.ndarray:
+    """The tuples (rows) as stored columns: max(q1, q2) wide where q1 is
+    odd, since a probe's own multiple has its tuple there (_zero_blocks),
+    padded with zeros, which order the rows as the tuples."""
+    pad = (max(q1, q2) if q1 % 2 else q1) - tuples.shape[1]
+    return np.pad(tuples, ((0, 0), (0, pad))) if pad else tuples
 
 
 def _cancel(rows: np.ndarray, D: int) -> np.ndarray:
@@ -521,53 +524,52 @@ def _unpack(packed: np.ndarray, widths: list[int]) -> np.ndarray:
 
 
 def _match_records(rows, stored, probes, shift, D: int, tuples: dict):
-    """(exponents, provenance) of matches, given their _cancel rows,
-    stored and probe tuples (as rows) and shifts; shift 0, which the
-    log route's kernel never emits, is the classical None.  Provenances
-    share their tuples through the dict tuples."""
+    """(exponents, provenance) of a block's matches, given their _cancel
+    rows, stored and probe tuples (as rows, padded with zeros) and shifts;
+    shift 0, which the log route's kernel never emits, is the classical
+    None.  Provenances share their tuples through the dict tuples."""
     share = tuples.setdefault
     sizes = (rows <= D).sum(axis=1).tolist()
     for row, size, st, probe, e in zip(
         rows.tolist(), sizes, stored.tolist(), probes.tolist(), shift.tolist()
     ):
-        st, probe = tuple(st), tuple(probe)
+        st, probe = tuple(filter(None, st)), tuple(filter(None, probe))
         yield tuple(row[:size]), (share(st, st), share(probe, probe), e or None)
 
 
-def _zero_poly_multiples(table: LogTable, q2: int) -> list[tuple[tuple, tuple]]:
-    """(exponents, provenance) of the stored tuples reducing to zero.
+def _zero_blocks(table: LogTable, q2: int, D: int, M: int,
+                 probes: Optional[np.ndarray] = None):
+    """The multiples that zero residues make, as _match_rows blocks, in
+    discovery order.
 
-    Each 1 + tuple is a multiple of weight q1 + 1, which has the parity
-    of w = q1 + q2 + 2 only when q2 is odd.
+    Without probes: each stored tuple whose 1 + tuple reduces to zero is
+    a multiple by itself, of weight q1 + 1, which has the parity of
+    w = q1 + q2 + 2 only when q2 is odd.  With probes, q2-tuples (rows)
+    whose 1 + tuple reduces to zero, so that they have no log: at D >= M
+    each is paired with each zero stored tuple at every nonzero shift
+    that keeps both halves at degree <= D, the match kernel on logs 0
+    modulo 1 (below M no multiple needs that: swapping one term between
+    two zero halves leaves x^a + x^b, nonzero for |a - b| < M, in each);
+    then 1 + each probe is a multiple of weight q2 + 1, with the parity
+    of w only when q1 is odd.  A tuple's own multiple has the provenance
+    (tuple, (), None).
     """
-    if q2 % 2 == 0:
-        return []
-    return [((0,) + tup, (tup, (), None)) for tup in table.zero_polys]
-
-
-def _zero_probe(table: LogTable, tup: tuple[int, ...], D: int, M: int,
-                dedup: "_Dedup") -> tuple[int, int]:
-    """The probe of a tuple whose 1 + tuple reduces to zero, so that it
-    has no log; returns (zero-residue emits, skipped).
-
-    1 + tuple is a multiple of weight q2 + 1 by itself, with the parity
-    of w = q1 + q2 + 2 only when q1 is odd; skipped counts it otherwise.
-    At D >= M it is also paired, at every admissible nonzero shift, with
-    each stored tuple that reduces to zero (below M no multiple needs
-    that: swapping one term between two zero halves leaves x^a + x^b,
-    nonzero for |a - b| < M, in each).
-    """
-    probe_max = tup[-1] if tup else 0
-    emits = 0
-    for stored in table.zero_polys if D >= M else ():
-        for shift in range(stored[-1] - D, D - probe_max + 1):
-            if shift:
-                dedup.add(_assemble_exps(stored, tup, shift), (stored, tup, shift))
-                emits += 1
-    if table.exponents.shape[1] % 2 == 1:
-        dedup.add((0,) + tup, (tup, (), None))
-        return emits + 1, 0
-    return emits, 1
+    q1, k = table.exponents.shape[1], len(table.zero_polys)
+    zero = np.array(table.zero_polys, np.int64).reshape(k, q1)
+    if probes is None:
+        own = zero if q2 % 2 else zero[:0]
+    else:
+        if D >= M and k:
+            pairs = replace(table, logs=np.zeros(k, np.int64), exponents=zero)
+            for p, pos, shift, _ in _match_blocks(
+                    pairs, probes, np.zeros(len(probes), np.int64), D, 1):
+                yield _match_rows(zero[pos], probes[p], shift, D)
+        own = probes if q1 % 2 else probes[:0]
+    if len(own):  # 1 + tuple, padded with D + 1 as a _cancel row
+        rows = np.pad(own, ((0, 0), (1, q1 + q2 + 1 - own.shape[1])),
+                      constant_values=((0, 0), (0, D + 1)))
+        yield (rows, _stored_cols(own, q1, q2),
+               np.zeros((len(own), q2), np.int64), np.zeros(len(own), np.int64))
 
 
 def _power_bytes(D: int) -> int:
@@ -597,8 +599,8 @@ def _log_route_bytes(M: int, D: int, q1: int, q2: int, stored: int,
     match block: the matches a chunk of probes is expected to make (a
     window of 2D + 1 logs holds a (2D + 1) / M share of the table), at
     most MATCH_BLOCK, each with the kernel's indices, its row and its
-    dedup rows, pending and in the block.  The distinct multiples the dedup keeps are the run's output
-    and not counted.
+    dedup rows, gathered and packed.  The distinct multiples the dedup
+    keeps are the run's output and not counted.
     """
     w = q1 + q2 + 2
     matches = min(MATCH_BLOCK,
@@ -621,15 +623,13 @@ def _check_budget(predicted: int, budget: int) -> None:
 
 
 def _provenance_key(prov):
-    if prov is None:
-        return ()
     stored, probe, shift = prov
     return (stored, probe, 0 if shift is None else shift)
 
 
 def _distinct(rows: np.ndarray, width: int) -> np.ndarray:
-    """One row per distinct key (the first width columns): the one whose
-    other columns, the provenance, are lexicographically smallest.
+    """One row per distinct key (the first width columns), in key order:
+    the one whose other columns, the provenance, are least in lex order.
 
     Rows are grouped by sorting the key, and each group is narrowed to
     its minimum one provenance column at a time; no two matches share a
@@ -664,30 +664,29 @@ class _Dedup:
 
     add() takes one multiple into a dict, which keeps first-discovery
     order: the order the samplers report.  add_rows() takes a block of
-    either exhaustive route's matches: _cancel rows with their stored
-    tuples, probe tuples and shifts (0 for the classical None), held in
-    one row format: the row as key, then stored, probe and shift + D,
-    which order like _provenance_key, each part packed into one int64
-    where it fits.  Blocks are held until they outgrow the running
-    distinct set (or one MATCH_BLOCK), then reduced into it with the
-    smallest provenance per key, so the rows held stay within about
-    twice the distinct multiples plus a block.
+    either exhaustive route's matches, of any size: _cancel rows with
+    their stored tuples, probe tuples and shifts (0 for the classical
+    None).  Blocks are gathered to MATCH_BLOCK rows, then held in one row
+    format: the row as key, then stored, probe and shift + D, which order
+    like _provenance_key, each part packed into one int64 where it fits.
+    Held rows are reduced into the running distinct set once they
+    outgrow it (or one MATCH_BLOCK), so they stay within about twice the
+    distinct multiples plus two blocks.
     """
 
-    __slots__ = ("best", "seen", "_blocks", "_held", "_width", "_format")
+    __slots__ = ("best", "seen", "_pending", "_pending_rows", "_blocks",
+                 "_held", "_width", "_format")
 
     def __init__(self):
         self.best: dict[tuple[int, ...], tuple] = {}
         self.seen = 0
+        self._pending: list[np.ndarray] = []  # gathered blocks, unpacked
+        self._pending_rows = 0
         self._blocks: list[np.ndarray] = []
         self._held = 0  # rows in the reduced set, self._blocks[0]
 
     def add(self, exps: tuple[int, ...], prov) -> None:
         self.seen += 1
-        self.keep(exps, prov)
-
-    def keep(self, exps: tuple[int, ...], prov) -> None:
-        """add() without counting an arrival."""
         cur = self.best.get(exps)
         if cur is None or _provenance_key(prov) < _provenance_key(cur):
             self.best[exps] = prov
@@ -697,14 +696,24 @@ class _Dedup:
         self.seen += len(rows)
         # bits of each field: exponents up to the pad D + 1 in the key,
         # exponents up to D and shift + D up to 2D in the provenance
-        self._format = fmt = (
+        self._format = (
             D, stored.shape[1], [(D + 1).bit_length()] * rows.shape[1],
             [D.bit_length()] * (stored.shape[1] + probes.shape[1])
             + [(2 * D).bit_length()],
         )
-        keys = _pack(rows, fmt[2])
+        self._pending.append(np.column_stack((rows, stored, probes, shift + D)))
+        self._pending_rows += len(rows)
+        if self._pending_rows >= MATCH_BLOCK:
+            self._pack()
+
+    def _pack(self) -> None:
+        block = np.concatenate(self._pending)
+        self._pending, self._pending_rows = [], 0
+        key_bits, prov_bits = self._format[2:]
+        keys = _pack(block[:, :len(key_bits)], key_bits)
         self._width = keys.shape[1]
-        provs = _pack(np.column_stack((stored, probes, shift + D)), fmt[3])
+        provs = _pack(block[:, len(key_bits):], prov_bits)
+        del block
         self._blocks.append(np.hstack((keys, provs)))
         if sum(map(len, self._blocks)) - self._held > max(self._held, MATCH_BLOCK):
             self._reduce()
@@ -715,34 +724,41 @@ class _Dedup:
         self._blocks = [_distinct(rows, self._width)]
         self._held = len(self._blocks[0])
 
-    def take_rows(self):
-        """The distinct multiples of add_rows, as it took them, MATCH_BLOCK
-        at a time; the dedup holds no rows afterwards."""
-        if not self._blocks:
-            return
-        self._reduce()
-        rows, self._blocks, self._held = self._blocks[0], [], 0
-        D, q1, key_bits, prov_bits = self._format
-        for at in range(0, len(rows), MATCH_BLOCK):
-            part = rows[at:at + MATCH_BLOCK]
-            prov = _unpack(part[:, self._width:], prov_bits)
-            yield (_unpack(part[:, :self._width], key_bits), prov[:, :q1],
-                   prov[:, q1:-1], prov[:, -1] - D)
-
     def records(self) -> list[MultipleRecord]:
-        """One record per distinct multiple of add() and keep(), in
-        discovery order.  Every search hands in canonical tuples, so
-        they are not checked again."""
+        """One record per distinct multiple of add(), in discovery order.
+        Every search hands in canonical tuples, so they are not checked
+        again."""
         return [MultipleRecord.of(exps, prov, checked=False)
                 for exps, prov in self.best.items()]
 
+    def sorted_records(self) -> list[MultipleRecord]:
+        """One record per distinct multiple of add_rows(), sorted by
+        (degree, exponents); the dedup holds no rows afterwards.
 
-def _keep_rows(dedup: _Dedup, D: int) -> None:
-    """Move the rows added to dedup into its records."""
-    tuples = {}
-    for block in dedup.take_rows():
-        for exps, prov in _match_records(*block, D, tuples):
-            dedup.keep(exps, prov)
+        The distinct rows come in key order, padded with D + 1, so one
+        stable sort by degree orders them: two multiples of equal degree
+        both end in it, so neither is a prefix of the other.  Parts of
+        1024 rows keep their lists small beside the records."""
+        if self._pending:
+            self._pack()
+        if not self._blocks:
+            return []
+        self._reduce()
+        rows, self._blocks, self._held = self._blocks[0], [], 0
+        D, q1, key_bits, prov_bits = self._format
+        keys = _unpack(rows[:, :self._width], key_bits)
+        rows = rows[np.argsort(keys.max(axis=1, where=keys <= D, initial=0),
+                               kind="stable")]
+        del keys
+        records, tuples = [], {}
+        for at in range(0, len(rows), 1024):
+            part = rows[at:at + 1024]
+            prov = _unpack(part[:, self._width:], prov_bits)
+            block = (_unpack(part[:, :self._width], key_bits), prov[:, :q1],
+                     prov[:, q1:-1], prov[:, -1] - D)
+            records += [MultipleRecord.of(exps, p, checked=False)
+                        for exps, p in _match_records(*block, D, tuples)]
+        return records
 
 
 def _lower_weight(params: SearchParams) -> SearchParams:
@@ -757,7 +773,7 @@ def _lower_weight(params: SearchParams) -> SearchParams:
 
 
 def _finalize(dedup: _Dedup, report) -> list[MultipleRecord]:
-    records = sorted(dedup.records(), key=lambda r: (r.degree, r.poly.exponents))
+    records = dedup.sorted_records()
     report.found = len(records)
     report.duplicates_suppressed = dedup.seen - len(records)
     return records
@@ -818,15 +834,6 @@ def _tmto_bytes(n: int, D: int, q1: int, q2: int) -> int:
     )
 
 
-def _add_hits(dedup: _Dedup, pending: list, q1: int, D: int) -> None:
-    """Move tmto's pending rows of 1 + stored + probe into dedup."""
-    if pending:
-        rows = np.concatenate(pending)
-        pending.clear()
-        dedup.add_rows(_cancel(rows.copy(), D), rows[:, 1:q1 + 1],
-                       rows[:, q1 + 1:], np.zeros(len(rows), np.int64), D)
-
-
 def tmto_find_all(ctx: FieldContext, params: SearchParams) -> SearchResult:
     """Classical route: store residues of the q1 half, probe with the q2
     half for pairs XORing to 1.
@@ -837,9 +844,9 @@ def tmto_find_all(ctx: FieldContext, params: SearchParams) -> SearchResult:
     residues of the trailing _suffix_size exponents that follow it form a
     contiguous slice of one array in lex order.  A probe whose filter
     bit is set is confirmed by binary search on the keys, so the lookup
-    is exact however many residues share a bit.  The hits go to the
-    dedup about MATCH_BLOCK at a time, as the log route's matches do:
-    rows of 1 plus both halves through _cancel, with shift 0 (None).
+    is exact however many residues share a bit.  Each prefix's hits go
+    to the dedup as the log route's matches do: rows of 1 plus both
+    halves through _cancel, with shift 0 (None).
     """
     if params.algorithm != ALGO_CLASSICAL:
         raise ValueError("tmto_find_all needs algorithm='classical'")
@@ -870,7 +877,7 @@ def tmto_find_all(ctx: FieldContext, params: SearchParams) -> SearchResult:
 
     # q2 >= 1 always: q1 <= q2 and q1 + q2 + 1 = w >= 2
     t0 = time.perf_counter()
-    dedup, pending = _Dedup(), []  # hits added MATCH_BLOCK rows at a time
+    dedup = _Dedup()
     s = _suffix_size(q2)
     suffixes = _combinations_array(D, s)
     probes = _residues(xp, suffixes)
@@ -908,13 +915,11 @@ def tmto_find_all(ctx: FieldContext, params: SearchParams) -> SearchResult:
         rows[:, 1:q1 + 1] = stored[at]
         rows[:, q1 + 1:params.w - s] = prefix
         rows[:, params.w - s:] = suffixes[np.repeat(cand + start, count)]
-        pending.append(rows)
-        if sum(map(len, pending)) >= MATCH_BLOCK:
-            _add_hits(dedup, pending, q1, D)
-    _add_hits(dedup, pending, q1, D)
-    _keep_rows(dedup, D)
+        dedup.add_rows(_cancel(rows.copy(), D), rows[:, 1:q1 + 1],
+                       rows[:, q1 + 1:], np.zeros(len(rows), np.int64), D)
+    records = _finalize(dedup, report)
     report.phase2_seconds = time.perf_counter() - t0
-    return SearchResult(records=_finalize(dedup, report), report=report)
+    return SearchResult(records=records, report=report)
 
 
 def logtmto_find_all(
@@ -934,8 +939,8 @@ def logtmto_find_all(
     Produces exactly the same set as the classical route at equal
     (w, D), D >= M included.  Stored tuples whose polynomial reduces to
     zero are themselves multiples (weight q1 + 1); they are emitted
-    directly when their weight parity matches w, and likewise for probe
-    tuples (_zero_probe, one at a time).  Where it is proven (the
+    when their weight parity matches w, and likewise for probe tuples
+    (_zero_blocks, which also pairs them).  Where it is proven (the
     balanced split with q1 <= 1), phase 2 probes only tuples up to
     second_phase_bound.
     """
@@ -963,13 +968,16 @@ def logtmto_find_all(
     report.log_calls += table.log_calls
     report.phase1_seconds = table.build_seconds
 
-    dedup = _Dedup()
-    for exps, prov in _zero_poly_multiples(table, q2):
-        dedup.add(exps, prov)
-        report.zero_residue_emits += 1
-
-    t0 = time.perf_counter()
     M = ctx.order
+    dedup = _Dedup()
+
+    def emit(blocks):
+        for block in blocks:
+            report.zero_residue_emits += len(block[0])
+            dedup.add_rows(*block, D)
+
+    emit(_zero_blocks(table, q2, D, M))
+    t0 = time.perf_counter()
     xp = None if reuse else np.array(ctx.power_table(D), np.int64)
     for probes in _tuple_chunks(q2, bound):
         start = report.probes
@@ -979,15 +987,12 @@ def logtmto_find_all(
         else:
             logs = _tuple_logs(engine, xp, probes)
             report.log_calls += int(np.count_nonzero(logs >= 0))
-        for tup in probes[logs < 0].tolist():
-            report.zero_residue_emits += _zero_probe(table, tuple(tup), D, M, dedup)[0]
         has_log = logs >= 0
+        emit(_zero_blocks(table, q2, D, M, probes[~has_log]))
         probes, logs = probes[has_log], logs[has_log]
         for p, pos, shift, skips in _match_blocks(table, probes, logs, D, M):
             report.zero_shift_skips += skips
-            stored, probe = table.exponents[pos], probes[p]
-            dedup.add_rows(_match_rows(stored, probe, shift, D), stored, probe,
-                           shift, D)
-    _keep_rows(dedup, D)
+            dedup.add_rows(*_match_rows(table.exponents[pos], probes[p], shift, D), D)
+    records = _finalize(dedup, report)
     report.phase2_seconds = time.perf_counter() - t0
-    return SearchResult(records=_finalize(dedup, report), report=report)
+    return SearchResult(records=records, report=report)

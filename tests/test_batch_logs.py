@@ -292,8 +292,8 @@ def test_find_all_across_chunk_boundaries(w, D):
 # (probe, entry) pairs take up to 2D / M + 1 shifts, stored and probe
 # tuples reduce to zero, and zero halves are paired (P=4,1,0 and 5,2,0).
 # log_calls re-pinned as in FIND_ALL_PINS.  The P=4,1,0 cases at w = 4
-# and 7 (q2 odd) also emit the stored tuples that reduce to zero, 1 + x^15
-# and 1 + x^a + x^(a + 15), each a multiple by itself.
+# and 7 (q2 odd) also emit each stored tuple whose 1 + tuple reduces to
+# zero (such as 1 + x^15 and 1 + x + x^4) as a multiple by itself.
 BEYOND_ORDER_PINS = {
     ("6,1,0", 6, 40): ("4cdab258c862f482", 10361, 226603, 9629, 0, 769, 581),
     ("4,1,0", 6, 20): ("d167a0dd651c9ebd", 1038, 26030, 2145, 2106, 177, 136),

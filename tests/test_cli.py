@@ -188,6 +188,57 @@ def test_bad_poly_spec_exit_2(capsys):
     assert code == 2
 
 
+# paths that cannot be read or written: a missing file or directory, or
+# a directory where a file is expected ({tmp} is the test's directory)
+BAD_PATHS = {
+    "missing-cache": ["log", "--poly", "4,1,0", "--element", "0x3",
+                      "--cache", "{tmp}/missing.bin"],
+    "directory-cache": ["log", "--poly", "4,1,0", "--element", "0x3",
+                        "--cache", "{tmp}"],
+    "cache-out-in-missing-dir": ["engine-build", "--poly", "4,1,0",
+                                 "--cache-out", "{tmp}/missing/x.bin"],
+    "progress-csv-in-missing-dir": [
+        "find-some", "--poly", "3,1,0", "--weight", "3", "--max-degree", "7",
+        "--count", "1", "--seed", "1", "--progress-csv", "{tmp}/missing/p.csv"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_PATHS))
+def test_unusable_paths_exit_2(case, tmp_path, capsys):
+    argv = [arg.format(tmp=tmp_path) for arg in BAD_PATHS[case]]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert err.splitlines()[-1].startswith("error: ")
+
+
+# numbers out of range: a modulus degree outside 2..63, a degree bound
+# below 1, and a birthday-log precompute degree below 1 or below q1
+# (an empty stored table, which no draw can match)
+BAD_NUMBERS = {
+    "estimate-n-0": ["estimate", "--n", "0", "--weight", "4",
+                     "--max-degree", "10"],
+    "estimate-n-64": ["estimate", "--n", "64", "--weight", "4",
+                      "--max-degree", "10"],
+    "estimate-negative-degree": ["estimate", "--n", "10", "--weight", "4",
+                                 "--max-degree", "-10"],
+    "precompute-degree-0": [
+        "find-some", "--poly", "10,3,0", "--weight", "4", "--max-degree", "40",
+        "--count", "1", "--method", "birthday-log", "--precompute-degree", "0"],
+    "precompute-degree-below-q1": [
+        "find-some", "--poly", "10,3,0", "--weight", "6", "--max-degree", "40",
+        "--count", "1", "--method", "birthday-log", "--precompute-degree", "1"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_NUMBERS))
+def test_bad_numbers_exit_2(case, capsys):
+    code, out, err = run_cli(BAD_NUMBERS[case], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.splitlines()[-1].startswith("error: ")
+
+
 def test_find_some_basic(capsys):
     code, out, err = run_cli(
         ["find-some", "--poly", "3,1,0", "--weight", "3", "--max-degree", "7",

@@ -1,10 +1,14 @@
+import contextlib
 import hashlib
+import io
 import random
 import struct
 import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lowmult.cli import main
 from lowmult.dlog import (
@@ -226,6 +230,77 @@ def test_cli_rejects_crafted_cache_with_exit_2(tmp_path, capsys, case):
     code = main(["log", "--poly", "10,3,0", "--element", "0x3", "--cache", path])
     assert code == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_cli_rejects_a_cache_whose_modulus_is_reducible(tmp_path, capsys):
+    def reducible(body, offs):  # 0,3,10 -> 0,5,10 = (0,1,2)^5
+        struct.pack_into("<Q", body, 24, 5)
+        return body
+
+    path = _crafted_cache(tmp_path, reducible)
+    with pytest.raises(ValueError, match="reducible"):
+        load_engine(path)
+    code = main(["log", "--poly", "10,3,0", "--element", "0x3", "--cache", path])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"error: {path}: ")
+
+
+@pytest.fixture(scope="module")
+def cache_file(tmp_path_factory):
+    """The P=10,3,0 cache of _crafted_cache, its bytes and its header
+    fields as (struct format, offset): version, n, exponent count, each
+    exponent, solver count, then each solver's p, e, kind and table size.
+    Not the threshold and baby-table knobs, which any value leaves valid."""
+    eng = build_engine(make_context(parse_poly("10,3,0")), 11)
+    path = tmp_path_factory.mktemp("cache") / "engine.bin"
+    save_engine(eng, str(path))
+    fields = [("<I", 8), ("<H", 12), ("<H", 14),
+              ("<Q", 16), ("<Q", 24), ("<Q", 32), ("<I", 56)]
+    off = 60
+    for solver in eng.solvers:
+        fields += [("<Q", off), ("<I", off + 8), ("<B", off + 12),
+                   ("<Q", off + 13)]
+        off += 21 + 16 * solver.sub.m
+    return path, path.read_bytes(), fields
+
+
+# a cache truncated at any length, with any one bit flipped, or with one
+# header field rewritten to another value under a valid CRC
+MUTATIONS = st.one_of(
+    st.tuples(st.just("truncate"), st.integers(0, 2**16)),
+    st.tuples(st.just("flip"), st.integers(0, 2**16)),
+    st.tuples(st.just("rewrite"), st.integers(0, 2**16),
+              st.integers(0, 2**64 - 1)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(mutation=MUTATIONS)
+def test_every_damaged_cache_is_a_value_error_and_exit_2(cache_file, mutation):
+    path, blob, fields = cache_file
+    blob = bytearray(blob)
+    kind, at = mutation[:2]
+    if kind == "truncate":
+        blob = blob[:at % len(blob)]
+    elif kind == "flip":
+        at %= 8 * len(blob)
+        blob[at // 8] ^= 1 << at % 8
+    else:
+        fmt, off = fields[at % len(fields)]
+        value = mutation[2] % (1 << 8 * struct.calcsize(fmt))
+        if struct.unpack_from(fmt, blob, off)[0] == value:
+            value ^= 1
+        struct.pack_into(fmt, blob, off, value)
+        blob[-4:] = struct.pack("<I", zlib.crc32(blob[:-4]))
+    path.write_bytes(bytes(blob))
+    with pytest.raises(ValueError):
+        load_engine(str(path))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["log", "--poly", "10,3,0", "--element", "0x3",
+                     "--cache", str(path)])
+    assert code == 2
+    assert err.getvalue().startswith("error: ")
 
 
 @pytest.mark.parametrize("solver", [1, 2])  # p=11 tabulated, p=31 by BSGS
