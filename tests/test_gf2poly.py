@@ -150,3 +150,33 @@ def test_random_primitive_poly_is_primitive():
         p = random_primitive_poly(n, rng)
         assert p.degree() == n
         make_context(p)  # must not raise
+
+
+def _reference_reduction_tables(p_int: int, n: int):
+    """table[k][b] == (b << (n + 8k)) mod P, one bit of b at a time."""
+    ntables = (n - 1 + 7) // 8 or 1
+    xpow = []
+    v = p_int ^ (1 << n)  # x^n mod P
+    for _ in range(8 * ntables):
+        xpow.append(v)
+        v <<= 1
+        if (v >> n) & 1:
+            v ^= p_int
+    tables = []
+    for k in range(ntables):
+        row = []
+        for b in range(256):
+            acc = 0
+            for i in range(8):
+                if (b >> i) & 1:
+                    acc ^= xpow[8 * k + i]
+            row.append(acc)
+        tables.append(tuple(row))
+    return tuple(tables)
+
+
+@pytest.mark.parametrize("n", range(2, 64))
+def test_reduction_tables_match_bitwise_reference(n):
+    poly = random_primitive_poly(n, random.Random(n))
+    p_int = sum(1 << e for e in poly.exponents)
+    assert make_context(poly)._red == _reference_reduction_tables(p_int, n)
