@@ -1,6 +1,6 @@
 """Integer factorization for group orders up to 2^63 - 1.
 
-Strategy: trial division by all primes below 10^6, then Brent's variant
+Strategy: trial division by every d below 2^10, then Brent's variant
 of Pollard's rho on whatever survives, certifying every factor with a
 deterministic Miller-Rabin test.  At this scale (63-bit inputs) the
 combination always terminates quickly: any composite cofactor left after
@@ -12,32 +12,17 @@ from __future__ import annotations
 
 from math import gcd
 
-_SIEVE_LIMIT = 1_000_000
+_TRIAL_BOUND = 2**10
 
 # Witnesses that make Miller-Rabin deterministic for all m < 3.3 * 10^24.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-_small_primes: list[int] | None = None
-
-
-def _sieve_primes() -> list[int]:
-    global _small_primes
-    if _small_primes is None:
-        limit = _SIEVE_LIMIT
-        sieve = bytearray([1]) * (limit + 1)
-        sieve[0] = sieve[1] = 0
-        for p in range(2, int(limit**0.5) + 1):
-            if sieve[p]:
-                sieve[p * p :: p] = bytearray(len(range(p * p, limit + 1, p)))
-        _small_primes = [i for i in range(limit + 1) if sieve[i]]
-    return _small_primes
 
 
 def is_probable_prime(m: int) -> bool:
     """Miller-Rabin primality test, deterministic for 64-bit inputs."""
     if m < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_BASES:
         if m % p == 0:
             return m == p
     d = m - 1
@@ -103,12 +88,13 @@ def factorize(m: int) -> list[tuple[int, int]]:
     if m > 2**63 - 1:
         raise ValueError("factorize supports inputs up to 2^63 - 1")
     counts: dict[int, int] = {}
-    for p in _sieve_primes():
-        if p * p > m:
+    # a composite d never divides: its prime factors are already out
+    for d in range(2, _TRIAL_BOUND):
+        if d * d > m:
             break
-        while m % p == 0:
-            counts[p] = counts.get(p, 0) + 1
-            m //= p
+        while m % d == 0:
+            counts[d] = counts.get(d, 0) + 1
+            m //= d
     stack = [m] if m > 1 else []
     while stack:
         v = stack.pop()

@@ -226,17 +226,10 @@ class FieldContext:
                 v ^= p_int
         tables = []
         for k in range(ntables):
-            row = []
-            for b in range(256):
-                acc = 0
-                t = b
-                i = 0
-                while t:
-                    if t & 1:
-                        acc ^= xpow[8 * k + i]
-                    t >>= 1
-                    i += 1
-                row.append(acc)
+            row = [0]
+            # doubling: entries b >= 2^i add x^(n+8k+i) to entry b - 2^i
+            for v in xpow[8 * k : 8 * k + 8]:
+                row += [r ^ v for r in row]
             tables.append(tuple(row))
         return tuple(tables)
 
