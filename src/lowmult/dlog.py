@@ -466,6 +466,8 @@ def _plan(ctx, tabulation_threshold, bsgs_baby_entries):
     ascending order while the running entry total stays within the
     2^26-entry budget; the rest spill to BSGS.
     """
+    if bsgs_baby_entries is not None and bsgs_baby_entries < 1:
+        raise ValueError("bsgs_baby_entries must be >= 1")
     plan = []
     total_bytes = 0
     budget_entries = DEFAULT_TABULATION_ENTRIES if tabulation_threshold is None else None
@@ -479,7 +481,7 @@ def _plan(ctx, tabulation_threshold, bsgs_baby_entries):
             entries = p
             used_entries += p
         else:
-            entries = bsgs_baby_entries if bsgs_baby_entries else isqrt(p - 1) + 1
+            entries = bsgs_baby_entries or isqrt(p - 1) + 1
             entries = min(entries, p)
         plan.append((p, e, entries))
         total_bytes += _model_bytes(entries)

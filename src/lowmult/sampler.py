@@ -168,6 +168,8 @@ class SampleParams:
             raise ValueError("need B >= 1")
         if self.D < 1:
             raise ValueError("need max degree >= 1")
+        if self.q1 is not None and self.q1 < 0:
+            raise ValueError("q1 must be >= 0")
         if self.K is not None and not 1 <= self.K <= self.D:
             raise ValueError("precompute degree K must be in 1..D")
         if self.max_iterations < 0:
@@ -356,12 +358,10 @@ def birthday_tmto(ctx: FieldContext, params: SampleParams) -> SampleResult:
     def step():
         for q, own, other in sides:
             tup = _draw_tuple(rng, q, params.D)
-            r = 0
-            for e in tup:
-                r ^= xp[e]
-            for mate in other.get(r ^ 1, ()):
+            r = _one_plus(xp, tup)  # a mate's residue
+            for mate in other.get(r, ()):
                 dedup.add(_classical_exps(mate, tup), (mate, tup, None))
-            bucket = own.setdefault(r, [])
+            bucket = own.setdefault(r ^ 1, [])
             if tup not in bucket:
                 bucket.append(tup)
             if own is other:

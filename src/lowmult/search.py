@@ -762,14 +762,15 @@ class _Dedup:
 
 
 def _lower_weight(params: SearchParams) -> SearchParams:
-    """The balanced weight w - 2 search that stands in for a weight-w one
-    at D < w - 2.  A weight-w multiple needs w - 1 distinct exponents in
+    """The balanced search that stands in for a weight-w one at
+    D < w - 2: weight w' = the largest weight of w's parity with
+    w' - 2 <= D.  A weight-w multiple needs w - 1 distinct exponents in
     [1, D], so there is none there, and [1, D] cannot hold the cancelled
-    pair through which the weight-w split finds lower weights; the
-    weight w - 2 search finds them all (recursing while D < w - 4).  The
-    run report is that search's."""
+    pairs through which the weight-w split finds lower weights; the
+    weight-w' search finds them all.  The run report is that search's."""
+    w = params.D + 2 - (params.D - params.w) % 2
     return SearchParams.balanced(
-        params.w - 2, params.D, params.algorithm, budget_bytes=params.budget_bytes)
+        w, params.D, params.algorithm, budget_bytes=params.budget_bytes)
 
 
 def _finalize(dedup: _Dedup, report) -> list[MultipleRecord]:
@@ -851,7 +852,7 @@ def tmto_find_all(ctx: FieldContext, params: SearchParams) -> SearchResult:
     if params.algorithm != ALGO_CLASSICAL:
         raise ValueError("tmto_find_all needs algorithm='classical'")
     if params.D < params.w - 2:
-        return tmto_find_all(ctx, _lower_weight(params))
+        params = _lower_weight(params)
     q1, q2, D = params.q1, params.q2, params.D
     report = RunReport(algorithm="tmto", w=params.w, D=D, q1=q1, q2=q2)
     _check_budget(_tmto_bytes(ctx.n, D, q1, q2), params.budget_bytes)
@@ -881,16 +882,13 @@ def tmto_find_all(ctx: FieldContext, params: SearchParams) -> SearchResult:
     s = _suffix_size(q2)
     suffixes = _combinations_array(D, s)
     probes = _residues(xp, suffixes)
-    probes ^= 1
     total = len(suffixes)
     # per-prefix work arrays, reused so that the loop allocates little
     work = np.empty(total, np.int64)
     shifts, bits = np.empty(total, np.uint8), np.empty(total, np.uint8)
     for prefix in enumerate_tuples(q2 - s, D - s):
         start = total - comb(D - prefix[-1], s) if prefix else 0
-        base = 0
-        for e in prefix:
-            base ^= xp_list[e]
+        base = _one_plus(xp_list, prefix)
         size = total - start
         low = np.bitwise_xor(probes[start:], base, out=work[:size])
         low &= mask
@@ -949,7 +947,7 @@ def logtmto_find_all(
     if engine.ctx is not ctx and engine.ctx.poly != ctx.poly:
         raise ValueError("engine was built for a different modulus")
     if params.D < params.w - 2:
-        return logtmto_find_all(ctx, engine, _lower_weight(params))
+        params = _lower_weight(params)
     q1, q2, D = params.q1, params.q2, params.D
     report = RunReport(algorithm="logtmto", w=params.w, D=D, q1=q1, q2=q2)
     balanced = q1 <= 1 <= q2 <= q1 + 1  # w = 3, 4, 5 with the default split

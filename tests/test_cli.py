@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -41,6 +42,20 @@ def test_find_all_json(capsys):
         (0, 1, 3), (0, 2, 6), (0, 4, 5)
     }
     assert all(r["weight"] == 3 for r in recs)
+
+
+@pytest.mark.parametrize("algorithm", ["tmto", "logtmto"])
+def test_find_all_weight_far_above_degree(algorithm, capsys):
+    # D < w - 2 searches the largest weight w' of w's parity with
+    # w' - 2 <= D, here 11, in one step however large w is
+    def run(w):
+        code, out, err = run_cli(
+            ["find-all", "--poly", "10,3,0", "--weight", str(w),
+             "--max-degree", "10", "--algorithm", algorithm], capsys)
+        assert code == 0
+        return out, [line for line in err.splitlines() if "_seconds: " not in line]
+
+    assert run(2001) == run(11)
 
 
 def _auto_pick(argv, capsys):
@@ -228,6 +243,15 @@ BAD_NUMBERS = {
     "precompute-degree-below-q1": [
         "find-some", "--poly", "10,3,0", "--weight", "6", "--max-degree", "40",
         "--count", "1", "--method", "birthday-log", "--precompute-degree", "1"],
+    "q1-negative": [
+        "find-some", "--poly", "10,3,0", "--weight", "4", "--max-degree", "40",
+        "--count", "1", "--method", "birthday-log", "--q1", "-1"],
+    "bsgs-entries-negative": [
+        "engine-build", "--poly", "10,3,0", "--tabulation-threshold", "11",
+        "--bsgs-entries", "-5", "--cache-out", os.devnull],
+    "bsgs-entries-0": [
+        "engine-build", "--poly", "10,3,0", "--tabulation-threshold", "11",
+        "--bsgs-entries", "0", "--cache-out", os.devnull],
 }
 
 
