@@ -358,7 +358,7 @@ def birthday_tmto(ctx: FieldContext, params: SampleParams) -> SampleResult:
     def step():
         for q, own, other in sides:
             tup = _draw_tuple(rng, q, params.D)
-            r = _one_plus(xp, tup)  # a mate's residue
+            r = _one_plus(xp, tup)  # a mate's residue: mate + 1 + tup = 0
             for mate in other.get(r, ()):
                 dedup.add(_classical_exps(mate, tup), (mate, tup, None))
             bucket = own.setdefault(r ^ 1, [])
