@@ -306,3 +306,40 @@ def test_samplers_at_n31_are_pinned(n31_engine, method):
         res.iterations, res.found, res.duplicates, res.skipped,
         res.log_calls, _digest(engine.answers),
     ) == N31_PINS[method]
+
+
+# Pinned from the sampler that drew one tuple at a time and kept its side
+# tables as dicts of lists, for (P, w, D, B, max_iterations,
+# progress_stride) at seed 41: (records and provenances digest,
+# iterations, found, duplicates, progress events digest).  At w = 4 and 6
+# the split is unbalanced, so the draws alternate between two tuple sizes;
+# at w = 5 one shared table takes one draw per round.  P=8,4,3,2,0 at w = 5 stops early
+# at B; P=2,1,0 at w = 6, D = 3 draws its 3-tuple side with bound
+# C(3, 3) = 1, which takes no output of the generator.
+BIRTHDAY_TMTO_PINS = {
+    ("31,3,0", 4, 65536, 10**9, 20_000, 1024): (
+        "2fa9e4ae938e8a10", 20000, 1, 0, "700c6229b5e86dbc"),
+    ("31,3,0", 5, 65536, 10**9, 20_000, 1024): (
+        "4f53cda18c2baa0c", 20000, 0, 0, "2a639295725b507e"),
+    ("31,3,0", 6, 4096, 10**9, 20_000, 1024): (
+        "c48d2e4a33794252", 20000, 1, 0, "b4b8e3c582c1b3e0"),
+    ("16,5,3,2,0", 5, 200, 10**9, 20_000, 1024): (
+        "b4eb8a647df010e3", 20000, 825, 1529, "f2d6886aaf2d6dab"),
+    ("8,4,3,2,0", 4, 20, 10**9, 5_000, 97): (
+        "95a42caa0e3522bc", 5000, 4, 3137, "f61bf0277af79638"),
+    ("8,4,3,2,0", 5, 20, 20, 20_000, 97): (
+        "1cd9550e7feef50b", 290, 20, 72, "535104e908afdbba"),
+    ("2,1,0", 6, 3, 10**9, 500, 97): (
+        "2f50f2083b918698", 500, 1, 658, "da8711e1ecd8cc73"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BIRTHDAY_TMTO_PINS))
+def test_birthday_tmto_is_pinned(case):
+    spec, w, D, B, rounds, stride = case
+    res = birthday_tmto(make_context(parse_poly(spec)), SampleParams(
+        w=w, D=D, B=B, seed=41, max_iterations=rounds, progress_stride=stride))
+    assert (
+        _digest([(r.poly.exponents, r.provenance) for r in res.records]),
+        res.iterations, res.found, res.duplicates, _digest(res.events),
+    ) == BIRTHDAY_TMTO_PINS[case]
