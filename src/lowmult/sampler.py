@@ -10,22 +10,33 @@ Three routes, all seeded and reproducible:
   happens as soon as two logs sit within about D of each other, after
   about sqrt(2^n / D) probes.
 * ``birthday_tmto`` is the classical variant: random half-tuples are
-  probed against each other and inserted one at a time, with a first
-  collision after about sqrt(2^n) inserts.
+  probed against each other's residues, with a first collision after
+  about sqrt(2^n) draws.
 
 Randomness comes from splitmix64 (documented below) and tuples are
 drawn by unranking a uniform integer into the combinatorial number
 system, so streams are identical across platforms for a fixed seed.
+splitmix64 is counter-based, so ``_draw_chunks`` computes a chunk of
+draws at once, as numpy arrays: bounded integers by the same rejection
+rule as ``Rng.below``, tuples by one ``searchsorted`` per position, and
+residues by a gather from the power table.  The chunks hold exactly the
+stream that ``Rng.below`` and ``unrank_combination`` give one draw at a
+time; those two stay as the reference, and as the draw path where a
+tuple count reaches 2^63.
 
-Each method supplies only its per-draw step; one loop (``_sample``)
-owns the stop rule, the progress events and the result.  Found
-multiples go through the exhaustive searches' dedup, so records keep
-discovery order and carry the smallest provenance seen.
+Each method supplies only its per-draw step, which consumes the chunks
+in draw order; one loop (``_sample``) owns the stop rule, the progress
+events and the result.  ``birthday_tmto`` finds a whole chunk's
+collisions on sorted residue keys, so its step only hands a round's
+hits to the dedup.  Found multiples go through the exhaustive searches'
+dedup, so records keep discovery order and carry the smallest
+provenance seen.
 """
 
 from __future__ import annotations
 
 import time
+from bisect import bisect_left
 from dataclasses import dataclass
 from math import comb
 
@@ -35,6 +46,7 @@ from .errors import WeightTooSmallError
 from .gf2poly import FieldContext
 from .search import (
     DEFAULT_BUDGET_BYTES,
+    MATCH_BLOCK,
     LogTable,
     MultipleRecord,
     build_log_table,
@@ -48,12 +60,19 @@ from .search import (
     _match_blocks,
     _match_records,
     _match_rows,
-    _one_plus,
+    _residues,
     _zero_blocks,
 )
 
 _MASK64 = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
 _RESIDUE_CACHE_LIMIT = 1 << 20
+# Rounds in one draw chunk: at least _CHUNK_MIN (or what is left), else
+# as many as were drawn before it, up to _CHUNK_MAX.
+_CHUNK_MIN = 4096
+_CHUNK_MAX = 1 << 16
 
 DEFAULT_MAX_ITERATIONS = 1_000_000
 DEFAULT_PROGRESS_STRIDE = 1024
@@ -74,11 +93,26 @@ class Rng:
         self._limits: dict[int, int] = {}
 
     def next_u64(self) -> int:
-        self._state = (self._state + 0x9E3779B97F4A7C15) & _MASK64
+        self._state = (self._state + _GAMMA) & _MASK64
         z = self._state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
+        z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
         return z ^ (z >> 31)
+
+    def ahead(self, n: int) -> np.ndarray:
+        """The next n outputs as a uint64 array, without consuming them:
+        output t is mix(state + t * gamma), one array expression."""
+        z = np.arange(1, n + 1, dtype=np.uint64) * np.uint64(_GAMMA)
+        z += np.uint64(self._state)
+        z ^= z >> 30
+        z *= np.uint64(_MIX1)
+        z ^= z >> 27
+        z *= np.uint64(_MIX2)
+        return z ^ (z >> 31)
+
+    def skip(self, n: int) -> None:
+        """Consume n outputs."""
+        self._state = (self._state + n * _GAMMA) & _MASK64
 
     def below(self, bound: int) -> int:
         """Uniform integer in [0, bound)."""
@@ -138,8 +172,102 @@ def unrank_combination(rank: int, q: int, max_val: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _draw_tuple(rng: Rng, q: int, max_val: int) -> tuple[int, ...]:
-    return unrank_combination(rng.below(comb(max_val, q)), q, max_val)
+def _below_rounds(rng: Rng, bounds: list[int], rounds: int) -> np.ndarray:
+    """k rounds of [rng.below(b) for b in bounds], as a (k, len(bounds))
+    uint64 array, for some k in [1, rounds]; every b < 2^64.
+
+    The outputs of all the rounds are computed at once.  A bound of 1
+    takes no output.  A rejected output (one at or above the largest
+    multiple of its bound) shifts every later round, so the rounds stop
+    before the first round that has one; if that is the first round,
+    below() draws it alone.
+    """
+    live = [j for j, b in enumerate(bounds) if b > 1]
+    v = rng.ahead(rounds * len(live)).reshape(rounds, len(live))
+    last = [(1 << 64) - (1 << 64) % bounds[j] - 1 for j in live]
+    accepted = (v <= np.array(last, np.uint64)).all(axis=1)
+    k = rounds if accepted.all() else int(accepted.argmin())
+    if k == 0:
+        return np.array([[rng.below(b) for b in bounds]], np.uint64)
+    rng.skip(k * len(live))
+    out = np.zeros((k, len(bounds)), np.uint64)
+    out[:, live] = v[:k] % np.array([bounds[j] for j in live], np.uint64)
+    return out
+
+
+def _comb_tables(D: int, q: int) -> dict[int, np.ndarray]:
+    """tables[r][b] = C(b, r) for 1 <= r <= q and 0 <= b < D, as int64,
+    each cut before its first entry >= 2^63, which exceeds every rank
+    the unranking compares with it.  C(b, r) is the sum of C(c, r - 1)
+    over c < b, so each table is a running sum of the one before."""
+    tables = {1: np.arange(D, dtype=np.int64)}
+    for r in range(2, q + 1):
+        cut = bisect_left(range(D), 1 << 63, key=lambda b: comb(b, r))
+        tables[r] = np.zeros(cut, np.int64)
+        np.cumsum(tables[r - 1][:cut - 1], out=tables[r][1:])
+    return tables
+
+
+def _unrank(ranks: np.ndarray, q: int, D: int, combs) -> np.ndarray:
+    """unrank_combination(rank, q, D) of each rank, as a (len(ranks), q)
+    int64 array; C(D, q) < 2^63.
+
+    s counts the tuples from this one's to the last one, starting at
+    C(D, q) - rank.  While r >= 2 places are left, the next element is
+    D - b for the largest b with C(b, r) < s (the tuples after it all
+    start higher), and s drops by C(b, r); the last element is D + 1 - s.
+    """
+    out = np.empty((len(ranks), q), np.int64)
+    if q == 0:
+        return out
+    s = comb(D, q) - ranks
+    for i in range(q - 1):
+        table = combs[q - i]
+        b = np.searchsorted(table, s) - 1
+        out[:, i] = D - b
+        s -= table[b]
+    out[:, -1] = D + 1 - s
+    return out
+
+
+def _draw_chunks(seed: int, qs: tuple[int, ...], D: int, xp: np.ndarray,
+                 rounds: int):
+    """The tuples that Rng(seed) draws over `rounds` rounds, each round one
+    unrank_combination(rng.below(C(D, q)), q, D) for each q in qs in
+    turn, a chunk of rounds at a time: per chunk, one (tuples, ranks,
+    residues) triple for each q, the (k, q) int64 tuples in draw order,
+    their ranks and the residues of 1 + each tuple, from the power table
+    xp as an array.
+
+    Where a C(D, q) reaches 2^63 the int64 tables cannot hold the ranks,
+    and the chunk is drawn one tuple at a time instead, its ranks Python
+    ints in an object array.
+    """
+    rng = Rng(seed)
+    bounds = [comb(D, q) for q in qs]
+    combs = _comb_tables(D, max(qs)) if max(bounds) < 1 << 63 else None
+    done = 0
+    while done < rounds:
+        k = min(max(_CHUNK_MIN, done), _CHUNK_MAX, rounds - done)
+        if combs is None:
+            ranks = [[rng.below(b) for b in bounds] for _ in range(k)]
+            ranks = np.array(ranks, object).reshape(k, len(qs))
+            tuples = [np.array([unrank_combination(r, q, D) for r in ranks[:, j]],
+                               np.int64).reshape(k, q)
+                      for j, q in enumerate(qs)]
+        else:
+            ranks = _below_rounds(rng, bounds, k).astype(np.int64)
+            tuples = [_unrank(ranks[:, j], q, D, combs)
+                      for j, q in enumerate(qs)]
+        done += len(ranks)
+        yield [(t, ranks[:, j], _residues(xp, t) ^ 1)
+               for j, t in enumerate(tuples)]
+
+
+def _one_at_a_time(chunks):
+    """Each draw of one-q chunks as (tuple, residue of 1 + tuple)."""
+    for [(tuples, _, residues)] in chunks:
+        yield from zip(map(tuple, tuples.tolist()), residues.tolist())
 
 
 @dataclass(frozen=True)
@@ -149,8 +277,9 @@ class SampleParams:
     q1 is the stored-side tuple size of the log birthday route (probe
     side q2 = w - 2 - q1; unbalanced splits are allowed, smaller q1
     meaning a cheaper precompute).  K caps the stored-side degree.
-    budget_bytes caps the predicted size of the power table and of the
-    log birthday route's precomputed table.
+    budget_bytes caps the predicted size of the power table, of the
+    log birthday route's precomputed table and of the classical birthday
+    route's side tables.
     """
 
     w: int
@@ -176,6 +305,14 @@ class SampleParams:
             raise ValueError("max_iterations must be >= 0")
         if self.progress_stride < 1:
             raise ValueError("progress stride must be >= 1")
+
+
+def _check_tuple_size(q: int, params: SampleParams) -> None:
+    """A q-tuple of distinct exponents in [1, D] needs q <= D."""
+    if q > params.D:
+        raise ValueError(
+            f"weight {params.w} draws {q} distinct exponents in 1..D, "
+            f"more than max degree {params.D} holds")
 
 
 @dataclass(frozen=True)
@@ -245,15 +382,16 @@ def random_log_sample(engine, params: SampleParams) -> SampleResult:
         raise WeightTooSmallError("log sampling needs weight >= 3")
     t0 = time.perf_counter()
     q, D = params.w - 2, params.D
-    rng = Rng(params.seed)
+    _check_tuple_size(q, params)
     _check_budget(_power_bytes(D), params.budget_bytes)
-    xp = engine.ctx.power_table(D)
+    xp = np.array(engine.ctx.power_table(D), np.int64)
+    draws = _one_at_a_time(
+        _draw_chunks(params.seed, (q,), D, xp, params.max_iterations))
     dedup = _Dedup()
     cache: dict[int, int] = {}
 
     def step():
-        tup = _draw_tuple(rng, q, D)
-        r = _one_plus(xp, tup)
+        tup, r = next(draws)
         if r == 0:
             return 0, 1  # A itself reduced to zero; no logarithm exists
         logs = 0
@@ -289,6 +427,7 @@ def birthday_logtmto(
     q2 = params.w - 2 - q1
     if q2 < 0:
         raise ValueError(f"q1={q1} too large for weight {params.w}")
+    _check_tuple_size(q2, params)
     K = params.K if params.K is not None else D
     if K < q1:
         raise ValueError(f"precompute degree {K} holds no {q1}-tuple")
@@ -318,12 +457,12 @@ def birthday_logtmto(
                 dedup.add(exps, prov)
 
     add(_zero_blocks(table, q2, D, M))
-    rng = Rng(params.seed)
-    xp = engine.ctx.power_table(D)
+    xp = np.array(engine.ctx.power_table(D), np.int64)
+    draws = _one_at_a_time(
+        _draw_chunks(params.seed, (q2,), D, xp, params.max_iterations))
 
     def step():
-        tup = _draw_tuple(rng, q2, D)
-        r = _one_plus(xp, tup)
+        tup, r = next(draws)
         probes = np.array(tup, np.int64).reshape(1, q2)
         if r == 0:  # no log; skipped unless its own multiple has w's parity
             add(_zero_blocks(table, q2, D, M, probes))
@@ -336,36 +475,166 @@ def birthday_logtmto(
     return _sample(params, step, dedup, t0, table.log_calls)
 
 
+class _SideTable:
+    """One side of the classical birthday search: each distinct tuple
+    drawn so far, once, at its first draw.  keys, times and tuples are
+    sorted by key (the tuple's residue), equal keys in draw order; the
+    tuples' ranks are sorted apart, to tell a new tuple from a held one."""
+
+    __slots__ = ("keys", "times", "tuples", "ranks")
+
+    def __init__(self, q: int):
+        self.keys = np.empty(0, np.int64)
+        self.times = np.empty(0, np.int64)
+        self.tuples = np.empty((0, q), np.int64)
+        self.ranks = np.empty(0, np.int64)
+
+    def insert(self, keys: np.ndarray, times: np.ndarray, tuples: np.ndarray,
+               ranks: np.ndarray) -> None:
+        """Add a chunk of draws, in time order and later than every held
+        one: the first draw of each tuple not held yet, merged in by one
+        stable sort, so that equal keys stay in draw order."""
+        distinct, first = np.unique(ranks, return_index=True)
+        at = np.searchsorted(self.ranks, distinct)
+        held = at < len(self.ranks)
+        held[held] = self.ranks[at[held]] == distinct[held]
+        self.ranks = np.sort(np.concatenate((self.ranks, distinct[~held])),
+                             kind="stable")
+        new = np.sort(first[~held])
+        merged = np.concatenate((self.keys, keys[new]))
+        order = merged.argsort(kind="stable")
+        self.keys = merged[order]
+        del merged
+        self.times = np.concatenate((self.times, times[new]))[order]
+        self.tuples = np.concatenate((self.tuples, tuples[new]))[order]
+
+    def ranges(self, keys: np.ndarray):
+        """(lo, n): the entries with key keys[i] are lo[i] to lo[i] + n[i]
+        - 1.  The keys are searched in sorted order, which keeps each
+        binary search near the last one (3-5x faster than in draw order)."""
+        order = keys.argsort()
+        lo, n = np.empty_like(order), np.empty_like(order)
+        lo[order] = np.searchsorted(self.keys, keys[order])
+        n[order] = np.searchsorted(self.keys, keys[order], "right")
+        n -= lo
+        return lo, n
+
+
+def _birthday_hits(chunks, qs: tuple[int, ...]):
+    """The hits of each round of the chunks, in order: a list of (tuple,
+    mates) pairs, each a draw and the entries of the opposite side's
+    table that sum with it to 1.
+
+    Draws take times in order: round i's draw for side j at m*i + j, of
+    m = len(qs) sides (one shared table where the split is balanced).
+    A chunk's draws join their tables first; a draw's mates are then the
+    opposite table's entries with key its residue and an earlier time,
+    in draw order, which is what inserting and probing one draw at a
+    time gives.  The rounds are taken in blocks of at most MATCH_BLOCK
+    candidate (probe, entry) pairs, or one round, so that the hits of a
+    chunk never all exist at once.
+    """
+    tables = [_SideTable(q) for q in qs]
+    m, done = len(qs), 0
+    for chunk in chunks:
+        k = len(chunk[0][0])
+        times = [m * np.arange(done, done + k) + j for j in range(m)]
+        for table, (tuples, ranks, residues), t in zip(tables, chunk, times):
+            table.insert(residues ^ 1, t, tuples, ranks)
+        probes = []
+        for j, ((tuples, _, residues), t) in enumerate(zip(chunk, times)):
+            other = tables[(j + 1) % m]
+            probes.append((other, tuples, t, *other.ranges(residues)))
+        per_round = sum(probe[-1] for probe in probes)
+        pairs = np.cumsum(per_round)
+        a = 0
+        while a < k:
+            limit = pairs[a] - per_round[a] + MATCH_BLOCK
+            b = max(a + 1, int(np.searchsorted(pairs, limit, "right")))
+            hits = _block_hits(probes, a, b)
+            for r in range(a, b):
+                yield hits.get(r, ())
+            a = b
+        done += k
+
+
+def _block_hits(probes, a: int, b: int) -> dict[int, list]:
+    """The hits of rounds a to b - 1 of a chunk, by round: a list of
+    (tuple, mates) for each of the round's draws that has mates, in side
+    order, the mates in draw order."""
+    rounds: dict[int, list] = {}
+    for other, tuples, times, lo, n in probes:
+        i = np.repeat(np.arange(a, b), n[a:b])
+        e = np.arange(len(i)) + np.repeat(
+            lo[a:b] - (np.cumsum(n[a:b]) - n[a:b]), n[a:b])
+        before = other.times[e] < times[i]
+        i, e = i[before], e[before]
+        starts = np.flatnonzero(np.diff(i, prepend=-1))
+        mates = list(zip(*other.tuples[e].T.tolist()))
+        ends = starts[1:].tolist() + [len(i)]
+        for r, tup, start, end in zip(i[starts].tolist(),
+                                      zip(*tuples[i[starts]].T.tolist()),
+                                      starts.tolist(), ends):
+            rounds.setdefault(r, []).append((tup, mates[start:end]))
+    return rounds
+
+
+def _birthday_bytes(D: int, qs: tuple[int, ...], iterations: int) -> int:
+    """Bytes that birthday_tmto allocates over `iterations` rounds,
+    counted in 8-byte words.
+
+    The power table up to x^D, as a list and as an array, and the comb
+    tables of the unranking, at most D words each for r = 1..max(qs).
+    Each side's table holds at most min(iterations, C(D, q)) entries of
+    3 + q words (key, time, rank and tuple), and an insert holds three
+    copies of them (the held arrays, their concatenation with a chunk
+    and the merged result) and the sort order.  One draw chunk of at
+    most half the rounds (or _CHUNK_MIN, or _CHUNK_MAX): per round and
+    side, about 12 + q words of draws, ranks, residues, times and
+    search work.  One block of MATCH_BLOCK candidate pairs:
+    six words of indices and masks each, and a hit held as Python
+    objects, a tuple of q ints and its share of the column lists.  The
+    distinct multiples the dedup keeps are the run's output and not
+    counted.
+    """
+    chunk = min(_CHUNK_MAX, max(min(_CHUNK_MIN, iterations), iterations // 2))
+    return (
+        _power_bytes(D) + (D + 1) * 8 + D * 8 * max(qs)
+        + sum(min(iterations, comb(D, q)) * 8 * (3 * (3 + q) + 1) for q in qs)
+        + chunk * 8 * sum(12 + q for q in qs)
+        + MATCH_BLOCK * (6 * 8 + 64 + 80 * max(qs))
+    )
+
+
 def birthday_tmto(ctx: FieldContext, params: SampleParams) -> SampleResult:
-    """Classical birthday search: residues of random half-tuples go
-    into hash tables one at a time, each probed against the opposite
-    side before insertion; a collision XORing to 1 completes a
-    multiple."""
+    """Classical birthday search: each round draws a random half-tuple
+    for each side, probes the opposite side's earlier draws for a
+    residue that sums with it to 1, which completes a multiple, and
+    then joins its own side.
+
+    The draws come a chunk of rounds at a time, and the side tables are
+    arrays sorted by residue key (``_SideTable``), so a chunk's
+    collisions are found by searchsorted; the per-round step only hands
+    its precomputed hits to the dedup.  The tables are budgeted before
+    the run, at min(max_iterations, C(D, q)) entries a side.
+    """
     if params.w < 3:
         raise WeightTooSmallError("birthday search needs weight >= 3")
     t0 = time.perf_counter()
     q1, q2 = default_split(params.w, "classical")
-    rng = Rng(params.seed)
-    _check_budget(_power_bytes(params.D), params.budget_bytes)
-    xp = ctx.power_table(params.D)
+    qs = (q1,) if q1 == q2 else (q1, q2)
+    _check_tuple_size(q2, params)
+    _check_budget(_birthday_bytes(params.D, qs, params.max_iterations),
+                  params.budget_bytes)
+    xp = np.array(ctx.power_table(params.D), np.int64)
+    rounds = _birthday_hits(
+        _draw_chunks(params.seed, qs, params.D, xp, params.max_iterations), qs)
     dedup = _Dedup()
-    # side tables: residue -> list of tuples; one shared table when the
-    # split is balanced
-    table_a: dict[int, list[tuple[int, ...]]] = {}
-    table_b = table_a if q1 == q2 else {}
-    sides = ((q1, table_a, table_b), (q2, table_b, table_a))
 
     def step():
-        for q, own, other in sides:
-            tup = _draw_tuple(rng, q, params.D)
-            r = _one_plus(xp, tup)  # a mate's residue: mate + 1 + tup = 0
-            for mate in other.get(r, ()):
+        for tup, mates in next(rounds):
+            for mate in mates:
                 dedup.add(_classical_exps(mate, tup), (mate, tup, None))
-            bucket = own.setdefault(r ^ 1, [])
-            if tup not in bucket:
-                bucket.append(tup)
-            if own is other:
-                break  # balanced split: one shared list, one draw per round
         return 0, 0
 
     return _sample(params, step, dedup, t0)

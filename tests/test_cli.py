@@ -252,6 +252,17 @@ BAD_NUMBERS = {
     "bsgs-entries-0": [
         "engine-build", "--poly", "10,3,0", "--tabulation-threshold", "11",
         "--bsgs-entries", "0", "--cache-out", os.devnull],
+    # no tuple of distinct exponents in 1..3 to draw: 5 for logsample at
+    # w=7, 4 for the classical (4, 4) and the logarithmic (3, 4) splits at w=9
+    "logsample-tuple-above-degree": [
+        "find-some", "--poly", "10,3,0", "--weight", "7", "--max-degree", "3",
+        "--count", "1", "--method", "logsample"],
+    "birthday-tuple-above-degree": [
+        "find-some", "--poly", "10,3,0", "--weight", "9", "--max-degree", "3",
+        "--count", "1", "--method", "birthday"],
+    "birthday-log-tuple-above-degree": [
+        "find-some", "--poly", "10,3,0", "--weight", "9", "--max-degree", "3",
+        "--count", "1", "--method", "birthday-log"],
 }
 
 
@@ -261,6 +272,15 @@ def test_bad_numbers_exit_2(case, capsys):
     assert code == 2
     assert out == ""
     assert err.splitlines()[-1].startswith("error: ")
+
+
+@pytest.mark.parametrize("case", [
+    "logsample-tuple-above-degree", "birthday-tuple-above-degree",
+    "birthday-log-tuple-above-degree"])
+def test_no_tuple_to_draw_names_the_weight_and_max_degree(case, capsys):
+    _, _, err = run_cli(BAD_NUMBERS[case], capsys)
+    assert "weight 9" in err or "weight 7" in err
+    assert "max degree 3" in err
 
 
 def test_find_some_basic(capsys):

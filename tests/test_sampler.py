@@ -21,8 +21,12 @@ from lowmult.sampler import (
     random_log_sample,
     unrank_combination,
     write_progress_csv,
+    _below_rounds,
+    _birthday_bytes,
+    _draw_chunks,
 )
-from lowmult.search import _log_route_bytes, _logged_tuples, build_log_table
+from lowmult.search import (
+    _log_route_bytes, _logged_tuples, _one_plus, build_log_table)
 
 F8 = make_context(parse_poly("3,1,0"))
 F16 = make_context(parse_poly("4,1,0"))
@@ -66,6 +70,50 @@ def test_unrank_matches_combination_ranks(q, max_val, data):
     else:
         with pytest.raises(ValueError):
             unrank_combination(rank, q, max_val)
+
+
+# 2^64 mod 3*2^62 = 2^62: a quarter of the outputs are rejected
+_REJECTING = 3 << 62
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1), rounds=st.integers(1, 60),
+       bounds=st.lists(st.one_of(
+           st.integers(1, 2**64 - 1), st.integers(_REJECTING - 3, _REJECTING + 3),
+           st.just(1)), min_size=1, max_size=3))
+def test_chunked_bounded_draws_match_below(seed, rounds, bounds):
+    want_rng, rng = Rng(seed), Rng(seed)
+    want = [[want_rng.below(b) for b in bounds] for _ in range(rounds)]
+    got = []
+    while len(got) < rounds:
+        got += _below_rounds(rng, bounds, rounds - len(got)).tolist()
+    assert got == want
+    assert rng.next_u64() == want_rng.next_u64()
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1),
+       qs=st.lists(st.integers(0, 5), min_size=1, max_size=2),
+       data=st.data())
+def test_draw_chunks_match_the_scalar_stream(seed, qs, data):
+    # D up to 30 holds every rank in int64; from about 14,000 on C(D, 5)
+    # nears 2^63, where up to half the outputs are rejected, and beyond
+    # it the chunks are drawn one tuple at a time
+    D = data.draw(st.integers(max(qs), 30) | st.integers(14_000, 20_000))
+    rounds = data.draw(st.integers(1, 300) | st.integers(4_000, 9_000)
+                       if D <= 30 else st.integers(1, 300))
+    xp = [(e * 0x9E3779B9) % 2**61 for e in range(D + 1)]
+    rng = Rng(seed)
+    ranks = [[rng.below(comb(D, q)) for q in qs] for _ in range(rounds)]
+    chunks = list(_draw_chunks(seed, tuple(qs), D, np.array(xp, np.int64), rounds))
+    for j, q in enumerate(qs):
+        tuples, got_ranks, residues = (
+            np.concatenate([chunk[j][part] for chunk in chunks]) for part in range(3))
+        want = [unrank_combination(rank[j], q, D) for rank in ranks]
+        assert tuples.shape == (rounds, q)
+        assert list(map(tuple, tuples.tolist())) == want
+        assert got_ranks.tolist() == [rank[j] for rank in ranks]
+        assert residues.tolist() == [_one_plus(xp, tup) for tup in want]
 
 
 def test_random_log_sample_finds_known_set():
@@ -181,11 +229,21 @@ def test_birthday_logtmto_respects_prebuilt_table():
 def test_samplers_check_the_budget_before_allocating():
     # a 201-entry power table (8040 model bytes) fits in 10^4 bytes
     small = dict(w=6, D=200, B=1, seed=1, max_iterations=5, budget_bytes=10**4)
-    for run in (lambda p: random_log_sample(ENG16, p),
-                lambda p: birthday_tmto(F16, p)):
-        run(SampleParams(**small))
+    random_log_sample(ENG16, SampleParams(**small))
+    with pytest.raises(MemoryBudgetExceededError):
+        random_log_sample(ENG16, SampleParams(**dict(small, D=2000)))
+    # birthday_tmto charges its side tables as well: at w=6 the (2, 3)
+    # split's sides hold at most min(max_iterations, C(D, q)) entries each
+    need = _birthday_bytes(200, (2, 3), 5)
+    assert need > 10**4
+    fits = dict(small, budget_bytes=need)
+    birthday_tmto(F16, SampleParams(**fits))
+    for more in (dict(budget_bytes=need - 1), dict(max_iterations=6),
+                 dict(D=2000)):
         with pytest.raises(MemoryBudgetExceededError):
-            run(SampleParams(**dict(small, D=2000)))
+            birthday_tmto(F16, SampleParams(**dict(fits, **more)))
+    # a side holds no more entries than distinct tuples, C(20, 3) = 1140
+    assert _birthday_bytes(20, (2, 3), 10**6) == _birthday_bytes(20, (2, 3), 10**9)
     # birthday_logtmto charges its C(200, 2)-entry K-table only when it
     # builds it; a prebuilt table is not charged again
     stored = comb(200, 2)
@@ -315,7 +373,8 @@ def test_samplers_at_n31_are_pinned(n31_engine, method):
 # the split is unbalanced, so the draws alternate between two tuple sizes;
 # at w = 5 one shared table takes one draw per round.  P=8,4,3,2,0 at w = 5 stops early
 # at B; P=2,1,0 at w = 6, D = 3 draws its 3-tuple side with bound
-# C(3, 3) = 1, which takes no output of the generator.
+# C(3, 3) = 1, which takes no output of the generator; at w = 11,
+# D = 20000 the bound C(20000, 5) exceeds 2^63.
 BIRTHDAY_TMTO_PINS = {
     ("31,3,0", 4, 65536, 10**9, 20_000, 1024): (
         "2fa9e4ae938e8a10", 20000, 1, 0, "700c6229b5e86dbc"),
@@ -329,6 +388,8 @@ BIRTHDAY_TMTO_PINS = {
         "95a42caa0e3522bc", 5000, 4, 3137, "f61bf0277af79638"),
     ("8,4,3,2,0", 5, 20, 20, 20_000, 97): (
         "1cd9550e7feef50b", 290, 20, 72, "535104e908afdbba"),
+    ("8,4,3,2,0", 11, 20000, 10**9, 400, 97): (
+        "f05e167b5996467b", 400, 358, 0, "d085deba3bae87ce"),
     ("2,1,0", 6, 3, 10**9, 500, 97): (
         "2f50f2083b918698", 500, 1, 658, "da8711e1ecd8cc73"),
 }
