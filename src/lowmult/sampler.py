@@ -591,18 +591,21 @@ def _birthday_bytes(D: int, qs: tuple[int, ...], iterations: int) -> int:
     and the merged result) and the sort order.  One draw chunk of at
     most half the rounds (or _CHUNK_MIN, or _CHUNK_MAX): per round and
     side, about 12 + q words of draws, ranks, residues, times and
-    search work.  One block of MATCH_BLOCK candidate pairs:
-    six words of indices and masks each, and a hit held as Python
-    objects, a tuple of q ints and its share of the column lists.  The
+    search work.  One block of candidate pairs, at most MATCH_BLOCK and
+    at most a chunk's draws times the largest side: six words of
+    indices and masks each, and a hit held as Python objects, a tuple
+    of q ints and its share of the column lists.  The
     distinct multiples the dedup keeps are the run's output and not
     counted.
     """
     chunk = min(_CHUNK_MAX, max(min(_CHUNK_MIN, iterations), iterations // 2))
+    entries = [min(iterations, comb(D, q)) for q in qs]
+    pairs = min(MATCH_BLOCK, chunk * len(qs) * max(entries))
     return (
         _power_bytes(D) + (D + 1) * 8 + D * 8 * max(qs)
-        + sum(min(iterations, comb(D, q)) * 8 * (3 * (3 + q) + 1) for q in qs)
+        + sum(n * 8 * (3 * (3 + q) + 1) for n, q in zip(entries, qs))
         + chunk * 8 * sum(12 + q for q in qs)
-        + MATCH_BLOCK * (6 * 8 + 64 + 80 * max(qs))
+        + pairs * (6 * 8 + 64 + 80 * max(qs))
     )
 
 

@@ -371,10 +371,10 @@ def test_samplers_at_n31_are_pinned(n31_engine, method):
 # progress_stride) at seed 41: (records and provenances digest,
 # iterations, found, duplicates, progress events digest).  At w = 4 and 6
 # the split is unbalanced, so the draws alternate between two tuple sizes;
-# at w = 5 one shared table takes one draw per round.  P=8,4,3,2,0 at w = 5 stops early
-# at B; P=2,1,0 at w = 6, D = 3 draws its 3-tuple side with bound
-# C(3, 3) = 1, which takes no output of the generator; at w = 11,
-# D = 20000 the bound C(20000, 5) exceeds 2^63.
+# at w = 5 one shared table takes one draw per round.  P=8,4,3,2,0 at
+# w = 5 stops early at B; P=2,1,0 at w = 6, D = 3 draws its 3-tuple side
+# with bound C(3, 3) = 1, which takes no output of the generator; at
+# w = 11, D = 20000 the bound C(20000, 5) exceeds 2^63.
 BIRTHDAY_TMTO_PINS = {
     ("31,3,0", 4, 65536, 10**9, 20_000, 1024): (
         "2fa9e4ae938e8a10", 20000, 1, 0, "700c6229b5e86dbc"),
