@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from lowmult import dlog, search
 from lowmult.dlog import _BatchField, build_engine
 from lowmult.errors import LogOfZeroError
+from lowmult.factorint import factorize
 from lowmult.gf2poly import SparsePoly, make_context, parse_poly, random_primitive_poly
 from lowmult.reference import brute_force_log, poly_divides
 from lowmult.sampler import SampleParams, birthday_logtmto
@@ -157,6 +158,45 @@ def test_batch_sizes(size):
 def test_array_holding_zero_raises(elems):
     with pytest.raises(LogOfZeroError):
         _engine(16, 1, "table").discrete_log(np.array(elems, dtype=np.uint64))
+
+
+# 2^n - 1 for these n has 6 to 11 prime powers, among them 3^2 (n = 24,
+# 30, 48, 60), 3^3 (n = 36) and 5^2 (n = 40, 60)
+@pytest.mark.parametrize("bsgs_largest", [False, True])
+@pytest.mark.parametrize("n", [24, 30, 36, 40, 48, 60])
+def test_multi_prime_logs_round_trip(n, bsgs_largest):
+    ctx = _field(n, n)
+    primes = sorted(p for p, _ in ctx.factorization)
+    # every prime tabulated, or all but the largest
+    engine = build_engine(
+        ctx, **({"tabulation_threshold": primes[-2]} if bsgs_largest else {}))
+    assert [s.sub.strategy for s in engine.solvers if s.p == primes[-1]] == [
+        "bsgs" if bsgs_largest else "table"]
+    rng = random.Random(n)
+    want = [0, 1, ctx.order - 1] + [rng.randrange(ctx.order) for _ in range(200)]
+    elems = [ctx.pow(2, k) for k in want]
+    assert _logs(engine, elems) == want
+    assert _logs(engine, elems[-1:]) == want[-1:]
+    assert [engine.discrete_log(a) for a in elems] == want
+
+
+def test_logs_round_trip_with_a_42_bit_prime():
+    # 2^49 - 1 = 127 * 4432676798593: the CRT lifts a 42-bit component
+    ctx = _field(49, 49)
+    engine = build_engine(ctx)
+    assert engine.strategy_summary()[-1][:3] == (4432676798593, 1, "bsgs")
+    rng = random.Random(49)
+    want = [ctx.order - 1] + [rng.randrange(ctx.order) for _ in range(2)]
+    elems = [ctx.pow(2, k) for k in want]
+    assert _logs(engine, elems) == want
+    assert [engine.discrete_log(a) for a in elems] == want
+
+
+def test_all_but_the_largest_prime_power_fit_in_31_bits():
+    # what the array CRT needs to stay within int64 for every degree
+    for n in range(2, 64):
+        qs = sorted(p**e for p, e in factorize(2**n - 1))
+        assert all(q < 2**31 for q in qs[:-1]), (n, qs)
 
 
 # -- field arithmetic against dense long division ---------------------------
