@@ -1,0 +1,166 @@
+#!/usr/bin/env python3
+"""What does one discrete log cost on the array path?
+
+Run from the repository root:
+
+    python3 scripts/log_cost.py
+
+For each instance (n = 18, 30 and 43 of the benchmark workloads, a
+dense n = 36 modulus and the n = 53 README modulus, every prime
+tabulated) it builds the default engine and times REPS calls of
+``discrete_log`` on a seeded array of BATCH nonzero elements, and REPS
+calls on a one-element array.  It checks every answer of the first
+batch by ``ctx.pow(2, y)``.
+
+It also counts the array products of one batch: those of the
+projections by the flat method (one product per set bit of each
+cofactor M/q after the first, Pohlig-Hellman's direct projection) and by
+the engine's product tree, and every ``mul_table`` call the batch makes
+(projections, digit lifting and giant steps).  The tracemalloc peak of
+one batch, per element, is what ``dlog.BATCH_LOG_BYTES`` models.
+
+Writes BENCH_logs.json at the repository root: per instance, the
+minimum and median µs per log over the REPS calls, both product counts,
+the measured calls and the bytes per element.  The n = 53 build takes
+about 15 s and 0.5 GB.
+"""
+
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
+from time import perf_counter
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
+
+import numpy as np  # noqa: E402
+
+from lowmult import build_engine, make_context, parse_poly  # noqa: E402
+
+README_53 = ("53,47,45,44,42,40,39,38,36,33,32,31,30,28,27,26,25,21,20,17,"
+             "16,15,13,11,10,7,6,3,2,1,0")
+INSTANCES = [
+    "18,7,0",
+    "30,6,4,1,0",
+    "36,35,33,32,30,28,27,25,24,19,18,15,12,11,7,3,0",
+    "43,6,4,3,0",
+    README_53,
+]
+BATCH = 2048
+REPS = 30
+SEED = 2
+OUT = ROOT / "BENCH_logs.json"
+
+
+def _commit():
+    """HEAD, suffixed -dirty when the measured tree has uncommitted edits."""
+    try:
+        out = subprocess.run(["git", "describe", "--always", "--dirty"],
+                             cwd=ROOT, capture_output=True, text=True,
+                             check=True)
+    except (OSError, subprocess.CalledProcessError):
+        return None
+    return out.stdout.strip()
+
+
+def _tree_products(node):
+    """Products of the projections through a dlog._product_tree."""
+    if isinstance(node, int):
+        return 0
+    children, exps = node
+    return (sum(e.bit_count() - 1 for e in exps)
+            + sum(map(_tree_products, children)))
+
+
+def _us_per_log(engine, elems):
+    times = []
+    for _ in range(REPS):
+        t0 = perf_counter()
+        engine.discrete_log(elems)
+        times.append((perf_counter() - t0) / len(elems) * 1e6)
+    return {"min": min(times), "median": statistics.median(times)}
+
+
+def measure(poly):
+    ctx = make_context(parse_poly(poly))
+    M = ctx.order
+    t0 = perf_counter()
+    engine = build_engine(ctx)
+    build_s = perf_counter() - t0
+    rng = np.random.default_rng(SEED)
+    elems = rng.integers(1, M, BATCH, endpoint=True, dtype=np.uint64)
+    ys = engine.discrete_log(elems)
+    bad = [(int(a), int(y)) for a, y in zip(elems, ys)
+           if ctx.pow(2, int(y)) != int(a)]
+    if bad:
+        raise SystemExit(f"P={poly}: x^{bad[0][1]} != {bad[0][0]}")
+
+    field = engine._field
+    calls = 0
+    mul_table = field.mul_table
+
+    def counted(table, a):
+        nonlocal calls
+        calls += 1
+        return mul_table(table, a)
+
+    field.mul_table = counted
+    try:
+        engine.discrete_log(elems)
+    finally:
+        del field.mul_table
+
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        engine.discrete_log(elems)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+    row = {
+        "poly": poly,
+        "n": ctx.n,
+        "prime_powers": [[p, e] for p, e in ctx.factorization],
+        "engine_build_s": build_s,
+        "us_per_log_batch": _us_per_log(engine, elems),
+        "us_per_log_single": _us_per_log(engine, elems[:1]),
+        "projection_products_flat": sum(
+            (M // p**e).bit_count() - 1 for p, e in ctx.factorization),
+        "projection_products_tree": _tree_products(engine._tree),
+        "mul_table_calls_per_batch": calls,
+        "traced_bytes_per_element": peak / BATCH,
+    }
+    print(f"n={ctx.n}: {row['us_per_log_batch']['min']:.2f} us/log "
+          f"(batch of {BATCH}), {row['us_per_log_single']['min']:.0f} us "
+          f"(batch of one); projection products "
+          f"{row['projection_products_flat']} flat, "
+          f"{row['projection_products_tree']} tree; "
+          f"{calls} mul_table calls; {row['traced_bytes_per_element']:.0f} B "
+          f"per element", flush=True)
+    return row
+
+
+def main():
+    rows = [measure(poly) for poly in INSTANCES]
+    OUT.write_text(json.dumps({
+        "batch": BATCH,
+        "reps": REPS,
+        "env": {
+            "nproc": len(os.sched_getaffinity(0)),
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "machine": platform.machine(),
+            "commit": _commit(),
+        },
+        "instances": rows,
+    }, indent=1) + "\n")
+
+
+if __name__ == "__main__":
+    main()

@@ -23,6 +23,12 @@ on group orders whose largest prime factor is otherwise out of reach.
 ``LogEngine.discrete_log`` also takes a numpy array of elements and then
 runs the same steps on uint64 arrays (``_BatchField``): one call per
 batch instead of one Python-level Pohlig-Hellman walk per element.  The
+array path projects through a product tree over the prime powers,
+planned once per engine by a subset DP that minimises the array
+products (``_product_tree``): a node raises its value to the product of
+each half's complement off one square chain, and a leaf holds a^(M/q).
+The components combine by Garner's mixed radix in int64, the largest
+prime power first, which keeps every partial value below M < 2^63.  The
 scalar path stays the oracle the array path is tested against, except
 for giant steps: both run the one blocked kernel, which is tested
 against full-table engines and brute force.
@@ -58,11 +64,11 @@ DEFAULT_MAX_TABLE_BYTES = 2**31
 # open-addressed table at 75% maximum load.
 _ENTRY_BYTES = 16
 
-# Planning bytes per element of an array discrete_log: its cofactor
-# projections, the multiplication table of the current square and the
-# CRT's lists of ints (tracemalloc: 200 to 425 B for 2048 elements of
-# tabulated engines at n = 4 to 30).
-BATCH_LOG_BYTES = 448
+# Planning bytes per element of an array discrete_log: the product tree's
+# pending values, the multiplication table of the current square and
+# the int64 CRT (tracemalloc: 201 to 258 B per element of 2048 on
+# tabulated engines at n = 4 to 60).
+BATCH_LOG_BYTES = 264
 
 _DICT_ACCEL_LIMIT = 2**16  # small full tables also get a plain dict
 
@@ -108,7 +114,7 @@ def _tabulate(ctx, field, p, baby_entries):
     if m == p and ctx.mul(int(vals[-1]), gp) != 1:
         raise AssertionError("subgroup enumeration did not close")
     vals = vals.view("<i8")
-    order = np.argsort(vals, kind="stable")
+    order = np.argsort(vals)  # the values are distinct
     return vals[order], order.astype("<i8", copy=False)
 
 
@@ -145,9 +151,10 @@ class _BatchField:
         )
 
     def sqr(self, a):
-        out = self.sq[0][a & np.uint64(0xFF)]
+        byte = np.uint64(0xFF)
+        out = self.sq[0].take((a & byte).view(np.int64))
         for j in range(1, len(self.sq)):
-            out ^= self.sq[j][(a >> np.uint64(8 * j)) & np.uint64(0xFF)]
+            out ^= self.sq[j].take(((a >> np.uint64(8 * j)) & byte).view(np.int64))
         return out
 
     def table(self, b):
@@ -157,25 +164,32 @@ class _BatchField:
         rows = np.empty((1 << self.k, len(b)), dtype=np.uint64)
         rows[0] = 0
         rows[1] = b
-        for j in range(2, 1 << self.k, 2):
-            h = rows[j // 2]
-            rows[j] = (h << np.uint64(1)) ^ ((h >> self.top) * self.p_int)
-            rows[j + 1] = rows[j] ^ b
+        h = b
+        for i in range(1, self.k):  # rows 2^i.. are rows ..2^i plus x^i b
+            h = (h << np.uint64(1)) ^ ((h >> self.top) * self.p_int)
+            np.bitwise_xor(rows[:1 << i], h, out=rows[1 << i:2 << i])
         # a one-element table (a constant) serves every element of a
-        offsets = (np.arange(len(b), dtype=np.uint64) if len(b) > 1
-                   else np.uint64(0))
-        return rows.ravel(), np.uint64(len(b)), offsets
+        offsets = np.arange(len(b)) if len(b) > 1 else 0
+        return rows.ravel(), len(b), offsets
 
     def mul_table(self, table, a):
-        """a times the factor whose table this is."""
+        """a times the factor whose table this is.  Gathers index with
+        int64 through take: a uint64 index would be converted on every
+        gather."""
         flat, width, offsets = table
         k, mask = self.kbits, self.digit_mask
-        shift = np.uint64(k * (self.digits - 1))
-        acc = flat[((a >> shift) & mask) * width + offsets]
-        for d in range(self.digits - 2, -1, -1):
+        acc = None
+        for d in range(self.digits - 1, -1, -1):
+            j = ((a >> np.uint64(k * d)) & mask).view(np.int64)
+            if width > 1:  # else every element reads row j at offset 0
+                j *= width
+                j += offsets
+            if acc is None:
+                acc = flat.take(j)
+                continue
             acc <<= k
-            acc ^= self.fold[acc >> self.n]
-            acc ^= flat[((a >> np.uint64(k * d)) & mask) * width + offsets]
+            acc ^= self.fold.take((acc >> self.n).view(np.int64))
+            acc ^= flat.take(j)
         return acc
 
     def mul(self, a, b):
@@ -183,14 +197,27 @@ class _BatchField:
 
     def pow(self, a, e: int):
         """a^e for a fixed exponent e >= 1."""
-        result = None
-        while True:
-            if e & 1:
-                result = a if result is None else self.mul(result, a)
-            e >>= 1
-            if not e:
-                return result
-            a = self.sqr(a)
+        return self.pows(a, e)[0]
+
+    def pows(self, a, *exps):
+        """[a^e for e in exps], exponents >= 1, off one square chain of a:
+        a^(2^j) is multiplied into every power whose exponent has bit j
+        set, through one table of it."""
+        out = [None] * len(exps)
+        top = max(exps).bit_length() - 1
+        for j in range(top + 1):
+            table = None
+            for i, e in enumerate(exps):
+                if e >> j & 1:
+                    if out[i] is None:
+                        out[i] = a
+                    else:
+                        if table is None:
+                            table = self.table(a)
+                        out[i] = self.mul_table(table, out[i])
+            if j < top:
+                a = self.sqr(a)
+        return out
 
 
 class _SubgroupLog:
@@ -285,7 +312,7 @@ class _SubgroupLog:
             # product i * w + t is h[i] * G[t]: the table of h, with the
             # offset of each element repeated along its row
             flat, width, _ = field.table(h)
-            rows = np.repeat(np.arange(k, dtype=np.uint64), w)
+            rows = np.repeat(np.arange(k), w)
             prods = field.mul_table((flat, width, rows),
                                     np.tile(self.block[:w], k))
             low = prods & np.uint64(self.mask)
@@ -357,6 +384,9 @@ class _PrimePowerSolver:
         for k in range(self.e):
             c = field.pow(h, self.p_pows[self.e - 1 - k])
             d = self.sub.lookup_array(field, c)
+            y += d * self.p_pows[k]
+            if k == self.e - 1:
+                return y
             # h *= inv_pows[k]^d, one bit of the digit d at a time
             g = self.inv_pows[k]
             for bit in range(self.p.bit_length()):
@@ -364,8 +394,6 @@ class _PrimePowerSolver:
                 if sel.any():
                     h = np.where(sel, field.mul(h, g), h)
                 g = ctx.sqr(g)
-            y += d * self.p_pows[k]
-        return y
 
 
 class LogEngine:
@@ -386,6 +414,17 @@ class LogEngine:
         for s in solvers:
             r = M // s.q
             self._crt.append((s, r * pow(r, -1, s.q) % M))
+        self._tree = _product_tree([s.q for s in solvers])
+        # Garner's mixed radix in the order the tree yields its leaves,
+        # which is the largest prime power first: then x < Q <= M < 2^63,
+        # and (y - x) mod q times Q^-1 mod q stays below q^2 < 2^62,
+        # since every other prime power of 2^n - 1 (n <= 63) is below 2^31
+        self._garner = {}
+        Q = 1
+        for i in _leaves(self._tree):
+            q = solvers[i].q
+            self._garner[i] = (q, pow(Q, -1, q), Q)
+            Q *= q
 
     def discrete_log(self, a: int | np.ndarray) -> int | np.ndarray:
         """k in [0, M-1] with x^k == a, for a != 0.
@@ -418,32 +457,30 @@ class LogEngine:
         if not a.all():
             raise LogOfZeroError("the zero element has no discrete logarithm")
         ctx, field = self.ctx, self._field
-        # each projection a^(M/q) is the product of a^(2^j) over the set
-        # bits j of M/q, accumulated as the squarings run
-        solvers = self.solvers
-        proj = [None] * len(solvers)
-        cur = a
-        last = max(s.cofactor for s in solvers).bit_length() - 1
-        for j in range(last + 1):
-            table = None
-            for i, s in enumerate(solvers):
-                if s.cofactor >> j & 1:
-                    if proj[i] is None:
-                        proj[i] = cur
-                    else:
-                        if table is None:
-                            table = field.table(cur)
-                        proj[i] = field.mul_table(table, proj[i])
-            if j < last:
-                cur = field.sqr(cur)
-        # CRT in Python ints (y * weight can pass 64 bits), one solver
-        # at a time so that only two lists of ints are alive at once
-        M = ctx.order
-        out = [0] * len(a)
-        for (s, weight), h in zip(self._crt, proj):
-            ys = s.component_log_array(ctx, field, h).tolist()
-            out = [(x + y * weight) % M for x, y in zip(out, ys)]
-        return np.array(out, dtype=np.int64)
+        # a node of the product tree over the prime powers S holds
+        # b = a^(M/prod S); its child over the part T gets b^prod(S - T),
+        # all children off one square chain of b, and a leaf holds the
+        # projection a^(M/q).  Only the pending later children stay alive
+        # while an earlier subtree runs.
+        x = np.zeros(len(a), dtype=np.int64)
+        todo = [(self._tree, a)]
+        del a  # held by todo alone: it goes once the root's children exist
+        while todo:
+            node, b = todo.pop()
+            if isinstance(node, int):
+                q, inv, Q = self._garner[node]
+                y = self.solvers[node].component_log_array(ctx, field, b)
+                y -= x
+                y %= q
+                y *= inv
+                y %= q
+                y *= Q
+                x += y
+            else:
+                children, exps = node
+                powers = field.pows(b, *exps)
+                todo.extend(zip(children[::-1], powers[::-1]))
+        return x
 
     def zech_log(self, i: int) -> int:
         """Z(i) = log(1 + x^i); undefined at i = 0 mod M."""
@@ -456,6 +493,67 @@ class LogEngine:
     def strategy_summary(self) -> list[tuple[int, int, str, int]]:
         """Per prime power: (p, e, strategy, table entries)."""
         return [(s.p, s.e, s.sub.strategy, s.sub.m) for s in self.solvers]
+
+
+def _product_tree(qs):
+    """The tree over the indices of qs (pairwise coprime, > 1) whose
+    projections take the fewest array products.
+
+    A leaf is an index.  A node over the index set S splits it into
+    parts and is (children, exponents): the child over the part T gets
+    the node's value raised to prod(S - T).  An exponent e costs
+    popcount(e) - 1 products; a subset DP over S picks for every node
+    the best split in two, or the flat split into single indices, where
+    one square chain serves them all.  The part holding the largest q
+    comes first, so its leaf runs first.
+    """
+    k = len(qs)
+    prod = [1] * (1 << k)
+    for mask in range(1, 1 << k):
+        low = mask & -mask
+        prod[mask] = prod[mask ^ low] * qs[low.bit_length() - 1]
+    muls = [p.bit_count() - 1 for p in prod]
+    cost = [0] * (1 << k)
+    split = [()] * (1 << k)
+    for mask in range(1, 1 << k):
+        low = mask & -mask
+        rest = mask ^ low
+        if not rest:
+            continue
+        best = None
+        # every split in two once: the part holding the lowest index is
+        # low | sub
+        sub = rest
+        while sub:
+            sub = (sub - 1) & rest
+            left = low | sub
+            right = mask ^ left
+            c = muls[left] + muls[right] + cost[left] + cost[right]
+            if best is None or c < best:
+                best, split[mask] = c, (left, right)
+        flat = tuple(1 << i for i in range(k) if mask >> i & 1)
+        c = sum(muls[mask ^ part] for part in flat)
+        if c < best:
+            best, split[mask] = c, flat
+        cost[mask] = best
+
+    largest = 1 << max(range(k), key=qs.__getitem__)
+
+    def node(mask):
+        if not mask & (mask - 1):
+            return mask.bit_length() - 1
+        parts = sorted(split[mask], key=lambda part: not part & largest)
+        return (tuple(node(part) for part in parts),
+                tuple(prod[mask ^ part] for part in parts))
+
+    return node((1 << k) - 1)
+
+
+def _leaves(tree):
+    """The leaves of a _product_tree in the order the array path runs them."""
+    if isinstance(tree, int):
+        return [tree]
+    return [leaf for child in tree[0] for leaf in _leaves(child)]
 
 
 def _plan(ctx, tabulation_threshold, bsgs_baby_entries):

@@ -41,7 +41,7 @@ import time
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import chain, combinations
-from math import comb, factorial
+from math import comb, factorial, inf
 from typing import Iterator, Optional
 
 import numpy as np
@@ -126,14 +126,18 @@ def second_phase_bound(D: int, w: int, q2: int) -> int:
 
 
 def estimate_count(n: int, w: int, D: int) -> float:
-    """Expected number of weight-w degree-<=D multiples: D^(w-1) / ((w-1)! 2^n)."""
+    """Expected number of weight-w degree-<=D multiples: D^(w-1) / ((w-1)! 2^n),
+    or inf where that exceeds the largest float."""
     if w < 2:
         raise WeightTooSmallError("estimate needs weight >= 2")
     if not 2 <= n <= 63:
         raise DegreeOutOfRangeError(f"modulus degree must be in 2..63, got {n}")
     if D < 1:
         raise ValueError("max degree must be >= 1")
-    return float(Fraction(D ** (w - 1), factorial(w - 1) * (1 << n)))
+    try:
+        return float(Fraction(D ** (w - 1), factorial(w - 1) * (1 << n)))
+    except OverflowError:
+        return inf
 
 
 @dataclass(frozen=True, eq=False)
@@ -232,7 +236,9 @@ class SearchParams:
     @classmethod
     def balanced(cls, w: int, D: int, algorithm: str, **kwargs) -> "SearchParams":
         """Build params with the standard balanced split."""
-        if algorithm == ALGO_CLASSICAL and w == 2:
+        if algorithm == ALGO_CLASSICAL and w < 3:
+            if w < 2:
+                raise WeightTooSmallError("classical search needs weight >= 2")
             q1, q2 = 0, 1  # the split formula degenerates cleanly at w=2
         else:
             q1, q2 = default_split(w, algorithm)
@@ -590,25 +596,27 @@ def _log_route_bytes(M: int, D: int, q1: int, q2: int, stored: int,
     (with build False the table exists and is not charged); `logged` is
     the most tuples whose logs one phase takes.
 
-    The power table up to x^D, also as an array, and each exponent's int
-    in the tuple enumeration's pool.  Per stored tuple: its exponents
-    and log while they are sorted, three words of sort work, and the
-    table's exponents and log.  One chunk of at most LOG_CHUNK tuples, a
-    phase-1 batch or phase-2 probes: exponents, residues, logs and window
-    bounds, and the engine's BATCH_LOG_BYTES per log of one batch.  One
-    match block: the matches a chunk of probes is expected to make (a
-    window of 2D + 1 logs holds a (2D + 1) / M share of the table), at
-    most MATCH_BLOCK, each with the kernel's indices, its row and its
-    dedup rows, gathered and packed.  The distinct multiples the dedup
-    keeps are the run's output and not counted.
+    The power table up to x^D and its array (the tuple enumeration's pool
+    of ints comes after the list is freed, and is smaller).  Per stored
+    tuple: its exponents and log while they are sorted, three words of
+    sort work, and the table's exponents and log.  One chunk of at most
+    LOG_CHUNK tuples, a phase-1 batch or phase-2 probes: exponents twice,
+    and about eight words of residues, logs and window bounds (88 to 97
+    bytes per tuple traced at q = 2); and the engine's BATCH_LOG_BYTES
+    per log of one batch.  One match block: the matches a chunk of probes
+    is expected to make (a window of 2D + 1 logs holds a (2D + 1) / M
+    share of the table), at most MATCH_BLOCK, each with the kernel's
+    indices, its row and its dedup rows, gathered and packed.  The
+    distinct multiples the dedup keeps are the run's output and not
+    counted.
     """
     w = q1 + q2 + 2
     matches = min(MATCH_BLOCK,
                   -(-min(LOG_CHUNK, probes) * stored * (2 * D + 1) // M))
     return (
-        _power_bytes(D) + (D + 1) * 8 * 6
+        _power_bytes(D) + (D + 1) * 8
         + (stored * 8 * (2 * q1 + 5) if build else 0)
-        + min(LOG_CHUNK, max(logged, probes)) * 8 * (2 * max(q1, q2) + 20)
+        + min(LOG_CHUNK, max(logged, probes)) * 8 * (2 * max(q1, q2) + 8)
         + min(LOG_CHUNK, logged) * BATCH_LOG_BYTES
         + matches * 8 * (3 * w + 2 * q2 + 23)
     )

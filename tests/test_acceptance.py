@@ -240,10 +240,10 @@ def test_c08_scaling_shape():
     engine = build_engine(ctx)  # every prime tabulated
     assert {s for _, _, s, _ in engine.strategy_summary()} == {"table"}
     D = 8192
-    # batched logs, each taken once, make one log-route call about 0.06 s
+    # batched logs, each taken once, make one log-route call about 0.025 s
     # at D, and array probes one classical call about 0.4 s, so each route
     # is timed over several calls to stay inside the timing window
-    LOG_REPS = 32
+    LOG_REPS = 80
     TMTO_REPS = 5
 
     def run(algorithm, degree):

@@ -199,6 +199,62 @@ def test_all_but_the_largest_prime_power_fit_in_31_bits():
         assert all(q < 2**31 for q in qs[:-1]), (n, qs)
 
 
+def _tree_products(node):
+    if isinstance(node, int):
+        return 0
+    children, exps = node
+    return (sum(e.bit_count() - 1 for e in exps)
+            + sum(map(_tree_products, children)))
+
+
+def _tree_projections(node, exponent, out):
+    """The exponent of a at each leaf: the product of the edges above it."""
+    if isinstance(node, int):
+        out[node] = exponent
+    else:
+        for child, e in zip(*node):
+            _tree_projections(child, exponent * e, out)
+    return out
+
+
+# projection products of a 2048-log batch, tree against one product per
+# set bit of each cofactor M/q after the first
+TREE_PRODUCTS = {18: (15, 26), 30: (28, 65), 36: (36, 124), 43: (34, 43)}
+
+
+def _widest_split(node):
+    if isinstance(node, int):
+        return 0
+    return max([len(node[0])] + [_widest_split(c) for c in node[0]])
+
+
+@pytest.mark.parametrize("n", [15, 33, 52])
+def test_logs_round_trip_through_flat_splits(n):
+    # these trees split a node of three prime powers into single ones
+    ctx = _field(n, n)
+    engine = build_engine(ctx)
+    assert _widest_split(engine._tree) == 3
+    rng = random.Random(n)
+    want = [0, ctx.order - 1] + [rng.randrange(ctx.order) for _ in range(100)]
+    elems = [ctx.pow(2, k) for k in want]
+    assert _logs(engine, elems) == want
+
+
+def test_product_tree_projects_with_fewer_products():
+    for n in range(2, 64):
+        M = 2**n - 1
+        qs = [p**e for p, e in factorize(M)]
+        tree = dlog._product_tree(qs)
+        # every leaf holds a^(M/q), and the largest q comes first
+        assert _tree_projections(tree, 1, {}) == {
+            i: M // q for i, q in enumerate(qs)}
+        assert qs[dlog._leaves(tree)[0]] == max(qs)
+        flat = sum((M // q).bit_count() - 1 for q in qs)
+        assert _tree_products(tree) <= flat
+        if n in TREE_PRODUCTS:
+            assert (_tree_products(tree), flat) == TREE_PRODUCTS[n]
+
+
 # -- field arithmetic against dense long division ---------------------------
 
 # degree >= 61 narrows the multiplication digit to 3, 2 and 1 bits

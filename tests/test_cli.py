@@ -266,6 +266,16 @@ BAD_NUMBERS = {
 }
 
 
+@pytest.mark.parametrize("weight", ["1", "0", "-3"])
+@pytest.mark.parametrize("algorithm", ["tmto", "auto"])
+def test_classical_weight_below_2_names_the_minimum(algorithm, weight, capsys):
+    code, out, err = run_cli(
+        ["find-all", "--poly", "10,3,0", "--weight", weight, "--max-degree",
+         "40", "--algorithm", algorithm], capsys)
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1] == "error: classical search needs weight >= 2"
+
+
 @pytest.mark.parametrize("case", sorted(BAD_NUMBERS))
 def test_bad_numbers_exit_2(case, capsys):
     code, out, err = run_cli(BAD_NUMBERS[case], capsys)
@@ -360,6 +370,15 @@ def test_estimate_command(capsys):
     )
     assert code == 0
     assert out.strip() == "≈21.3"
+
+
+def test_estimate_beyond_the_largest_float_is_inf(capsys):
+    # 100000^199 / (199! 2^63) is about 10^675
+    code, out, err = run_cli(
+        ["estimate", "--n", "63", "--weight", "200", "--max-degree", "100000"],
+        capsys,
+    )
+    assert (code, out.strip(), err) == (0, "≈inf", "")
 
 
 def test_engine_build_and_reuse(tmp_path, capsys):
