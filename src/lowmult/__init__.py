@@ -46,7 +46,6 @@ from .search import (
     SearchResult,
     build_log_table,
     default_split,
-    enumerate_tuples,
     estimate_count,
     logtmto_find_all,
     second_phase_bound,
@@ -60,9 +59,9 @@ from .sampler import (
     birthday_logtmto,
     birthday_tmto,
     random_log_sample,
-    unrank_combination,
     write_progress_csv,
 )
+from .tuples import enumerate_tuples, unrank_combination
 from .reference import brute_force_log, brute_force_multiples, poly_divides
 
 __version__ = "0.1.0"

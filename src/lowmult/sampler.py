@@ -18,11 +18,11 @@ drawn by unranking a uniform integer into the combinatorial number
 system, so streams are identical across platforms for a fixed seed.
 splitmix64 is counter-based, so ``_draw_chunks`` computes a chunk of
 draws at once, as numpy arrays: bounded integers by the same rejection
-rule as ``Rng.below``, tuples by one ``searchsorted`` per position, and
-residues by a gather from the power table.  The chunks hold exactly the
-stream that ``Rng.below`` and ``unrank_combination`` give one draw at a
-time; those two stay as the reference, and as the draw path where a
-tuple count reaches 2^63.
+rule as ``Rng.below``, tuples by ``tuples.unrank`` on one comb table,
+and residues by a gather from the power table.  The chunks hold exactly
+the stream that ``Rng.below`` and ``unrank_combination`` give one draw
+at a time; those two stay as the reference, and as the draw path where
+a tuple count reaches 2^63.
 
 Each method supplies only its per-draw step, which consumes the chunks
 in draw order; one loop (``_sample``) owns the stop rule, the progress
@@ -36,7 +36,6 @@ provenance seen.
 from __future__ import annotations
 
 import time
-from bisect import bisect_left
 from dataclasses import dataclass
 from math import comb
 
@@ -63,6 +62,7 @@ from .search import (
     _residues,
     _zero_blocks,
 )
+from .tuples import comb_table, unrank, unrank_combination
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -139,39 +139,6 @@ class Rng:
                 return v
 
 
-def unrank_combination(rank: int, q: int, max_val: int) -> tuple[int, ...]:
-    """The rank-th strictly increasing q-tuple over [1, max_val], in
-    lexicographic order (rank 0 is (1, 2, ..., q))."""
-    if not 0 <= rank < comb(max_val, q):
-        raise ValueError("rank out of range")
-    if q == 0:
-        return ()
-    if q == 1:
-        return (rank + 1,)
-    out = []
-    lo = 1
-    remaining = q
-    for _ in range(q):
-        if remaining == 1:
-            out.append(lo + rank)
-            break
-        # prefix(v) = number of tuples with first element < v, starting
-        # from lo: comb(max_val - lo + 1, remaining) - comb(max_val - v + 1, remaining)
-        total = comb(max_val - lo + 1, remaining)
-        a, b = lo, max_val - remaining + 1
-        while a < b:  # smallest v with prefix(v+1) > rank
-            mid = (a + b) // 2
-            if total - comb(max_val - mid, remaining) > rank:
-                b = mid
-            else:
-                a = mid + 1
-        rank -= total - comb(max_val - a + 1, remaining)
-        out.append(a)
-        lo = a + 1
-        remaining -= 1
-    return tuple(out)
-
-
 def _below_rounds(rng: Rng, bounds: list[int], rounds: int) -> np.ndarray:
     """k rounds of [rng.below(b) for b in bounds], as a (k, len(bounds))
     uint64 array, for some k in [1, rounds]; every b < 2^64.
@@ -195,41 +162,6 @@ def _below_rounds(rng: Rng, bounds: list[int], rounds: int) -> np.ndarray:
     return out
 
 
-def _comb_tables(D: int, q: int) -> dict[int, np.ndarray]:
-    """tables[r][b] = C(b, r) for 1 <= r <= q and 0 <= b < D, as int64,
-    each cut before its first entry >= 2^63, which exceeds every rank
-    the unranking compares with it.  C(b, r) is the sum of C(c, r - 1)
-    over c < b, so each table is a running sum of the one before."""
-    tables = {1: np.arange(D, dtype=np.int64)}
-    for r in range(2, q + 1):
-        cut = bisect_left(range(D), 1 << 63, key=lambda b: comb(b, r))
-        tables[r] = np.zeros(cut, np.int64)
-        np.cumsum(tables[r - 1][:cut - 1], out=tables[r][1:])
-    return tables
-
-
-def _unrank(ranks: np.ndarray, q: int, D: int, combs) -> np.ndarray:
-    """unrank_combination(rank, q, D) of each rank, as a (len(ranks), q)
-    int64 array; C(D, q) < 2^63.
-
-    s counts the tuples from this one's to the last one, starting at
-    C(D, q) - rank.  While r >= 2 places are left, the next element is
-    D - b for the largest b with C(b, r) < s (the tuples after it all
-    start higher), and s drops by C(b, r); the last element is D + 1 - s.
-    """
-    out = np.empty((len(ranks), q), np.int64)
-    if q == 0:
-        return out
-    s = comb(D, q) - ranks
-    for i in range(q - 1):
-        table = combs[q - i]
-        b = np.searchsorted(table, s) - 1
-        out[:, i] = D - b
-        s -= table[b]
-    out[:, -1] = D + 1 - s
-    return out
-
-
 def _draw_chunks(seed: int, qs: tuple[int, ...], D: int, xp: np.ndarray,
                  rounds: int):
     """The tuples that Rng(seed) draws over `rounds` rounds, each round one
@@ -245,11 +177,11 @@ def _draw_chunks(seed: int, qs: tuple[int, ...], D: int, xp: np.ndarray,
     """
     rng = Rng(seed)
     bounds = [comb(D, q) for q in qs]
-    combs = _comb_tables(D, max(qs)) if max(bounds) < 1 << 63 else None
+    table = comb_table(D, max(qs)) if max(bounds) < 1 << 63 else None
     done = 0
     while done < rounds:
         k = min(max(_CHUNK_MIN, done), _CHUNK_MAX, rounds - done)
-        if combs is None:
+        if table is None:
             ranks = [[rng.below(b) for b in bounds] for _ in range(k)]
             ranks = np.array(ranks, object).reshape(k, len(qs))
             tuples = [np.array([unrank_combination(r, q, D) for r in ranks[:, j]],
@@ -257,7 +189,7 @@ def _draw_chunks(seed: int, qs: tuple[int, ...], D: int, xp: np.ndarray,
                       for j, q in enumerate(qs)]
         else:
             ranks = _below_rounds(rng, bounds, k).astype(np.int64)
-            tuples = [_unrank(ranks[:, j], q, D, combs)
+            tuples = [unrank(ranks[:, j], q, D, table)
                       for j, q in enumerate(qs)]
         done += len(ranks)
         yield [(t, ranks[:, j], _residues(xp, t) ^ 1)
@@ -383,7 +315,8 @@ def random_log_sample(engine, params: SampleParams) -> SampleResult:
     t0 = time.perf_counter()
     q, D = params.w - 2, params.D
     _check_tuple_size(q, params)
-    _check_budget(_power_bytes(D), params.budget_bytes)
+    _check_budget(_draw_bytes(D, (q,), params.max_iterations),
+                  params.budget_bytes)
     xp = np.array(engine.ctx.power_table(D), np.int64)
     draws = _one_at_a_time(
         _draw_chunks(params.seed, (q,), D, xp, params.max_iterations))
@@ -436,7 +369,8 @@ def birthday_logtmto(
     stored = comb(K, q1) if table is None else len(table.logs)
     logged = max(_logged_tuples(K, q1), 1) if table is None else 1
     _check_budget(
-        _log_route_bytes(M, D, q1, q2, stored, 1, logged, table is None),
+        _log_route_bytes(M, D, q1, q2, stored, 1, logged, table is None)
+        + _draw_bytes(D, (q2,), params.max_iterations),
         params.budget_bytes)
     if table is None:
         table = build_log_table(engine, q1, K)
@@ -579,32 +513,42 @@ def _block_hits(probes, a: int, b: int) -> dict[int, list]:
     return rounds
 
 
+def _draw_bytes(D: int, qs: tuple[int, ...], iterations: int) -> int:
+    """Bytes that the draws of `iterations` rounds allocate, counted in
+    8-byte words: the power table up to x^D, as a list and as an array;
+    the comb table of the unranking, D words per tuple position; and
+    one draw chunk of at most half the rounds (or _CHUNK_MIN, or
+    _CHUNK_MAX): per round and side, about 12 + q words of draws, ranks,
+    residues, times and search work."""
+    return (_power_bytes(D) + (D + 1) * 8 + D * 8 * max(qs)
+            + _chunk_rounds(iterations) * 8 * sum(12 + q for q in qs))
+
+
+def _chunk_rounds(iterations: int) -> int:
+    """The most rounds in one chunk of _draw_chunks over `iterations`."""
+    return min(_CHUNK_MAX, max(min(_CHUNK_MIN, iterations), iterations // 2))
+
+
 def _birthday_bytes(D: int, qs: tuple[int, ...], iterations: int) -> int:
     """Bytes that birthday_tmto allocates over `iterations` rounds,
     counted in 8-byte words.
 
-    The power table up to x^D, as a list and as an array, and the comb
-    tables of the unranking, at most D words each for r = 1..max(qs).
-    Each side's table holds at most min(iterations, C(D, q)) entries of
-    3 + q words (key, time, rank and tuple), and an insert holds three
-    copies of them (the held arrays, their concatenation with a chunk
-    and the merged result) and the sort order.  One draw chunk of at
-    most half the rounds (or _CHUNK_MIN, or _CHUNK_MAX): per round and
-    side, about 12 + q words of draws, ranks, residues, times and
-    search work.  One block of candidate pairs, at most MATCH_BLOCK and
-    at most a chunk's draws times the largest side: six words of
-    indices and masks each, and a hit held as Python objects, a tuple
-    of q ints and its share of the column lists.  The
-    distinct multiples the dedup keeps are the run's output and not
-    counted.
+    The draws (_draw_bytes).  Each side's table holds at most
+    min(iterations, C(D, q)) entries of 3 + q words (key, time, rank and
+    tuple), and an insert holds three copies of them (the held arrays,
+    their concatenation with a chunk and the merged result) and the sort
+    order.  One block of candidate pairs, at most MATCH_BLOCK and at most
+    a chunk's draws times the largest side: six words of indices and
+    masks each, and a hit held as Python objects, a tuple of q ints and
+    its share of the column lists.  The distinct multiples the dedup
+    keeps are the run's output and not counted.
     """
-    chunk = min(_CHUNK_MAX, max(min(_CHUNK_MIN, iterations), iterations // 2))
     entries = [min(iterations, comb(D, q)) for q in qs]
-    pairs = min(MATCH_BLOCK, chunk * len(qs) * max(entries))
+    pairs = min(MATCH_BLOCK,
+                _chunk_rounds(iterations) * len(qs) * max(entries))
     return (
-        _power_bytes(D) + (D + 1) * 8 + D * 8 * max(qs)
+        _draw_bytes(D, qs, iterations)
         + sum(n * 8 * (3 * (3 + q) + 1) for n, q in zip(entries, qs))
-        + chunk * 8 * sum(12 + q for q in qs)
         + pairs * (6 * 8 + 64 + 80 * max(qs))
     )
 

@@ -23,10 +23,12 @@ routes then share one back end on arrays: a match is a row of its halves
 with their shared terms cancelled (``_cancel``), and ``_Dedup`` keeps
 the smallest provenance per multiple and makes the sorted records.
 
-Each concept has one home shared with the samplers: ``_match_blocks``
-and ``_match_rows`` are the log route's match kernel, ``_zero_blocks``
-the multiples that zero residues make, ``_classical_exps`` the assembly
-of ``birthday_tmto``'s matches, and ``_Dedup`` the dedup, one multiple or
+Each concept has one home shared with the samplers: the ``tuples``
+module is the lexicographic order of the tuples both halves are made
+of (rank, unrank and block enumeration), ``_match_blocks`` and
+``_match_rows`` are the log route's match kernel, ``_zero_blocks`` the
+multiples that zero residues make, ``_classical_exps`` the assembly of
+``birthday_tmto``'s matches, and ``_Dedup`` the dedup, one multiple or
 one block of rows at a time.  Each Zech-style log log(1 + tuple) is
 taken once: phase 1 takes the logs of the tuples with an odd exponent in
 batches of LOG_CHUNK, one array call of ``discrete_log`` per batch, and
@@ -40,9 +42,8 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import chain, combinations
 from math import comb, factorial, inf
-from typing import Iterator, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -53,6 +54,7 @@ from .errors import (
     WeightTooSmallError,
 )
 from .gf2poly import FieldContext, SparsePoly
+from .tuples import LOG_CHUNK, rank, tuple_array
 
 ALGO_CLASSICAL = "classical"
 ALGO_LOGARITHMIC = "logarithmic"
@@ -61,9 +63,6 @@ DEFAULT_BUDGET_BYTES = 2**31
 
 # Planning bytes per exponent of a power table: a list slot and its int.
 POWER_TABLE_ENTRY_BYTES = 40
-
-# Tuples per batched discrete_log call in both log-table phases.
-LOG_CHUNK = 2048
 
 # Matches per block of the log route's match kernel, which bounds its
 # work arrays: a block takes MATCH_BLOCK // (the most shifts one (probe,
@@ -95,14 +94,6 @@ def default_split(w: int, algorithm: str) -> tuple[int, int]:
         q1 = (w - 2) // 2
         return q1, (w - 2) - q1
     raise ValueError(f"unknown algorithm {algorithm!r}")
-
-
-def enumerate_tuples(q: int, max_deg: int) -> Iterator[tuple[int, ...]]:
-    """All strictly increasing q-tuples over [1, max_deg], lex order.
-
-    q = 0 yields the single empty tuple.
-    """
-    return combinations(range(1, max_deg + 1), q)
 
 
 def second_phase_bound(D: int, w: int, q2: int) -> int:
@@ -187,7 +178,7 @@ class LogTable:
     keep the tuples' lex order.  zero_polys collects stored tuples whose
     polynomial reduced to the zero element; those are multiples in their
     own right and have no logarithm to store.  lex_logs holds the log of
-    every q1-tuple over [1, max_degree] in enumerate_tuples order, -1
+    every q1-tuple over [1, max_degree] in lex order, -1
     where it reduces to zero.  modulus is the P the logs were taken
     under; log_calls counts the logs actually taken.
     """
@@ -298,24 +289,6 @@ def _classical_exps(
     return tuple(sorted({0} | (set(stored) ^ set(probe))))
 
 
-def _one_plus(xp: list[int], tup: tuple[int, ...]) -> int:
-    """Residue of 1 + (sum of x^e over e in tup), from the power table xp."""
-    r = 1
-    for e in tup:
-        r ^= xp[e]
-    return r
-
-
-def _tuple_chunks(q: int, max_deg: int):
-    """The q-tuples over [1, max_deg] in lex order, as (k, q) int64
-    arrays of at most LOG_CHUNK rows."""
-    flat = chain.from_iterable(enumerate_tuples(q, max_deg))
-    total = comb(max_deg, q)
-    for start in range(0, total, LOG_CHUNK):
-        k = min(LOG_CHUNK, total - start)
-        yield np.fromiter(flat, np.int64, count=k * q).reshape(k, q)
-
-
 def _tuple_logs(engine, xp: np.ndarray, tuples: np.ndarray) -> np.ndarray:
     """The int64 logs of 1 + each row of tuples, -1 where it reduces to
     zero: one batched discrete_log call."""
@@ -325,22 +298,6 @@ def _tuple_logs(engine, xp: np.ndarray, tuples: np.ndarray) -> np.ndarray:
     nonzero = res != 0
     logs[nonzero] = engine.discrete_log(res[nonzero].view(np.uint64))
     return logs
-
-
-def _lex_rank(tuples: np.ndarray, N: int) -> np.ndarray:
-    """The position of each row, a strictly increasing q-tuple over
-    [1, N], in enumerate_tuples(q, N): C(N, q) - 1 minus the tuples
-    after it, of which C(N - a_i, q - i) agree with it before column i
-    (from 0) and exceed it there."""
-    q = tuples.shape[1]
-    rank = np.full(len(tuples), comb(N, q) - 1, np.int64)
-    col = np.ones(N + 1, np.int64)  # C(m, 0) for m <= N
-    for i in range(q - 1, -1, -1):
-        # C(m, k) is the sum of C(j, k - 1) over j < m; int64 sums that
-        # wrap stay exact mod 2^64, and the terms read are below C(N, q)
-        col = np.concatenate(([0], np.cumsum(col[:-1])))
-        rank -= col[N - tuples[:, i]]
-    return rank
 
 
 def _fill_even(exps: np.ndarray, logs: np.ndarray, even: np.ndarray,
@@ -361,7 +318,7 @@ def _fill_even(exps: np.ndarray, logs: np.ndarray, even: np.ndarray,
     t = exps[even]
     low = np.bitwise_or.reduce(t, axis=1)
     low &= -low  # 2^v, the largest power of two dividing every exponent
-    half = logs[_lex_rank(t // low[:, None], max_deg)]
+    half = logs[rank(t // low[:, None], max_deg)]
     known = half >= 0
     y, low, m = half[known].view(np.uint64), low[known], np.uint64(M)
     for _ in range(int(low.max(initial=1)).bit_length() - 1):
@@ -383,7 +340,7 @@ def build_log_table(engine, q1: int, max_deg: int) -> LogTable:
     """
     t0 = time.perf_counter()
     xp = np.array(engine.ctx.power_table(max_deg), np.int64)
-    exps = _combinations_array(max_deg, q1)
+    exps = tuple_array(q1, max_deg)
     odd = (exps & 1).any(axis=1) if q1 else np.ones(len(exps), bool)
     logs = np.full(len(exps), -1, np.int64)
     rows = np.flatnonzero(odd)
@@ -592,34 +549,43 @@ def _logged_tuples(K: int, q: int) -> int:
 def _log_route_bytes(M: int, D: int, q1: int, q2: int, stored: int,
                      probes: int, logged: int, build: bool = True) -> int:
     """Bytes that the log route allocates to match `probes` q2-tuples
-    against a table of `stored` q1-tuples, counted in 8-byte words
-    (with build False the table exists and is not charged); `logged` is
-    the most tuples whose logs one phase takes.
+    against a table of `stored` q1-tuples, counted in 8-byte words: the
+    larger of its two phases, whose peaks never coexist (with build False
+    the table exists, is not charged, and phase 1 does not run); `logged`
+    is the most tuples whose logs one phase takes.
 
-    The power table up to x^D and its array (the tuple enumeration's pool
-    of ints comes after the list is freed, and is smaller).  Per stored
-    tuple: its exponents and log while they are sorted, three words of
-    sort work, and the table's exponents and log.  One chunk of at most
-    LOG_CHUNK tuples, a phase-1 batch or phase-2 probes: exponents twice,
-    and about eight words of residues, logs and window bounds (88 to 97
-    bytes per tuple traced at q = 2); and the engine's BATCH_LOG_BYTES
-    per log of one batch.  One match block: the matches a chunk of probes
+    Both phases hold the power table's array up to x^D, and the comb
+    table of their enumeration, D words per tuple position.  Phase 1,
+    the table's build: per stored tuple its exponents and log while they
+    are sorted, three words of sort work, and the table's exponents and
+    log; one batch of at most LOG_CHUNK tuples, exponents twice and
+    about eight words of residues, logs and window bounds (88 to 97
+    bytes per tuple traced at q = 2), and the engine's BATCH_LOG_BYTES
+    per log; or, if more, the power table's list, which is freed before
+    the rest exists.  Phase 2: the table, the exponents and two logs of
+    each stored tuple; one chunk of at most LOG_CHUNK probes, as a
+    batch; where q1 != q2 the power table's list and the probes' logs,
+    while where q1 = q2 the probes are stored tuples and read their logs
+    from the table.  And one match block: the matches a chunk of probes
     is expected to make (a window of 2D + 1 logs holds a (2D + 1) / M
     share of the table), at most MATCH_BLOCK, each with the kernel's
     indices, its row and its dedup rows, gathered and packed.  The
     distinct multiples the dedup keeps are the run's output and not
     counted.
     """
-    w = q1 + q2 + 2
-    matches = min(MATCH_BLOCK,
-                  -(-min(LOG_CHUNK, probes) * stored * (2 * D + 1) // M))
-    return (
-        _power_bytes(D) + (D + 1) * 8
-        + (stored * 8 * (2 * q1 + 5) if build else 0)
-        + min(LOG_CHUNK, max(logged, probes)) * 8 * (2 * max(q1, q2) + 8)
-        + min(LOG_CHUNK, logged) * BATCH_LOG_BYTES
+    w, chunk = q1 + q2 + 2, min(LOG_CHUNK, probes)
+    batch = min(LOG_CHUNK, logged) * BATCH_LOG_BYTES
+    matches = min(MATCH_BLOCK, -(-chunk * stored * (2 * D + 1) // M))
+    peak = (  # phase 2 beside the table
+        chunk * 8 * (2 * q2 + 8)
+        + (_power_bytes(D) + batch if q1 != q2 else 0)
         + matches * 8 * (3 * w + 2 * q2 + 23)
     )
+    if build:
+        peak = max(stored * 8 * (q1 + 2) + peak, _power_bytes(D),
+                   stored * 8 * (2 * q1 + 5)
+                   + min(LOG_CHUNK, logged) * 8 * (2 * q1 + 8) + batch)
+    return (D + 1) * 8 + D * 8 * max(q1, q2) + peak
 
 
 def _check_budget(predicted: int, budget: int) -> None:
@@ -788,14 +754,6 @@ def _finalize(dedup: _Dedup, report) -> list[MultipleRecord]:
     return records
 
 
-def _combinations_array(D: int, q: int) -> np.ndarray:
-    """enumerate_tuples(q, D) as a (C(D, q), q) int64 array, lex order."""
-    n = comb(D, q)
-    flat = np.fromiter(
-        chain.from_iterable(enumerate_tuples(q, D)), np.int64, count=n * q)
-    return flat.reshape(n, q)
-
-
 def _residues(xp: np.ndarray, tuples: np.ndarray) -> np.ndarray:
     """Residue of the sum of x^e over each row: XOR of its powers."""
     out = np.zeros(len(tuples), np.int64)
@@ -823,7 +781,8 @@ def _tmto_bytes(n: int, D: int, q1: int, q2: int) -> int:
     Per stored q1-tuple: its exponents and its key (residue), each held
     twice while they are put in key order, and that order.  The bit
     filter.  Per exponent up to D: its power as a list slot and int and
-    as an array entry, and its int in the tuple enumeration's pool.  Per
+    as an array entry, and the comb table of one enumeration, at most
+    q2 words.  Per
     probe suffix: its exponents, its residue and three words of work.
     One block of rows, MATCH_BLOCK plus the C(D, s) C(D, q1) / M hits a
     prefix's suffixes are expected to make, but no more than all hits:
@@ -837,7 +796,7 @@ def _tmto_bytes(n: int, D: int, q1: int, q2: int) -> int:
     return (
         entries * 8 * (2 * q1 + 3)
         + (1 << _filter_bits(n, entries)) // 8 + 1
-        + (D + 1) * 8 * 11
+        + _power_bytes(D) + (D + 1) * 8 + D * 8 * q2
         + comb(D, s) * 8 * (s + 4)
         + rows * 8 * (4 * w + 8)
     )
@@ -864,11 +823,10 @@ def tmto_find_all(ctx: FieldContext, params: SearchParams) -> SearchResult:
     q1, q2, D = params.q1, params.q2, params.D
     report = RunReport(algorithm="tmto", w=params.w, D=D, q1=q1, q2=q2)
     _check_budget(_tmto_bytes(ctx.n, D, q1, q2), params.budget_bytes)
-    xp_list = ctx.power_table(D)
-    xp = np.array(xp_list, np.int64)
+    xp = np.array(ctx.power_table(D), np.int64)
 
     t0 = time.perf_counter()
-    stored = _combinations_array(D, q1)
+    stored = tuple_array(q1, D)
     keys = _residues(xp, stored)
     order = np.argsort(keys, kind="stable")  # equal keys stay in lex order
     keys, stored = keys[order], stored[order]
@@ -888,15 +846,16 @@ def tmto_find_all(ctx: FieldContext, params: SearchParams) -> SearchResult:
     t0 = time.perf_counter()
     dedup = _Dedup()
     s = _suffix_size(q2)
-    suffixes = _combinations_array(D, s)
+    suffixes = tuple_array(s, D)
     probes = _residues(xp, suffixes)
     total = len(suffixes)
     # per-prefix work arrays, reused so that the loop allocates little
     work = np.empty(total, np.int64)
     shifts, bits = np.empty(total, np.uint8), np.empty(total, np.uint8)
-    for prefix in enumerate_tuples(q2 - s, D - s):
-        start = total - comb(D - prefix[-1], s) if prefix else 0
-        base = _one_plus(xp_list, prefix)
+    prefixes = tuple_array(q2 - s, D - s)
+    starts = suffixes[:, 0].searchsorted(prefixes.max(axis=1, initial=0) + 1)
+    bases = _residues(xp, prefixes) ^ 1
+    for prefix, start, base in zip(prefixes, starts, bases):
         size = total - start
         low = np.bitwise_xor(probes[start:], base, out=work[:size])
         low &= mask
@@ -985,8 +944,8 @@ def logtmto_find_all(
     emit(_zero_blocks(table, q2, D, M))
     t0 = time.perf_counter()
     xp = None if reuse else np.array(ctx.power_table(D), np.int64)
-    for probes in _tuple_chunks(q2, bound):
-        start = report.probes
+    for start in range(0, probed, LOG_CHUNK):
+        probes = tuple_array(q2, bound, start, min(start + LOG_CHUNK, probed))
         report.probes += len(probes)
         if reuse:
             logs = table.lex_logs[start:report.probes]

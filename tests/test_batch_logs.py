@@ -22,6 +22,7 @@ from lowmult.gf2poly import SparsePoly, make_context, parse_poly, random_primiti
 from lowmult.reference import brute_force_log, poly_divides
 from lowmult.sampler import SampleParams, birthday_logtmto
 from lowmult.search import LOG_CHUNK, SearchParams, logtmto_find_all
+from lowmult.tuples import rank as lex_rank
 
 PLANS = {
     "table": {},
@@ -589,7 +590,7 @@ def test_table_fills_all_even_tuples_by_frobenius(even, half, v):
     tuples, want = _check_table(_engine_of("4,1,0"), q, 32)
     lg, half_lg = want[tuples.index(even)], want[tuples.index(half)]
     assert lg == (-1 if half_lg < 0 else half_lg * 2**v % M)
-    ranks = search._lex_rank(np.array(tuples, np.int64).reshape(-1, q), 32)
+    ranks = lex_rank(np.array(tuples, np.int64).reshape(-1, q), 32)
     assert ranks.tolist() == list(range(len(tuples)))
 
 

@@ -19,19 +19,27 @@ from lowmult.sampler import (
     birthday_logtmto,
     birthday_tmto,
     random_log_sample,
-    unrank_combination,
     write_progress_csv,
     _below_rounds,
     _birthday_bytes,
+    _draw_bytes,
     _draw_chunks,
 )
-from lowmult.search import (
-    _log_route_bytes, _logged_tuples, _one_plus, build_log_table)
+from lowmult.search import _log_route_bytes, _logged_tuples, build_log_table
+from lowmult.tuples import unrank_combination
 
 F8 = make_context(parse_poly("3,1,0"))
 F16 = make_context(parse_poly("4,1,0"))
 ENG8 = build_engine(F8)
 ENG16 = build_engine(F16)
+
+
+def _one_plus(xp, tup):
+    """Residue of 1 + (sum of x^e over e in tup), from the power table xp."""
+    r = 1
+    for e in tup:
+        r ^= xp[e]
+    return r
 
 
 def _brute_sets(ctx, w, D):
@@ -227,15 +235,18 @@ def test_birthday_logtmto_respects_prebuilt_table():
 
 
 def test_samplers_check_the_budget_before_allocating():
-    # a 201-entry power table (8040 model bytes) fits in 10^4 bytes
-    small = dict(w=6, D=200, B=1, seed=1, max_iterations=5, budget_bytes=10**4)
+    # a 201-entry power table as a list and an array, the comb table of
+    # 4-tuples and a chunk of 5 draws (16,688 model bytes) fit in 2 * 10^4
+    small = dict(w=6, D=200, B=1, seed=1, max_iterations=5,
+                 budget_bytes=2 * 10**4)
+    assert _draw_bytes(200, (4,), 5) == 16_688
     random_log_sample(ENG16, SampleParams(**small))
     with pytest.raises(MemoryBudgetExceededError):
         random_log_sample(ENG16, SampleParams(**dict(small, D=2000)))
     # birthday_tmto charges its side tables as well: at w=6 the (2, 3)
     # split's sides hold at most min(max_iterations, C(D, q)) entries each
     need = _birthday_bytes(200, (2, 3), 5)
-    assert need > 10**4
+    assert need > small["budget_bytes"]
     fits = dict(small, budget_bytes=need)
     birthday_tmto(F16, SampleParams(**fits))
     for more in (dict(budget_bytes=need - 1), dict(max_iterations=6),
@@ -245,12 +256,12 @@ def test_samplers_check_the_budget_before_allocating():
     # a side holds no more entries than distinct tuples, C(20, 3) = 1140
     assert _birthday_bytes(20, (2, 3), 10**6) == _birthday_bytes(20, (2, 3), 10**9)
     # birthday_logtmto charges its C(200, 2)-entry K-table only when it
-    # builds it; a prebuilt table is not charged again
+    # builds it; a prebuilt table is not charged again, its draws are
     stored = comb(200, 2)
     prebuilt = _log_route_bytes(F16.order, 200, 2, 2, stored, 1, 1, build=False)
     assert _log_route_bytes(
         F16.order, 200, 2, 2, stored, 1, _logged_tuples(200, 2)) > prebuilt
-    tight = dict(small, budget_bytes=prebuilt)
+    tight = dict(small, budget_bytes=prebuilt + _draw_bytes(200, (2,), 5))
     with pytest.raises(MemoryBudgetExceededError):
         birthday_logtmto(ENG16, SampleParams(q1=2, **tight))
     table = build_log_table(ENG16, 2, 200)

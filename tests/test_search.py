@@ -20,12 +20,12 @@ from lowmult.gf2poly import (
 )
 from lowmult import search
 from lowmult.reference import brute_force_multiples
+from lowmult.tuples import enumerate_tuples
 from lowmult.search import (
     LogTable,
     SearchParams,
     build_log_table,
     default_split,
-    enumerate_tuples,
     estimate_count,
     logtmto_find_all,
     second_phase_bound,
@@ -473,7 +473,7 @@ def test_tmto_checks_the_budget_before_allocating(monkeypatch):
         raise AssertionError("allocated before the budget check")
 
     with monkeypatch.context() as m:
-        m.setattr(search, "_combinations_array", allocates)
+        m.setattr(search, "tuple_array", allocates)
         m.setattr(type(F16), "power_table", allocates)
         with pytest.raises(MemoryBudgetExceededError):
             tmto_find_all(F16, SearchParams.balanced(
@@ -510,38 +510,50 @@ def _log_route_need(ctx, w, D):
 
 
 def test_log_route_checks_the_budget_before_allocating(monkeypatch):
-    from lowmult.sampler import SampleParams, birthday_logtmto
+    from lowmult.sampler import (
+        SampleParams, _draw_bytes, birthday_logtmto, random_log_sample)
 
     params, need = _log_route_need(F16, 4, 15)
     # birthday_logtmto draws one probe at a time against a table to build
     draw = SampleParams(w=4, D=15, B=1, q1=1, seed=1, max_iterations=5)
     draw_need = search._log_route_bytes(
-        F16.order, 15, 1, 1, 15, 1, search._logged_tuples(15, 1))
+        F16.order, 15, 1, 1, 15, 1, search._logged_tuples(15, 1)
+    ) + _draw_bytes(15, (1,), 5)
+    # random_log_sample draws weight-3 polynomials: 2-tuples
+    sample = SampleParams(w=4, D=15, B=1, seed=1, max_iterations=5)
+    sample_need = _draw_bytes(15, (2,), 5)
 
     def allocates(*args):
         raise AssertionError("allocated before the budget check")
 
     with monkeypatch.context() as m:
         m.setattr(search, "build_log_table", allocates)
-        m.setattr(search, "_tuple_chunks", allocates)
+        m.setattr(search, "tuple_array", allocates)
         m.setattr(type(F16), "power_table", allocates)
         with pytest.raises(MemoryBudgetExceededError):
             logtmto_find_all(F16, ENG16, SearchParams.balanced(
                 4, 15, "logarithmic", budget_bytes=need - 1))
         m.setattr("lowmult.sampler.build_log_table", allocates)
+        m.setattr("lowmult.sampler.comb_table", allocates)
         with pytest.raises(MemoryBudgetExceededError):
             birthday_logtmto(ENG16, SampleParams(
                 **dict(draw.__dict__, budget_bytes=draw_need - 1)))
+        with pytest.raises(MemoryBudgetExceededError):
+            random_log_sample(ENG16, SampleParams(
+                **dict(sample.__dict__, budget_bytes=sample_need - 1)))
     assert logtmto_find_all(F16, ENG16, SearchParams.balanced(
         4, 15, "logarithmic", budget_bytes=need)).records
     assert birthday_logtmto(ENG16, SampleParams(
         **dict(draw.__dict__, budget_bytes=draw_need))).records
+    assert random_log_sample(ENG16, SampleParams(
+        **dict(sample.__dict__, budget_bytes=sample_need))).records
 
 
-@pytest.mark.parametrize("w, D", [(4, 3000), (5, 300), (6, 120)])
+@pytest.mark.parametrize("w, D", [
+    (4, 3000), (5, 300), (6, 120), (4, 8192), (4, 16384)])
 def test_log_route_budget_bounds_its_allocations(w, D):
-    # the prediction counts the table, the power table, one log batch and
-    # one match block (an upper bound: the phases do not overlap)
+    # the prediction is the larger phase: the table's build with one log
+    # batch, or the table held while probes are matched a block at a time
     ctx = make_context(parse_poly("30,6,4,1,0"))
     engine = build_engine(ctx)
     params, predicted = _log_route_need(ctx, w, D)
