@@ -37,7 +37,13 @@ from .errors import (
     VerificationError,
     ZechUndefinedError,
 )
-from .gf2poly import make_context, parse_poly, residue, verify_multiple
+from .gf2poly import (
+    SparsePoly,
+    make_context,
+    parse_poly,
+    residue,
+    verify_multiple,
+)
 from .reference import brute_force_multiples
 from .sampler import (
     DEFAULT_MAX_ITERATIONS,
@@ -94,28 +100,30 @@ def _get_engine(args, ctx):
     )
 
 
-def _emit_records(records, as_json: bool) -> None:
+def _emit(blocks, as_json: bool) -> None:
+    """Write the multiples, given as blocks of exponent tuples."""
     out = sys.stdout
-    for rec in records:
+    for block in blocks:
         if as_json:
-            out.write(
-                json.dumps(
-                    {
-                        "exponents": list(rec.poly.exponents),
-                        "weight": rec.weight,
-                        "degree": rec.degree,
-                    }
-                )
-                + "\n"
-            )
+            out.write("".join(
+                json.dumps({"exponents": list(exps), "weight": len(exps),
+                            "degree": exps[-1]}) + "\n"
+                for exps in block))
         else:
-            out.write(str(rec.poly) + "\n")
+            out.write("".join(",".join(map(str, exps)) + "\n" for exps in block))
 
 
-def _verify_records(records, ctx, w, D) -> None:
-    for rec in records:
-        if not verify_multiple(rec.poly, ctx, w, D):
-            raise VerificationError(f"record {rec.poly} fails verification")
+def _verify(blocks, ctx, w, D) -> None:
+    for block in blocks:
+        for exps in block:
+            poly = SparsePoly(exps)
+            if not verify_multiple(poly, ctx, w, D):
+                raise VerificationError(f"record {poly} fails verification")
+
+
+def _record_exponents(records):
+    """Records as one block of exponent tuples."""
+    return [[rec.poly.exponents for rec in records]]
 
 
 def _wagner_advice(n: int, w: int, D: int) -> str | None:
@@ -176,8 +184,8 @@ def cmd_find_all(args) -> int:
         engine = _get_engine(args, ctx)
         result = logtmto_find_all(ctx, engine, params)
     if args.verify:
-        _verify_records(result.records, ctx, args.weight, args.max_degree)
-    _emit_records(result.records, args.json)
+        _verify(result.exponent_blocks(), ctx, args.weight, args.max_degree)
+    _emit(result.exponent_blocks(), args.json)
     for line in result.report.lines():
         _say(line)
     return EXIT_OK
@@ -208,10 +216,11 @@ def cmd_find_some(args) -> int:
         else:
             result = birthday_logtmto(engine, params)
     if args.verify:
-        _verify_records(result.records, ctx, args.weight, args.max_degree)
+        _verify(_record_exponents(result.records), ctx, args.weight,
+                args.max_degree)
     if args.progress_csv:
         write_progress_csv(args.progress_csv, result.events)
-    _emit_records(result.records, args.json)
+    _emit(_record_exponents(result.records), args.json)
     _say("# sampling report")
     _say(f"method: {args.method}")
     _say(f"found: {result.found}")
@@ -272,7 +281,7 @@ def cmd_oracle(args) -> int:
         brute_force_multiples(ctx, args.weight, args.max_degree),
         key=lambda r: (r.degree, r.poly.exponents),
     )
-    _emit_records(records, args.json)
+    _emit(_record_exponents(records), args.json)
     return EXIT_OK
 
 

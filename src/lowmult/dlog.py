@@ -33,8 +33,9 @@ scalar path stays the oracle the array path is tested against, except
 for giant steps: both run the one blocked kernel, which is tested
 against full-table engines and brute force.
 Each engine owns one ``_BatchField``, which also fills its subgroup
-tables and giant blocks by doubling (``_powers``: out[k:2k] = out[:k] *
-g^k, one array product per step).
+tables and giant blocks by growing (``_powers``: out[ik:(i+1)k] =
+out[:k] * g^(ik), 16-fold per array product while it is small, then
+doubling).
 
 Engines are immutable after build and safe to share between threads.
 Tables can be dumped to and loaded from a little-endian cache file that
@@ -92,16 +93,28 @@ def _model_bytes(entries: int) -> int:
 
 
 def _powers(ctx, field, g, count):
-    """g^t for t < count as a uint64 array, filled by doubling:
-    out[k:2k] = out[:k] * g^k, one array product per step."""
+    """g^t for t < count as a uint64 array, one array product per step.
+
+    With k filled, a step makes out[ik:(i+1)k] = out[:k] * g^(ik) for
+    1 <= i < 16, growing the filled part 16-fold, while that product
+    stays below GIANT_BLOCK elements; beyond that it doubles."""
     out = np.empty(count, dtype=np.uint64)
     out[0] = 1
-    k, step = 1, g
+    k, step = 1, g  # step = g^k
     while k < count:
-        t = min(k, count - k)
-        out[k:k + t] = field.mul(out[:t], step)
+        t = min(k * (15 if 15 * k < GIANT_BLOCK else 1), count - k)
+        parts = [step]  # g^(ik) for 1 <= i <= ceil(t / k)
+        while len(parts) * k < t:
+            parts.append(ctx.mul(parts[-1], step))
+        if len(parts) == 1:
+            out[k:k + t] = field.mul(out[:t], step)
+        else:  # element j of the product is out[j % k] times parts[j // k]
+            flat, width, _ = field.table(parts)
+            offsets = np.repeat(np.arange(width), k)[:t]
+            out[k:k + t] = field.mul_table((flat, width, offsets),
+                                           np.tile(out[:k], width)[:t])
+        step = ctx.mul(parts[-1], step)
         k += t
-        step = ctx.sqr(step)
     return out
 
 

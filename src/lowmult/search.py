@@ -21,15 +21,19 @@ congruent to the two logs' difference that keeps both shifted halves at
 degree <= D (more than one once D reaches half the group order).  Both
 routes then share one back end on arrays: a match is a row of its halves
 with their shared terms cancelled (``_cancel``), and ``_Dedup`` keeps
-the smallest provenance per multiple and makes the sorted records.
+the smallest provenance per multiple and sorts the distinct rows, which
+``SearchResult`` holds; it builds the MultipleRecords only when asked.
 
 Each concept has one home shared with the samplers: the ``tuples``
 module is the lexicographic order of the tuples both halves are made
 of (rank, unrank and block enumeration), ``_match_blocks`` and
 ``_match_rows`` are the log route's match kernel, ``_zero_blocks`` the
 multiples that zero residues make, ``_classical_exps`` the assembly of
-``birthday_tmto``'s matches, and ``_Dedup`` the dedup, one multiple or
-one block of rows at a time.  Each Zech-style log log(1 + tuple) is
+``birthday_tmto``'s matches, ``_Dedup`` the dedup, one multiple or one
+block of rows at a time, and the row of a multiple (exponents padded
+with D + 1, then its stored, probe and shift provenance) the one format
+from match to result, which ``_match_records`` alone turns into
+MultipleRecords.  Each Zech-style log log(1 + tuple) is
 taken once: phase 1 takes the logs of the tuples with an odd exponent in
 batches of LOG_CHUNK, one array call of ``discrete_log`` per batch, and
 ``_fill_even`` derives the rest by the Frobenius identity; phase 2 reads
@@ -42,6 +46,8 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
+from itertools import chain
 from math import comb, factorial, inf
 from typing import Optional
 
@@ -273,13 +279,38 @@ class RunReport:
         return out
 
 
-@dataclass
+@dataclass(eq=False)
 class SearchResult:
-    records: list[MultipleRecord]  # sorted by (degree, exponents)
+    """The distinct multiples of one exhaustive search, kept as the rows
+    of _Dedup.sorted_rows: one block (rows, stored, probes, shift) of
+    exponents padded with D + 1, sorted by (degree, exponents), and their
+    provenance columns.  records builds one MultipleRecord per row on its
+    first read and keeps the list."""
+
+    rows: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
     report: RunReport
 
+    def exponent_blocks(self):
+        """The multiples' exponent tuples in record order, a list of at
+        most 1024 per block."""
+        rows = self.rows[0]
+        for at in range(0, len(rows), 1024):
+            yield _exponents(rows[at:at + 1024], self.report.D)
+
     def exponent_sets(self) -> frozenset[tuple[int, ...]]:
-        return frozenset(r.poly.exponents for r in self.records)
+        return frozenset(chain.from_iterable(self.exponent_blocks()))
+
+    @cached_property
+    def records(self) -> list[MultipleRecord]:
+        """One record per multiple, sorted by (degree, exponents).  Parts
+        of 1024 rows keep their lists small beside the records."""
+        records, tuples = [], {}
+        for at in range(0, len(self.rows[0]), 1024):
+            part = [col[at:at + 1024] for col in self.rows]
+            records += [MultipleRecord.of(exps, prov, checked=False)
+                        for exps, prov in _match_records(
+                            *part, self.report.D, tuples)]
+        return records
 
 
 def _classical_exps(
@@ -330,16 +361,20 @@ def _fill_even(exps: np.ndarray, logs: np.ndarray, even: np.ndarray,
     logs[even] = half
 
 
-def build_log_table(engine, q1: int, max_deg: int) -> LogTable:
+def build_log_table(engine, q1: int, max_deg: int,
+                    xp: Optional[np.ndarray] = None) -> LogTable:
     """Phase 1 of the log route: log of (1 + tuple) for every q1-tuple
     with exponents up to max_deg, sorted by log.
 
     Only the tuples with an odd exponent take a log, LOG_CHUNK per
     batched call (the empty tuple of q1 = 0 is its own half, so it takes
-    one too); _fill_even derives the all-even ones.
+    one too); _fill_even derives the all-even ones.  xp is the power
+    array x^0..x^max_deg (or longer) if the caller has one; it is built
+    here only where q1 >= 1, since the empty tuple has no exponent.
     """
     t0 = time.perf_counter()
-    xp = np.array(engine.ctx.power_table(max_deg), np.int64)
+    if xp is None and q1:
+        xp = np.array(engine.ctx.power_table(max_deg), np.int64)
     exps = tuple_array(q1, max_deg)
     odd = (exps & 1).any(axis=1) if q1 else np.ones(len(exps), bool)
     logs = np.full(len(exps), -1, np.int64)
@@ -486,18 +521,23 @@ def _unpack(packed: np.ndarray, widths: list[int]) -> np.ndarray:
     return (packed >> low) & ((1 << np.array(widths)) - 1)
 
 
+def _exponents(rows: np.ndarray, D: int) -> list[tuple[int, ...]]:
+    """The exponent tuples of _cancel rows (ascending, padded with D + 1)."""
+    sizes = (rows <= D).sum(axis=1).tolist()
+    return [tuple(row[:size]) for row, size in zip(rows.tolist(), sizes)]
+
+
 def _match_records(rows, stored, probes, shift, D: int, tuples: dict):
     """(exponents, provenance) of a block's matches, given their _cancel
     rows, stored and probe tuples (as rows, padded with zeros) and shifts;
     shift 0, which the log route's kernel never emits, is the classical
     None.  Provenances share their tuples through the dict tuples."""
     share = tuples.setdefault
-    sizes = (rows <= D).sum(axis=1).tolist()
-    for row, size, st, probe, e in zip(
-        rows.tolist(), sizes, stored.tolist(), probes.tolist(), shift.tolist()
+    for exps, st, probe, e in zip(
+        _exponents(rows, D), stored.tolist(), probes.tolist(), shift.tolist()
     ):
         st, probe = tuple(filter(None, st)), tuple(filter(None, probe))
-        yield tuple(row[:size]), (share(st, st), share(probe, probe), e or None)
+        yield exps, (share(st, st), share(probe, probe), e or None)
 
 
 def _zero_blocks(table: LogTable, q2: int, D: int, M: int,
@@ -564,21 +604,21 @@ def _log_route_bytes(M: int, D: int, q1: int, q2: int, stored: int,
     per log; or, if more, the power table's list, which is freed before
     the rest exists.  Phase 2: the table, the exponents and two logs of
     each stored tuple; one chunk of at most LOG_CHUNK probes, as a
-    batch; where q1 != q2 the power table's list and the probes' logs,
-    while where q1 = q2 the probes are stored tuples and read their logs
-    from the table.  And one match block: the matches a chunk of probes
-    is expected to make (a window of 2D + 1 logs holds a (2D + 1) / M
-    share of the table), at most MATCH_BLOCK, each with the kernel's
-    indices, its row and its dedup rows, gathered and packed.  The
-    distinct multiples the dedup keeps are the run's output and not
-    counted.
+    batch; where q1 != q2 the probes' logs, while where q1 = q2 the
+    probes are stored tuples and read their logs from the table.  And
+    one match block: the matches a chunk of probes is expected to make
+    (a window of 2D + 1 logs holds a (2D + 1) / M share of the table),
+    at most MATCH_BLOCK, each with the kernel's indices, its row and its
+    dedup rows, gathered and packed.  The distinct multiples the dedup
+    keeps are the run's output: _Dedup checks them against the rest of
+    the budget as they grow.
     """
     w, chunk = q1 + q2 + 2, min(LOG_CHUNK, probes)
     batch = min(LOG_CHUNK, logged) * BATCH_LOG_BYTES
     matches = min(MATCH_BLOCK, -(-chunk * stored * (2 * D + 1) // M))
     peak = (  # phase 2 beside the table
         chunk * 8 * (2 * q2 + 8)
-        + (_power_bytes(D) + batch if q1 != q2 else 0)
+        + (batch if q1 != q2 else 0)
         + matches * 8 * (3 * w + 2 * q2 + 23)
     )
     if build:
@@ -646,14 +686,23 @@ class _Dedup:
     Held rows are reduced into the running distinct set once they
     outgrow it (or one MATCH_BLOCK), so they stay within about twice the
     distinct multiples plus two blocks.
+
+    room is the memory budget left beside the route's predicted peak,
+    which charges the block being added and its gathering but not the
+    distinct multiples, the run's output.  add_rows() raises
+    MemoryBudgetExceededError instead of taking a block while the rows
+    it holds, gathered and packed, pass room by more than MATCH_BLOCK
+    gathered rows.
     """
 
-    __slots__ = ("best", "seen", "_pending", "_pending_rows", "_blocks",
-                 "_held", "_width", "_format")
+    __slots__ = ("best", "seen", "room", "_bytes", "_pending",
+                 "_pending_rows", "_blocks", "_held", "_width", "_format")
 
-    def __init__(self):
+    def __init__(self, room: float = inf):
         self.best: dict[tuple[int, ...], tuple] = {}
         self.seen = 0
+        self.room = room
+        self._bytes = 0  # of the gathered and packed rows held
         self._pending: list[np.ndarray] = []  # gathered blocks, unpacked
         self._pending_rows = 0
         self._blocks: list[np.ndarray] = []
@@ -667,6 +716,13 @@ class _Dedup:
 
     def add_rows(self, rows: np.ndarray, stored: np.ndarray,
                  probes: np.ndarray, shift: np.ndarray, D: int) -> None:
+        row_bytes = 8 * (rows.shape[1] + stored.shape[1] + probes.shape[1] + 1)
+        if self._bytes > self.room + MATCH_BLOCK * row_bytes:
+            raise MemoryBudgetExceededError(
+                f"multiples held ({self._bytes} bytes) exceed the memory "
+                f"budget left beside the predicted tables ({self.room} "
+                "bytes); lower the degree bound or use the sampling search"
+            )
         self.seen += len(rows)
         # bits of each field: exponents up to the pad D + 1 in the key,
         # exponents up to D and shift + D up to 2D in the provenance
@@ -676,6 +732,7 @@ class _Dedup:
             + [(2 * D).bit_length()],
         )
         self._pending.append(np.column_stack((rows, stored, probes, shift + D)))
+        self._bytes += self._pending[-1].nbytes
         self._pending_rows += len(rows)
         if self._pending_rows >= MATCH_BLOCK:
             self._pack()
@@ -691,6 +748,7 @@ class _Dedup:
         self._blocks.append(np.hstack((keys, provs)))
         if sum(map(len, self._blocks)) - self._held > max(self._held, MATCH_BLOCK):
             self._reduce()
+        self._bytes = sum(block.nbytes for block in self._blocks)
 
     def _reduce(self) -> None:
         rows = np.concatenate(self._blocks)
@@ -705,34 +763,27 @@ class _Dedup:
         return [MultipleRecord.of(exps, prov, checked=False)
                 for exps, prov in self.best.items()]
 
-    def sorted_records(self) -> list[MultipleRecord]:
-        """One record per distinct multiple of add_rows(), sorted by
+    def sorted_rows(self):
+        """The distinct multiples of add_rows() as one block (rows,
+        stored, probes, shift) in the format add_rows() takes, sorted by
         (degree, exponents); the dedup holds no rows afterwards.
 
         The distinct rows come in key order, padded with D + 1, so one
         stable sort by degree orders them: two multiples of equal degree
-        both end in it, so neither is a prefix of the other.  Parts of
-        1024 rows keep their lists small beside the records."""
+        both end in it, so neither is a prefix of the other."""
         if self._pending:
             self._pack()
         if not self._blocks:
-            return []
+            none = np.empty((0, 0), np.int64)
+            return none, none, none, np.empty(0, np.int64)
         self._reduce()
-        rows, self._blocks, self._held = self._blocks[0], [], 0
+        rows, self._blocks, self._held, self._bytes = self._blocks[0], [], 0, 0
         D, q1, key_bits, prov_bits = self._format
         keys = _unpack(rows[:, :self._width], key_bits)
-        rows = rows[np.argsort(keys.max(axis=1, where=keys <= D, initial=0),
-                               kind="stable")]
-        del keys
-        records, tuples = [], {}
-        for at in range(0, len(rows), 1024):
-            part = rows[at:at + 1024]
-            prov = _unpack(part[:, self._width:], prov_bits)
-            block = (_unpack(part[:, :self._width], key_bits), prov[:, :q1],
-                     prov[:, q1:-1], prov[:, -1] - D)
-            records += [MultipleRecord.of(exps, p, checked=False)
-                        for exps, p in _match_records(*block, D, tuples)]
-        return records
+        order = np.argsort(keys.max(axis=1, where=keys <= D, initial=0),
+                           kind="stable")
+        prov = _unpack(rows[order, self._width:], prov_bits)
+        return keys[order], prov[:, :q1], prov[:, q1:-1], prov[:, -1] - D
 
 
 def _lower_weight(params: SearchParams) -> SearchParams:
@@ -747,11 +798,11 @@ def _lower_weight(params: SearchParams) -> SearchParams:
         w, params.D, params.algorithm, budget_bytes=params.budget_bytes)
 
 
-def _finalize(dedup: _Dedup, report) -> list[MultipleRecord]:
-    records = dedup.sorted_records()
-    report.found = len(records)
-    report.duplicates_suppressed = dedup.seen - len(records)
-    return records
+def _finalize(dedup: _Dedup, report) -> SearchResult:
+    rows = dedup.sorted_rows()
+    report.found = len(rows[0])
+    report.duplicates_suppressed = dedup.seen - report.found
+    return SearchResult(rows, report)
 
 
 def _residues(xp: np.ndarray, tuples: np.ndarray) -> np.ndarray:
@@ -788,7 +839,8 @@ def _tmto_bytes(n: int, D: int, q1: int, q2: int) -> int:
     prefix's suffixes are expected to make, but no more than all hits:
     each row of w exponents, its halves and provenance, its packed dedup
     row and the work of building them.  The distinct multiples the dedup
-    keeps are the run's output and not counted.
+    keeps are the run's output: _Dedup checks them against the rest of
+    the budget as they grow.
     """
     entries, s, w, M = comb(D, q1), _suffix_size(q2), q1 + q2 + 1, (1 << n) - 1
     rows = min(MATCH_BLOCK - (-comb(D, s) * entries // M),
@@ -822,7 +874,8 @@ def tmto_find_all(ctx: FieldContext, params: SearchParams) -> SearchResult:
         params = _lower_weight(params)
     q1, q2, D = params.q1, params.q2, params.D
     report = RunReport(algorithm="tmto", w=params.w, D=D, q1=q1, q2=q2)
-    _check_budget(_tmto_bytes(ctx.n, D, q1, q2), params.budget_bytes)
+    predicted = _tmto_bytes(ctx.n, D, q1, q2)
+    _check_budget(predicted, params.budget_bytes)
     xp = np.array(ctx.power_table(D), np.int64)
 
     t0 = time.perf_counter()
@@ -844,7 +897,7 @@ def tmto_find_all(ctx: FieldContext, params: SearchParams) -> SearchResult:
 
     # q2 >= 1 always: q1 <= q2 and q1 + q2 + 1 = w >= 2
     t0 = time.perf_counter()
-    dedup = _Dedup()
+    dedup = _Dedup(params.budget_bytes - predicted)
     s = _suffix_size(q2)
     suffixes = tuple_array(s, D)
     probes = _residues(xp, suffixes)
@@ -882,9 +935,9 @@ def tmto_find_all(ctx: FieldContext, params: SearchParams) -> SearchResult:
         rows[:, params.w - s:] = suffixes[np.repeat(cand + start, count)]
         dedup.add_rows(_cancel(rows.copy(), D), rows[:, 1:q1 + 1],
                        rows[:, q1 + 1:], np.zeros(len(rows), np.int64), D)
-    records = _finalize(dedup, report)
+    result = _finalize(dedup, report)
     report.phase2_seconds = time.perf_counter() - t0
-    return SearchResult(records=records, report=report)
+    return result
 
 
 def logtmto_find_all(
@@ -923,18 +976,21 @@ def logtmto_find_all(
     # first tuples in lex order (bound < D only where q2 = 1)
     reuse = q1 == q2
     probed = comb(bound, q2)
-    _check_budget(
-        _log_route_bytes(ctx.order, D, q1, q2, comb(D, q1), probed,
-                         max(_logged_tuples(D, q1), 0 if reuse else probed)),
-        params.budget_bytes)
+    predicted = _log_route_bytes(
+        ctx.order, D, q1, q2, comb(D, q1), probed,
+        max(_logged_tuples(D, q1), 0 if reuse else probed))
+    _check_budget(predicted, params.budget_bytes)
 
-    table = build_log_table(engine, q1, D)
+    t0 = time.perf_counter()
+    # one power array for both phases, where a tuple has an exponent
+    xp = np.array(ctx.power_table(D), np.int64) if q2 else None
+    table = build_log_table(engine, q1, D, xp)
     report.table_entries = len(table.logs)
     report.log_calls += table.log_calls
-    report.phase1_seconds = table.build_seconds
+    report.phase1_seconds = time.perf_counter() - t0
 
     M = ctx.order
-    dedup = _Dedup()
+    dedup = _Dedup(params.budget_bytes - predicted)
 
     def emit(blocks):
         for block in blocks:
@@ -943,7 +999,6 @@ def logtmto_find_all(
 
     emit(_zero_blocks(table, q2, D, M))
     t0 = time.perf_counter()
-    xp = None if reuse else np.array(ctx.power_table(D), np.int64)
     for start in range(0, probed, LOG_CHUNK):
         probes = tuple_array(q2, bound, start, min(start + LOG_CHUNK, probed))
         report.probes += len(probes)
@@ -958,6 +1013,6 @@ def logtmto_find_all(
         for p, pos, shift, skips in _match_blocks(table, probes, logs, D, M):
             report.zero_shift_skips += skips
             dedup.add_rows(*_match_rows(table.exponents[pos], probes[p], shift, D), D)
-    records = _finalize(dedup, report)
+    result = _finalize(dedup, report)
     report.phase2_seconds = time.perf_counter() - t0
-    return SearchResult(records=records, report=report)
+    return result

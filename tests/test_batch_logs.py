@@ -341,6 +341,42 @@ def test_tabulate_equals_plain_enumeration(n, seed, data):
         assert idx.tolist() == order
 
 
+def _doubling(ctx, field, g, count):
+    """g^t for t < count, filled by plain doubling: out[k:2k] = out[:k] g^k."""
+    out = np.empty(count, dtype=np.uint64)
+    out[0] = 1
+    k, step = 1, g
+    while k < count:
+        t = min(k, count - k)
+        out[k:k + t] = field.mul(out[:t], step)
+        k += t
+        step = ctx.sqr(step)
+    return out
+
+
+@pytest.mark.parametrize("spec", ["18,7,0", "30,6,4,1,0", "31,3,0", "62,6,5,3,0"])
+def test_powers_equal_plain_doubling(spec, monkeypatch):
+    # 16-fold steps below GIANT_BLOCK elements, doubling above: the same
+    # sorted tables and giant blocks as doubling throughout
+    ctx = make_context(parse_poly(spec))
+    field = _BatchField(ctx)
+    g = ctx.pow(2, 12345)
+    for count in (1, 2, 15, 16, 17, 255, 257, 331, 4097, 20000, 70000):
+        assert np.array_equal(dlog._powers(ctx, field, g, count),
+                              _doubling(ctx, field, g, count))
+    plan = {"tabulation_threshold": 1, "bsgs_baby_entries": 3000}
+    engines = [build_engine(ctx), build_engine(ctx, **plan)]
+    monkeypatch.setattr(dlog, "_powers", _doubling)
+    plain = [build_engine(ctx), build_engine(ctx, **plan)]
+    for new, old in zip(engines, plain):
+        for a, b in zip(new.solvers, old.solvers):
+            assert np.array_equal(a.sub.vals, b.sub.vals)
+            assert np.array_equal(a.sub.idx, b.sub.idx)
+            assert (a.sub.block is None) == (b.sub.block is None)
+            if a.sub.block is not None:
+                assert np.array_equal(a.sub.block, b.sub.block)
+
+
 # -- chunked log-table phases -------------------------------------------------
 
 F20 = make_context(parse_poly("20,3,0"))  # 1 + x^3 + x^20 reduces to zero

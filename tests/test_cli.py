@@ -2,14 +2,25 @@ import json
 import os
 import subprocess
 import sys
+from math import comb
 
 import pytest
 
-from lowmult import cli
+from lowmult import cli, search
 from lowmult.cli import main
-from lowmult.dlog import predict_table_bytes
+from lowmult.dlog import build_engine, predict_table_bytes
 from lowmult.gf2poly import make_context, parse_poly
-from lowmult.search import DEFAULT_BUDGET_BYTES, _tmto_bytes
+from lowmult.search import (
+    DEFAULT_BUDGET_BYTES,
+    MATCH_BLOCK,
+    MultipleRecord,
+    SearchParams,
+    _log_route_bytes,
+    _logged_tuples,
+    _tmto_bytes,
+    logtmto_find_all,
+    tmto_find_all,
+)
 
 PKG_ROOT = None
 
@@ -425,3 +436,74 @@ def test_single_thread_runs_byte_identical():
     assert a.returncode == b.returncode == 0
     assert a.stdout == b.stdout
 
+
+
+FIND_1737 = ["find-all", "--poly", "10,3,0", "--weight", "6", "--max-degree", "48"]
+
+
+@pytest.mark.parametrize("algorithm", ["tmto", "logtmto"])
+@pytest.mark.parametrize("extra", [[], ["--json"], ["--verify"],
+                                   ["--json", "--verify"]])
+def test_find_all_writes_from_rows_without_records(algorithm, extra,
+                                                   monkeypatch, capsys):
+    # the lines and JSON objects the records would give, none built
+    ctx = make_context(parse_poly("10,3,0"))
+    if algorithm == "tmto":
+        result = tmto_find_all(ctx, SearchParams.balanced(6, 48, "classical"))
+    else:
+        result = logtmto_find_all(ctx, build_engine(ctx), SearchParams.balanced(
+            6, 48, "logarithmic"))
+    if "--json" in extra:
+        want = "".join(json.dumps({"exponents": list(r.poly.exponents),
+                                   "weight": r.weight, "degree": r.degree}) + "\n"
+                       for r in result.records)
+    else:
+        want = "".join(str(r.poly) + "\n" for r in result.records)
+    made = []
+    init = MultipleRecord.__init__
+
+    def counting(self, *args, **kwargs):
+        made.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(MultipleRecord, "__init__", counting)
+    code, out, _ = run_cli(FIND_1737 + ["--algorithm", algorithm] + extra, capsys)
+    assert code == 0
+    assert out == want
+    assert made == []
+
+
+@pytest.mark.parametrize("algorithm", ["tmto", "logtmto"])
+def test_find_all_exits_4_once_held_multiples_pass_the_budget(
+        algorithm, monkeypatch, capsys):
+    # P=6,1,0, w=6, D=64 has 119,785 multiples, about 2 MB of distinct
+    # rows and up to 4.5 MB held between reduces.  With 1 MB of budget
+    # beside the route's prediction the run stops with exit 4, and no
+    # block is taken while the dedup holds more than one MATCH_BLOCK of
+    # gathered rows beyond it.
+    ctx = make_context(parse_poly("6,1,0"))
+    if algorithm == "tmto":
+        predicted = _tmto_bytes(6, 64, 2, 3)
+    else:
+        predicted = _log_route_bytes(ctx.order, 64, 2, 2, comb(64, 2),
+                                     comb(64, 2), _logged_tuples(64, 2))
+    room = 2**20
+    taken = []
+    add_rows = search._Dedup.add_rows
+
+    def spy(self, rows, stored, probes, shift, D):
+        held = self._bytes
+        add_rows(self, rows, stored, probes, shift, D)
+        row_bytes = 8 * (rows.shape[1] + stored.shape[1] + probes.shape[1] + 1)
+        taken.append(held - MATCH_BLOCK * row_bytes)
+
+    monkeypatch.setattr(search._Dedup, "add_rows", spy)
+    code, out, err = run_cli(
+        ["find-all", "--poly", "6,1,0", "--weight", "6", "--max-degree", "64",
+         "--algorithm", algorithm, "--budget-bytes", str(predicted + room)],
+        capsys)
+    assert code == 4
+    assert out == ""
+    assert "error: multiples held" in err and "budget" in err
+    assert len(taken) > 1  # past the up-front check
+    assert max(taken) <= room

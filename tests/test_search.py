@@ -565,3 +565,102 @@ def test_log_route_budget_bounds_its_allocations(w, D):
     finally:
         tracemalloc.stop()
     assert predicted / 2 <= peak <= predicted, (peak, predicted)
+
+
+# -- results kept as rows ----------------------------------------------------
+
+F1024 = make_context(parse_poly("10,3,0"))
+ENG1024 = build_engine(F1024)
+
+
+def _route(algorithm):
+    if algorithm == "classical":
+        return lambda ctx, eng, params: tmto_find_all(ctx, params)
+    return logtmto_find_all
+
+
+def _count_records(monkeypatch):
+    made = []
+    of = search.MultipleRecord.of.__func__
+
+    def counting(cls, *args, **kwargs):
+        made.append(args[0])
+        return of(cls, *args, **kwargs)
+
+    monkeypatch.setattr(search.MultipleRecord, "of", classmethod(counting))
+    return made
+
+
+@pytest.mark.parametrize("algorithm", ["classical", "logarithmic"])
+def test_records_are_built_on_first_read_and_kept(algorithm, monkeypatch):
+    # 1737 multiples: records are built in more than one part of 1024 rows
+    made = _count_records(monkeypatch)
+    params = SearchParams.balanced(6, 48, algorithm)
+    result = _route(algorithm)(F1024, ENG1024, params)
+    sets = result.exponent_sets()
+    assert made == [] and result.report.found == len(sets) == 1737
+    records = result.records
+    assert len(made) == len(records) == 1737
+    assert result.records is records
+    assert len(made) == 1737
+    assert frozenset(r.poly.exponents for r in records) == sets
+    assert [exps for block in result.exponent_blocks()
+            for exps in block] == [r.poly.exponents for r in records]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(2, 8),
+    seed=st.integers(0, 2**16),
+    w=st.integers(2, 7),
+    degree=st.floats(0, 1),
+    algorithm=st.sampled_from(["classical", "logarithmic"]),
+)
+def test_exponent_sets_from_rows_equal_the_records(n, seed, w, degree,
+                                                   algorithm):
+    # D from 1 to 2M + 3: empty results, D >= M and D < w - 2 among them
+    ctx, engine = _field_and_engine(n, seed)
+    D = 1 + round(degree * (2 * ctx.order + 2))
+    while comb(D, w - 1) > 20_000:
+        D -= 1
+    if algorithm == "classical" and w < 3:
+        w = 3
+    result = _route(algorithm)(ctx, engine, SearchParams.balanced(w, D, algorithm))
+    records = result.records
+    assert result.exponent_sets() == frozenset(r.poly.exponents for r in records)
+    assert result.report.found == len(records)
+    assert [exps for block in result.exponent_blocks()
+            for exps in block] == [r.poly.exponents for r in records]
+
+
+@pytest.mark.parametrize("algorithm", ["classical", "logarithmic"])
+@pytest.mark.parametrize("spec, w, D, found", [
+    ("8,4,3,2,0", 4, 5, 0),  # no multiple: empty rows
+    ("3,1,0", 4, 20, 146),  # D >= M = 7
+    ("4,1,0", 7, 4, 1),  # D < w - 2: the weight-5 search stands in
+])
+def test_rows_edge_cases(algorithm, spec, w, D, found):
+    ctx = make_context(parse_poly(spec))
+    result = _route(algorithm)(ctx, build_engine(ctx),
+                               SearchParams.balanced(w, D, algorithm))
+    assert result.report.found == len(result.exponent_sets()) == found
+    assert result.exponent_sets() == _brute_sets(ctx, w, D)
+    assert result.exponent_sets() == frozenset(
+        r.poly.exponents for r in result.records)
+
+
+@pytest.mark.parametrize("w, builds", [(2, 0), (3, 1), (4, 1), (5, 1)])
+def test_log_route_builds_one_power_table(w, builds, monkeypatch):
+    # one array for both phases, none where no tuple has an exponent
+    calls = []
+    power_table = type(F16).power_table
+
+    def counting(ctx, limit):
+        calls.append(limit)
+        return power_table(ctx, limit)
+
+    monkeypatch.setattr(type(F16), "power_table", counting)
+    result = logtmto_find_all(F16, ENG16, SearchParams.balanced(
+        w, 20, "logarithmic"))
+    assert calls == [20] * builds
+    assert result.exponent_sets() == _brute_sets(F16, w, 20)
