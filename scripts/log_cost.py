@@ -100,7 +100,7 @@ def measure(poly):
     if bad:
         raise SystemExit(f"P={poly}: x^{bad[0][1]} != {bad[0][0]}")
 
-    field = engine._field
+    field = ctx.batch
     calls = 0
     mul_table = field.mul_table
 

@@ -21,21 +21,20 @@ same trade-off; growing the baby table past sqrt(p) buys time for memory
 on group orders whose largest prime factor is otherwise out of reach.
 
 ``LogEngine.discrete_log`` also takes a numpy array of elements and then
-runs the same steps on uint64 arrays (``_BatchField``): one call per
-batch instead of one Python-level Pohlig-Hellman walk per element.  The
-array path projects through a product tree over the prime powers,
-planned once per engine by a subset DP that minimises the array
-products (``_product_tree``): a node raises its value to the product of
-each half's complement off one square chain, and a leaf holds a^(M/q).
+runs the same steps on uint64 arrays, in the context's array arithmetic
+(``ctx.batch``, see ``gf2poly``): one call per batch instead of one
+Python-level Pohlig-Hellman walk per element.  The array path projects
+through a product tree over the prime powers, planned once per engine
+by a subset DP that minimises the array products (``_product_tree``): a
+node raises its value to the product of each half's complement off one
+square chain, and a leaf holds a^(M/q).
 The components combine by Garner's mixed radix in int64, the largest
 prime power first, which keeps every partial value below M < 2^63.  The
 scalar path stays the oracle the array path is tested against, except
 for giant steps: both run the one blocked kernel, which is tested
 against full-table engines and brute force.
-Each engine owns one ``_BatchField``, which also fills its subgroup
-tables and giant blocks by growing (``_powers``: out[ik:(i+1)k] =
-out[:k] * g^(ik), 16-fold per array product while it is small, then
-doubling).
+The subgroup tables and giant blocks are ``ctx.powers`` arrays, so the
+engines built on one context share its one array field.
 
 Engines are immutable after build and safe to share between threads.
 Tables can be dumped to and loaded from a little-endian cache file that
@@ -56,7 +55,7 @@ from .errors import (
     MemoryBudgetExceededError,
     ZechUndefinedError,
 )
-from .gf2poly import FieldContext, SparsePoly, _poly_mod_int, make_context
+from .gf2poly import FieldContext, SparsePoly, make_context
 
 DEFAULT_TABULATION_ENTRIES = 2**26
 DEFAULT_MAX_TABLE_BYTES = 2**31
@@ -92,145 +91,17 @@ def _model_bytes(entries: int) -> int:
     return _slots(entries) * _ENTRY_BYTES
 
 
-def _powers(ctx, field, g, count):
-    """g^t for t < count as a uint64 array, one array product per step.
-
-    With k filled, a step makes out[ik:(i+1)k] = out[:k] * g^(ik) for
-    1 <= i < 16, growing the filled part 16-fold, while that product
-    stays below GIANT_BLOCK elements; beyond that it doubles."""
-    out = np.empty(count, dtype=np.uint64)
-    out[0] = 1
-    k, step = 1, g  # step = g^k
-    while k < count:
-        t = min(k * (15 if 15 * k < GIANT_BLOCK else 1), count - k)
-        parts = [step]  # g^(ik) for 1 <= i <= ceil(t / k)
-        while len(parts) * k < t:
-            parts.append(ctx.mul(parts[-1], step))
-        if len(parts) == 1:
-            out[k:k + t] = field.mul(out[:t], step)
-        else:  # element j of the product is out[j % k] times parts[j // k]
-            flat, width, _ = field.table(parts)
-            offsets = np.repeat(np.arange(width), k)[:t]
-            out[k:k + t] = field.mul_table((flat, width, offsets),
-                                           np.tile(out[:k], width)[:t])
-        step = ctx.mul(parts[-1], step)
-        k += t
-    return out
-
-
-def _tabulate(ctx, field, p, baby_entries):
+def _tabulate(ctx, p, baby_entries):
     """gp^j for j < min(p, baby_entries), where gp = x^(M/p) has order p,
     as (values sorted ascending, their exponents j)."""
     gp = ctx.pow(2, ctx.order // p)
     m = min(p, baby_entries)
-    vals = _powers(ctx, field, gp, m)
+    vals = ctx.powers(gp, m)
     if m == p and ctx.mul(int(vals[-1]), gp) != 1:
         raise AssertionError("subgroup enumeration did not close")
     vals = vals.view("<i8")
     order = np.argsort(vals)  # the values are distinct
     return vals[order], order.astype("<i8", copy=False)
-
-
-class _BatchField:
-    """GF(2^n) arithmetic on uint64 arrays of reduced elements.
-
-    Squaring is GF(2)-linear, so it is one gather per byte of the
-    input.  Multiplication runs k-bit digits of one factor (k = 4, or
-    less where n + k would pass 64 bits) through a table of the other
-    factor's multiples j*b mod P, Horner-style from the top digit; each
-    step shifts by k and folds the k bits above x^(n-1) back through one
-    more gather, so no value ever exceeds 64 bits.  A table can be
-    built once and reused for several products with the same factor.
-    """
-
-    def __init__(self, ctx):
-        n, p_int = ctx.n, ctx.poly.to_int()
-        self.n = np.uint64(n)
-        self.top = np.uint64(n - 1)
-        self.p_int = np.uint64(p_int)
-        self.k = k = min(4, 64 - n)
-        self.digits = -(-n // k)
-        self.kbits = np.uint64(k)
-        self.digit_mask = np.uint64((1 << k) - 1)
-        # fold[h] clears the k bits h at x^n.. and adds (h x^n) mod P
-        self.fold = np.array(
-            [(h << n) ^ _poly_mod_int(h << n, p_int) for h in range(1 << k)],
-            dtype=np.uint64,
-        )
-        self.sq = np.array(
-            [[ctx.sqr((b << 8 * j) & ctx.mask) for b in range(256)]
-             for j in range(-(-n // 8))],
-            dtype=np.uint64,
-        )
-
-    def sqr(self, a):
-        byte = np.uint64(0xFF)
-        out = self.sq[0].take((a & byte).view(np.int64))
-        for j in range(1, len(self.sq)):
-            out ^= self.sq[j].take(((a >> np.uint64(8 * j)) & byte).view(np.int64))
-        return out
-
-    def table(self, b):
-        """Multiples j*b mod P for j < 2^k of the array or int b, laid out
-        flat (entry j of element i at j*len(b) + i) with its row offsets."""
-        b = np.atleast_1d(np.asarray(b, dtype=np.uint64))
-        rows = np.empty((1 << self.k, len(b)), dtype=np.uint64)
-        rows[0] = 0
-        rows[1] = b
-        h = b
-        for i in range(1, self.k):  # rows 2^i.. are rows ..2^i plus x^i b
-            h = (h << np.uint64(1)) ^ ((h >> self.top) * self.p_int)
-            np.bitwise_xor(rows[:1 << i], h, out=rows[1 << i:2 << i])
-        # a one-element table (a constant) serves every element of a
-        offsets = np.arange(len(b)) if len(b) > 1 else 0
-        return rows.ravel(), len(b), offsets
-
-    def mul_table(self, table, a):
-        """a times the factor whose table this is.  Gathers index with
-        int64 through take: a uint64 index would be converted on every
-        gather."""
-        flat, width, offsets = table
-        k, mask = self.kbits, self.digit_mask
-        acc = None
-        for d in range(self.digits - 1, -1, -1):
-            j = ((a >> np.uint64(k * d)) & mask).view(np.int64)
-            if width > 1:  # else every element reads row j at offset 0
-                j *= width
-                j += offsets
-            if acc is None:
-                acc = flat.take(j)
-                continue
-            acc <<= k
-            acc ^= self.fold.take((acc >> self.n).view(np.int64))
-            acc ^= flat.take(j)
-        return acc
-
-    def mul(self, a, b):
-        return self.mul_table(self.table(b), a)
-
-    def pow(self, a, e: int):
-        """a^e for a fixed exponent e >= 1."""
-        return self.pows(a, e)[0]
-
-    def pows(self, a, *exps):
-        """[a^e for e in exps], exponents >= 1, off one square chain of a:
-        a^(2^j) is multiplied into every power whose exponent has bit j
-        set, through one table of it."""
-        out = [None] * len(exps)
-        top = max(exps).bit_length() - 1
-        for j in range(top + 1):
-            table = None
-            for i, e in enumerate(exps):
-                if e >> j & 1:
-                    if out[i] is None:
-                        out[i] = a
-                    else:
-                        if table is None:
-                            table = self.table(a)
-                        out[i] = self.mul_table(table, out[i])
-            if j < top:
-                a = self.sqr(a)
-        return out
 
 
 class _SubgroupLog:
@@ -248,9 +119,10 @@ class _SubgroupLog:
     """
 
     __slots__ = ("p", "m", "vals", "idx", "accel", "giant", "steps",
-                 "block", "filter", "mask")
+                 "block", "filter", "mask", "batch")
 
-    def __init__(self, ctx, field, p, vals, idx):
+    def __init__(self, ctx, p, vals, idx):
+        self.batch = ctx.batch
         self.p = p
         self.m = m = len(vals)
         self.vals = vals
@@ -265,8 +137,7 @@ class _SubgroupLog:
         )
         self.block = self.filter = self.mask = None
         if self.steps:
-            self.block = _powers(ctx, field, self.giant,
-                                 min(self.steps + 1, GIANT_BLOCK))
+            self.block = ctx.powers(self.giant, min(self.steps + 1, GIANT_BLOCK))
             self.mask = (1 << (m.bit_length() + 4)) - 1
             self.filter = np.zeros((self.mask >> 3) + 1, np.uint8)
             low = vals & self.mask
@@ -285,11 +156,11 @@ class _SubgroupLog:
         at = np.minimum(self.vals.searchsorted(cur), self.m - 1)
         return at, self.vals[at] == cur
 
-    def lookup(self, field, h: int) -> int:
+    def lookup(self, h: int) -> int:
         """j with gp^j == h, for h in the subgroup.  Baby-step
         giant-step runs the blocked kernel of lookup_array on h alone."""
         if self.steps:
-            return int(self.lookup_array(field, np.array([h], np.uint64))[0])
+            return int(self.lookup_array(np.array([h], np.uint64))[0])
         if self.accel is not None:
             j = self.accel.get(h)
         else:
@@ -299,7 +170,7 @@ class _SubgroupLog:
             raise ValueError("element not found in subgroup (corrupt table?)")
         return j
 
-    def lookup_array(self, field, h):
+    def lookup_array(self, h):
         """lookup for every element of the uint64 array h.
 
         A full table is one searchsorted.  Baby-step giant-step runs in
@@ -315,6 +186,7 @@ class _SubgroupLog:
             if not hit.all():
                 raise ValueError("element not found in subgroup (corrupt table?)")
             return self.idx[at]
+        field = self.batch
         out = np.empty(len(h), np.int64)
         todo = np.arange(len(h))
         base = 0  # giant steps taken by every element of todo
@@ -353,7 +225,7 @@ class _PrimePowerSolver:
 
     __slots__ = ("p", "e", "q", "cofactor", "gq", "sub", "inv_pows", "p_pows")
 
-    def __init__(self, ctx, field, p, e, tables):
+    def __init__(self, ctx, p, e, tables):
         """tables: the sorted (vals, idx) of the order-p subgroup."""
         self.p = p
         self.e = e
@@ -361,12 +233,12 @@ class _PrimePowerSolver:
         M = ctx.order
         self.cofactor = M // self.q
         self.gq = ctx.pow(2, self.cofactor)  # order exactly q
-        self.sub = _SubgroupLog(ctx, field, p, *tables)
+        self.sub = _SubgroupLog(ctx, p, *tables)
         gq_inv = ctx.pow(self.gq, self.q - 1)
         self.p_pows = [p**k for k in range(e)]
         self.inv_pows = [ctx.pow(gq_inv, pk) for pk in self.p_pows]
 
-    def component_log(self, ctx, field, chain: list[int]) -> int:
+    def component_log(self, ctx, chain: list[int]) -> int:
         # project into the order-q subgroup off the shared square chain
         # (chain[j] = a^(2^j)): a^(M/q) is the product over the set bits
         # of the cofactor
@@ -379,24 +251,25 @@ class _PrimePowerSolver:
             cof >>= 1
             j += 1
         if self.e == 1:
-            return self.sub.lookup(field, h)
+            return self.sub.lookup(h)
         y = 0
         for k in range(self.e):
             c = ctx.pow(h, self.p_pows[self.e - 1 - k])
-            d = self.sub.lookup(field, c)
+            d = self.sub.lookup(c)
             if d:
                 h = ctx.mul(h, ctx.pow(self.inv_pows[k], d))
                 y += d * self.p_pows[k]
         return y
 
-    def component_log_array(self, ctx, field, h):
+    def component_log_array(self, ctx, h):
         """component_log for the uint64 array h of projections a^(M/q)."""
         if self.e == 1:
-            return self.sub.lookup_array(field, h)
+            return self.sub.lookup_array(h)
+        field = ctx.batch
         y = np.zeros(len(h), dtype=np.int64)
         for k in range(self.e):
             c = field.pow(h, self.p_pows[self.e - 1 - k])
-            d = self.sub.lookup_array(field, c)
+            d = self.sub.lookup_array(c)
             y += d * self.p_pows[k]
             if k == self.e - 1:
                 return y
@@ -414,10 +287,9 @@ class LogEngine:
     zech_log for one field.  Identical answers regardless of which
     primes are tabulated and which fall back to BSGS."""
 
-    def __init__(self, ctx, field, solvers, tabulation_threshold,
+    def __init__(self, ctx, solvers, tabulation_threshold,
                  bsgs_baby_entries, predicted_bytes):
         self.ctx = ctx
-        self._field = field  # the _BatchField of ctx, for array calls
         self.solvers = solvers
         self.tabulation_threshold = tabulation_threshold
         self.bsgs_baby_entries = bsgs_baby_entries
@@ -460,7 +332,7 @@ class LogEngine:
             chain.append(sqr(chain[-1]))
         out = 0
         for solver, weight in self._crt:
-            y = solver.component_log(ctx, self._field, chain)
+            y = solver.component_log(ctx, chain)
             if y:
                 out = (out + y * weight) % M
         return out
@@ -469,7 +341,7 @@ class LogEngine:
         a = a.astype(np.uint64)
         if not a.all():
             raise LogOfZeroError("the zero element has no discrete logarithm")
-        ctx, field = self.ctx, self._field
+        ctx = self.ctx
         # a node of the product tree over the prime powers S holds
         # b = a^(M/prod S); its child over the part T gets b^prod(S - T),
         # all children off one square chain of b, and a leaf holds the
@@ -482,7 +354,7 @@ class LogEngine:
             node, b = todo.pop()
             if isinstance(node, int):
                 q, inv, Q = self._garner[node]
-                y = self.solvers[node].component_log_array(ctx, field, b)
+                y = self.solvers[node].component_log_array(ctx, b)
                 y -= x
                 y %= q
                 y *= inv
@@ -491,7 +363,7 @@ class LogEngine:
                 x += y
             else:
                 children, exps = node
-                powers = field.pows(b, *exps)
+                powers = ctx.batch.pows(b, *exps)
                 todo.extend(zip(children[::-1], powers[::-1]))
         return x
 
@@ -636,14 +508,12 @@ def build_engine(
             f"predicted engine tables need {predicted} bytes "
             f"(cap {max_table_bytes}); raise the cap or lower the threshold"
         )
-    field = _BatchField(ctx)
     solvers = [
-        _PrimePowerSolver(ctx, field, p, e,
-                          _tabulate(ctx, field, p, baby_entries))
+        _PrimePowerSolver(ctx, p, e, _tabulate(ctx, p, baby_entries))
         for p, e, baby_entries in plan
     ]
     return LogEngine(
-        ctx, field, solvers, tabulation_threshold, bsgs_baby_entries, predicted
+        ctx, solvers, tabulation_threshold, bsgs_baby_entries, predicted
     )
 
 
@@ -738,7 +608,6 @@ def load_engine(path: str) -> LogEngine:
     (nsolvers,) = take("<I")
     if nsolvers != len(ctx.factorization):
         raise ValueError(f"{path}: solver count does not match the modulus")
-    field = _BatchField(ctx)
     solvers = []
     predicted = 0
     for prime_power in ctx.factorization:
@@ -753,8 +622,8 @@ def load_engine(path: str) -> LogEngine:
         idx = np.frombuffer(body, dtype="<i8", count=m, offset=off + 8 * m)
         off += 16 * m
         _check_table(ctx, p, vals, idx, path)
-        solvers.append(_PrimePowerSolver(ctx, field, p, e, (vals, idx)))
+        solvers.append(_PrimePowerSolver(ctx, p, e, (vals, idx)))
         predicted += _model_bytes(m)
     if off != len(body):
         raise ValueError(f"{path}: trailing bytes in engine cache")
-    return LogEngine(ctx, field, solvers, thr, baby, predicted)
+    return LogEngine(ctx, solvers, thr, baby, predicted)

@@ -18,6 +18,13 @@ multiplication and squaring cheap.  Contexts are immutable after
 construction and safe to share between threads; all operations here are
 pure functions of their inputs.
 
+The same elements also live in uint64 numpy arrays: each context holds
+one ``_BatchField`` (``ctx.batch``), its arithmetic on such arrays,
+which the batched discrete logs run on.  ``ctx.powers(g, count)`` is
+the one way to compute a run of powers g^0, g^1, ...: the power array
+of x^0..x^D that every search gathers residues from, and the subgroup
+tables and giant blocks of the log engines.
+
 The degree cap n <= 63 keeps M, logarithms, and centered shifts inside a
 signed 64-bit range; multi-word moduli are out of scope.
 """
@@ -26,10 +33,16 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
+
 from .errors import DegreeOutOfRangeError, NotPrimitiveError, PolyParseError
 from .factorint import factorize
 
 MAX_EXPONENT = 2**63 - 1
+
+# Elements in one array product of FieldContext.powers, which bounds its
+# work arrays (about 33 bytes per element traced) beside the output.
+_POWERS_PRODUCT = 2**15
 
 # Bit-spreading table: byte b -> 16-bit word with b's bits at even
 # positions.  Squaring a GF(2) polynomial just spreads its bits.
@@ -179,9 +192,11 @@ class FieldContext:
         order:         multiplicative group order M = 2^n - 1
         factorization: prime-power factorization of M, ascending primes
         mask:          (1 << n) - 1
+        batch:         the _BatchField of P, arithmetic on uint64 arrays
     """
 
-    __slots__ = ("poly", "n", "order", "factorization", "mask", "_p_int", "_red")
+    __slots__ = ("poly", "n", "order", "factorization", "mask", "batch",
+                 "_p_int", "_red")
 
     def __init__(self, poly: SparsePoly):
         n = poly.degree()
@@ -205,6 +220,7 @@ class FieldContext:
                 raise NotPrimitiveError(
                     f"{poly} is irreducible but x has order < 2^{n} - 1"
                 )
+        self.batch = _BatchField(self)
 
     # -- construction helpers -------------------------------------------
 
@@ -245,13 +261,6 @@ class FieldContext:
         return True
 
     # -- arithmetic ------------------------------------------------------
-
-    def mulx(self, a: int) -> int:
-        """Multiply a reduced element by x."""
-        a <<= 1
-        if (a >> self.n) & 1:
-            a ^= self._p_int
-        return a
 
     def mul(self, a: int, b: int) -> int:
         """Product of two reduced elements.
@@ -337,17 +346,138 @@ class FieldContext:
             return 1 << k
         return self.pow(2, k % self.order)
 
-    def power_table(self, limit: int) -> list[int]:
-        """[x^0 mod P, ..., x^limit mod P] by an iterated shift chain."""
-        out = [0] * (limit + 1)
-        v = 1
-        for k in range(limit + 1):
-            out[k] = v
-            v = self.mulx(v)
+    def powers(self, g: int, count: int) -> np.ndarray:
+        """g^t for t < count (count >= 1) as a uint64 array, one array
+        product per step.
+
+        With k filled, a step makes out[ik:(i+1)k] = out[:k] * g^(ik) for
+        1 <= i < 16, growing the filled part 16-fold, while that product
+        stays below _POWERS_PRODUCT elements; beyond that it doubles, and
+        from k = _POWERS_PRODUCT on it fills that many at a time."""
+        field = self.batch
+        out = np.empty(count, dtype=np.uint64)
+        out[0] = 1
+        k, step = 1, g  # step = g^k
+        while k < count:
+            t = min(k * (15 if 15 * k < _POWERS_PRODUCT else 1),
+                    _POWERS_PRODUCT, count - k)
+            parts = [step]  # g^(ik) for 1 <= i <= ceil(t / k)
+            while len(parts) * k < t:
+                parts.append(self.mul(parts[-1], step))
+            if len(parts) == 1:
+                out[k:k + t] = field.mul(out[:t], step)
+            else:  # element j of the product is out[j % k] times parts[j // k]
+                flat, width, _ = field.table(parts)
+                offsets = np.repeat(np.arange(width), k)[:t]
+                out[k:k + t] = field.mul_table((flat, width, offsets),
+                                               np.tile(out[:k], width)[:t])
+            k += t
+            if k < count:
+                step = self.mul(step, int(out[t]))  # g^k g^t
         return out
 
     def __repr__(self):
         return f"FieldContext(P={self.poly}, n={self.n})"
+
+
+class _BatchField:
+    """GF(2^n) arithmetic on uint64 arrays of reduced elements.
+
+    Squaring is GF(2)-linear, so it is one gather per byte of the
+    input.  Multiplication runs k-bit digits of one factor (k = 4, or
+    less where n + k would pass 64 bits) through a table of the other
+    factor's multiples j*b mod P, Horner-style from the top digit; each
+    step shifts by k and folds the k bits above x^(n-1) back through one
+    more gather, so no value ever exceeds 64 bits.  A table can be
+    built once and reused for several products with the same factor.
+    """
+
+    def __init__(self, ctx: FieldContext):
+        n = ctx.n
+        self.n = np.uint64(n)
+        self.top = np.uint64(n - 1)
+        self.p_int = np.uint64(ctx._p_int)
+        self.k = k = min(4, 64 - n)
+        self.digits = -(-n // k)
+        self.kbits = np.uint64(k)
+        self.digit_mask = np.uint64((1 << k) - 1)
+        # fold[h] clears the k bits h at x^n.. and adds (h x^n) mod P
+        self.fold = np.array(
+            [(h << n) ^ ctx._red[0][h] for h in range(1 << k)], dtype=np.uint64)
+        self.sq = np.array(
+            [[ctx.sqr((b << 8 * j) & ctx.mask) for b in range(256)]
+             for j in range(-(-n // 8))],
+            dtype=np.uint64,
+        )
+
+    def sqr(self, a):
+        byte = np.uint64(0xFF)
+        out = self.sq[0].take((a & byte).view(np.int64))
+        for j in range(1, len(self.sq)):
+            out ^= self.sq[j].take(((a >> np.uint64(8 * j)) & byte).view(np.int64))
+        return out
+
+    def table(self, b):
+        """Multiples j*b mod P for j < 2^k of the array or int b, laid out
+        flat (entry j of element i at j*len(b) + i) with its row offsets."""
+        b = np.atleast_1d(np.asarray(b, dtype=np.uint64))
+        rows = np.empty((1 << self.k, len(b)), dtype=np.uint64)
+        rows[0] = 0
+        rows[1] = b
+        h = b
+        for i in range(1, self.k):  # rows 2^i.. are rows ..2^i plus x^i b
+            h = (h << np.uint64(1)) ^ ((h >> self.top) * self.p_int)
+            np.bitwise_xor(rows[:1 << i], h, out=rows[1 << i:2 << i])
+        # a one-element table (a constant) serves every element of a
+        offsets = np.arange(len(b)) if len(b) > 1 else 0
+        return rows.ravel(), len(b), offsets
+
+    def mul_table(self, table, a):
+        """a times the factor whose table this is.  Gathers index with
+        int64 through take: a uint64 index would be converted on every
+        gather."""
+        flat, width, offsets = table
+        k, mask = self.kbits, self.digit_mask
+        acc = None
+        for d in range(self.digits - 1, -1, -1):
+            j = ((a >> np.uint64(k * d)) & mask).view(np.int64)
+            if width > 1:  # else every element reads row j at offset 0
+                j *= width
+                j += offsets
+            if acc is None:
+                acc = flat.take(j)
+                continue
+            acc <<= k
+            acc ^= self.fold.take((acc >> self.n).view(np.int64))
+            acc ^= flat.take(j)
+        return acc
+
+    def mul(self, a, b):
+        return self.mul_table(self.table(b), a)
+
+    def pow(self, a, e: int):
+        """a^e for a fixed exponent e >= 1."""
+        return self.pows(a, e)[0]
+
+    def pows(self, a, *exps):
+        """[a^e for e in exps], exponents >= 1, off one square chain of a:
+        a^(2^j) is multiplied into every power whose exponent has bit j
+        set, through one table of it."""
+        out = [None] * len(exps)
+        top = max(exps).bit_length() - 1
+        for j in range(top + 1):
+            table = None
+            for i, e in enumerate(exps):
+                if e >> j & 1:
+                    if out[i] is None:
+                        out[i] = a
+                    else:
+                        if table is None:
+                            table = self.table(a)
+                        out[i] = self.mul_table(table, out[i])
+            if j < top:
+                a = self.sqr(a)
+        return out
 
 
 def make_context(poly: SparsePoly) -> FieldContext:

@@ -19,7 +19,7 @@ system, so streams are identical across platforms for a fixed seed.
 splitmix64 is counter-based, so ``_draw_chunks`` computes a chunk of
 draws at once, as numpy arrays: bounded integers by the same rejection
 rule as ``Rng.below``, tuples by ``tuples.unrank`` on one comb table,
-and residues by a gather from the power table.  The chunks hold exactly
+and residues by a gather from the power array.  The chunks hold exactly
 the stream that ``Rng.below`` and ``unrank_combination`` give one draw
 at a time; those two stay as the reference, and as the draw path where
 a tuple count reaches 2^63.
@@ -54,7 +54,6 @@ from .search import (
     _check_budget,
     _log_route_bytes,
     _logged_tuples,
-    _power_bytes,
     _classical_exps,
     _match_blocks,
     _match_records,
@@ -168,8 +167,8 @@ def _draw_chunks(seed: int, qs: tuple[int, ...], D: int, xp: np.ndarray,
     unrank_combination(rng.below(C(D, q)), q, D) for each q in qs in
     turn, a chunk of rounds at a time: per chunk, one (tuples, ranks,
     residues) triple for each q, the (k, q) int64 tuples in draw order,
-    their ranks and the residues of 1 + each tuple, from the power table
-    xp as an array.
+    their ranks and the residues of 1 + each tuple, from the power
+    array xp.
 
     Where a C(D, q) reaches 2^63 the int64 tables cannot hold the ranks,
     and the chunk is drawn one tuple at a time instead, its ranks Python
@@ -209,7 +208,7 @@ class SampleParams:
     q1 is the stored-side tuple size of the log birthday route (probe
     side q2 = w - 2 - q1; unbalanced splits are allowed, smaller q1
     meaning a cheaper precompute).  K caps the stored-side degree.
-    budget_bytes caps the predicted size of the power table, of the
+    budget_bytes caps the predicted size of the power array, of the
     log birthday route's precomputed table and of the classical birthday
     route's side tables.
     """
@@ -317,7 +316,7 @@ def random_log_sample(engine, params: SampleParams) -> SampleResult:
     _check_tuple_size(q, params)
     _check_budget(_draw_bytes(D, (q,), params.max_iterations),
                   params.budget_bytes)
-    xp = np.array(engine.ctx.power_table(D), np.int64)
+    xp = engine.ctx.powers(2, D + 1).view(np.int64)
     draws = _one_at_a_time(
         _draw_chunks(params.seed, (q,), D, xp, params.max_iterations))
     dedup = _Dedup()
@@ -368,12 +367,15 @@ def birthday_logtmto(
     M = engine.ctx.order
     stored = comb(K, q1) if table is None else len(table.logs)
     logged = max(_logged_tuples(K, q1), 1) if table is None else 1
+    # one power array up to x^D serves the table (K <= D) and the draws,
+    # so it is charged once, not by both terms
     _check_budget(
         _log_route_bytes(M, D, q1, q2, stored, 1, logged, table is None)
-        + _draw_bytes(D, (q2,), params.max_iterations),
+        + _draw_bytes(D, (q2,), params.max_iterations) - (D + 1) * 8,
         params.budget_bytes)
+    xp = engine.ctx.powers(2, D + 1).view(np.int64)
     if table is None:
-        table = build_log_table(engine, q1, K)
+        table = build_log_table(engine, q1, K, xp)
     elif table.modulus != engine.ctx.poly:
         raise ValueError(f"prebuilt table was built for P={table.modulus}")
     elif table.max_degree != K:
@@ -391,7 +393,6 @@ def birthday_logtmto(
                 dedup.add(exps, prov)
 
     add(_zero_blocks(table, q2, D, M))
-    xp = np.array(engine.ctx.power_table(D), np.int64)
     draws = _one_at_a_time(
         _draw_chunks(params.seed, (q2,), D, xp, params.max_iterations))
 
@@ -515,12 +516,12 @@ def _block_hits(probes, a: int, b: int) -> dict[int, list]:
 
 def _draw_bytes(D: int, qs: tuple[int, ...], iterations: int) -> int:
     """Bytes that the draws of `iterations` rounds allocate, counted in
-    8-byte words: the power table up to x^D, as a list and as an array;
-    the comb table of the unranking, D words per tuple position; and
-    one draw chunk of at most half the rounds (or _CHUNK_MIN, or
-    _CHUNK_MAX): per round and side, about 12 + q words of draws, ranks,
-    residues, times and search work."""
-    return (_power_bytes(D) + (D + 1) * 8 + D * 8 * max(qs)
+    8-byte words: the power array up to x^D; the comb table of the
+    unranking, D words per tuple position; and one draw chunk of at most
+    half the rounds (or _CHUNK_MIN, or _CHUNK_MAX): per round and side,
+    about 12 + q words of draws, ranks, residues, times and search
+    work."""
+    return ((D + 1) * 8 + D * 8 * max(qs)
             + _chunk_rounds(iterations) * 8 * sum(12 + q for q in qs))
 
 
@@ -573,7 +574,7 @@ def birthday_tmto(ctx: FieldContext, params: SampleParams) -> SampleResult:
     _check_tuple_size(q2, params)
     _check_budget(_birthday_bytes(params.D, qs, params.max_iterations),
                   params.budget_bytes)
-    xp = np.array(ctx.power_table(params.D), np.int64)
+    xp = ctx.powers(2, params.D + 1).view(np.int64)
     rounds = _birthday_hits(
         _draw_chunks(params.seed, qs, params.D, xp, params.max_iterations), qs)
     dedup = _Dedup()

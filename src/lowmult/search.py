@@ -67,9 +67,6 @@ ALGO_LOGARITHMIC = "logarithmic"
 
 DEFAULT_BUDGET_BYTES = 2**31
 
-# Planning bytes per exponent of a power table: a list slot and its int.
-POWER_TABLE_ENTRY_BYTES = 40
-
 # Matches per block of the log route's match kernel, which bounds its
 # work arrays: a block takes MATCH_BLOCK // (the most shifts one (probe,
 # stored) pair can have) pairs.
@@ -374,7 +371,7 @@ def build_log_table(engine, q1: int, max_deg: int,
     """
     t0 = time.perf_counter()
     if xp is None and q1:
-        xp = np.array(engine.ctx.power_table(max_deg), np.int64)
+        xp = engine.ctx.powers(2, max_deg + 1).view(np.int64)
     exps = tuple_array(q1, max_deg)
     odd = (exps & 1).any(axis=1) if q1 else np.ones(len(exps), bool)
     logs = np.full(len(exps), -1, np.int64)
@@ -575,11 +572,6 @@ def _zero_blocks(table: LogTable, q2: int, D: int, M: int,
                np.zeros((len(own), q2), np.int64), np.zeros(len(own), np.int64))
 
 
-def _power_bytes(D: int) -> int:
-    """Bytes of ctx.power_table(D)."""
-    return (D + 1) * POWER_TABLE_ENTRY_BYTES
-
-
 def _logged_tuples(K: int, q: int) -> int:
     """The q-tuples over [1, K] that build_log_table takes a log of: those
     with an odd exponent, or the empty tuple."""
@@ -594,15 +586,14 @@ def _log_route_bytes(M: int, D: int, q1: int, q2: int, stored: int,
     the table exists, is not charged, and phase 1 does not run); `logged`
     is the most tuples whose logs one phase takes.
 
-    Both phases hold the power table's array up to x^D, and the comb
-    table of their enumeration, D words per tuple position.  Phase 1,
+    Both phases hold the power array up to x^D, and the comb table of
+    their enumeration, D words per tuple position.  Phase 1,
     the table's build: per stored tuple its exponents and log while they
     are sorted, three words of sort work, and the table's exponents and
     log; one batch of at most LOG_CHUNK tuples, exponents twice and
     about eight words of residues, logs and window bounds (88 to 97
     bytes per tuple traced at q = 2), and the engine's BATCH_LOG_BYTES
-    per log; or, if more, the power table's list, which is freed before
-    the rest exists.  Phase 2: the table, the exponents and two logs of
+    per log.  Phase 2: the table, the exponents and two logs of
     each stored tuple; one chunk of at most LOG_CHUNK probes, as a
     batch; where q1 != q2 the probes' logs, while where q1 = q2 the
     probes are stored tuples and read their logs from the table.  And
@@ -622,7 +613,7 @@ def _log_route_bytes(M: int, D: int, q1: int, q2: int, stored: int,
         + matches * 8 * (3 * w + 2 * q2 + 23)
     )
     if build:
-        peak = max(stored * 8 * (q1 + 2) + peak, _power_bytes(D),
+        peak = max(stored * 8 * (q1 + 2) + peak,
                    stored * 8 * (2 * q1 + 5)
                    + min(LOG_CHUNK, logged) * 8 * (2 * q1 + 8) + batch)
     return (D + 1) * 8 + D * 8 * max(q1, q2) + peak
@@ -692,7 +683,8 @@ class _Dedup:
     distinct multiples, the run's output.  add_rows() raises
     MemoryBudgetExceededError instead of taking a block while the rows
     it holds, gathered and packed, pass room by more than MATCH_BLOCK
-    gathered rows.
+    gathered rows, and sorted_rows() instead of unpacking the distinct
+    rows into a block that would.
     """
 
     __slots__ = ("best", "seen", "room", "_bytes", "_pending",
@@ -714,15 +706,18 @@ class _Dedup:
         if cur is None or _provenance_key(prov) < _provenance_key(cur):
             self.best[exps] = prov
 
-    def add_rows(self, rows: np.ndarray, stored: np.ndarray,
-                 probes: np.ndarray, shift: np.ndarray, D: int) -> None:
-        row_bytes = 8 * (rows.shape[1] + stored.shape[1] + probes.shape[1] + 1)
-        if self._bytes > self.room + MATCH_BLOCK * row_bytes:
+    def _check_room(self, held: int, row_bytes: int) -> None:
+        if held > self.room + MATCH_BLOCK * row_bytes:
             raise MemoryBudgetExceededError(
-                f"multiples held ({self._bytes} bytes) exceed the memory "
+                f"multiples held ({held} bytes) exceed the memory "
                 f"budget left beside the predicted tables ({self.room} "
                 "bytes); lower the degree bound or use the sampling search"
             )
+
+    def add_rows(self, rows: np.ndarray, stored: np.ndarray,
+                 probes: np.ndarray, shift: np.ndarray, D: int) -> None:
+        self._check_room(self._bytes, 8 * (
+            rows.shape[1] + stored.shape[1] + probes.shape[1] + 1))
         self.seen += len(rows)
         # bits of each field: exponents up to the pad D + 1 in the key,
         # exponents up to D and shift + D up to 2D in the provenance
@@ -779,6 +774,8 @@ class _Dedup:
         self._reduce()
         rows, self._blocks, self._held, self._bytes = self._blocks[0], [], 0, 0
         D, q1, key_bits, prov_bits = self._format
+        row_bytes = 8 * (len(key_bits) + len(prov_bits))
+        self._check_room(len(rows) * row_bytes, row_bytes)
         keys = _unpack(rows[:, :self._width], key_bits)
         order = np.argsort(keys.max(axis=1, where=keys <= D, initial=0),
                            kind="stable")
@@ -831,10 +828,9 @@ def _tmto_bytes(n: int, D: int, q1: int, q2: int) -> int:
 
     Per stored q1-tuple: its exponents and its key (residue), each held
     twice while they are put in key order, and that order.  The bit
-    filter.  Per exponent up to D: its power as a list slot and int and
-    as an array entry, and the comb table of one enumeration, at most
-    q2 words.  Per
-    probe suffix: its exponents, its residue and three words of work.
+    filter.  Per exponent up to D: its power in the power array, and the
+    comb table of one enumeration, at most q2 words.  Per probe suffix:
+    its exponents, its residue and three words of work.
     One block of rows, MATCH_BLOCK plus the C(D, s) C(D, q1) / M hits a
     prefix's suffixes are expected to make, but no more than all hits:
     each row of w exponents, its halves and provenance, its packed dedup
@@ -848,7 +844,7 @@ def _tmto_bytes(n: int, D: int, q1: int, q2: int) -> int:
     return (
         entries * 8 * (2 * q1 + 3)
         + (1 << _filter_bits(n, entries)) // 8 + 1
-        + _power_bytes(D) + (D + 1) * 8 + D * 8 * q2
+        + (D + 1) * 8 + D * 8 * q2
         + comb(D, s) * 8 * (s + 4)
         + rows * 8 * (4 * w + 8)
     )
@@ -876,7 +872,7 @@ def tmto_find_all(ctx: FieldContext, params: SearchParams) -> SearchResult:
     report = RunReport(algorithm="tmto", w=params.w, D=D, q1=q1, q2=q2)
     predicted = _tmto_bytes(ctx.n, D, q1, q2)
     _check_budget(predicted, params.budget_bytes)
-    xp = np.array(ctx.power_table(D), np.int64)
+    xp = ctx.powers(2, D + 1).view(np.int64)
 
     t0 = time.perf_counter()
     stored = tuple_array(q1, D)
@@ -983,7 +979,7 @@ def logtmto_find_all(
 
     t0 = time.perf_counter()
     # one power array for both phases, where a tuple has an exponent
-    xp = np.array(ctx.power_table(D), np.int64) if q2 else None
+    xp = ctx.powers(2, D + 1).view(np.int64) if q2 else None
     table = build_log_table(engine, q1, D, xp)
     report.table_entries = len(table.logs)
     report.log_calls += table.log_calls

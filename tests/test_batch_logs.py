@@ -15,10 +15,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lowmult import dlog, search
-from lowmult.dlog import _BatchField, build_engine
+from lowmult.dlog import build_engine
 from lowmult.errors import LogOfZeroError
 from lowmult.factorint import factorize
-from lowmult.gf2poly import SparsePoly, make_context, parse_poly, random_primitive_poly
+from lowmult.gf2poly import (
+    FieldContext, SparsePoly, _BatchField, make_context, parse_poly,
+    random_primitive_poly)
 from lowmult.reference import brute_force_log, poly_divides
 from lowmult.sampler import SampleParams, birthday_logtmto
 from lowmult.search import LOG_CHUNK, SearchParams, logtmto_find_all
@@ -109,16 +111,16 @@ def test_element_outside_subgroup_raises(monkeypatch, block, baby):
     monkeypatch.setattr(dlog, "GIANT_BLOCK", block)
     ctx = make_context(parse_poly("10,3,0"))
     engine = build_engine(ctx, 11, bsgs_baby_entries=baby)
-    sub, field = engine.solvers[2].sub, engine._field
+    sub = engine.solvers[2].sub
     assert (sub.p, sub.strategy) == (31, "bsgs")
     gp = ctx.pow(2, ctx.order // 31)
     inside = [ctx.pow(gp, j) for j in range(31)]
-    assert [sub.lookup(field, h) for h in inside] == list(range(31))
-    assert sub.lookup_array(field, np.array(inside, np.uint64)).tolist() == list(range(31))
+    assert [sub.lookup(h) for h in inside] == list(range(31))
+    assert sub.lookup_array(np.array(inside, np.uint64)).tolist() == list(range(31))
     with pytest.raises(ValueError, match="not found in subgroup"):
-        sub.lookup(field, 2)  # x has order 1023
+        sub.lookup(2)  # x has order 1023
     with pytest.raises(ValueError, match="not found in subgroup"):
-        sub.lookup_array(field, np.array(inside + [2] + inside, np.uint64))
+        sub.lookup_array(np.array(inside + [2] + inside, np.uint64))
 
 
 @pytest.mark.parametrize("plan", sorted(PLANS))
@@ -323,7 +325,6 @@ def test_mul_sqr_pow_match_long_division(n, seed, data):
 )
 def test_tabulate_equals_plain_enumeration(n, seed, data):
     ctx = _wide(n) if n in WIDE else _field(n, seed)
-    field = _BatchField(ctx)
     for p, _ in ctx.factorization:
         # full tables below n = 61; baby tables of 1, 2, 3 or up to 200
         sizes = st.sampled_from([1, 2, 3]) | st.integers(1, 200)
@@ -335,14 +336,15 @@ def test_tabulate_equals_plain_enumeration(n, seed, data):
         for _ in range(m - 1):
             powers.append(ctx.mul(powers[-1], gp))
         order = sorted(range(m), key=powers.__getitem__)
-        vals, idx = dlog._tabulate(ctx, field, p, m)
+        vals, idx = dlog._tabulate(ctx, p, m)
         assert vals.dtype.str == idx.dtype.str == "<i8"
         assert vals.tolist() == [powers[j] for j in order]
         assert idx.tolist() == order
 
 
-def _doubling(ctx, field, g, count):
+def _doubling(ctx, g, count):
     """g^t for t < count, filled by plain doubling: out[k:2k] = out[:k] g^k."""
+    field = ctx.batch
     out = np.empty(count, dtype=np.uint64)
     out[0] = 1
     k, step = 1, g
@@ -356,17 +358,15 @@ def _doubling(ctx, field, g, count):
 
 @pytest.mark.parametrize("spec", ["18,7,0", "30,6,4,1,0", "31,3,0", "62,6,5,3,0"])
 def test_powers_equal_plain_doubling(spec, monkeypatch):
-    # 16-fold steps below GIANT_BLOCK elements, doubling above: the same
-    # sorted tables and giant blocks as doubling throughout
+    # 16-fold steps, doubling, then steps of 2^15 powers: the same sorted
+    # tables and giant blocks as doubling throughout
     ctx = make_context(parse_poly(spec))
-    field = _BatchField(ctx)
     g = ctx.pow(2, 12345)
     for count in (1, 2, 15, 16, 17, 255, 257, 331, 4097, 20000, 70000):
-        assert np.array_equal(dlog._powers(ctx, field, g, count),
-                              _doubling(ctx, field, g, count))
+        assert np.array_equal(ctx.powers(g, count), _doubling(ctx, g, count))
     plan = {"tabulation_threshold": 1, "bsgs_baby_entries": 3000}
     engines = [build_engine(ctx), build_engine(ctx, **plan)]
-    monkeypatch.setattr(dlog, "_powers", _doubling)
+    monkeypatch.setattr(FieldContext, "powers", _doubling)
     plain = [build_engine(ctx), build_engine(ctx, **plan)]
     for new, old in zip(engines, plain):
         for a, b in zip(new.solvers, old.solvers):

@@ -473,6 +473,15 @@ def test_find_all_writes_from_rows_without_records(algorithm, extra,
     assert made == []
 
 
+def _predicted_6_1_0(algorithm):
+    """The route's predicted bytes at P=6,1,0, w=6, D=64."""
+    if algorithm == "tmto":
+        return _tmto_bytes(6, 64, 2, 3)
+    M = make_context(parse_poly("6,1,0")).order
+    return _log_route_bytes(M, 64, 2, 2, comb(64, 2), comb(64, 2),
+                            _logged_tuples(64, 2))
+
+
 @pytest.mark.parametrize("algorithm", ["tmto", "logtmto"])
 def test_find_all_exits_4_once_held_multiples_pass_the_budget(
         algorithm, monkeypatch, capsys):
@@ -481,12 +490,7 @@ def test_find_all_exits_4_once_held_multiples_pass_the_budget(
     # beside the route's prediction the run stops with exit 4, and no
     # block is taken while the dedup holds more than one MATCH_BLOCK of
     # gathered rows beyond it.
-    ctx = make_context(parse_poly("6,1,0"))
-    if algorithm == "tmto":
-        predicted = _tmto_bytes(6, 64, 2, 3)
-    else:
-        predicted = _log_route_bytes(ctx.order, 64, 2, 2, comb(64, 2),
-                                     comb(64, 2), _logged_tuples(64, 2))
+    predicted = _predicted_6_1_0(algorithm)
     room = 2**20
     taken = []
     add_rows = search._Dedup.add_rows
@@ -507,3 +511,29 @@ def test_find_all_exits_4_once_held_multiples_pass_the_budget(
     assert "error: multiples held" in err and "budget" in err
     assert len(taken) > 1  # past the up-front check
     assert max(taken) <= room
+
+
+@pytest.mark.parametrize("algorithm", ["tmto", "logtmto"])
+def test_find_all_exits_4_before_unpacking_past_the_budget(
+        algorithm, monkeypatch, capsys):
+    # P=6,1,0, w=6, D=64: the held rows stay under 4.5 MB, but the
+    # 119,785 distinct multiples unpack into 12 (tmto) or 11 int64
+    # columns, 11.5 or 10.5 MB.  With 6 MB beside the prediction every
+    # block is taken, and the run stops with exit 4 before unpacking.
+    reached = []
+    sorted_rows = search._Dedup.sorted_rows
+
+    def spy(self):
+        reached.append(self._bytes)
+        return sorted_rows(self)
+
+    monkeypatch.setattr(search._Dedup, "sorted_rows", spy)
+    budget = _predicted_6_1_0(algorithm) + 6 * 2**20
+    code, out, err = run_cli(
+        ["find-all", "--poly", "6,1,0", "--weight", "6", "--max-degree", "64",
+         "--algorithm", algorithm, "--budget-bytes", str(budget)],
+        capsys)
+    assert code == 4
+    assert out == ""
+    assert "error: multiples held" in err and "budget" in err
+    assert len(reached) == 1

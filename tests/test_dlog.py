@@ -85,6 +85,13 @@ def test_split_strategies_example():
     assert eng_full.strategy_summary() == [(7, 1, "table", 7)]
 
 
+def test_engines_on_one_context_share_its_array_field():
+    # 11 tabulated and 31 by BSGS in one engine, every prime in the other
+    ctx = make_context(parse_poly("10,3,0"))
+    engines = [build_engine(ctx, 11), build_engine(ctx)]
+    assert {id(s.sub.batch) for e in engines for s in e.solvers} == {id(ctx.batch)}
+
+
 def test_oversized_bsgs_tables():
     ctx = make_context(parse_poly("14,12,11,1,0"))
     eng = build_engine(ctx, 1, bsgs_baby_entries=4096)
@@ -308,6 +315,6 @@ def test_subgroup_lookup_miss_raises_value_error(solver):
     eng = build_engine(make_context(parse_poly("10,3,0")), 11)
     sub = eng.solvers[solver].sub
     with pytest.raises(ValueError):
-        sub.lookup(eng._field, 2)  # x has order 1023, outside the subgroup
+        sub.lookup(2)  # x has order 1023, outside the subgroup
     with pytest.raises(ValueError):  # also next to elements it finds
-        sub.lookup_array(eng._field, np.array([1, 2, 1], np.uint64))
+        sub.lookup_array(np.array([1, 2, 1], np.uint64))

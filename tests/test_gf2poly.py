@@ -1,6 +1,9 @@
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lowmult.errors import (
     DegreeOutOfRangeError,
@@ -180,3 +183,49 @@ def test_reduction_tables_match_bitwise_reference(n):
     poly = random_primitive_poly(n, random.Random(n))
     p_int = sum(1 << e for e in poly.exponents)
     assert make_context(poly)._red == _reference_reduction_tables(p_int, n)
+
+
+POWER_MODULI = {2: "2,1,0", 3: "3,1,0", 31: "31,3,0", 62: "62,6,5,3,0",
+                63: "63,1,0"}
+POWER_COUNTS = (1, 2, 15, 16, 17, 2**14 - 1, 2**14, 2**14 + 1,
+                2**15 + 1, 2**16 + 3)
+
+
+def _shift_and_fold(ctx, count):
+    """x^0..x^(count-1) by the shift-and-fold chain of
+    reference.brute_force_multiples."""
+    p_int = ctx.poly.to_int()
+    out, v = [], 1
+    for _ in range(count):
+        out.append(v)
+        v <<= 1
+        if (v >> ctx.n) & 1:
+            v ^= p_int
+    return out
+
+
+@pytest.mark.parametrize("n", sorted(POWER_MODULI))
+def test_powers_equal_an_independent_chain(n):
+    # 16-fold steps up to 4096 powers, doubling up to 2^15, then steps of
+    # 2^15 powers; g's chain is one scalar product per power
+    ctx = make_context(parse_poly(POWER_MODULI[n]))
+    g = ctx.pow(2, 12345)
+    xs, gs = _shift_and_fold(ctx, max(POWER_COUNTS)), [1]
+    while len(gs) < max(POWER_COUNTS):
+        gs.append(ctx.mul(gs[-1], g))
+    for count in POWER_COUNTS:
+        got = ctx.powers(2, count)
+        assert got.dtype == np.uint64 and got.tolist() == xs[:count]
+        assert ctx.powers(g, count).tolist() == gs[:count]
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(2, 63), seed=st.integers(0, 2**16),
+       count=st.integers(1, 3 * 2**14), data=st.data())
+def test_powers_equal_pow_at_random(n, seed, count, data):
+    ctx = make_context(random_primitive_poly(n, random.Random(seed)))
+    g = data.draw(st.integers(1, ctx.mask))
+    got = ctx.powers(g, count)
+    for t in data.draw(st.lists(st.integers(0, count - 1), max_size=8)):
+        assert int(got[t]) == ctx.pow(g, t)
+    assert int(got[-1]) == ctx.pow(g, count - 1)

@@ -235,11 +235,11 @@ def test_birthday_logtmto_respects_prebuilt_table():
 
 
 def test_samplers_check_the_budget_before_allocating():
-    # a 201-entry power table as a list and an array, the comb table of
-    # 4-tuples and a chunk of 5 draws (16,688 model bytes) fit in 2 * 10^4
+    # a 201-entry power array, the comb table of 4-tuples and a chunk of
+    # 5 draws (8,648 model bytes) fit in 2 * 10^4
     small = dict(w=6, D=200, B=1, seed=1, max_iterations=5,
                  budget_bytes=2 * 10**4)
-    assert _draw_bytes(200, (4,), 5) == 16_688
+    assert _draw_bytes(200, (4,), 5) == 8_648
     random_log_sample(ENG16, SampleParams(**small))
     with pytest.raises(MemoryBudgetExceededError):
         random_log_sample(ENG16, SampleParams(**dict(small, D=2000)))
@@ -266,6 +266,27 @@ def test_samplers_check_the_budget_before_allocating():
         birthday_logtmto(ENG16, SampleParams(q1=2, **tight))
     table = build_log_table(ENG16, 2, 200)
     birthday_logtmto(ENG16, SampleParams(q1=2, **tight), table=table)
+
+
+def test_birthday_logtmto_builds_one_power_array(monkeypatch):
+    # the draws' array up to x^D also serves the K-table (K <= D)
+    ctx = make_context(parse_poly("16,5,3,2,0"))
+    engine = build_engine(ctx)
+    calls = []
+    powers = type(ctx).powers
+
+    def counting(ctx, g, count):
+        if g == 2:
+            calls.append(count)
+        return powers(ctx, g, count)
+
+    monkeypatch.setattr(type(ctx), "powers", counting)
+    for K in (200, 100):
+        calls.clear()
+        res = birthday_logtmto(engine, SampleParams(
+            w=4, D=200, B=3, q1=1, K=K, seed=1, max_iterations=2000))
+        assert calls == [201]
+        assert all(verify_multiple(r.poly, ctx, 4, 200) for r in res.records)
 
 
 def test_birthday_logtmto_unbalanced_split():

@@ -237,7 +237,7 @@ def test_cross_algorithm_equality_random_fields():
 def _nonzero_tuples(ctx, q, top, odd_only=False):
     """q-tuples over [1, top] whose 1 + tuple is nonzero, optionally only
     those with an odd exponent (or the empty tuple)."""
-    xp = ctx.power_table(top)
+    xp = ctx.powers(2, top + 1).tolist()
     count = 0
     for tup in combinations(range(1, top + 1), q):
         if odd_only and tup and not any(e % 2 for e in tup):
@@ -474,7 +474,7 @@ def test_tmto_checks_the_budget_before_allocating(monkeypatch):
 
     with monkeypatch.context() as m:
         m.setattr(search, "tuple_array", allocates)
-        m.setattr(type(F16), "power_table", allocates)
+        m.setattr(type(F16), "powers", allocates)
         with pytest.raises(MemoryBudgetExceededError):
             tmto_find_all(F16, SearchParams.balanced(
                 5, 15, "classical", budget_bytes=need - 1))
@@ -514,11 +514,12 @@ def test_log_route_checks_the_budget_before_allocating(monkeypatch):
         SampleParams, _draw_bytes, birthday_logtmto, random_log_sample)
 
     params, need = _log_route_need(F16, 4, 15)
-    # birthday_logtmto draws one probe at a time against a table to build
+    # birthday_logtmto draws one probe at a time against a table to build;
+    # its one 16-entry power array is in both terms, and charged once
     draw = SampleParams(w=4, D=15, B=1, q1=1, seed=1, max_iterations=5)
     draw_need = search._log_route_bytes(
         F16.order, 15, 1, 1, 15, 1, search._logged_tuples(15, 1)
-    ) + _draw_bytes(15, (1,), 5)
+    ) + _draw_bytes(15, (1,), 5) - 16 * 8
     # random_log_sample draws weight-3 polynomials: 2-tuples
     sample = SampleParams(w=4, D=15, B=1, seed=1, max_iterations=5)
     sample_need = _draw_bytes(15, (2,), 5)
@@ -529,7 +530,7 @@ def test_log_route_checks_the_budget_before_allocating(monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(search, "build_log_table", allocates)
         m.setattr(search, "tuple_array", allocates)
-        m.setattr(type(F16), "power_table", allocates)
+        m.setattr(type(F16), "powers", allocates)
         with pytest.raises(MemoryBudgetExceededError):
             logtmto_find_all(F16, ENG16, SearchParams.balanced(
                 4, 15, "logarithmic", budget_bytes=need - 1))
@@ -653,14 +654,14 @@ def test_rows_edge_cases(algorithm, spec, w, D, found):
 def test_log_route_builds_one_power_table(w, builds, monkeypatch):
     # one array for both phases, none where no tuple has an exponent
     calls = []
-    power_table = type(F16).power_table
+    powers = type(F16).powers
 
-    def counting(ctx, limit):
-        calls.append(limit)
-        return power_table(ctx, limit)
+    def counting(ctx, g, count):
+        calls.append((g, count))
+        return powers(ctx, g, count)
 
-    monkeypatch.setattr(type(F16), "power_table", counting)
+    monkeypatch.setattr(type(F16), "powers", counting)
     result = logtmto_find_all(F16, ENG16, SearchParams.balanced(
         w, 20, "logarithmic"))
-    assert calls == [20] * builds
+    assert calls == [(2, 21)] * builds
     assert result.exponent_sets() == _brute_sets(F16, w, 20)
