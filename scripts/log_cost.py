@@ -8,9 +8,10 @@ Run from the repository root:
 For each instance (n = 18, 30 and 43 of the benchmark workloads, a
 dense n = 36 modulus and the n = 53 README modulus, every prime
 tabulated) it builds the default engine and times REPS calls of
-``discrete_log`` on a seeded array of BATCH nonzero elements, and REPS
-calls on a one-element array.  It checks every answer of the first
-batch by ``ctx.pow(2, y)``.
+``discrete_log`` on a seeded array of BATCH nonzero elements, REPS
+calls on a one-element array, and one scalar call (an int, not an
+array) on each element of the batch.  It checks every answer of the
+first batch by ``ctx.pow(2, y)``, and the scalar answers against it.
 
 It also counts the array products of one batch: those of the
 projections by the flat method (one product per set bit of each
@@ -20,8 +21,9 @@ the engine's product tree, and every ``mul_table`` call the batch makes
 one batch, per element, is what ``dlog.BATCH_LOG_BYTES`` models.
 
 Writes BENCH_logs.json at the repository root: per instance, the
-minimum and median µs per log over the REPS calls, both product counts,
-the measured calls and the bytes per element.  The n = 53 build takes
+minimum and median µs per log over the REPS calls, the minimum and
+median µs of the scalar logs over the batch's elements, both product
+counts, the measured calls and the bytes per element.  The n = 53 build takes
 about 15 s and 0.5 GB.
 """
 
@@ -86,6 +88,17 @@ def _us_per_log(engine, elems):
     return {"min": min(times), "median": statistics.median(times)}
 
 
+def _us_per_scalar_log(engine, elems, ys):
+    times = []
+    for a, y in zip(elems.tolist(), ys.tolist()):
+        t0 = perf_counter()
+        got = engine.discrete_log(a)
+        times.append((perf_counter() - t0) * 1e6)
+        if got != y:
+            raise SystemExit(f"scalar log of {a} is {got}, the array's {y}")
+    return {"min": min(times), "median": statistics.median(times)}
+
+
 def measure(poly):
     ctx = make_context(parse_poly(poly))
     M = ctx.order
@@ -130,6 +143,7 @@ def measure(poly):
         "engine_build_s": build_s,
         "us_per_log_batch": _us_per_log(engine, elems),
         "us_per_log_single": _us_per_log(engine, elems[:1]),
+        "us_per_scalar_log": _us_per_scalar_log(engine, elems, ys),
         "projection_products_flat": sum(
             (M // p**e).bit_count() - 1 for p, e in ctx.factorization),
         "projection_products_tree": _tree_products(engine._tree),
@@ -138,7 +152,8 @@ def measure(poly):
     }
     print(f"n={ctx.n}: {row['us_per_log_batch']['min']:.2f} us/log "
           f"(batch of {BATCH}), {row['us_per_log_single']['min']:.0f} us "
-          f"(batch of one); projection products "
+          f"(batch of one), {row['us_per_scalar_log']['median']:.0f} us "
+          f"(scalar, median); projection products "
           f"{row['projection_products_flat']} flat, "
           f"{row['projection_products_tree']} tree; "
           f"{calls} mul_table calls; {row['traced_bytes_per_element']:.0f} B "

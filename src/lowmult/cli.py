@@ -84,6 +84,12 @@ def _load_context(args):
     return make_context(parse_poly(args.poly))
 
 
+def _engine_plan(args) -> dict:
+    """The engine flags, as build_engine and predict_table_bytes take them."""
+    return {"tabulation_threshold": getattr(args, "tabulation_threshold", None),
+            "bsgs_baby_entries": getattr(args, "bsgs_entries", None)}
+
+
 def _get_engine(args, ctx):
     if getattr(args, "cache", None):
         engine = load_engine(args.cache)
@@ -93,9 +99,7 @@ def _get_engine(args, ctx):
             )
         return engine
     return build_engine(
-        ctx,
-        getattr(args, "tabulation_threshold", None),
-        bsgs_baby_entries=getattr(args, "bsgs_entries", None),
+        ctx, **_engine_plan(args),
         max_table_bytes=getattr(args, "budget_bytes", DEFAULT_BUDGET_BYTES),
     )
 
@@ -149,14 +153,18 @@ def _wagner_advice(n: int, w: int, D: int) -> str | None:
     return None
 
 
-def _auto_algorithm(ctx, w: int, D: int, budget: int) -> str:
+def _auto_algorithm(ctx, w: int, D: int, budget: int, *,
+                    tabulation_threshold: int | None = None,
+                    bsgs_baby_entries: int | None = None) -> str:
     """logtmto for an even weight from AUTO_LOG_MIN_DEGREE on, below the
-    group order M, if its engine fits the budget; else tmto (odd weights
-    gain nothing, and from D = M on every probe walks the whole table)."""
+    group order M, if its engine, planned as the flags ask, fits the
+    budget; else tmto (odd weights gain nothing, and from D = M on every
+    probe walks the whole table)."""
     if (
         w % 2 == 0
         and AUTO_LOG_MIN_DEGREE <= D < ctx.order
-        and predict_table_bytes(ctx) <= budget
+        and predict_table_bytes(
+            ctx, tabulation_threshold, bsgs_baby_entries) <= budget
     ):
         return "logtmto"
     return "tmto"
@@ -167,7 +175,8 @@ def cmd_find_all(args) -> int:
     algorithm = args.algorithm
     if algorithm == "auto":
         algorithm = _auto_algorithm(
-            ctx, args.weight, args.max_degree, args.budget_bytes
+            ctx, args.weight, args.max_degree, args.budget_bytes,
+            **_engine_plan(args),
         )
         _say(f"auto-selected algorithm: {algorithm}")
     if algorithm == "tmto":
@@ -261,9 +270,7 @@ def cmd_estimate(args) -> int:
 
 def cmd_engine_build(args) -> int:
     ctx = _load_context(args)
-    predicted = predict_table_bytes(
-        ctx, args.tabulation_threshold, args.bsgs_entries
-    )
+    predicted = predict_table_bytes(ctx, **_engine_plan(args))
     _say(f"predicted table memory: {predicted} bytes ({predicted / 1e6:.1f} MB)")
     engine = _get_engine(args, ctx)
     for p, e, strategy, entries in engine.strategy_summary():

@@ -15,24 +15,31 @@ in one array product against the giant block.  A scalar log runs the
 same kernel on a one-element array.
 
 Digits of prime powers p^e are lifted one at a time through the order-p
-subgroup, so correctness never depends on M being squarefree.  Component
-results combine by CRT.  A full tabulation is the m = p extreme of the
-same trade-off; growing the baby table past sqrt(p) buys time for memory
-on group orders whose largest prime factor is otherwise out of reach.
+subgroup, so correctness never depends on M being squarefree.  A full
+tabulation is the m = p extreme of the same trade-off; growing the baby
+table past sqrt(p) buys time for memory on group orders whose largest
+prime factor is otherwise out of reach.
 
-``LogEngine.discrete_log`` also takes a numpy array of elements and then
-runs the same steps on uint64 arrays, in the context's array arithmetic
-(``ctx.batch``, see ``gf2poly``): one call per batch instead of one
-Python-level Pohlig-Hellman walk per element.  The array path projects
-through a product tree over the prime powers, planned once per engine
-by a subset DP that minimises the array products (``_product_tree``): a
-node raises its value to the product of each half's complement off one
-square chain, and a leaf holds a^(M/q).
-The components combine by Garner's mixed radix in int64, the largest
-prime power first, which keeps every partial value below M < 2^63.  The
-scalar path stays the oracle the array path is tested against, except
-for giant steps: both run the one blocked kernel, which is tested
-against full-table engines and brute force.
+``LogEngine.discrete_log`` takes an int or a numpy array of elements,
+and both run one walk: a tree over the prime powers whose node raises
+its value to the product of each part's complement, all parts off one
+square chain, and whose leaf holds the projection a^(M/q), which the
+solver's leaf kernel logs (``component_log`` on ints, the table lookups
+and digit lifts on uint64 arrays in ``component_log_array``).  The
+components combine by Garner's mixed radix, the largest prime power
+first, which keeps every partial value below M < 2^63 in int64.  Only
+the arithmetic differs, ``ctx.batch`` on arrays and ``ctx`` on ints,
+and the tree:
+
+* arrays walk the product tree planned once per engine by a subset DP
+  that minimises the array products (``_product_tree``);
+* ints walk the flat split, one node whose parts are the single prime
+  powers in the product tree's leaf order, which the Garner table
+  follows.  The DP prices array products only; on Python ints the
+  tree's extra squarings measured slower at n = 43, while the flat
+  split's one chain of at most n - 1 squarings matches a per-prime
+  projection, and a prime group order such as 2^31 - 1 takes none.
+
 The subgroup tables and giant blocks are ``ctx.powers`` arrays, so the
 engines built on one context share its one array field.
 
@@ -66,15 +73,18 @@ _ENTRY_BYTES = 16
 
 # Planning bytes per element of an array discrete_log: the product tree's
 # pending values, the multiplication table of the current square and
-# the int64 CRT (tracemalloc: 201 to 258 B per element of 2048 on
+# the int64 Garner update (tracemalloc: 201 to 258 B per element of 2048 on
 # tabulated engines at n = 4 to 60).
 BATCH_LOG_BYTES = 264
 
 _DICT_ACCEL_LIMIT = 2**16  # small full tables also get a plain dict
 
 # Giant steps per pass of a baby-step giant-step lookup, shared by the
-# elements the pass carries (each takes GIANT_BLOCK // k of k elements).
+# elements the pass carries (each takes GIANT_BLOCK // k of k elements),
+# and the work bytes of a pass per step (tracemalloc: 66 for a scalar
+# log at n = 31, the step's product, its filter probe and their indices).
 GIANT_BLOCK = 2**14
+GIANT_STEP_BYTES = 72
 
 _CACHE_MAGIC = b"LWMENG1\x00"
 _CACHE_VERSION = 1
@@ -223,46 +233,32 @@ class _SubgroupLog:
 class _PrimePowerSolver:
     """Log modulo one prime power q = p^e, digits lifted via order p."""
 
-    __slots__ = ("p", "e", "q", "cofactor", "gq", "sub", "inv_pows", "p_pows")
+    __slots__ = ("p", "e", "q", "sub", "inv_pows", "p_pows")
 
     def __init__(self, ctx, p, e, tables):
         """tables: the sorted (vals, idx) of the order-p subgroup."""
         self.p = p
         self.e = e
         self.q = p**e
-        M = ctx.order
-        self.cofactor = M // self.q
-        self.gq = ctx.pow(2, self.cofactor)  # order exactly q
         self.sub = _SubgroupLog(ctx, p, *tables)
-        gq_inv = ctx.pow(self.gq, self.q - 1)
+        gq_inv = ctx.pow(2, ctx.order - ctx.order // self.q)  # x^(-M/q)
         self.p_pows = [p**k for k in range(e)]
         self.inv_pows = [ctx.pow(gq_inv, pk) for pk in self.p_pows]
 
-    def component_log(self, ctx, chain: list[int]) -> int:
-        # project into the order-q subgroup off the shared square chain
-        # (chain[j] = a^(2^j)): a^(M/q) is the product over the set bits
-        # of the cofactor
-        cof = self.cofactor
-        h = 1
-        j = 0
-        while cof:
-            if cof & 1:
-                h = chain[j] if h == 1 else ctx.mul(h, chain[j])
-            cof >>= 1
-            j += 1
+    def component_log(self, ctx, h: int) -> int:
+        """The log mod q of a, from its projection h = a^(M/q)."""
         if self.e == 1:
             return self.sub.lookup(h)
         y = 0
         for k in range(self.e):
-            c = ctx.pow(h, self.p_pows[self.e - 1 - k])
-            d = self.sub.lookup(c)
+            d = self.sub.lookup(ctx.pow(h, self.p_pows[self.e - 1 - k]))
             if d:
                 h = ctx.mul(h, ctx.pow(self.inv_pows[k], d))
                 y += d * self.p_pows[k]
         return y
 
     def component_log_array(self, ctx, h):
-        """component_log for the uint64 array h of projections a^(M/q)."""
+        """component_log for the uint64 array h of projections."""
         if self.e == 1:
             return self.sub.lookup_array(h)
         field = ctx.batch
@@ -283,33 +279,32 @@ class _PrimePowerSolver:
 
 
 class LogEngine:
-    """Per-prime-power solvers plus CRT glue; answers discrete_log and
+    """Per-prime-power solvers plus Garner glue; answers discrete_log and
     zech_log for one field.  Identical answers regardless of which
     primes are tabulated and which fall back to BSGS."""
 
-    def __init__(self, ctx, solvers, tabulation_threshold,
-                 bsgs_baby_entries, predicted_bytes):
+    def __init__(self, ctx, tables):
+        """tables: the sorted (vals, idx) of each order-p subgroup, one
+        per prime power of ctx.factorization, in its order."""
         self.ctx = ctx
-        self.solvers = solvers
-        self.tabulation_threshold = tabulation_threshold
-        self.bsgs_baby_entries = bsgs_baby_entries
-        self.predicted_bytes = predicted_bytes
-        M = ctx.order
-        self._crt = []
-        for s in solvers:
-            r = M // s.q
-            self._crt.append((s, r * pow(r, -1, s.q) % M))
-        self._tree = _product_tree([s.q for s in solvers])
+        self.solvers = [_PrimePowerSolver(ctx, p, e, t)
+                        for (p, e), t in zip(ctx.factorization, tables)]
+        self.predicted_bytes = sum(_model_bytes(s.sub.m) for s in self.solvers)
+        qs = [s.q for s in self.solvers]
+        self._tree = _product_tree(qs)
+        leaves = _leaves(self._tree)
+        # ints project by the flat split, in the tree's leaf order, which
+        # the Garner table below follows
+        self._flat = (tuple(leaves), tuple(ctx.order // qs[i] for i in leaves))
         # Garner's mixed radix in the order the tree yields its leaves,
         # which is the largest prime power first: then x < Q <= M < 2^63,
         # and (y - x) mod q times Q^-1 mod q stays below q^2 < 2^62,
         # since every other prime power of 2^n - 1 (n <= 63) is below 2^31
         self._garner = {}
         Q = 1
-        for i in _leaves(self._tree):
-            q = solvers[i].q
-            self._garner[i] = (q, pow(Q, -1, q), Q)
-            Q *= q
+        for i in leaves:
+            self._garner[i] = (qs[i], pow(Q, -1, qs[i]), Q)
+            Q *= qs[i]
 
     def discrete_log(self, a: int | np.ndarray) -> int | np.ndarray:
         """k in [0, M-1] with x^k == a, for a != 0.
@@ -317,44 +312,30 @@ class LogEngine:
         a may also be a numpy array of nonzero elements; the answer is
         then the int64 array of their logs.
         """
+        ctx = self.ctx
         if isinstance(a, np.ndarray):
-            return self._discrete_log_array(a)
-        if a == 0:
-            raise LogOfZeroError("the zero element has no discrete logarithm")
-        if a == 1:
-            return 0
-        ctx = self.ctx
-        M = ctx.order
-        # one square chain a^(2^j) shared by every subgroup projection
-        chain = [a]
-        sqr = ctx.sqr
-        for _ in range(ctx.n - 1):
-            chain.append(sqr(chain[-1]))
-        out = 0
-        for solver, weight in self._crt:
-            y = solver.component_log(ctx, chain)
-            if y:
-                out = (out + y * weight) % M
-        return out
-
-    def _discrete_log_array(self, a):
-        a = a.astype(np.uint64)
-        if not a.all():
-            raise LogOfZeroError("the zero element has no discrete logarithm")
-        ctx = self.ctx
-        # a node of the product tree over the prime powers S holds
-        # b = a^(M/prod S); its child over the part T gets b^prod(S - T),
-        # all children off one square chain of b, and a leaf holds the
-        # projection a^(M/q).  Only the pending later children stay alive
-        # while an earlier subtree runs.
-        x = np.zeros(len(a), dtype=np.int64)
-        todo = [(self._tree, a)]
+            a = a.astype(np.uint64)
+            if not a.all():
+                raise LogOfZeroError("the zero element has no discrete logarithm")
+            field, tree, x = ctx.batch, self._tree, np.zeros(len(a), np.int64)
+            leaf = _PrimePowerSolver.component_log_array
+        else:
+            if a == 0:
+                raise LogOfZeroError("the zero element has no discrete logarithm")
+            field, tree, x = ctx, self._flat, 0
+            leaf = _PrimePowerSolver.component_log
+        # a node of the tree over the prime powers S holds b = a^(M/prod
+        # S); its child over the part T gets b^prod(S - T), all children
+        # off one square chain of b, and a leaf holds the projection
+        # a^(M/q).  Only the pending later children stay alive while an
+        # earlier subtree runs.
+        todo = [(tree, a)]
         del a  # held by todo alone: it goes once the root's children exist
         while todo:
             node, b = todo.pop()
             if isinstance(node, int):
                 q, inv, Q = self._garner[node]
-                y = self.solvers[node].component_log_array(ctx, b)
+                y = leaf(self.solvers[node], ctx, b)
                 y -= x
                 y %= q
                 y *= inv
@@ -363,7 +344,7 @@ class LogEngine:
                 x += y
             else:
                 children, exps = node
-                powers = ctx.batch.pows(b, *exps)
+                powers = field.pows(b, *exps)
                 todo.extend(zip(children[::-1], powers[::-1]))
         return x
 
@@ -378,6 +359,14 @@ class LogEngine:
     def strategy_summary(self) -> list[tuple[int, int, str, int]]:
         """Per prime power: (p, e, strategy, table entries)."""
         return [(s.p, s.e, s.sub.strategy, s.sub.m) for s in self.solvers]
+
+
+def scalar_log_bytes(engine) -> int:
+    """Work bytes of one scalar discrete_log: one giant-step pass where
+    the engine has a baby-step giant-step solver, else next to none."""
+    if any(s == STRATEGY_BSGS for _, _, s, _ in engine.strategy_summary()):
+        return GIANT_BLOCK * GIANT_STEP_BYTES
+    return 0
 
 
 def _product_tree(qs):
@@ -435,7 +424,7 @@ def _product_tree(qs):
 
 
 def _leaves(tree):
-    """The leaves of a _product_tree in the order the array path runs them."""
+    """The leaves of a _product_tree in the order the array walk runs them."""
     if isinstance(tree, int):
         return [tree]
     return [leaf for child in tree[0] for leaf in _leaves(child)]
@@ -508,13 +497,7 @@ def build_engine(
             f"predicted engine tables need {predicted} bytes "
             f"(cap {max_table_bytes}); raise the cap or lower the threshold"
         )
-    solvers = [
-        _PrimePowerSolver(ctx, p, e, _tabulate(ctx, p, baby_entries))
-        for p, e, baby_entries in plan
-    ]
-    return LogEngine(
-        ctx, solvers, tabulation_threshold, bsgs_baby_entries, predicted
-    )
+    return LogEngine(ctx, [_tabulate(ctx, p, m) for p, _, m in plan])
 
 
 # -- cache file ----------------------------------------------------------
@@ -523,19 +506,18 @@ def build_engine(
 def save_engine(engine: LogEngine, path: str) -> None:
     """Dump the engine tables to a little-endian cache file.
 
-    Layout: magic, version, modulus exponents, knobs, then per prime
-    power the sorted subgroup values and their positions; a CRC32 of
-    everything precedes nothing and trails the payload.
+    Layout: magic, version, modulus exponents, two reserved words
+    (written as 0, ignored on load; older files hold the plan's
+    tabulation threshold + 1 and baby size there), then per prime power
+    the sorted subgroup values and their positions; a CRC32 of
+    everything before it trails the payload.
     """
     ctx = engine.ctx
     parts = [_CACHE_MAGIC, struct.pack("<IH", _CACHE_VERSION, ctx.n)]
     exps = ctx.poly.exponents
     parts.append(struct.pack("<H", len(exps)))
     parts.append(struct.pack(f"<{len(exps)}Q", *exps))
-    thr = engine.tabulation_threshold
-    baby = engine.bsgs_baby_entries
-    parts.append(struct.pack("<QQ", 0 if thr is None else thr + 1,
-                             0 if baby is None else baby))
+    parts.append(struct.pack("<QQ", 0, 0))  # reserved
     parts.append(struct.pack("<I", len(engine.solvers)))
     for s in engine.solvers:
         sub = s.sub
@@ -596,20 +578,17 @@ def load_engine(path: str) -> LogEngine:
         raise ValueError(f"{path}: unsupported cache version {version}")
     (nexp,) = take("<H")
     exps = take(f"<{nexp}Q")
-    thr_raw, baby_raw = take("<QQ")
+    take("<QQ")  # reserved
     try:
         ctx = make_context(SparsePoly(exps))
     except (LowMultError, ValueError) as exc:
         raise ValueError(f"{path}: engine cache modulus: {exc}") from exc
     if ctx.n != n:
         raise ValueError(f"{path}: inconsistent modulus degree")
-    thr = None if thr_raw == 0 else thr_raw - 1
-    baby = None if baby_raw == 0 else baby_raw
     (nsolvers,) = take("<I")
     if nsolvers != len(ctx.factorization):
         raise ValueError(f"{path}: solver count does not match the modulus")
-    solvers = []
-    predicted = 0
+    tables = []
     for prime_power in ctx.factorization:
         p, e, kind, m = take("<QIBQ")
         if (p, e) != prime_power:
@@ -622,8 +601,7 @@ def load_engine(path: str) -> LogEngine:
         idx = np.frombuffer(body, dtype="<i8", count=m, offset=off + 8 * m)
         off += 16 * m
         _check_table(ctx, p, vals, idx, path)
-        solvers.append(_PrimePowerSolver(ctx, p, e, (vals, idx)))
-        predicted += _model_bytes(m)
+        tables.append((vals, idx))
     if off != len(body):
         raise ValueError(f"{path}: trailing bytes in engine cache")
-    return LogEngine(ctx, solvers, thr, baby, predicted)
+    return LogEngine(ctx, tables)

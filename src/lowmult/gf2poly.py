@@ -41,8 +41,11 @@ from .factorint import factorize
 MAX_EXPONENT = 2**63 - 1
 
 # Elements in one array product of FieldContext.powers, which bounds its
-# work arrays (about 33 bytes per element traced) beside the output.
+# work arrays beside the output, and their bytes per element
+# (powers_bytes): up to 49 traced, for a product by 15 factors, and 33
+# for one by a single factor.
 _POWERS_PRODUCT = 2**15
+_POWERS_WORK_BYTES = 49
 
 # Bit-spreading table: byte b -> 16-bit word with b's bits at even
 # positions.  Squaring a GF(2) polynomial just spreads its bits.
@@ -338,6 +341,19 @@ class FieldContext:
                 return result
             base = self.sqr(base)
 
+    def pows(self, a: int, *exps: int) -> list[int]:
+        """[a^e for e in exps], exponents >= 1, off one square chain of a
+        (the scalar twin of _BatchField.pows)."""
+        out = [None] * len(exps)
+        top = max(exps).bit_length() - 1
+        for j in range(top + 1):
+            for i, e in enumerate(exps):
+                if e >> j & 1:
+                    out[i] = a if out[i] is None else self.mul(out[i], a)
+            if j < top:
+                a = self.sqr(a)
+        return out
+
     def monomial_residue(self, k: int) -> int:
         """x^k mod P in O(log k) multiplications."""
         if k < 0:
@@ -478,6 +494,14 @@ class _BatchField:
             if j < top:
                 a = self.sqr(a)
         return out
+
+
+def powers_bytes(count: int, beside: int = 0) -> int:
+    """Peak bytes of ctx.powers(g, count) and of `beside` bytes allocated
+    later while its output is held: the uint64 output, and the larger of
+    `beside` and the work of its largest array product."""
+    return count * 8 + max(
+        min(count - 1, _POWERS_PRODUCT) * _POWERS_WORK_BYTES, beside)
 
 
 def make_context(poly: SparsePoly) -> FieldContext:

@@ -41,8 +41,9 @@ from math import comb
 
 import numpy as np
 
+from .dlog import scalar_log_bytes
 from .errors import WeightTooSmallError
-from .gf2poly import FieldContext
+from .gf2poly import FieldContext, powers_bytes
 from .search import (
     DEFAULT_BUDGET_BYTES,
     MATCH_BLOCK,
@@ -208,9 +209,11 @@ class SampleParams:
     q1 is the stored-side tuple size of the log birthday route (probe
     side q2 = w - 2 - q1; unbalanced splits are allowed, smaller q1
     meaning a cheaper precompute).  K caps the stored-side degree.
-    budget_bytes caps the predicted size of the power array, of the
-    log birthday route's precomputed table and of the classical birthday
-    route's side tables.
+    budget_bytes caps the predicted size of the power array and the
+    draws, of the log routes' giant-step pass per scalar log (where the
+    engine has a baby-step giant-step solver), of the log birthday
+    route's precomputed table and of the classical birthday route's side
+    tables.
     """
 
     w: int
@@ -314,7 +317,8 @@ def random_log_sample(engine, params: SampleParams) -> SampleResult:
     t0 = time.perf_counter()
     q, D = params.w - 2, params.D
     _check_tuple_size(q, params)
-    _check_budget(_draw_bytes(D, (q,), params.max_iterations),
+    _check_budget(_draw_bytes(D, (q,), params.max_iterations,
+                              scalar_log_bytes(engine)),
                   params.budget_bytes)
     xp = engine.ctx.powers(2, D + 1).view(np.int64)
     draws = _one_at_a_time(
@@ -365,16 +369,17 @@ def birthday_logtmto(
         raise ValueError(f"precompute degree {K} holds no {q1}-tuple")
     t0 = time.perf_counter()
     M = engine.ctx.order
-    stored = comb(K, q1) if table is None else len(table.logs)
-    logged = max(_logged_tuples(K, q1), 1) if table is None else 1
+    build = table is None
+    stored = comb(K, q1) if build else len(table.logs)
+    logged = max(_logged_tuples(K, q1), 1) if build else 1
     # one power array up to x^D serves the table (K <= D) and the draws,
-    # so it is charged once, not by both terms
-    _check_budget(
-        _log_route_bytes(M, D, q1, q2, stored, 1, logged, table is None)
-        + _draw_bytes(D, (q2,), params.max_iterations) - (D + 1) * 8,
-        params.budget_bytes)
+    # so it is charged once, by the draws
+    _check_budget(_draw_bytes(
+        D, (q2,), params.max_iterations,
+        _log_route_bytes(M, D, q1, q2, stored, 1, logged, build, powers=False)
+        + scalar_log_bytes(engine)), params.budget_bytes)
     xp = engine.ctx.powers(2, D + 1).view(np.int64)
-    if table is None:
+    if build:
         table = build_log_table(engine, q1, K, xp)
     elif table.modulus != engine.ctx.poly:
         raise ValueError(f"prebuilt table was built for P={table.modulus}")
@@ -407,7 +412,8 @@ def birthday_logtmto(
             for p, pos, shift, _ in _match_blocks(table, probes, logs, D, M))
         return 1, 0
 
-    return _sample(params, step, dedup, t0, table.log_calls)
+    # a prebuilt table's logs were taken by the call that built it
+    return _sample(params, step, dedup, t0, table.log_calls if build else 0)
 
 
 class _SideTable:
@@ -514,15 +520,17 @@ def _block_hits(probes, a: int, b: int) -> dict[int, list]:
     return rounds
 
 
-def _draw_bytes(D: int, qs: tuple[int, ...], iterations: int) -> int:
+def _draw_bytes(D: int, qs: tuple[int, ...], iterations: int,
+                beside: int = 0) -> int:
     """Bytes that the draws of `iterations` rounds allocate, counted in
-    8-byte words: the power array up to x^D; the comb table of the
-    unranking, D words per tuple position; and one draw chunk of at most
-    half the rounds (or _CHUNK_MIN, or _CHUNK_MAX): per round and side,
-    about 12 + q words of draws, ranks, residues, times and search
-    work."""
-    return ((D + 1) * 8 + D * 8 * max(qs)
-            + _chunk_rounds(iterations) * 8 * sum(12 + q for q in qs))
+    8-byte words, with `beside` more bytes that the run allocates while
+    it draws: the comb table of the unranking, D words per tuple
+    position; and one draw chunk of at most half the rounds (or
+    _CHUNK_MIN, or _CHUNK_MAX): per round and side, about 12 + q words
+    of draws, ranks, residues, times and search work.  All this beside
+    the power array up to x^D, built first (powers_bytes)."""
+    return powers_bytes(D + 1, D * 8 * max(qs) + beside
+                        + _chunk_rounds(iterations) * 8 * sum(12 + q for q in qs))
 
 
 def _chunk_rounds(iterations: int) -> int:
@@ -547,11 +555,10 @@ def _birthday_bytes(D: int, qs: tuple[int, ...], iterations: int) -> int:
     entries = [min(iterations, comb(D, q)) for q in qs]
     pairs = min(MATCH_BLOCK,
                 _chunk_rounds(iterations) * len(qs) * max(entries))
-    return (
-        _draw_bytes(D, qs, iterations)
-        + sum(n * 8 * (3 * (3 + q) + 1) for n, q in zip(entries, qs))
-        + pairs * (6 * 8 + 64 + 80 * max(qs))
-    )
+    return _draw_bytes(
+        D, qs, iterations,
+        sum(n * 8 * (3 * (3 + q) + 1) for n, q in zip(entries, qs))
+        + pairs * (6 * 8 + 64 + 80 * max(qs)))
 
 
 def birthday_tmto(ctx: FieldContext, params: SampleParams) -> SampleResult:

@@ -59,7 +59,7 @@ from .errors import (
     MemoryBudgetExceededError,
     WeightTooSmallError,
 )
-from .gf2poly import FieldContext, SparsePoly
+from .gf2poly import FieldContext, SparsePoly, powers_bytes
 from .tuples import LOG_CHUNK, rank, tuple_array
 
 ALGO_CLASSICAL = "classical"
@@ -579,15 +579,17 @@ def _logged_tuples(K: int, q: int) -> int:
 
 
 def _log_route_bytes(M: int, D: int, q1: int, q2: int, stored: int,
-                     probes: int, logged: int, build: bool = True) -> int:
+                     probes: int, logged: int, build: bool = True,
+                     powers: bool = True) -> int:
     """Bytes that the log route allocates to match `probes` q2-tuples
     against a table of `stored` q1-tuples, counted in 8-byte words: the
     larger of its two phases, whose peaks never coexist (with build False
     the table exists, is not charged, and phase 1 does not run); `logged`
     is the most tuples whose logs one phase takes.
 
-    Both phases hold the power array up to x^D, and the comb table of
-    their enumeration, D words per tuple position.  Phase 1,
+    Both phases hold the power array up to x^D, built before them
+    (powers_bytes; with powers False it is left to the caller), and the
+    comb table of their enumeration, D words per tuple position.  Phase 1,
     the table's build: per stored tuple its exponents and log while they
     are sorted, three words of sort work, and the table's exponents and
     log; one batch of at most LOG_CHUNK tuples, exponents twice and
@@ -616,7 +618,8 @@ def _log_route_bytes(M: int, D: int, q1: int, q2: int, stored: int,
         peak = max(stored * 8 * (q1 + 2) + peak,
                    stored * 8 * (2 * q1 + 5)
                    + min(LOG_CHUNK, logged) * 8 * (2 * q1 + 8) + batch)
-    return (D + 1) * 8 + D * 8 * max(q1, q2) + peak
+    rest = D * 8 * max(q1, q2) + peak
+    return powers_bytes(D + 1, rest) if powers else rest
 
 
 def _check_budget(predicted: int, budget: int) -> None:
@@ -828,26 +831,27 @@ def _tmto_bytes(n: int, D: int, q1: int, q2: int) -> int:
 
     Per stored q1-tuple: its exponents and its key (residue), each held
     twice while they are put in key order, and that order.  The bit
-    filter.  Per exponent up to D: its power in the power array, and the
-    comb table of one enumeration, at most q2 words.  Per probe suffix:
-    its exponents, its residue and three words of work.
+    filter.  The comb table of one enumeration, at most q2 words per
+    exponent.  Per probe suffix: its exponents, its residue and three
+    words of work.
     One block of rows, MATCH_BLOCK plus the C(D, s) C(D, q1) / M hits a
     prefix's suffixes are expected to make, but no more than all hits:
     each row of w exponents, its halves and provenance, its packed dedup
     row and the work of building them.  The distinct multiples the dedup
     keeps are the run's output: _Dedup checks them against the rest of
-    the budget as they grow.
+    the budget as they grow.  All this beside the power array up to x^D,
+    built first (powers_bytes).
     """
     entries, s, w, M = comb(D, q1), _suffix_size(q2), q1 + q2 + 1, (1 << n) - 1
     rows = min(MATCH_BLOCK - (-comb(D, s) * entries // M),
                -(-comb(D, q2) * entries // M))
-    return (
+    return powers_bytes(D + 1, (
         entries * 8 * (2 * q1 + 3)
         + (1 << _filter_bits(n, entries)) // 8 + 1
-        + (D + 1) * 8 + D * 8 * q2
+        + D * 8 * q2
         + comb(D, s) * 8 * (s + 4)
         + rows * 8 * (4 * w + 8)
-    )
+    ))
 
 
 def tmto_find_all(ctx: FieldContext, params: SearchParams) -> SearchResult:

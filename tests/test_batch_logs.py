@@ -1,7 +1,9 @@
 """Batched discrete logs: the array path of LogEngine.discrete_log against
-the scalar path and brute force, the uint64 field arithmetic against
-dense long division, and the chunked log-table phases against pinned
-results of the one-log-per-tuple search."""
+the scalar path, brute force and round trips (the two paths share one
+walk, so brute force and x^y == a are the independent oracles), the
+uint64 field arithmetic against dense long division, and the chunked
+log-table phases against pinned results of the one-log-per-tuple
+search."""
 
 import functools
 import hashlib
@@ -60,6 +62,7 @@ def test_array_logs_equal_scalar_and_brute_force(n, seed, plan, raw):
     elems = [1] + [v % ctx.order + 1 for v in raw]  # every nonzero element
     got = _logs(engine, elems)
     assert got == [engine.discrete_log(a) for a in elems]
+    assert [ctx.pow(2, y) for y in got] == elems
     assert got[:4] == [brute_force_log(ctx, a) for a in elems[:4]]
 
 
@@ -100,6 +103,7 @@ def test_blocked_giant_steps_equal_full_tables(n, seed, baby, block, raw):
         got = _logs(engine, elems)
         scalar = [engine.discrete_log(a) for a in elems]
     assert got == scalar == _logs(_engine(n, seed, "table"), elems)
+    assert [ctx.pow(2, y) for y in got] == elems
     assert got[:3] == [brute_force_log(ctx, a) for a in elems[:3]]
 
 

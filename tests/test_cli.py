@@ -113,6 +113,29 @@ def test_find_all_auto_falls_back_when_engine_budget_tight(capsys):
     assert cli._auto_algorithm(ctx, 4, 4096, 900_000) == "tmto"
 
 
+def test_find_all_auto_plans_the_engine_the_flags_ask_for(capsys):
+    # a 10^8-entry baby table predicts 1.33 GB, past a 10^8-byte budget
+    # that the default plan (about 1 MB) fits: auto takes tmto
+    argv = ["--poly", "31,3,0", "--weight", "4", "--max-degree", "2048",
+            "--budget-bytes", "100000000"]
+    big_baby = ["--bsgs-entries", "100000000"]
+    assert _auto_pick(argv + big_baby, capsys) == "tmto"
+    code, out, _ = run_cli(
+        ["find-all", "--algorithm", "tmto"] + argv + big_baby, capsys)
+    assert (code, len(out.splitlines())) == (0, 454)
+    assert run_cli(["find-all", "--algorithm", "logtmto"] + argv + big_baby,
+                   capsys)[0] == 4
+    ctx = make_context(parse_poly("31,3,0"))
+    assert cli._auto_algorithm(ctx, 4, 2048, 10**8) == "logtmto"
+    assert cli._auto_algorithm(ctx, 4, 2048, 10**8,
+                               bsgs_baby_entries=10**8) == "tmto"
+    # a baby size the plan rejects exits 2 under auto, as under logtmto
+    for algorithm in ("auto", "logtmto"):
+        code, _, err = run_cli(["find-all", "--algorithm", algorithm] + argv
+                               + ["--bsgs-entries", "0"], capsys)
+        assert code == 2 and err.startswith("error: ")
+
+
 def test_wagner_advice_threshold():
     from lowmult.cli import _wagner_advice
 

@@ -152,10 +152,12 @@ def test_cache_round_trip(tmp_path):
 
 
 # sha256 of the cache files of P=16,5,3,2,0, pinned from the engine that
-# enumerated each subgroup one scalar product at a time
+# enumerated each subgroup one scalar product at a time; the threshold-1
+# file was re-pinned when the header's knob words became reserved words
+# written as 0 (it equals the earlier file with those 16 bytes zeroed)
 CACHE_SHA256 = {
     None: "f161a75be265c43fdf4eb572b853c34097538377aa83c21243570596f55a32d1",
-    1: "1752e6519213f1e0cbf5b177f0e2b743fab13709e269115eb6e58ec188757790",
+    1: "6f5e5f8ecfe812a6de043aac940458f75b0769c58d11fc88e14976a618496253",
 }
 
 
@@ -165,6 +167,46 @@ def test_cache_bytes_are_pinned(tmp_path, threshold):
     save_engine(build_engine(make_context(parse_poly("16,5,3,2,0")), threshold),
                 str(path))
     assert hashlib.sha256(path.read_bytes()).hexdigest() == CACHE_SHA256[threshold]
+
+
+def test_cache_with_nonzero_reserved_words_loads(tmp_path):
+    # older writers stored the plan's threshold + 1 and baby size in the
+    # reserved words: such a file loads, and its engine gives the same logs
+    ctx = make_context(parse_poly("10,3,0"))
+    eng = build_engine(ctx, 11, bsgs_baby_entries=9)
+    path = tmp_path / "engine.bin"
+    save_engine(eng, str(path))
+    body = bytearray(path.read_bytes()[:-4])
+    reserved = 8 + 6 + 2 + 8 * 3  # magic, version/n, exponent count, exponents
+    assert body[reserved:reserved + 16] == bytes(16)
+    struct.pack_into("<QQ", body, reserved, 11 + 1, 9)
+    path.write_bytes(bytes(body) + struct.pack("<I", zlib.crc32(body)))
+    loaded = load_engine(str(path))
+    assert loaded.strategy_summary() == eng.strategy_summary()
+    elems = list(range(1, 1 << ctx.n))
+    assert [loaded.discrete_log(a) for a in elems] == [
+        eng.discrete_log(a) for a in elems]
+    assert loaded.discrete_log(np.array(elems, np.uint64)).tolist() == [
+        brute_force_log(ctx, a) for a in elems]
+
+
+def test_scalar_log_in_a_prime_order_group_takes_no_square(monkeypatch):
+    # 2^17 - 1 is prime: the projection a^(M/q) is a itself
+    ctx = make_context(parse_poly("17,3,0"))
+    assert ctx.factorization == [(131071, 1)]
+    eng = build_engine(ctx)
+    want = [0, 1, 5, 99_999, ctx.order - 1]
+    elems = [ctx.monomial_residue(k) for k in want]
+    squares = []
+    sqr = type(ctx).sqr
+
+    def counting(ctx, a):
+        squares.append(a)
+        return sqr(ctx, a)
+
+    monkeypatch.setattr(type(ctx), "sqr", counting)
+    assert [eng.discrete_log(a) for a in elems] == want
+    assert squares == []
 
 
 def test_cache_rejects_corruption(tmp_path):
@@ -257,7 +299,7 @@ def cache_file(tmp_path_factory):
     """The P=10,3,0 cache of _crafted_cache, its bytes and its header
     fields as (struct format, offset): version, n, exponent count, each
     exponent, solver count, then each solver's p, e, kind and table size.
-    Not the threshold and baby-table knobs, which any value leaves valid."""
+    Not the two reserved words, which any value leaves valid."""
     eng = build_engine(make_context(parse_poly("10,3,0")), 11)
     path = tmp_path_factory.mktemp("cache") / "engine.bin"
     save_engine(eng, str(path))

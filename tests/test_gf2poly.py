@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from lowmult.gf2poly import (
     SparsePoly,
     make_context,
     parse_poly,
+    powers_bytes,
     random_primitive_poly,
     residue,
     verify_multiple,
@@ -229,3 +231,30 @@ def test_powers_equal_pow_at_random(n, seed, count, data):
     for t in data.draw(st.lists(st.integers(0, count - 1), max_size=8)):
         assert int(got[t]) == ctx.pow(g, t)
     assert int(got[-1]) == ctx.pow(g, count - 1)
+
+
+@pytest.mark.parametrize("count", [4097, 2**15 + 1, 65537, 10**6])
+def test_powers_bytes_bound_the_traced_peak(count):
+    # the output and the work of the largest array product: products by
+    # 15 factors up to 3,840 elements, then by one factor up to 2^15 (the
+    # bound is loosest below 2^16 powers, where that product is smaller)
+    ctx = make_context(parse_poly("31,3,0"))
+    ctx.powers(2, count)
+    tracemalloc.start()
+    try:
+        ctx.powers(2, count)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= powers_bytes(count) <= 2.5 * peak
+    # later allocations beside the held output replace the freed work
+    assert powers_bytes(count, 10**7) == count * 8 + 10**7
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(2, 63), seed=st.integers(0, 2**16), data=st.data())
+def test_pows_equal_pow(n, seed, data):
+    ctx = make_context(random_primitive_poly(n, random.Random(seed)))
+    a = data.draw(st.integers(1, ctx.mask))
+    exps = data.draw(st.lists(st.integers(1, 2**64), min_size=1, max_size=6))
+    assert ctx.pows(a, *exps) == [ctx.pow(a, e) for e in exps]

@@ -1,5 +1,6 @@
 import hashlib
 import random
+import tracemalloc
 from itertools import combinations
 from math import comb
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lowmult.dlog import build_engine
+from lowmult.dlog import GIANT_BLOCK, GIANT_STEP_BYTES, build_engine
 from lowmult.errors import MemoryBudgetExceededError, WeightTooSmallError
 from lowmult.gf2poly import make_context, parse_poly, verify_multiple
 from lowmult.reference import brute_force_multiples
@@ -235,11 +236,12 @@ def test_birthday_logtmto_respects_prebuilt_table():
 
 
 def test_samplers_check_the_budget_before_allocating():
-    # a 201-entry power array, the comb table of 4-tuples and a chunk of
-    # 5 draws (8,648 model bytes) fit in 2 * 10^4
+    # a 201-entry power array and the larger of its build work (9,800
+    # bytes) and what follows it, the comb table of 4-tuples and a chunk
+    # of 5 draws (7,040 bytes): 11,408 model bytes fit in 2 * 10^4
     small = dict(w=6, D=200, B=1, seed=1, max_iterations=5,
                  budget_bytes=2 * 10**4)
-    assert _draw_bytes(200, (4,), 5) == 8_648
+    assert _draw_bytes(200, (4,), 5) == 11_408
     random_log_sample(ENG16, SampleParams(**small))
     with pytest.raises(MemoryBudgetExceededError):
         random_log_sample(ENG16, SampleParams(**dict(small, D=2000)))
@@ -266,6 +268,35 @@ def test_samplers_check_the_budget_before_allocating():
         birthday_logtmto(ENG16, SampleParams(q1=2, **tight))
     table = build_log_table(ENG16, 2, 200)
     birthday_logtmto(ENG16, SampleParams(q1=2, **tight), table=table)
+
+
+def test_birthday_tmto_budget_charges_the_power_array_build():
+    # at w = 3 both halves are one exponent, so building the power array
+    # is most of a one-round run
+    ctx = make_context(parse_poly("31,3,0"))
+    params = SampleParams(w=3, D=65536, B=10**9, seed=1, max_iterations=1)
+    need = _birthday_bytes(65536, (1,), 1)
+    birthday_tmto(ctx, params)
+    tracemalloc.start()
+    try:
+        birthday_tmto(ctx, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert need / 2 <= peak <= need, (peak, need)
+
+
+def test_birthday_logtmto_counts_only_the_logs_it_takes():
+    # a prebuilt table's logs were taken by the call that built it
+    engine = build_engine(make_context(parse_poly("16,5,3,2,0")))
+    params = SampleParams(w=4, D=200, B=20, q1=1, K=200, seed=7)
+    table = build_log_table(engine, 1, 200)
+    own = birthday_logtmto(engine, params)
+    reused = birthday_logtmto(engine, params, table=table)
+    assert table.log_calls == 100
+    assert (own.log_calls, reused.log_calls) == (156, 56)
+    assert reused.log_calls == reused.iterations - reused.skipped
+    assert reused.exponent_sets() == own.exponent_sets()
 
 
 def test_birthday_logtmto_builds_one_power_array(monkeypatch):
@@ -343,7 +374,8 @@ def test_sample_params_validation():
 # -- pinned at n = 31 -----------------------------------------------------------
 
 class _Recorder:
-    """Keeps every discrete_log answer of the wrapped engine."""
+    """Keeps every discrete_log answer of the wrapped engine; every other
+    attribute is the wrapped engine's."""
 
     def __init__(self, engine):
         self.ctx = engine.ctx
@@ -358,6 +390,9 @@ class _Recorder:
             self.answers.append((a, y))
         return y
 
+    def __getattr__(self, name):
+        return getattr(self._engine, name)
+
 
 def _digest(obj):
     return hashlib.sha256(repr(obj).encode()).hexdigest()[:16]
@@ -367,6 +402,34 @@ def _digest(obj):
 def n31_engine():
     # 2^31 - 1 is prime: every log is a baby-step giant-step search
     return build_engine(make_context(parse_poly("31,3,0")))
+
+
+@pytest.mark.parametrize("method", ["random_log_sample", "birthday_logtmto"])
+def test_scalar_bsgs_logs_stay_within_the_budget(n31_engine, method):
+    # each draw's scalar log takes a pass of GIANT_BLOCK giant steps, which
+    # the prediction charges once; it is most of the traced peak
+    D, rounds = 200, 100
+    giant_pass = GIANT_BLOCK * GIANT_STEP_BYTES
+    if method == "random_log_sample":
+        params = SampleParams(w=3, D=D, B=10**9, seed=1, max_iterations=rounds)
+        need = _draw_bytes(D, (1,), rounds, giant_pass)
+    else:  # a K = D table of 1-tuples, then one log per draw
+        params = SampleParams(w=4, D=D, B=10**9, q1=1, seed=1,
+                              max_iterations=rounds)
+        need = _draw_bytes(D, (1,), rounds, giant_pass + _log_route_bytes(
+            n31_engine.ctx.order, D, 1, 1, D, 1, _logged_tuples(D, 1),
+            powers=False))
+    run = globals()[method]
+    with pytest.raises(MemoryBudgetExceededError):
+        run(n31_engine, SampleParams(**dict(params.__dict__, budget_bytes=need - 1)))
+    run(n31_engine, SampleParams(**dict(params.__dict__, budget_bytes=need)))
+    tracemalloc.start()
+    try:
+        run(n31_engine, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert need / 2 <= peak <= need, (peak, need)
 
 
 # Pinned from the engine that walked one giant step at a time: (records

@@ -515,11 +515,11 @@ def test_log_route_checks_the_budget_before_allocating(monkeypatch):
 
     params, need = _log_route_need(F16, 4, 15)
     # birthday_logtmto draws one probe at a time against a table to build;
-    # its one 16-entry power array is in both terms, and charged once
+    # its one 16-entry power array serves both, and is charged once
     draw = SampleParams(w=4, D=15, B=1, q1=1, seed=1, max_iterations=5)
-    draw_need = search._log_route_bytes(
-        F16.order, 15, 1, 1, 15, 1, search._logged_tuples(15, 1)
-    ) + _draw_bytes(15, (1,), 5) - 16 * 8
+    draw_need = _draw_bytes(15, (1,), 5, search._log_route_bytes(
+        F16.order, 15, 1, 1, 15, 1, search._logged_tuples(15, 1),
+        powers=False))
     # random_log_sample draws weight-3 polynomials: 2-tuples
     sample = SampleParams(w=4, D=15, B=1, seed=1, max_iterations=5)
     sample_need = _draw_bytes(15, (2,), 5)
