@@ -8,7 +8,7 @@ Run from the repository root:
 Two sweeps: D = 512, 1024, ..., 16384 at P = 30,6,4,1,0 (all subgroups
 tabulated), w = 4, where the log route's cost is its logs; and D = 48,
 96, 192, 384 at P = 18,7,0, w = 6, where it is the match kernel (about
-445,000 matches at D = 192).  For each D it alternates REPS calls of
+19,600 rows at D = 192, one per multiple).  For each D it alternates REPS calls of
 ``logtmto_find_all`` and ``tmto_find_all`` in this process, checks that
 both return the same record set, and records every call's time.  The
 engine is built REPS times before any timing, and one untimed call of

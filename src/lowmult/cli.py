@@ -23,6 +23,7 @@ from math import comb, log2
 
 from .dlog import (
     build_engine,
+    check_table_bytes,
     load_engine,
     predict_table_bytes,
     save_engine,
@@ -91,17 +92,16 @@ def _engine_plan(args) -> dict:
 
 
 def _get_engine(args, ctx):
+    cap = getattr(args, "budget_bytes", DEFAULT_BUDGET_BYTES)
     if getattr(args, "cache", None):
         engine = load_engine(args.cache)
         if engine.ctx.poly != ctx.poly:
             raise PolyParseError(
                 f"engine cache {args.cache} was built for P={engine.ctx.poly}"
             )
+        check_table_bytes(engine.predicted_bytes, cap)
         return engine
-    return build_engine(
-        ctx, **_engine_plan(args),
-        max_table_bytes=getattr(args, "budget_bytes", DEFAULT_BUDGET_BYTES),
-    )
+    return build_engine(ctx, **_engine_plan(args), max_table_bytes=cap)
 
 
 def _emit(blocks, as_json: bool) -> None:

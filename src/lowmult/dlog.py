@@ -361,9 +361,11 @@ class LogEngine:
         return [(s.p, s.e, s.sub.strategy, s.sub.m) for s in self.solvers]
 
 
-def scalar_log_bytes(engine) -> int:
-    """Work bytes of one scalar discrete_log: one giant-step pass where
-    the engine has a baby-step giant-step solver, else next to none."""
+def giant_pass_bytes(engine) -> int:
+    """Work bytes of one discrete_log call beyond BATCH_LOG_BYTES per
+    element: one giant-step pass, which every call, scalar or batched,
+    runs at most one of at a time, where the engine has a baby-step
+    giant-step solver, else none."""
     if any(s == STRATEGY_BSGS for _, _, s, _ in engine.strategy_summary()):
         return GIANT_BLOCK * GIANT_STEP_BYTES
     return 0
@@ -492,12 +494,18 @@ def build_engine(
     if tabulation_threshold is not None and tabulation_threshold < 1:
         raise ValueError("tabulation threshold must be >= 1")
     plan, predicted = _plan(ctx, tabulation_threshold, bsgs_baby_entries)
+    check_table_bytes(predicted, max_table_bytes)
+    return LogEngine(ctx, [_tabulate(ctx, p, m) for p, _, m in plan])
+
+
+def check_table_bytes(predicted: int, max_table_bytes: int) -> None:
+    """Raise MemoryBudgetExceededError where an engine's predicted table
+    bytes pass the cap, whether it is to be built or was loaded."""
     if predicted > max_table_bytes:
         raise MemoryBudgetExceededError(
             f"predicted engine tables need {predicted} bytes "
             f"(cap {max_table_bytes}); raise the cap or lower the threshold"
         )
-    return LogEngine(ctx, [_tabulate(ctx, p, m) for p, _, m in plan])
 
 
 # -- cache file ----------------------------------------------------------

@@ -420,11 +420,15 @@ class _BatchField:
         # fold[h] clears the k bits h at x^n.. and adds (h x^n) mod P
         self.fold = np.array(
             [(h << n) ^ ctx._red[0][h] for h in range(1 << k)], dtype=np.uint64)
-        self.sq = np.array(
-            [[ctx.sqr((b << 8 * j) & ctx.mask) for b in range(256)]
-             for j in range(-(-n // 8))],
-            dtype=np.uint64,
-        )
+        # sq[j][b] is the square of b at byte j, bits past x^(n-1) cleared;
+        # by linearity, entries b >= 2^i add the square of bit i to b - 2^i
+        nbytes = -(-n // 8)
+        self.sq = np.zeros((nbytes, 256), np.uint64)
+        bits = np.array([ctx.sqr(1 << i) if i < n else 0
+                         for i in range(8 * nbytes)], np.uint64)
+        for i in range(8):
+            self.sq[:, 1 << i:2 << i] = (
+                self.sq[:, :1 << i] ^ bits[i::8, None])
 
     def sqr(self, a):
         byte = np.uint64(0xFF)

@@ -41,7 +41,7 @@ from math import comb
 
 import numpy as np
 
-from .dlog import scalar_log_bytes
+from .dlog import giant_pass_bytes
 from .errors import WeightTooSmallError
 from .gf2poly import FieldContext, powers_bytes
 from .search import (
@@ -318,7 +318,7 @@ def random_log_sample(engine, params: SampleParams) -> SampleResult:
     q, D = params.w - 2, params.D
     _check_tuple_size(q, params)
     _check_budget(_draw_bytes(D, (q,), params.max_iterations,
-                              scalar_log_bytes(engine)),
+                              giant_pass_bytes(engine)),
                   params.budget_bytes)
     xp = engine.ctx.powers(2, D + 1).view(np.int64)
     draws = _one_at_a_time(
@@ -377,7 +377,7 @@ def birthday_logtmto(
     _check_budget(_draw_bytes(
         D, (q2,), params.max_iterations,
         _log_route_bytes(M, D, q1, q2, stored, 1, logged, build, powers=False)
-        + scalar_log_bytes(engine)), params.budget_bytes)
+        + giant_pass_bytes(engine)), params.budget_bytes)
     xp = engine.ctx.powers(2, D + 1).view(np.int64)
     if build:
         table = build_log_table(engine, q1, K, xp)

@@ -7,6 +7,11 @@ assembled from 1 plus a fixed number of monomials, and XOR cancellation
 removes terms in pairs.  Lower parity-matching weights fall out of the
 same pass through cancellation, as long as D >= w - 2; below that, [1, D]
 cannot hold the cancelled pair, and weight w - 2 is searched instead.
+The log route's search is canonical wherever its probes cover all of
+[1, D] (w >= 6 with the default split, and every unbalanced split): it
+meets each weight-w multiple through one decomposition, the shifted
+probe half above the stored one, and takes the lower weights from the
+weight-(w - 2) search at the same D, into the same dedup.
 
 The two routes differ only in how they match two halves.  The classical
 route stores residues of the smaller half-decomposition as sorted keys
@@ -15,10 +20,11 @@ XORing to 1; the probes run on arrays, and every filter hit is confirmed
 by binary search on the keys, so the lookup is exact.  The logarithmic
 route stores discrete logs of the stored half as a sorted array and
 matches a chunk of probe logs at a time against it in one array kernel:
-a cyclic window of width about 2D around each probe log is one or two
-sorted slices, and each (probe, stored) pair in it gives every shift e
-congruent to the two logs' difference that keeps both shifted halves at
-degree <= D (more than one once D reaches half the group order).  Both
+a cyclic window of width about 2D (D where canonical) around each probe
+log is one or two sorted slices, and each (probe, stored) pair in it
+gives every shift e congruent to the two logs' difference that keeps
+both shifted halves at degree <= D (more than one once D reaches half
+the group order).  Both
 routes then share one back end on arrays: a match is a row of its halves
 with their shared terms cancelled (``_cancel``), and ``_Dedup`` keeps
 the smallest provenance per multiple and sorts the distinct rows, which
@@ -53,7 +59,7 @@ from typing import Optional
 
 import numpy as np
 
-from .dlog import BATCH_LOG_BYTES
+from .dlog import BATCH_LOG_BYTES, giant_pass_bytes
 from .errors import (
     DegreeOutOfRangeError,
     MemoryBudgetExceededError,
@@ -71,6 +77,12 @@ DEFAULT_BUDGET_BYTES = 2**31
 # work arrays: a block takes MATCH_BLOCK // (the most shifts one (probe,
 # stored) pair can have) pairs.
 MATCH_BLOCK = 8192
+
+# Work bytes per row of a dedup reduction beside a copy of its rows: the
+# sort order, the keys compared, group starts and sizes, and the
+# per-column minimum (tracemalloc: 42 where every row is distinct, fewer
+# with duplicates, at 2 to 12 columns).
+REDUCE_ROW_BYTES = 48
 
 # Bit fields that _pack puts into one int64 at most; rows of fields that
 # need more are compared column by column.
@@ -138,9 +150,11 @@ def estimate_count(n: int, w: int, D: int) -> float:
 class MultipleRecord:
     """A canonicalized found multiple.
 
-    Equality and hashing are by the exponent set only; provenance is
-    the smallest (stored tuple, probe tuple, shift) that produced it,
-    with shift None for the classical route.
+    Equality and hashing are by the exponent set only; provenance is a
+    (stored tuple, probe tuple, shift) that produced it, with shift None
+    for the classical route: the canonical decomposition of a weight-w
+    multiple where the log route is canonical (logtmto_find_all), else,
+    as for lower weights, the smallest that produced it.
     """
 
     poly: SparsePoly
@@ -397,18 +411,20 @@ def build_log_table(engine, q1: int, max_deg: int,
 
 
 def _match_blocks(table: LogTable, probes: np.ndarray, probe_logs: np.ndarray,
-                  D: int, M: int):
+                  D: int, M: int, canonical: bool = False):
     """The log route's match kernel: every match of the probe tuples (the
     rows of probes, whose 1 + tuple has the log in probe_logs) with the
     table, one block at a time.
 
     A match pairs a probe with a stored entry at a shift e congruent to
-    (stored log - probe log) mod M inside [stored max - D, D - probe
-    max], which keeps both shifted halves at degree <= D.  Only stored
-    logs in the cyclic window from probe log + 1 - D (- D for q1 = 0) to
-    probe log + D - probe max can match: one or two slices of the sorted
-    logs, found by searchsorted, or the whole table once the window spans
-    the group.  The (probe, entry) pairs of all windows are taken
+    (stored log - probe log) mod M inside [low, D - probe max], which
+    keeps both shifted halves at degree <= D: low is stored max - D, or
+    stored max + 1 where canonical, so that the shifted probe half lies
+    above the stored one (logtmto_find_all).  Only stored logs in the
+    cyclic window from probe log + the least low of any stored tuple
+    (1 - D, or 2, one less for q1 = 0) to probe log + D - probe max can
+    match: one or two slices of the sorted logs, found by searchsorted,
+    or the whole table once the window spans the group.  The (probe, entry) pairs of all windows are taken
     MATCH_BLOCK // (the most shifts one pair can have) at a time, and
     each pair yields every congruent shift in its range: at most one
     below D = M / 2, more from there on.  Matches come in probe order,
@@ -422,7 +438,8 @@ def _match_blocks(table: LogTable, probes: np.ndarray, probe_logs: np.ndarray,
     stored_max = table.exponents[:, -1] if q1 else np.zeros(entries, np.int64)
     probe_max = (probes[:, -1] if probes.shape[1]
                  else np.zeros(len(probes), np.int64))
-    shift_lo = (1 if q1 else 0) - D  # lowest shift of any stored tuple
+    gap = 1 if canonical else -D  # a pair's lowest shift above stored max
+    shift_lo = min(q1, 1) + gap  # lowest shift of any stored tuple
     shift_hi = D - probe_max
     # (sums and differences stay below M + D in size: no int64 overflow
     # where M = 2^63 - 1)
@@ -433,6 +450,7 @@ def _match_blocks(table: LogTable, probes: np.ndarray, probe_logs: np.ndarray,
     wrap = lo > hi
     head = np.where(wrap, entries - start, stop - start)  # from start on
     count = head + np.where(wrap, stop, 0)  # then from 0 where it wraps
+    count[shift_hi < shift_lo] = 0  # no shift in range (only where canonical)
     whole = shift_hi - shift_lo + 1 >= M
     start[whole], head[whole], count[whole] = 0, entries, entries
     ends = np.cumsum(count)
@@ -443,7 +461,7 @@ def _match_blocks(table: LogTable, probes: np.ndarray, probe_logs: np.ndarray,
         p = ends.searchsorted(k, "right")
         j = k - (ends[p] - count[p])
         pos = np.where(j < head[p], start[p] + j, j - head[p])
-        low = stored_max[pos] - D
+        low = stored_max[pos] + gap
         shift = low + ((logs[pos] - probe_logs[p]) % M - low % M) % M
         n = (shift_hi[p] - shift) // M + 1  # congruent shifts in range
         np.maximum(n, 0, out=n)
@@ -460,7 +478,7 @@ def _match_blocks(table: LogTable, probes: np.ndarray, probe_logs: np.ndarray,
 
 def _match_rows(stored: np.ndarray, probes: np.ndarray, shift: np.ndarray,
                 D: int):
-    """The block (rows, _stored_cols, probes, shift) of log-route matches:
+    """The block (rows, stored, probes, shift) of log-route matches:
     each multiple as a _cancel row of w = q1 + q2 + 2 exponents, (1 +
     stored) shifted up by -shift where shift < 0, plus (1 + probe)
     shifted up by shift where shift > 0."""
@@ -472,15 +490,7 @@ def _match_rows(stored: np.ndarray, probes: np.ndarray, shift: np.ndarray,
     up = np.maximum(shift, 0)[:, None]
     rows[:, q1 + 1:q1 + 2] = up
     rows[:, q1 + 2:] = probes + up
-    return _cancel(rows, D), _stored_cols(stored, q1, q2), probes, shift
-
-
-def _stored_cols(tuples: np.ndarray, q1: int, q2: int) -> np.ndarray:
-    """The tuples (rows) as stored columns: max(q1, q2) wide where q1 is
-    odd, since a probe's own multiple has its tuple there (_zero_blocks),
-    padded with zeros, which order the rows as the tuples."""
-    pad = (max(q1, q2) if q1 % 2 else q1) - tuples.shape[1]
-    return np.pad(tuples, ((0, 0), (0, pad))) if pad else tuples
+    return _cancel(rows, D), stored, probes, shift
 
 
 def _cancel(rows: np.ndarray, D: int) -> np.ndarray:
@@ -538,44 +548,58 @@ def _match_records(rows, stored, probes, shift, D: int, tuples: dict):
 
 
 def _zero_blocks(table: LogTable, q2: int, D: int, M: int,
-                 probes: Optional[np.ndarray] = None):
+                 probes: Optional[np.ndarray] = None, canonical: bool = False):
     """The multiples that zero residues make, as _match_rows blocks, in
     discovery order.
 
     Without probes: each stored tuple whose 1 + tuple reduces to zero is
     a multiple by itself, of weight q1 + 1, which has the parity of
     w = q1 + q2 + 2 only when q2 is odd.  With probes, q2-tuples (rows)
-    whose 1 + tuple reduces to zero, so that they have no log: at D >= M
-    each is paired with each zero stored tuple at every nonzero shift
-    that keeps both halves at degree <= D, the match kernel on logs 0
-    modulo 1 (below M no multiple needs that: swapping one term between
-    two zero halves leaves x^a + x^b, nonzero for |a - b| < M, in each);
-    then 1 + each probe is a multiple of weight q2 + 1, with the parity
-    of w only when q1 is odd.  A tuple's own multiple has the provenance
-    (tuple, (), None).
+    whose 1 + tuple reduces to zero, so that they have no log: at D >= M,
+    or at every D where canonical, each is paired with each zero stored
+    tuple at every shift the match kernel allows, the kernel on logs 0
+    modulo 1 (below M the kernel's full shift range needs no pairs:
+    swapping one term between two zero halves leaves x^a + x^b, nonzero
+    for |a - b| < M, in each); then 1 + each probe is a multiple of
+    weight q2 + 1, with the parity of w only when q1 is odd.  A tuple's
+    own multiple has the provenance (tuple, (), None).  Where canonical
+    there are none: they have weights below w, which logtmto_find_all
+    takes from its weight-(w - 2) search.
     """
     q1, k = table.exponents.shape[1], len(table.zero_polys)
     zero = np.array(table.zero_polys, np.int64).reshape(k, q1)
     if probes is None:
-        own = zero if q2 % 2 else zero[:0]
+        own = zero if q2 % 2 and not canonical else zero[:0]
     else:
-        if D >= M and k:
+        if k and (canonical or D >= M):
             pairs = replace(table, logs=np.zeros(k, np.int64), exponents=zero)
             for p, pos, shift, _ in _match_blocks(
-                    pairs, probes, np.zeros(len(probes), np.int64), D, 1):
+                    pairs, probes, np.zeros(len(probes), np.int64), D, 1,
+                    canonical):
                 yield _match_rows(zero[pos], probes[p], shift, D)
-        own = probes if q1 % 2 else probes[:0]
+        own = probes if q1 % 2 and not canonical else probes[:0]
     if len(own):  # 1 + tuple, padded with D + 1 as a _cancel row
         rows = np.pad(own, ((0, 0), (1, q1 + q2 + 1 - own.shape[1])),
                       constant_values=((0, 0), (0, D + 1)))
-        yield (rows, _stored_cols(own, q1, q2),
-               np.zeros((len(own), q2), np.int64), np.zeros(len(own), np.int64))
+        yield (rows, own, np.zeros((len(own), q2), np.int64),
+               np.zeros(len(own), np.int64))
 
 
 def _logged_tuples(K: int, q: int) -> int:
     """The q-tuples over [1, K] that build_log_table takes a log of: those
     with an odd exponent, or the empty tuple."""
     return comb(K, q) - comb(K // 2, q) if q else 1
+
+
+def _match_block_bytes(M: int, D: int, q1: int, q2: int, stored: int,
+                       probes: int) -> int:
+    """Bytes of the log route's match block: the matches a chunk of
+    probes is expected to make (a window of 2D + 1 logs holds a
+    (2D + 1) / M share of the table), at most MATCH_BLOCK, each with the
+    kernel's indices, its row and its dedup rows, gathered and packed."""
+    chunk = min(LOG_CHUNK, probes)
+    matches = min(MATCH_BLOCK, -(-chunk * stored * (2 * D + 1) // M))
+    return matches * 8 * (3 * (q1 + q2 + 2) + 2 * q2 + 23)
 
 
 def _log_route_bytes(M: int, D: int, q1: int, q2: int, stored: int,
@@ -599,20 +623,16 @@ def _log_route_bytes(M: int, D: int, q1: int, q2: int, stored: int,
     each stored tuple; one chunk of at most LOG_CHUNK probes, as a
     batch; where q1 != q2 the probes' logs, while where q1 = q2 the
     probes are stored tuples and read their logs from the table.  And
-    one match block: the matches a chunk of probes is expected to make
-    (a window of 2D + 1 logs holds a (2D + 1) / M share of the table),
-    at most MATCH_BLOCK, each with the kernel's indices, its row and its
-    dedup rows, gathered and packed.  The distinct multiples the dedup
-    keeps are the run's output: _Dedup checks them against the rest of
-    the budget as they grow.
+    one match block (_match_block_bytes).  The distinct multiples the
+    dedup keeps are the run's output: _Dedup checks them against the
+    rest of the budget as they grow.
     """
-    w, chunk = q1 + q2 + 2, min(LOG_CHUNK, probes)
+    chunk = min(LOG_CHUNK, probes)
     batch = min(LOG_CHUNK, logged) * BATCH_LOG_BYTES
-    matches = min(MATCH_BLOCK, -(-chunk * stored * (2 * D + 1) // M))
     peak = (  # phase 2 beside the table
         chunk * 8 * (2 * q2 + 8)
         + (batch if q1 != q2 else 0)
-        + matches * 8 * (3 * w + 2 * q2 + 23)
+        + _match_block_bytes(M, D, q1, q2, stored, probes)
     )
     if build:
         peak = max(stored * 8 * (q1 + 2) + peak,
@@ -677,6 +697,9 @@ class _Dedup:
     None).  Blocks are gathered to MATCH_BLOCK rows, then held in one row
     format: the row as key, then stored, probe and shift + D, which order
     like _provenance_key, each part packed into one int64 where it fits.
+    widths gives the columns of the key, stored and probe parts; a
+    narrower block is padded, its rows with D + 1 and its tuples with
+    zeros, which order the rows as the tuples.
     Held rows are reduced into the running distinct set once they
     outgrow it (or one MATCH_BLOCK), so they stay within about twice the
     distinct multiples plus two blocks.
@@ -687,16 +710,25 @@ class _Dedup:
     MemoryBudgetExceededError instead of taking a block while the rows
     it holds, gathered and packed, pass room by more than MATCH_BLOCK
     gathered rows, and sorted_rows() instead of unpacking the distinct
-    rows into a block that would.
+    rows into a block that would.  A reduction raises it instead of
+    starting where the packed rows and its work (a copy of them and
+    REDUCE_ROW_BYTES per row) would pass room by more than MATCH_BLOCK
+    gathered rows or the part of the route's block, block_bytes, that
+    the block being added does not hold (its gathering is packed by
+    then).
     """
 
-    __slots__ = ("best", "seen", "room", "_bytes", "_pending",
-                 "_pending_rows", "_blocks", "_held", "_width", "_format")
+    __slots__ = ("best", "seen", "room", "widths", "block_bytes", "_bytes",
+                 "_pending", "_pending_rows", "_blocks", "_held", "_width",
+                 "_format")
 
-    def __init__(self, room: float = inf):
+    def __init__(self, room: float = inf, widths: tuple = (0, 0, 0),
+                 block_bytes: int = 0):
         self.best: dict[tuple[int, ...], tuple] = {}
         self.seen = 0
         self.room = room
+        self.widths = widths
+        self.block_bytes = block_bytes
         self._bytes = 0  # of the gathered and packed rows held
         self._pending: list[np.ndarray] = []  # gathered blocks, unpacked
         self._pending_rows = 0
@@ -709,33 +741,46 @@ class _Dedup:
         if cur is None or _provenance_key(prov) < _provenance_key(cur):
             self.best[exps] = prov
 
-    def _check_room(self, held: int, row_bytes: int) -> None:
-        if held > self.room + MATCH_BLOCK * row_bytes:
+    def _check_room(self, held: int, spare: int, work: int = 0) -> None:
+        """Raise unless held bytes and work fit room and spare bytes."""
+        if held + work > self.room + spare:
+            more = f", and {work} to reduce them" if work else ""
             raise MemoryBudgetExceededError(
-                f"multiples held ({held} bytes) exceed the memory "
+                f"multiples held ({held} bytes{more}) exceed the memory "
                 f"budget left beside the predicted tables ({self.room} "
                 "bytes); lower the degree bound or use the sampling search"
             )
 
     def add_rows(self, rows: np.ndarray, stored: np.ndarray,
                  probes: np.ndarray, shift: np.ndarray, D: int) -> None:
-        self._check_room(self._bytes, 8 * (
-            rows.shape[1] + stored.shape[1] + probes.shape[1] + 1))
+        key, width, probe = self.widths
+        cols = key + width + probe + 1
+        self._check_room(self._bytes, MATCH_BLOCK * 8 * cols)
         self.seen += len(rows)
         # bits of each field: exponents up to the pad D + 1 in the key,
         # exponents up to D and shift + D up to 2D in the provenance
         self._format = (
-            D, stored.shape[1], [(D + 1).bit_length()] * rows.shape[1],
-            [D.bit_length()] * (stored.shape[1] + probes.shape[1])
-            + [(2 * D).bit_length()],
+            D, width, [(D + 1).bit_length()] * key,
+            [D.bit_length()] * (width + probe) + [(2 * D).bit_length()],
         )
-        self._pending.append(np.column_stack((rows, stored, probes, shift + D)))
-        self._bytes += self._pending[-1].nbytes
+        a, b, c = rows.shape[1], key + stored.shape[1], key + width + probes.shape[1]
+        block = np.empty((len(rows), cols), np.int64)
+        block[:, :a], block[:, a:key] = rows, D + 1
+        block[:, key:b], block[:, b:key + width] = stored, 0
+        block[:, key + width:c], block[:, c:-1] = probes, 0
+        np.add(shift, D, out=block[:, -1])
+        self._pending.append(block)
+        self._bytes += block.nbytes
+        del block  # _pack frees the gathered rows
         self._pending_rows += len(rows)
         if self._pending_rows >= MATCH_BLOCK:
-            self._pack()
+            self._pack(rows.nbytes + stored.nbytes + probes.nbytes
+                       + shift.nbytes)
 
-    def _pack(self) -> None:
+    def _pack(self, live: int = 0) -> None:
+        """Pack the gathered blocks, and reduce where the held rows have
+        outgrown the distinct ones; live is the bytes of the block being
+        added."""
         block = np.concatenate(self._pending)
         self._pending, self._pending_rows = [], 0
         key_bits, prov_bits = self._format[2:]
@@ -745,10 +790,15 @@ class _Dedup:
         del block
         self._blocks.append(np.hstack((keys, provs)))
         if sum(map(len, self._blocks)) - self._held > max(self._held, MATCH_BLOCK):
-            self._reduce()
+            self._reduce(live)
         self._bytes = sum(block.nbytes for block in self._blocks)
 
-    def _reduce(self) -> None:
+    def _reduce(self, live: int = 0) -> None:
+        rows = sum(map(len, self._blocks))
+        held = 8 * rows * self._blocks[0].shape[1]
+        gathered = MATCH_BLOCK * 8 * (sum(self.widths) + 1)
+        self._check_room(held, max(self.block_bytes - live, gathered),
+                         held + rows * REDUCE_ROW_BYTES)
         rows = np.concatenate(self._blocks)
         self._blocks = []  # freed before _distinct's work arrays exist
         self._blocks = [_distinct(rows, self._width)]
@@ -778,7 +828,7 @@ class _Dedup:
         rows, self._blocks, self._held, self._bytes = self._blocks[0], [], 0, 0
         D, q1, key_bits, prov_bits = self._format
         row_bytes = 8 * (len(key_bits) + len(prov_bits))
-        self._check_room(len(rows) * row_bytes, row_bytes)
+        self._check_room(len(rows) * row_bytes, MATCH_BLOCK * row_bytes)
         keys = _unpack(rows[:, :self._width], key_bits)
         order = np.argsort(keys.max(axis=1, where=keys <= D, initial=0),
                            kind="stable")
@@ -801,7 +851,7 @@ def _lower_weight(params: SearchParams) -> SearchParams:
 def _finalize(dedup: _Dedup, report) -> SearchResult:
     rows = dedup.sorted_rows()
     report.found = len(rows[0])
-    report.duplicates_suppressed = dedup.seen - report.found
+    report.duplicates_suppressed += dedup.seen - report.found
     return SearchResult(rows, report)
 
 
@@ -834,24 +884,30 @@ def _tmto_bytes(n: int, D: int, q1: int, q2: int) -> int:
     filter.  The comb table of one enumeration, at most q2 words per
     exponent.  Per probe suffix: its exponents, its residue and three
     words of work.
-    One block of rows, MATCH_BLOCK plus the C(D, s) C(D, q1) / M hits a
-    prefix's suffixes are expected to make, but no more than all hits:
-    each row of w exponents, its halves and provenance, its packed dedup
-    row and the work of building them.  The distinct multiples the dedup
-    keeps are the run's output: _Dedup checks them against the rest of
-    the budget as they grow.  All this beside the power array up to x^D,
-    built first (powers_bytes).
+    One block of rows (_tmto_block_bytes).  The distinct multiples the
+    dedup keeps are the run's output: _Dedup checks them against the
+    rest of the budget as they grow.  All this beside the power array up
+    to x^D, built first (powers_bytes).
     """
-    entries, s, w, M = comb(D, q1), _suffix_size(q2), q1 + q2 + 1, (1 << n) - 1
-    rows = min(MATCH_BLOCK - (-comb(D, s) * entries // M),
-               -(-comb(D, q2) * entries // M))
+    entries, s = comb(D, q1), _suffix_size(q2)
     return powers_bytes(D + 1, (
         entries * 8 * (2 * q1 + 3)
         + (1 << _filter_bits(n, entries)) // 8 + 1
         + D * 8 * q2
         + comb(D, s) * 8 * (s + 4)
-        + rows * 8 * (4 * w + 8)
+        + _tmto_block_bytes(n, D, q1, q2)
     ))
+
+
+def _tmto_block_bytes(n: int, D: int, q1: int, q2: int) -> int:
+    """Bytes of tmto_find_all's block of rows: MATCH_BLOCK plus the
+    C(D, s) C(D, q1) / M hits a prefix's suffixes are expected to make,
+    but no more than all hits, each row of w exponents with its halves
+    and provenance, its packed dedup row and the work of building them."""
+    entries, M = comb(D, q1), (1 << n) - 1
+    rows = min(MATCH_BLOCK - (-comb(D, _suffix_size(q2)) * entries // M),
+               -(-comb(D, q2) * entries // M))
+    return rows * 8 * (4 * (q1 + q2 + 1) + 8)
 
 
 def tmto_find_all(ctx: FieldContext, params: SearchParams) -> SearchResult:
@@ -897,7 +953,8 @@ def tmto_find_all(ctx: FieldContext, params: SearchParams) -> SearchResult:
 
     # q2 >= 1 always: q1 <= q2 and q1 + q2 + 1 = w >= 2
     t0 = time.perf_counter()
-    dedup = _Dedup(params.budget_bytes - predicted)
+    dedup = _Dedup(params.budget_bytes - predicted, (params.w, q1, q2),
+                   _tmto_block_bytes(ctx.n, D, q1, q2))
     s = _suffix_size(q2)
     suffixes = tuple_array(s, D)
     probes = _residues(xp, suffixes)
@@ -940,27 +997,63 @@ def tmto_find_all(ctx: FieldContext, params: SearchParams) -> SearchResult:
     return result
 
 
+def _probe_bound(params: SearchParams) -> int:
+    """The degree bound of a log search's probe tuples: second_phase_bound
+    where it is proven (the balanced split with q1 <= 1: w = 3, 4, 5 with
+    the default split), else D, where the search is canonical."""
+    q1, q2 = params.q1, params.q2
+    if q1 <= 1 <= q2 <= q1 + 1:
+        return second_phase_bound(params.D, params.w, q2)
+    return params.D
+
+
+def _log_search_bytes(engine, params: SearchParams) -> int:
+    """_log_route_bytes of one log search, plus a discrete_log's giant
+    pass."""
+    q1, q2, D = params.q1, params.q2, params.D
+    probed = comb(_probe_bound(params), q2)
+    logged = max(_logged_tuples(D, q1), 0 if q1 == q2 else probed)
+    return _log_route_bytes(engine.ctx.order, D, q1, q2, comb(D, q1), probed,
+                            logged) + giant_pass_bytes(engine)
+
+
 def logtmto_find_all(
     ctx: FieldContext, engine, params: SearchParams
 ) -> SearchResult:
     """Log route: sorted log table for the q1 half, probed a chunk of
-    q2-tuples at a time through the match kernel.
-
-    Phase 1 is build_log_table.  Phase 2 takes the logs of LOG_CHUNK
-    probe tuples in one batch, or reads them from the table's lex_logs
-    where the probes are table tuples (q1 = q2: w = 2, 4, 6 with the
-    default split), and runs the chunk through _match_blocks
-    and _match_rows a block of at most MATCH_BLOCK matches at a time;
-    each block goes to the dedup (_Dedup.add_rows), which reduces the
-    blocks to the distinct multiples with their smallest provenance.
+    q2-tuples at a time through the match kernel (_log_search).
 
     Produces exactly the same set as the classical route at equal
-    (w, D), D >= M included.  Stored tuples whose polynomial reduces to
-    zero are themselves multiples (weight q1 + 1); they are emitted
-    when their weight parity matches w, and likewise for probe tuples
-    (_zero_blocks, which also pairs them).  Where it is proven (the
-    balanced split with q1 <= 1), phase 2 probes only tuples up to
-    second_phase_bound.
+    (w, D), D >= M included.  Where it is proven (the balanced split
+    with q1 <= 1), phase 2 probes only tuples up to second_phase_bound;
+    multiples of lower weight arise there through halves whose shared
+    terms cancel, and stored or probe tuples whose polynomial reduces
+    to zero are multiples themselves (weight q1 + 1 or q2 + 1), emitted
+    when their weight parity matches w (_zero_blocks, which also pairs
+    them from D = M on).
+
+    Everywhere else phase 2 probes every q2-tuple over [1, D], and the
+    search is canonical: it finds each weight-w multiple through exactly
+    one decomposition, and the lower weights through the balanced
+    weight-(w - 2) search at the same D, which may be canonical in turn.
+    All of them feed one dedup and one report.  Proof.  Let 1 + x^e1 +
+    ... + x^e(w-1), 0 < e1 < ... < e(w-1) <= D, be a multiple.  (a) Its
+    split is unique: the stored half is A = (e1, ..., e(q1)), the shift
+    s = e(q1+1) > max A (max () = 0) and the probe half is B = (e(q1+2)
+    - s, ..., e(w-1) - s); so (1 + A) + x^s (1 + B) is the multiple, and
+    no other split with s > max A gives it.  (b) Every half is in range:
+    A and B are tuples over [1, D], and s + max B = e(w-1) <= D, so the
+    kernel's canonical range [max A + 1, D - max B] holds s; the table
+    holds A, the probes hold B.  (c) Zero halves: if 1 + A reduces to
+    zero, so does x^s (1 + B), hence 1 + B; such halves have no logs,
+    and _zero_blocks pairs every zero stored tuple with every zero probe
+    at each shift of that range, at every D.  Otherwise both logs exist
+    and differ by s modulo M, and the kernel walks s.  (d) Conversely a
+    canonical match puts A below s and s + B above it, so no term
+    cancels: it is a multiple of weight exactly w, met once.  Lower
+    weights arise only through cancelling terms, which (d) rules out,
+    and the weight-(w - 2) search gives exactly the multiples of weights
+    w - 2, w - 4, ...: together, the set the classical route gives.
     """
     if params.algorithm != ALGO_LOGARITHMIC:
         raise ValueError("logtmto_find_all needs algorithm='logarithmic'")
@@ -968,51 +1061,81 @@ def logtmto_find_all(
         raise ValueError("engine was built for a different modulus")
     if params.D < params.w - 2:
         params = _lower_weight(params)
-    q1, q2, D = params.q1, params.q2, params.D
-    report = RunReport(algorithm="logtmto", w=params.w, D=D, q1=q1, q2=q2)
-    balanced = q1 <= 1 <= q2 <= q1 + 1  # w = 3, 4, 5 with the default split
-    bound = second_phase_bound(D, params.w, q2) if balanced else D
-    # with q1 = q2 the probes, q2-tuples up to bound, are the table's
-    # first tuples in lex order (bound < D only where q2 = 1)
-    reuse = q1 == q2
-    probed = comb(bound, q2)
-    predicted = _log_route_bytes(
-        ctx.order, D, q1, q2, comb(D, q1), probed,
-        max(_logged_tuples(D, q1), 0 if reuse else probed))
+    D = params.D
+    searches = [params]  # then the lower weights of each canonical one
+    while _probe_bound(searches[-1]) == D and searches[-1].w >= 4:
+        searches.append(SearchParams.balanced(
+            searches[-1].w - 2, D, ALGO_LOGARITHMIC,
+            budget_bytes=params.budget_bytes))
+    predicted = max(_log_search_bytes(engine, p) for p in searches)
     _check_budget(predicted, params.budget_bytes)
-
+    block = min(_match_block_bytes(
+        ctx.order, D, p.q1, p.q2, comb(D, p.q1), comb(_probe_bound(p), p.q2))
+        for p in searches)
+    # stored columns also hold a probe's own multiple where q1 is odd
+    # and the search is not canonical (_zero_blocks)
+    width = max(
+        max(p.q1, p.q2 if p.q1 % 2 and _probe_bound(p) < D else 0)
+        for p in searches)
+    dedup = _Dedup(params.budget_bytes - predicted,
+                   (params.w, width, params.q2), block)
+    report = RunReport(algorithm="logtmto", w=params.w, D=D, q1=params.q1,
+                       q2=params.q2)
+    # one power array for every phase, where a tuple has an exponent
+    xp = ctx.powers(2, D + 1).view(np.int64) if params.q2 else None
+    for level in reversed(searches):  # lower weights first
+        _log_search(engine, level, xp, dedup, report)
     t0 = time.perf_counter()
-    # one power array for both phases, where a tuple has an exponent
-    xp = ctx.powers(2, D + 1).view(np.int64) if q2 else None
-    table = build_log_table(engine, q1, D, xp)
-    report.table_entries = len(table.logs)
-    report.log_calls += table.log_calls
-    report.phase1_seconds = time.perf_counter() - t0
+    result = _finalize(dedup, report)
+    report.phase2_seconds += time.perf_counter() - t0
+    return result
 
-    M = ctx.order
-    dedup = _Dedup(params.budget_bytes - predicted)
+
+def _log_search(engine, params: SearchParams, xp, dedup: _Dedup,
+                report: RunReport) -> None:
+    """One log search's matches, into dedup, and its counters, into report.
+
+    Phase 1 is build_log_table.  Phase 2 takes the logs of LOG_CHUNK
+    probe tuples in one batch, or reads them from the table's lex_logs
+    where the probes are table tuples (q1 = q2: w = 2, 4, 6 with the
+    default split), and runs the chunk through _match_blocks and
+    _match_rows a block of at most MATCH_BLOCK matches at a time; each
+    block goes to the dedup (_Dedup.add_rows).
+    """
+    q1, q2, D = params.q1, params.q2, params.D
+    bound = _probe_bound(params)
+    canonical = bound == D
+    t0 = time.perf_counter()
+    table = build_log_table(engine, q1, D, xp)
+    report.table_entries += len(table.logs)
+    report.log_calls += table.log_calls
+    report.phase1_seconds += time.perf_counter() - t0
+
+    M = engine.ctx.order
 
     def emit(blocks):
         for block in blocks:
             report.zero_residue_emits += len(block[0])
             dedup.add_rows(*block, D)
 
-    emit(_zero_blocks(table, q2, D, M))
+    emit(_zero_blocks(table, q2, D, M, canonical=canonical))
     t0 = time.perf_counter()
+    # with q1 = q2 the probes, q2-tuples up to bound, are the table's
+    # first tuples in lex order (bound < D only where q2 = 1)
+    probed = comb(bound, q2)
     for start in range(0, probed, LOG_CHUNK):
         probes = tuple_array(q2, bound, start, min(start + LOG_CHUNK, probed))
         report.probes += len(probes)
-        if reuse:
-            logs = table.lex_logs[start:report.probes]
+        if q1 == q2:
+            logs = table.lex_logs[start:start + len(probes)]
         else:
             logs = _tuple_logs(engine, xp, probes)
             report.log_calls += int(np.count_nonzero(logs >= 0))
         has_log = logs >= 0
-        emit(_zero_blocks(table, q2, D, M, probes[~has_log]))
+        emit(_zero_blocks(table, q2, D, M, probes[~has_log], canonical))
         probes, logs = probes[has_log], logs[has_log]
-        for p, pos, shift, skips in _match_blocks(table, probes, logs, D, M):
+        for p, pos, shift, skips in _match_blocks(
+                table, probes, logs, D, M, canonical):
             report.zero_shift_skips += skips
             dedup.add_rows(*_match_rows(table.exponents[pos], probes[p], shift, D), D)
-    result = _finalize(dedup, report)
-    report.phase2_seconds = time.perf_counter() - t0
-    return result
+    report.phase2_seconds += time.perf_counter() - t0

@@ -403,13 +403,19 @@ def _digest(records):
 # skips and logs, and some smallest provenances come from other probes.
 # log_calls was re-pinned when each log of 1 + tuple came to be taken
 # once: phase 1 logs only tuples with an odd exponent, and phase 2 reads
-# the table's logs where q1 = q2 (w = 4, 6); records are unchanged.
+# the table's logs where q1 = q2 (w = 4, 6); records are unchanged.  The
+# w=6 rows were re-pinned when the search became canonical there (each
+# weight-6 multiple from one decomposition, the lower weights from the
+# weight-4 search): the same records in the same order, other
+# provenances, duplicates and skips only the weight-4 search's, the
+# zero halves (3, 20) and (6, 40) paired below M, and the weight-4
+# search's table and logs added.
 FIND_ALL_PINS = {
     (4, 2047): ("c6675e826ea11fae", 2978, 5885, 683, 0, 2047, 1024),
     (4, 2048): ("0686d376204b35e0", 2988, 5895, 683, 0, 2048, 1024),
     (4, 2049): ("738ac8eed9d3d3d5", 2996, 5906, 683, 0, 2049, 1025),
-    (6, 64): ("85f05167cc1e940f", 277, 9143, 3122, 0, 2014, 1519),
-    (6, 65): ("3162b32015129fbd", 285, 9359, 3258, 0, 2078, 1583),
+    (6, 64): ("34c1201cb176aacb", 277, 20, 22, 32, 2078, 1551),
+    (6, 65): ("68f4f406d55efad1", 285, 20, 22, 35, 2143, 1616),
     (5, 130): ("490fb957e0914d24", 320, 1517, 311, 2, 130, 2143),
 }
 
@@ -430,13 +436,15 @@ def test_find_all_across_chunk_boundaries(w, D):
 # tuples reduce to zero, and zero halves are paired (P=4,1,0 and 5,2,0).
 # log_calls re-pinned as in FIND_ALL_PINS.  The P=4,1,0 cases at w = 4
 # and 7 (q2 odd) also emit each stored tuple whose 1 + tuple reduces to
-# zero (such as 1 + x^15 and 1 + x + x^4) as a multiple by itself.
+# zero (such as 1 + x^15 and 1 + x + x^4) as a multiple by itself.  The
+# w >= 6 rows were re-pinned with FIND_ALL_PINS' w=6 rows, for the same
+# reason (w = 7 takes its lower weights from the weight-5 search).
 BEYOND_ORDER_PINS = {
-    ("6,1,0", 6, 40): ("4cdab258c862f482", 10361, 226603, 9629, 0, 769, 581),
-    ("4,1,0", 6, 20): ("d167a0dd651c9ebd", 1038, 26030, 2145, 2106, 177, 136),
+    ("6,1,0", 6, 40): ("b9467a57d4fe8472", 10361, 292, 14, 214, 809, 601),
+    ("4,1,0", 6, 20): ("e59df76df777fa4b", 1038, 154, 12, 91, 196, 145),
     ("5,2,0", 5, 40): ("d6efd68fc7b80ee1", 2876, 7919, 232, 248, 39, 202),
     ("4,1,0", 4, 40): ("0024e7477c5297c1", 625, 1220, 38, 2, 38, 19),
-    ("4,1,0", 7, 20): ("8e09b5abd2977125", 2753, 136127, 12542, 10138, 177, 1203),
+    ("4,1,0", 7, 20): ("352a7be08488f30a", 2753, 923, 56, 293, 196, 1253),
 }
 
 
@@ -509,7 +517,8 @@ def test_birthday_logtmto_across_chunk_boundaries(w, K, q1):
 
 
 class _CountingEngine:
-    """Counts the batched calls and the elements they carry."""
+    """Counts the batched calls and the elements they carry; every other
+    attribute is the wrapped engine's."""
 
     def __init__(self, engine):
         self.ctx = engine.ctx
@@ -520,6 +529,18 @@ class _CountingEngine:
         if isinstance(a, np.ndarray):
             self.batches.append(len(a))
         return self._engine.discrete_log(a)
+
+    def __getattr__(self, name):
+        return getattr(self._engine, name)
+
+
+def _searches(params):
+    """The searches of one log run: its own, then from w = 6 on (where it
+    is canonical) the balanced weight-(w - 2) search's, in turn."""
+    out = [params]
+    while out[-1].w >= 6:
+        out.append(SearchParams.balanced(out[-1].w - 2, params.D, "logarithmic"))
+    return out
 
 
 @pytest.mark.parametrize("w, D", [(2, 9), (3, 40), (4, 41), (5, 22), (6, 21), (7, 13)])
@@ -538,14 +559,18 @@ def test_chunk_size_does_not_change_results(monkeypatch, w, D):
         ))
         # log_calls counts logs, not batches; one batch per started chunk
         assert sum(eng.batches) == r.log_calls
-        # phase 1 logs the q1-tuples with an odd exponent (the empty one
-        # at q1 = 0); phase 2 reads the table's logs where q1 = q2 and
-        # otherwise logs its probes, up to the bound at w = 3, 4, 5
-        q1, q2 = params.q1, params.q2
-        tuples = [comb(D, q1) - comb(D // 2, q1) if q1 else 1]
-        if q1 != q2:
-            q2_max = search.second_phase_bound(D, w, q2) if 3 <= w <= 5 else D
-            tuples.append(comb(q2_max, q2))
+        # each search's phase 1 logs the q1-tuples with an odd exponent
+        # (the empty one at q1 = 0); phase 2 reads the table's logs where
+        # q1 = q2 and otherwise logs its probes, up to the bound at w = 3,
+        # 4, 5
+        tuples = []
+        for p in _searches(params):
+            q1, q2 = p.q1, p.q2
+            tuples.append(comb(D, q1) - comb(D // 2, q1) if q1 else 1)
+            if q1 != q2:
+                q2_max = (search.second_phase_bound(D, p.w, q2)
+                          if 3 <= p.w <= 5 else D)
+                tuples.append(comb(q2_max, q2))
         assert len(eng.batches) == sum(ceil(t / chunk) for t in tuples)
     assert runs[0] == runs[1] == runs[2]
 
@@ -553,15 +578,19 @@ def test_chunk_size_does_not_change_results(monkeypatch, w, D):
 @pytest.mark.parametrize("w, D", [(4, 300), (4, 2049), (6, 40), (6, 65)])
 def test_no_phase2_logs_when_the_probes_are_table_tuples(w, D):
     # q1 = q2 at w = 4 and 6: every probe is a stored tuple, so the run
-    # takes exactly the batches of its phase-1 table
+    # takes exactly the batches of its phase-1 tables (at w = 6 the
+    # weight-4 search's first)
     params = SearchParams.balanced(w, D, "logarithmic")
     table_eng, eng = _CountingEngine(ENG20), _CountingEngine(ENG20)
-    search.build_log_table(table_eng, params.q1, D)
+    searches = _searches(params)[::-1]
+    for p in searches:
+        search.build_log_table(table_eng, p.q1, D)
     res = logtmto_find_all(eng.ctx, eng, params)
     assert eng.batches == table_eng.batches
     assert res.report.log_calls == sum(eng.batches)
-    bound = search.second_phase_bound(D, w, params.q2) if w == 4 else D
-    assert res.report.probes == comb(bound, params.q2)
+    assert res.report.probes == sum(
+        comb(search.second_phase_bound(D, p.w, p.q2) if p.w == 4 else D, p.q2)
+        for p in searches)
 
 
 def _direct_logs(engine, q, D):

@@ -436,6 +436,24 @@ def test_engine_build_and_reuse(tmp_path, capsys):
     assert code == 2
 
 
+def test_cached_engine_is_checked_against_the_budget(tmp_path, capsys):
+    # a loaded engine counts against --budget-bytes as a built one does:
+    # the same exit 4 and message, from the predicted table bytes
+    cache = tmp_path / "engine.bin"
+    assert run_cli(["engine-build", "--poly", "10,3,0", "--cache-out",
+                    str(cache)], capsys)[0] == 0
+    need = predict_table_bytes(make_context(parse_poly("10,3,0")))
+    argv = ["find-all", "--poly", "10,3,0", "--weight", "4", "--max-degree",
+            "64", "--algorithm", "logtmto", "--budget-bytes"]
+    built = run_cli(argv + [str(need - 1)], capsys)
+    loaded = run_cli(argv + [str(need - 1), "--cache", str(cache)], capsys)
+    assert built[0] == loaded[0] == 4
+    assert loaded[1] == ""
+    assert built[2] == loaded[2]
+    assert "predicted engine tables need" in loaded[2]
+    assert run_cli(argv + [str(2**20), "--cache", str(cache)], capsys)[0] == 0
+
+
 def test_oracle_subcommand_hidden_but_works(capsys):
     code, out, _ = run_cli(
         ["oracle", "--poly", "3,1,0", "--weight", "3", "--max-degree", "7"],

@@ -258,3 +258,17 @@ def test_pows_equal_pow(n, seed, data):
     a = data.draw(st.integers(1, ctx.mask))
     exps = data.draw(st.lists(st.integers(1, 2**64), min_size=1, max_size=6))
     assert ctx.pows(a, *exps) == [ctx.pow(a, e) for e in exps]
+
+
+@pytest.mark.parametrize("spec", [
+    "2,1,0", "7,1,0", "8,4,3,2,0", "9,4,0", "30,6,4,1,0", "43,6,4,3,0",
+    "63,1,0",
+])
+def test_batch_square_table_equals_scalar_squares(spec):
+    # built by linearity from single-bit squares: each entry is the
+    # square of its byte at its position, bits past x^(n-1) cleared
+    ctx = make_context(parse_poly(spec))
+    want = [[ctx.sqr((b << 8 * j) & ctx.mask) for b in range(256)]
+            for j in range(-(-ctx.n // 8))]
+    assert ctx.batch.sq.dtype == np.uint64
+    assert ctx.batch.sq.tolist() == want

@@ -6,7 +6,12 @@ case here byte-identical; a change that alters output on purpose updates
 the pins and says why.  The logtmto and birthday-log log_calls lines
 were re-pinned when each log of 1 + tuple came to be taken once (phase 1
 logs only tuples with an odd exponent; phase 2 reads the table's logs
-where both halves have the same size).
+where both halves have the same size).  The logtmto report lines were
+re-pinned again when the w = 6 search became canonical: each multiple
+comes from one decomposition and the lower weights from the weight-4
+search, so duplicates and zero-shift skips are that search's, zero
+halves are paired below M (zero_residue_emits), and its table and logs
+join the counts; stdout is unchanged.
 """
 
 import hashlib
@@ -40,8 +45,8 @@ GOLDEN = {
         [
             "# run report", "algorithm: logtmto", "w: 6", "D: 48", "q1: 2",
             "q2: 2", "found: 1737",
-            "duplicates_suppressed: 38559", "zero_shift_skips: 3255",
-            "zero_residue_emits: 0", "table_entries: 1125", "log_calls: 851",
+            "duplicates_suppressed: 50", "zero_shift_skips: 16",
+            "zero_residue_emits: 72", "table_entries: 1173", "log_calls: 875",
         ],
     ),
     "find-some-logsample": (

@@ -1,6 +1,7 @@
 import functools
 import hashlib
 import random
+import re
 import tracemalloc
 from itertools import combinations
 from math import comb
@@ -72,25 +73,27 @@ def test_estimate_count():
     assert estimate_count(53, 4, 2**20) == pytest.approx(128 / 6)
 
 
-def _brute_matches(table, probes, probe_logs, D, M):
+def _brute_matches(table, probes, probe_logs, D, M, canonical=False):
     """Every (probe row, table position, shift) with the shift congruent
-    to (stored log - probe log) mod M in [stored max - D, D - probe max],
-    in the kernel's order: probe, then window (log ascending from the
-    window's start, or table order where the window spans the group),
-    then shift."""
+    to (stored log - probe log) mod M in [stored max - D, D - probe max]
+    (from stored max + 1 where canonical), in the kernel's order: probe,
+    then window (log ascending from the window's start, or table order
+    where the window spans the group), then shift."""
+    gap = 1 if canonical else -D
     out = []
     for i, (probe, lg) in enumerate(zip(probes.tolist(), probe_logs.tolist())):
         hits = []
         for pos, (stored, slog) in enumerate(
             zip(table.exponents.tolist(), table.logs.tolist())
         ):
-            for shift in range(max(stored, default=0) - D,
+            for shift in range(max(stored, default=0) + gap,
                                D - max(probe, default=0) + 1):
                 if (shift - slog + lg) % M == 0:
                     hits.append((i, pos, shift))
         # a window starts at log probe log + 1 - D (- D for q1 = 0), or
-        # at the table's start where it spans the group
-        low = (1 if table.exponents.shape[1] else 0) - D
+        # probe log + 2 (+ 1) where canonical, or at the table's start
+        # where it spans the group
+        low = (1 if table.exponents.shape[1] else 0) + gap
         first = (lg + low) % M if D - max(probe, default=0) - low + 1 < M else 0
         hits.sort(key=lambda h: ((table.logs[h[1]] - first) % M, h[1], h[2]))
         out += hits
@@ -105,8 +108,10 @@ def _brute_matches(table, probes, probe_logs, D, M):
     q2=st.integers(0, 2),
     data=st.data(),
     block=st.sampled_from([1, 7, search.MATCH_BLOCK]),
+    canonical=st.booleans(),
 )
-def test_match_kernel_equals_every_congruent_shift(M, D, q1, q2, data, block):
+def test_match_kernel_equals_every_congruent_shift(M, D, q1, q2, data, block,
+                                                   canonical):
     # small logs repeat, D up to M + 5 makes windows that wrap and ones
     # that span the group, and empty probes or tables have no hits; logs
     # next to 0 and M - 1 for M = 2^63 - 1 wrap where int64 sums overflow
@@ -122,7 +127,8 @@ def test_match_kernel_equals_every_congruent_shift(M, D, q1, q2, data, block):
     probes = data.draw(st.lists(probe_tuples, max_size=4))
     probe_logs = data.draw(st.lists(log, min_size=len(probes),
                                     max_size=len(probes)))
-    _check_kernel(stored, logs, probes, probe_logs, q1, q2, D, M, block)
+    _check_kernel(stored, logs, probes, probe_logs, q1, q2, D, M, block,
+                  canonical)
 
 
 def test_match_kernel_at_the_int64_edge():
@@ -137,7 +143,8 @@ def test_match_kernel_at_the_int64_edge():
                       block)
 
 
-def _check_kernel(stored, logs, probes, probe_logs, q1, q2, D, M, block):
+def _check_kernel(stored, logs, probes, probe_logs, q1, q2, D, M, block,
+                  canonical=False):
     order = sorted(range(len(stored)), key=lambda i: logs[i])
     table = LogTable(
         modulus=F16.poly,
@@ -154,13 +161,13 @@ def _check_kernel(stored, logs, probes, probe_logs, q1, q2, D, M, block):
     try:
         got, skips = [], 0
         for p, pos, shift, zero in search._match_blocks(
-            table, probes, probe_logs, D, M
+            table, probes, probe_logs, D, M, canonical
         ):
             got += zip(p.tolist(), pos.tolist(), shift.tolist())
             skips += zero
     finally:
         search.MATCH_BLOCK = old
-    want = _brute_matches(table, probes, probe_logs, D, M)
+    want = _brute_matches(table, probes, probe_logs, D, M, canonical)
     assert got == [m for m in want if m[2]]
     assert skips == sum(1 for m in want if not m[2])
 
@@ -650,9 +657,11 @@ def test_rows_edge_cases(algorithm, spec, w, D, found):
         r.poly.exponents for r in result.records)
 
 
-@pytest.mark.parametrize("w, builds", [(2, 0), (3, 1), (4, 1), (5, 1)])
+@pytest.mark.parametrize("w, builds", [(2, 0), (3, 1), (4, 1), (5, 1), (6, 1),
+                                       (7, 1), (8, 1)])
 def test_log_route_builds_one_power_table(w, builds, monkeypatch):
-    # one array for both phases, none where no tuple has an exponent
+    # one array for both phases, none where no tuple has an exponent; from
+    # w = 6 on the lower weights' searches share it
     calls = []
     powers = type(F16).powers
 
@@ -665,3 +674,142 @@ def test_log_route_builds_one_power_table(w, builds, monkeypatch):
         w, 20, "logarithmic"))
     assert calls == [(2, 21)] * builds
     assert result.exponent_sets() == _brute_sets(F16, w, 20)
+
+
+# -- the canonical log route (w >= 6, unbalanced splits) ----------------------
+
+def _log_sets(ctx, params):
+    result = logtmto_find_all(ctx, build_engine(ctx), params)
+    sets = result.exponent_sets()
+    assert result.report.found == len(sets)
+    return sets
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(2, 10),
+    seed=st.integers(0, 2**16),
+    w=st.sampled_from([6, 7, 8]),
+    span=st.floats(0, 1),
+)
+def test_canonical_log_route_equals_tmto_and_brute_force(n, seed, w, span):
+    # D from 1 to 2M + 2, on both sides of the group order, as far as
+    # brute force stays cheap
+    ctx = make_context(random_primitive_poly(n, random.Random(seed)))
+    D = 1 + round(span * (2 * ctx.order + 1))
+    while D > 1 and comb(D, w - 1) > 20000:
+        D -= 1
+    got = _log_sets(ctx, SearchParams.balanced(w, D, "logarithmic"))
+    assert got == tmto_find_all(
+        ctx, SearchParams.balanced(w, D, "classical")).exponent_sets()
+    assert got == _brute_sets(ctx, w, D)
+
+
+@pytest.mark.parametrize("spec, w, D, q1", [
+    ("4,1,0", 6, 20, 0),  # unbalanced splits, D >= M = 15
+    ("4,1,0", 6, 20, 1),
+    ("4,1,0", 7, 18, 1),
+    ("5,2,0", 6, 25, 0),  # D < M = 31
+    ("3,1,0", 8, 16, 2),
+    ("10,3,0", 6, 30, 1),
+])
+def test_canonical_log_route_with_unbalanced_splits(spec, w, D, q1):
+    ctx = make_context(parse_poly(spec))
+    params = SearchParams(w=w, D=D, q1=q1, q2=w - 2 - q1,
+                          algorithm="logarithmic")
+    assert _log_sets(ctx, params) == _brute_sets(ctx, w, D)
+
+
+@pytest.mark.parametrize("spec, w, D", [
+    ("18,7,0", 6, 60),  # zero halves (7, 18) and (14, 36) below M
+    ("20,3,0", 6, 65),  # zero halves (3, 20) and (6, 40) below M
+    ("6,1,0", 6, 64),  # D >= M = 63
+    ("3,1,0", 8, 20),  # D >= 2M = 14
+])
+def test_canonical_log_route_equals_tmto(spec, w, D):
+    ctx = make_context(parse_poly(spec))
+    log = logtmto_find_all(ctx, build_engine(ctx), SearchParams.balanced(
+        w, D, "logarithmic"))
+    assert log.exponent_sets() == tmto_find_all(
+        ctx, SearchParams.balanced(w, D, "classical")).exponent_sets()
+    if D < ctx.order:  # each zero pair makes its multiples below M
+        assert log.report.zero_residue_emits > 0
+
+
+@pytest.mark.parametrize("spec, w, D", [
+    ("18,7,0", 6, 192), ("20,3,0", 6, 65), ("4,1,0", 6, 20), ("4,1,0", 7, 20),
+    ("4,1,0", 8, 20),
+])
+def test_canonical_pass_hands_the_dedup_one_row_per_multiple(
+        monkeypatch, spec, w, D):
+    # every weight-w row the dedup is handed is a distinct multiple; the
+    # lower weights' rows, and all the duplicates, are the weight-(w - 2)
+    # search's
+    ctx = make_context(parse_poly(spec))
+    engine = build_engine(ctx)
+    weights = []
+    add_rows = search._Dedup.add_rows
+
+    def spy(self, rows, stored, probes, shift, D):
+        weights.extend((rows <= D).sum(axis=1).tolist())
+        add_rows(self, rows, stored, probes, shift, D)
+
+    monkeypatch.setattr(search._Dedup, "add_rows", spy)
+    result = logtmto_find_all(ctx, engine, SearchParams.balanced(
+        w, D, "logarithmic"))
+    monkeypatch.undo()
+    top = sum(r.weight == w for r in result.records)
+    assert weights.count(w) == top > 0
+    lower = logtmto_find_all(ctx, engine, SearchParams.balanced(
+        w - 2, D, "logarithmic")).report
+    assert result.report.duplicates_suppressed == lower.duplicates_suppressed
+    assert result.report.found == top + lower.found
+
+
+def test_log_route_charges_a_batched_giant_pass():
+    # 2^31 - 1 is prime: each batch of phase 1 runs one pass of
+    # GIANT_BLOCK giant steps, which the prediction charges
+    from lowmult.dlog import GIANT_BLOCK, GIANT_STEP_BYTES
+
+    ctx = make_context(parse_poly("31,3,0"))
+    engine = build_engine(ctx)
+    params, route = _log_route_need(ctx, 4, 200)
+    need = route + GIANT_BLOCK * GIANT_STEP_BYTES
+    with pytest.raises(MemoryBudgetExceededError):
+        logtmto_find_all(ctx, engine, SearchParams.balanced(
+            4, 200, "logarithmic", budget_bytes=need - 1))
+    logtmto_find_all(ctx, engine, SearchParams.balanced(
+        4, 200, "logarithmic", budget_bytes=need))
+    tracemalloc.start()
+    try:
+        logtmto_find_all(ctx, engine, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert need / 2 <= peak <= need, (peak, need)
+
+
+def test_dedup_reduction_is_charged_before_it_runs():
+    # P=6,1,0, w=6, D=64: 119,785 multiples, held packed in 16 bytes each.
+    # With 1 MB beside the prediction the held rows fit, but reducing
+    # 32,596 of them takes a copy and 48 bytes a row more than is left:
+    # the run stops there, its traced peak under the budget
+    ctx = make_context(parse_poly("6,1,0"))
+    engine = build_engine(ctx)
+    params, predicted = _log_route_need(ctx, 6, 64)
+    room = 2**20
+    budget = predicted + room
+    logtmto_find_all(ctx, engine, params)  # the engine's lazy set-up
+    tracemalloc.start()
+    try:
+        with pytest.raises(MemoryBudgetExceededError) as exc:
+            logtmto_find_all(ctx, engine, SearchParams.balanced(
+                6, 64, "logarithmic", budget_bytes=budget))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    held, work = map(int, re.search(
+        r"multiples held \((\d+) bytes, and (\d+) to reduce them\)",
+        str(exc.value)).groups())
+    assert held <= room < held + work
+    assert peak < budget, (peak, budget)
