@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from math import comb, log2
 
 from .dlog import (
     build_engine,
@@ -130,29 +129,6 @@ def _record_exponents(records):
     return [[rec.poly.exponents for rec in records]]
 
 
-def _wagner_advice(n: int, w: int, D: int) -> str | None:
-    """Complexity hint for the generalized birthday method (which this
-    tool does not implement): O(2^a * 2^(n/(a+1))) whenever a list of
-    C(D, (w-1)/2^a) candidates can fill 2^(n/(a+1)) slots."""
-    ours_bits = 0.5 * max(n - log2(D), 0.0)
-    best = None
-    a = 1
-    while (w - 1) >> a >= 1:
-        half = (w - 1) >> a
-        if comb(D, half) >= 2 ** (n / (a + 1)):
-            bits = a + n / (a + 1)
-            if best is None or bits < best[1]:
-                best = (a, bits)
-        a += 1
-    if best and best[1] + 2 < ours_bits:  # clearly ahead, not a toss-up
-        a, bits = best
-        return (
-            f"note: a generalized-birthday attack with a={a} would cost about "
-            f"2^{bits:.1f} operations vs roughly 2^{ours_bits:.1f} here"
-        )
-    return None
-
-
 def _auto_algorithm(ctx, w: int, D: int, budget: int, *,
                     tabulation_threshold: int | None = None,
                     bsgs_baby_entries: int | None = None) -> str:
@@ -213,9 +189,6 @@ def cmd_find_some(args) -> int:
         progress_stride=args.progress_stride,
         budget_bytes=args.budget_bytes,
     )
-    advice = _wagner_advice(ctx.n, args.weight, args.max_degree)
-    if advice:
-        _say(advice)
     if args.method == "birthday":
         result = birthday_tmto(ctx, params)
     else:

@@ -28,9 +28,8 @@ Each method supplies only its per-draw step, which consumes the chunks
 in draw order; one loop (``_sample``) owns the stop rule, the progress
 events and the result.  ``birthday_tmto`` finds a whole chunk's
 collisions on sorted residue keys, so its step only hands a round's
-hits to the dedup.  Found multiples go through the exhaustive searches'
-dedup, so records keep discovery order and carry the smallest
-provenance seen.
+hits to the dedup (``_SampleDedup``), so records keep discovery order
+and carry the smallest provenance seen.
 """
 
 from __future__ import annotations
@@ -51,7 +50,6 @@ from .search import (
     MultipleRecord,
     build_log_table,
     default_split,
-    _Dedup,
     _check_budget,
     _log_route_bytes,
     _logged_tuples,
@@ -271,7 +269,38 @@ class SampleResult:
         return frozenset(r.poly.exponents for r in self.records)
 
 
-def _sample(params: SampleParams, step, dedup: _Dedup, t0: float,
+def _provenance_key(prov):
+    stored, probe, shift = prov
+    return (stored, probe, 0 if shift is None else shift)
+
+
+class _SampleDedup:
+    """The samplers' dedup: one multiple at a time, into a dict, which
+    keeps first-discovery order.  Keeping the smallest provenance makes a
+    record's provenance independent of the order its decompositions
+    arrive in; seen counts every multiple added."""
+
+    __slots__ = ("best", "seen")
+
+    def __init__(self):
+        self.best: dict[tuple[int, ...], tuple] = {}
+        self.seen = 0
+
+    def add(self, exps: tuple[int, ...], prov) -> None:
+        self.seen += 1
+        cur = self.best.get(exps)
+        if cur is None or _provenance_key(prov) < _provenance_key(cur):
+            self.best[exps] = prov
+
+    def records(self) -> list[MultipleRecord]:
+        """One record per distinct multiple, in discovery order.  Every
+        sampler hands in canonical tuples, so they are not checked
+        again."""
+        return [MultipleRecord.of(exps, prov, checked=False)
+                for exps, prov in self.best.items()]
+
+
+def _sample(params: SampleParams, step, dedup: _SampleDedup, t0: float,
             log_calls: int = 0) -> SampleResult:
     """The sampling loop shared by the three methods.
 
@@ -323,7 +352,7 @@ def random_log_sample(engine, params: SampleParams) -> SampleResult:
     xp = engine.ctx.powers(2, D + 1).view(np.int64)
     draws = _one_at_a_time(
         _draw_chunks(params.seed, (q,), D, xp, params.max_iterations))
-    dedup = _Dedup()
+    dedup = _SampleDedup()
     cache: dict[int, int] = {}
 
     def step():
@@ -389,7 +418,7 @@ def birthday_logtmto(
         len(tup) != q1 for tup in table.zero_polys
     ):
         raise ValueError(f"prebuilt table does not store {q1}-tuples")
-    dedup = _Dedup()
+    dedup = _SampleDedup()
     tuples: dict[tuple, tuple] = {}
 
     def add(blocks):
@@ -584,7 +613,7 @@ def birthday_tmto(ctx: FieldContext, params: SampleParams) -> SampleResult:
     xp = ctx.powers(2, params.D + 1).view(np.int64)
     rounds = _birthday_hits(
         _draw_chunks(params.seed, qs, params.D, xp, params.max_iterations), qs)
-    dedup = _Dedup()
+    dedup = _SampleDedup()
 
     def step():
         for tup, mates in next(rounds):

@@ -2,43 +2,40 @@
 
 Both solvers return exactly the multiples of P that have a constant
 term, degree at most D, and weight at most w *of the same parity as w*
-(w, w-2, ...).  Parity is inherent to the construction: a candidate is
-assembled from 1 plus a fixed number of monomials, and XOR cancellation
-removes terms in pairs.  Lower parity-matching weights fall out of the
-same pass through cancellation, as long as D >= w - 2; below that, [1, D]
-cannot hold the cancelled pair, and weight w - 2 is searched instead.
-The log route's search is canonical wherever its probes cover all of
-[1, D] (w >= 6 with the default split, and every unbalanced split): it
-meets each weight-w multiple through one decomposition, the shifted
-probe half above the stored one, and takes the lower weights from the
-weight-(w - 2) search at the same D, into the same dedup.
+(w, w-2, ...).  Each runs one search per weight (``_levels``): the
+weight-w search meets each multiple of exactly weight w through one
+split, no term of which cancels, and the searches of weights w - 2,
+w - 4, ... at the same D give the rest.  Where D < w - 2, [1, D] holds
+no weight-w multiple, and the chain starts at a lower weight.
 
 The two routes differ only in how they match two halves.  The classical
 route stores residues of the smaller half-decomposition as sorted keys
 behind a bit filter and probes with the other half, looking for pairs
 XORing to 1; the probes run on arrays, and every filter hit is confirmed
-by binary search on the keys, so the lookup is exact.  The logarithmic
-route stores discrete logs of the stored half as a sorted array and
-matches a chunk of probe logs at a time against it in one array kernel:
-a cyclic window of width about 2D (D where canonical) around each probe
-log is one or two sorted slices, and each (probe, stored) pair in it
-gives every shift e congruent to the two logs' difference that keeps
-both shifted halves at degree <= D (more than one once D reaches half
-the group order).  Both
-routes then share one back end on arrays: a match is a row of its halves
-with their shared terms cancelled (``_cancel``), and ``_Dedup`` keeps
-the smallest provenance per multiple and sorts the distinct rows, which
-``SearchResult`` holds; it builds the MultipleRecords only when asked.
+by binary search on the keys, so the lookup is exact.  It keeps a hit
+only where the stored half holds the multiple's lowest exponents.  The
+logarithmic route stores discrete logs of the stored half as a sorted
+array and matches a chunk of probe logs at a time against it in one
+array kernel: a cyclic window of width about 2D (D where canonical)
+around each probe log is one or two sorted slices, and each (probe,
+stored) pair in it gives every shift e congruent to the two logs'
+difference that keeps both shifted halves at degree <= D (more than
+one once D reaches half the group order).  It is canonical wherever its
+probes cover all of [1, D], with the shifted probe half above the stored
+one, and elsewhere keeps the match whose probe half is the multiple's
+last short run of terms (``_last_run``).  Both routes then share one
+back end on arrays: a match is a row of its terms, and ``_Dedup`` holds
+the rows and sorts them once, which ``SearchResult`` holds; it builds
+the MultipleRecords only when asked.
 
 Each concept has one home shared with the samplers: the ``tuples``
 module is the lexicographic order of the tuples both halves are made
 of (rank, unrank and block enumeration), ``_match_blocks`` and
-``_match_rows`` are the log route's match kernel, ``_zero_blocks`` the
-multiples that zero residues make, ``_classical_exps`` the assembly of
-``birthday_tmto``'s matches, ``_Dedup`` the dedup, one multiple or one
-block of rows at a time, and the row of a multiple (exponents padded
-with D + 1, then its stored, probe and shift provenance) the one format
-from match to result, which ``_match_records`` alone turns into
+``_match_rows`` are the log route's match kernel, ``_zero_pairs`` the
+pairing of halves that reduce to zero, ``_classical_exps`` the assembly
+of ``birthday_tmto``'s matches, and the row of a multiple (exponents
+padded with D + 1, then its stored, probe and shift provenance) the one
+format from match to result, which ``_match_records`` alone turns into
 MultipleRecords.  Each Zech-style log log(1 + tuple) is
 taken once: phase 1 takes the logs of the tuples with an odd exponent in
 batches of LOG_CHUNK, one array call of ``discrete_log`` per batch, and
@@ -52,7 +49,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import chain
 from math import comb, factorial, inf
 from typing import Optional
@@ -78,11 +75,11 @@ DEFAULT_BUDGET_BYTES = 2**31
 # stored) pair can have) pairs.
 MATCH_BLOCK = 8192
 
-# Work bytes per row of a dedup reduction beside a copy of its rows: the
-# sort order, the keys compared, group starts and sizes, and the
-# per-column minimum (tracemalloc: 42 where every row is distinct, fewer
-# with duplicates, at 2 to 12 columns).
-REDUCE_ROW_BYTES = 48
+# Work bytes per row of the dedup's final sort beside a copy of its rows
+# and the block it returns: the degree, the sort order and the sort's
+# own work (tracemalloc: at most 28 at 19,449 and 119,785 rows of 7 to
+# 12 columns).
+SORT_ROW_BYTES = 48
 
 # Bit fields that _pack puts into one int64 at most; rows of fields that
 # need more are compared column by column.
@@ -120,11 +117,8 @@ def second_phase_bound(D: int, w: int, q2: int) -> int:
     ceil(D * q2 / (w - 1)): the probe half.  The other half has at most 2
     terms.  If it is nonzero the log match finds the multiple; if it is
     zero (1 + x^M, only from D = M on) so is the probe half, and the
-    pairing of zero halves in _zero_blocks finds it.  A trinomial (w = 5)
-    has a probe half spanning at most max(2, D / 2): its smaller gap plus
-    a term inside it, or its adjacent pair plus a neighbour, with the
-    added term cancelling.  With q1 >= 2 a 3-term half can be zero
-    (P = 6,5,0, w = 6, D = 31 loses P + x^21 P).
+    pairing of zero halves in _zero_pairs finds it.  With q1 >= 2 a
+    3-term half can be zero (P = 6,5,0, w = 6, D = 31 loses P + x^21 P).
     """
     if w < 3:
         raise WeightTooSmallError("second-phase bound needs weight >= 3")
@@ -152,9 +146,9 @@ class MultipleRecord:
 
     Equality and hashing are by the exponent set only; provenance is a
     (stored tuple, probe tuple, shift) that produced it, with shift None
-    for the classical route: the canonical decomposition of a weight-w
-    multiple where the log route is canonical (logtmto_find_all), else,
-    as for lower weights, the smallest that produced it.
+    for the classical route: the one split through which an exhaustive
+    search met it (tmto_find_all, logtmto_find_all), or the smallest a
+    sampler saw.
     """
 
     poly: SparsePoly
@@ -257,9 +251,12 @@ class SearchParams:
 class RunReport:
     """Counters and timings from one solver run.
 
-    probes counts the phase-2 probe tuples, those that reduce to zero
-    included; log_calls counts only the logs actually taken.  lines()
-    leaves probes out, so the find-all report text stays as it was.
+    Counters sum over the searches of the run (_levels); w, q1 and q2
+    are the highest one's.  probes counts the phase-2 probe tuples, those
+    that reduce to zero included; log_calls counts only the logs actually
+    taken.  duplicates_suppressed stays 0: each search meets each
+    multiple once.  lines() leaves probes out, so the find-all report
+    text stays as it was.
     """
 
     algorithm: str
@@ -292,11 +289,11 @@ class RunReport:
 
 @dataclass(eq=False)
 class SearchResult:
-    """The distinct multiples of one exhaustive search, kept as the rows
-    of _Dedup.sorted_rows: one block (rows, stored, probes, shift) of
+    """The multiples of one exhaustive search, kept as the rows of
+    _Dedup.sorted_rows: one block (rows, stored, probes, shift) of
     exponents padded with D + 1, sorted by (degree, exponents), and their
-    provenance columns.  records builds one MultipleRecord per row on its
-    first read and keeps the list."""
+    provenance columns, the split each was met through.  records builds
+    one MultipleRecord per row on its first read and keeps the list."""
 
     rows: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
     report: RunReport
@@ -547,37 +544,46 @@ def _match_records(rows, stored, probes, shift, D: int, tuples: dict):
         yield exps, (share(st, st), share(probe, probe), e or None)
 
 
+def _zero_pairs(table: LogTable, probes: np.ndarray, D: int, M: int,
+                canonical: bool = False):
+    """Each probe (a row of probes) whose 1 + tuple reduces to zero, so
+    that it has no log, paired with each stored tuple that does, at every
+    shift the match kernel allows, as _match_rows blocks: the kernel on
+    logs 0 modulo 1.  Pairs are made at every D where canonical, else
+    from D = M on.  Below M the kernel's full shift range needs none:
+    swapping one term between two zero halves leaves x^a + x^b, nonzero
+    for |a - b| < M, in each, and the bounded searches store at most one
+    exponent, which reduces to zero only from D = M on.
+    """
+    q1, k = table.exponents.shape[1], len(table.zero_polys)
+    if not k or not (canonical or D >= M):
+        return
+    zero = np.array(table.zero_polys, np.int64).reshape(k, q1)
+    pairs = replace(table, logs=np.zeros(k, np.int64), exponents=zero)
+    for p, pos, shift, _ in _match_blocks(
+            pairs, probes, np.zeros(len(probes), np.int64), D, 1, canonical):
+        yield _match_rows(zero[pos], probes[p], shift, D)
+
+
 def _zero_blocks(table: LogTable, q2: int, D: int, M: int,
-                 probes: Optional[np.ndarray] = None, canonical: bool = False):
-    """The multiples that zero residues make, as _match_rows blocks, in
-    discovery order.
+                 probes: Optional[np.ndarray] = None):
+    """birthday_logtmto's multiples that zero residues make, as
+    _match_rows blocks, in discovery order.
 
     Without probes: each stored tuple whose 1 + tuple reduces to zero is
     a multiple by itself, of weight q1 + 1, which has the parity of
     w = q1 + q2 + 2 only when q2 is odd.  With probes, q2-tuples (rows)
-    whose 1 + tuple reduces to zero, so that they have no log: at D >= M,
-    or at every D where canonical, each is paired with each zero stored
-    tuple at every shift the match kernel allows, the kernel on logs 0
-    modulo 1 (below M the kernel's full shift range needs no pairs:
-    swapping one term between two zero halves leaves x^a + x^b, nonzero
-    for |a - b| < M, in each); then 1 + each probe is a multiple of
-    weight q2 + 1, with the parity of w only when q1 is odd.  A tuple's
-    own multiple has the provenance (tuple, (), None).  Where canonical
-    there are none: they have weights below w, which logtmto_find_all
-    takes from its weight-(w - 2) search.
+    whose 1 + tuple reduces to zero: their _zero_pairs, then 1 + each
+    probe, a multiple of weight q2 + 1, with the parity of w only when q1
+    is odd.  A tuple's own multiple has the provenance (tuple, (), None).
     """
     q1, k = table.exponents.shape[1], len(table.zero_polys)
-    zero = np.array(table.zero_polys, np.int64).reshape(k, q1)
     if probes is None:
-        own = zero if q2 % 2 and not canonical else zero[:0]
+        own = np.array(table.zero_polys, np.int64).reshape(k, q1)
+        own = own if q2 % 2 else own[:0]
     else:
-        if k and (canonical or D >= M):
-            pairs = replace(table, logs=np.zeros(k, np.int64), exponents=zero)
-            for p, pos, shift, _ in _match_blocks(
-                    pairs, probes, np.zeros(len(probes), np.int64), D, 1,
-                    canonical):
-                yield _match_rows(zero[pos], probes[p], shift, D)
-        own = probes if q1 % 2 and not canonical else probes[:0]
+        yield from _zero_pairs(table, probes, D, M)
+        own = probes if q1 % 2 else probes[:0]
     if len(own):  # 1 + tuple, padded with D + 1 as a _cancel row
         rows = np.pad(own, ((0, 0), (1, q1 + q2 + 1 - own.shape[1])),
                       constant_values=((0, 0), (0, D + 1)))
@@ -623,8 +629,8 @@ def _log_route_bytes(M: int, D: int, q1: int, q2: int, stored: int,
     each stored tuple; one chunk of at most LOG_CHUNK probes, as a
     batch; where q1 != q2 the probes' logs, while where q1 = q2 the
     probes are stored tuples and read their logs from the table.  And
-    one match block (_match_block_bytes).  The distinct multiples the
-    dedup keeps are the run's output: _Dedup checks them against the
+    one match block (_match_block_bytes).  The multiples the dedup
+    holds are the run's output: _Dedup checks them against the
     rest of the budget as they grow.
     """
     chunk = min(LOG_CHUNK, probes)
@@ -650,101 +656,48 @@ def _check_budget(predicted: int, budget: int) -> None:
         )
 
 
-def _provenance_key(prov):
-    stored, probe, shift = prov
-    return (stored, probe, 0 if shift is None else shift)
-
-
-def _distinct(rows: np.ndarray, width: int) -> np.ndarray:
-    """One row per distinct key (the first width columns), in key order:
-    the one whose other columns, the provenance, are least in lex order.
-
-    Rows are grouped by sorting the key, and each group is narrowed to
-    its minimum one provenance column at a time; no two matches share a
-    provenance, so one row per group is left.
-    """
-    if width == 1:
-        order = rows[:, 0].argsort()
-    else:
-        order = np.lexsort(rows[:, width - 1::-1].T)
-    keys = rows[order, :width]
-    new = np.ones(len(order), bool)
-    new[1:] = (keys[1:] != keys[:-1]).any(axis=1)
-    del keys
-    starts = np.flatnonzero(new)
-    sizes = np.diff(starts, append=len(order))
-    best = np.ones(len(order), bool)
-    for col in range(width, rows.shape[1]):
-        vals = np.where(best, rows[order, col], np.iinfo(np.int64).max)
-        best &= vals == np.repeat(np.minimum.reduceat(vals, starts), sizes)
-    return rows[order[best]]
-
-
 class _Dedup:
-    """Incremental canonical-set dedup, shared by every search.
+    """The rows of an exhaustive run's multiples, held packed and sorted
+    once, at the end.  Each search of the run hands in every multiple of
+    its weight exactly once (_levels), so no two rows are equal and none
+    is dropped.
 
-    Memory stays proportional to the number of distinct multiples even
-    when decompositions arrive millions of times over (routine once the
-    degree bound nears half the group order).  Keeping the smallest
-    provenance makes the outcome independent of arrival order, so a
-    probe loop that batches or reorders its probes reports the same
-    provenances.
-
-    add() takes one multiple into a dict, which keeps first-discovery
-    order: the order the samplers report.  add_rows() takes a block of
-    either exhaustive route's matches, of any size: _cancel rows with
-    their stored tuples, probe tuples and shifts (0 for the classical
-    None).  Blocks are gathered to MATCH_BLOCK rows, then held in one row
-    format: the row as key, then stored, probe and shift + D, which order
-    like _provenance_key, each part packed into one int64 where it fits.
-    widths gives the columns of the key, stored and probe parts; a
-    narrower block is padded, its rows with D + 1 and its tuples with
-    zeros, which order the rows as the tuples.
-    Held rows are reduced into the running distinct set once they
-    outgrow it (or one MATCH_BLOCK), so they stay within about twice the
-    distinct multiples plus two blocks.
+    add_rows() takes a block of either route's matches, of any size:
+    rows of exponents (ascending, padded with D + 1) with their stored
+    tuples, probe tuples and shifts (0 for the classical None).  Blocks
+    are gathered to MATCH_BLOCK rows, then held in one row format: the
+    row as key, then stored, probe and shift + D, each part packed into
+    one int64 where it fits.  widths gives the columns of the key, stored
+    and probe parts; a narrower block is padded, its rows with D + 1 and
+    its tuples with zeros.
 
     room is the memory budget left beside the route's predicted peak,
     which charges the block being added and its gathering but not the
-    distinct multiples, the run's output.  add_rows() raises
+    multiples, the run's output.  add_rows() raises
     MemoryBudgetExceededError instead of taking a block while the rows
     it holds, gathered and packed, pass room by more than MATCH_BLOCK
-    gathered rows, and sorted_rows() instead of unpacking the distinct
-    rows into a block that would.  A reduction raises it instead of
-    starting where the packed rows and its work (a copy of them and
-    REDUCE_ROW_BYTES per row) would pass room by more than MATCH_BLOCK
-    gathered rows or the part of the route's block, block_bytes, that
-    the block being added does not hold (its gathering is packed by
-    then).
+    gathered rows, and sorted_rows() instead of sorting where the held
+    rows and the sort's work (a copy of them, SORT_ROW_BYTES per row and
+    the unpacked block it returns) would pass room by more than
+    MATCH_BLOCK returned rows: the route's block, charged in its
+    prediction, is gone by then.
     """
 
-    __slots__ = ("best", "seen", "room", "widths", "block_bytes", "_bytes",
-                 "_pending", "_pending_rows", "_blocks", "_held", "_width",
-                 "_format")
+    __slots__ = ("room", "widths", "_bytes", "_pending", "_pending_rows",
+                 "_blocks", "_width", "_format")
 
-    def __init__(self, room: float = inf, widths: tuple = (0, 0, 0),
-                 block_bytes: int = 0):
-        self.best: dict[tuple[int, ...], tuple] = {}
-        self.seen = 0
+    def __init__(self, room: int, widths: tuple[int, int, int]):
         self.room = room
         self.widths = widths
-        self.block_bytes = block_bytes
         self._bytes = 0  # of the gathered and packed rows held
         self._pending: list[np.ndarray] = []  # gathered blocks, unpacked
         self._pending_rows = 0
         self._blocks: list[np.ndarray] = []
-        self._held = 0  # rows in the reduced set, self._blocks[0]
-
-    def add(self, exps: tuple[int, ...], prov) -> None:
-        self.seen += 1
-        cur = self.best.get(exps)
-        if cur is None or _provenance_key(prov) < _provenance_key(cur):
-            self.best[exps] = prov
 
     def _check_room(self, held: int, spare: int, work: int = 0) -> None:
         """Raise unless held bytes and work fit room and spare bytes."""
         if held + work > self.room + spare:
-            more = f", and {work} to reduce them" if work else ""
+            more = f", and {work} to sort them" if work else ""
             raise MemoryBudgetExceededError(
                 f"multiples held ({held} bytes{more}) exceed the memory "
                 f"budget left beside the predicted tables ({self.room} "
@@ -756,7 +709,6 @@ class _Dedup:
         key, width, probe = self.widths
         cols = key + width + probe + 1
         self._check_room(self._bytes, MATCH_BLOCK * 8 * cols)
-        self.seen += len(rows)
         # bits of each field: exponents up to the pad D + 1 in the key,
         # exponents up to D and shift + D up to 2D in the provenance
         self._format = (
@@ -774,13 +726,10 @@ class _Dedup:
         del block  # _pack frees the gathered rows
         self._pending_rows += len(rows)
         if self._pending_rows >= MATCH_BLOCK:
-            self._pack(rows.nbytes + stored.nbytes + probes.nbytes
-                       + shift.nbytes)
+            self._pack()
 
-    def _pack(self, live: int = 0) -> None:
-        """Pack the gathered blocks, and reduce where the held rows have
-        outgrown the distinct ones; live is the bytes of the block being
-        added."""
+    def _pack(self) -> None:
+        """Pack the gathered blocks into one held block."""
         block = np.concatenate(self._pending)
         self._pending, self._pending_rows = [], 0
         key_bits, prov_bits = self._format[2:]
@@ -789,69 +738,82 @@ class _Dedup:
         provs = _pack(block[:, len(key_bits):], prov_bits)
         del block
         self._blocks.append(np.hstack((keys, provs)))
-        if sum(map(len, self._blocks)) - self._held > max(self._held, MATCH_BLOCK):
-            self._reduce(live)
         self._bytes = sum(block.nbytes for block in self._blocks)
 
-    def _reduce(self, live: int = 0) -> None:
-        rows = sum(map(len, self._blocks))
-        held = 8 * rows * self._blocks[0].shape[1]
-        gathered = MATCH_BLOCK * 8 * (sum(self.widths) + 1)
-        self._check_room(held, max(self.block_bytes - live, gathered),
-                         held + rows * REDUCE_ROW_BYTES)
-        rows = np.concatenate(self._blocks)
-        self._blocks = []  # freed before _distinct's work arrays exist
-        self._blocks = [_distinct(rows, self._width)]
-        self._held = len(self._blocks[0])
-
-    def records(self) -> list[MultipleRecord]:
-        """One record per distinct multiple of add(), in discovery order.
-        Every search hands in canonical tuples, so they are not checked
-        again."""
-        return [MultipleRecord.of(exps, prov, checked=False)
-                for exps, prov in self.best.items()]
-
     def sorted_rows(self):
-        """The distinct multiples of add_rows() as one block (rows,
-        stored, probes, shift) in the format add_rows() takes, sorted by
-        (degree, exponents); the dedup holds no rows afterwards.
+        """The multiples of add_rows() as one block (rows, stored, probes,
+        shift) in the format add_rows() takes, sorted by (degree,
+        exponents); the dedup holds no rows afterwards.
 
-        The distinct rows come in key order, padded with D + 1, so one
-        stable sort by degree orders them: two multiples of equal degree
-        both end in it, so neither is a prefix of the other."""
+        One sort orders them, by degree and then by key: two rows of equal
+        degree both end in it before their padding, so neither is a
+        prefix of the other, and the key orders them as their exponents."""
         if self._pending:
             self._pack()
         if not self._blocks:
             none = np.empty((0, 0), np.int64)
             return none, none, none, np.empty(0, np.int64)
-        self._reduce()
-        rows, self._blocks, self._held, self._bytes = self._blocks[0], [], 0, 0
         D, q1, key_bits, prov_bits = self._format
+        count = sum(map(len, self._blocks))
         row_bytes = 8 * (len(key_bits) + len(prov_bits))
-        self._check_room(len(rows) * row_bytes, MATCH_BLOCK * row_bytes)
+        self._check_room(self._bytes, MATCH_BLOCK * row_bytes, self._bytes
+                         + count * (SORT_ROW_BYTES + row_bytes))
+        rows = np.concatenate(self._blocks)
+        self._blocks, self._bytes = [], 0
         keys = _unpack(rows[:, :self._width], key_bits)
-        order = np.argsort(keys.max(axis=1, where=keys <= D, initial=0),
-                           kind="stable")
-        prov = _unpack(rows[order, self._width:], prov_bits)
-        return keys[order], prov[:, :q1], prov[:, q1:-1], prov[:, -1] - D
+        degree = keys.max(axis=1, where=keys <= D, initial=0)
+        order = np.lexsort((*rows[:, self._width - 1::-1].T, degree))
+        del degree
+        keys = keys[order]
+        prov = rows[order, self._width:]
+        del rows, order
+        prov = _unpack(prov, prov_bits)
+        return keys, prov[:, :q1], prov[:, q1:-1], prov[:, -1] - D
 
 
-def _lower_weight(params: SearchParams) -> SearchParams:
-    """The balanced search that stands in for a weight-w one at
-    D < w - 2: weight w' = the largest weight of w's parity with
-    w' - 2 <= D.  A weight-w multiple needs w - 1 distinct exponents in
-    [1, D], so there is none there, and [1, D] cannot hold the cancelled
-    pairs through which the weight-w split finds lower weights; the
-    weight-w' search finds them all.  The run report is that search's."""
-    w = params.D + 2 - (params.D - params.w) % 2
-    return SearchParams.balanced(
-        w, params.D, params.algorithm, budget_bytes=params.budget_bytes)
+def _levels(params: SearchParams, M: int) -> list[SearchParams]:
+    """The searches of one exhaustive run, lowest weight first, each of
+    which finds the multiples of exactly its weight.
+
+    The highest is params, or, where D < w - 2, the balanced search of
+    the largest weight w' of w's parity with w' - 2 <= D: a weight-w
+    multiple needs w - 1 distinct exponents in [1, D].  It gives the run
+    report its w and split.  Below it come the balanced searches of
+    weights w' - 2, w' - 4, ... down to 3, or to 2 from D = M on: below M
+    no 1 + x^k is a multiple.
+    """
+    D, algorithm, budget = params.D, params.algorithm, params.budget_bytes
+    if D < params.w - 2:
+        params = SearchParams.balanced(D + 2 - (D - params.w) % 2, D,
+                                       algorithm, budget_bytes=budget)
+    lowest = 3 if params.w % 2 else 2 if D >= M else 4
+    return [SearchParams.balanced(w, D, algorithm, budget_bytes=budget)
+            for w in range(lowest, params.w, 2)] + [params]
 
 
-def _finalize(dedup: _Dedup, report) -> SearchResult:
+def _run(ctx: FieldContext, params: SearchParams, name: str, need,
+         search) -> SearchResult:
+    """One exhaustive run: each search of _levels(params), through
+    search(level, xp, dedup, report), into one dedup and one report.
+    need(level) is the bytes a search predicts; the largest is checked
+    against the budget before anything is allocated, and what the budget
+    leaves beside it is the dedup's room.  xp is the power array up to
+    x^D, built once where a tuple has an exponent."""
+    levels = _levels(params, ctx.order)
+    top = levels[-1]
+    predicted = max(map(need, levels))
+    _check_budget(predicted, params.budget_bytes)
+    report = RunReport(algorithm=name, w=top.w, D=top.D, q1=top.q1,
+                       q2=top.q2)
+    dedup = _Dedup(params.budget_bytes - predicted, (
+        top.w, max(p.q1 for p in levels), max(p.q2 for p in levels)))
+    xp = ctx.powers(2, top.D + 1).view(np.int64) if top.q2 else None
+    for level in levels:
+        search(level, xp, dedup, report)
+    t0 = time.perf_counter()
     rows = dedup.sorted_rows()
     report.found = len(rows[0])
-    report.duplicates_suppressed += dedup.seen - report.found
+    report.phase2_seconds += time.perf_counter() - t0
     return SearchResult(rows, report)
 
 
@@ -884,8 +846,8 @@ def _tmto_bytes(n: int, D: int, q1: int, q2: int) -> int:
     filter.  The comb table of one enumeration, at most q2 words per
     exponent.  Per probe suffix: its exponents, its residue and three
     words of work.
-    One block of rows (_tmto_block_bytes).  The distinct multiples the
-    dedup keeps are the run's output: _Dedup checks them against the
+    One block of rows (_tmto_block_bytes).  The multiples the dedup
+    holds are the run's output: _Dedup checks them against the
     rest of the budget as they grow.  All this beside the power array up
     to x^D, built first (powers_bytes).
     """
@@ -912,7 +874,27 @@ def _tmto_block_bytes(n: int, D: int, q1: int, q2: int) -> int:
 
 def tmto_find_all(ctx: FieldContext, params: SearchParams) -> SearchResult:
     """Classical route: store residues of the q1 half, probe with the q2
-    half for pairs XORing to 1.
+    half for pairs XORing to 1, in each search of _levels (_tmto_search).
+
+    Each search is canonical: it keeps a hit only where its stored
+    tuple's largest exponent is below the probe's first.  A weight-w
+    multiple 1 + x^e1 + ... + x^e(w-1) then has one split, the q1 lowest
+    exponents stored and the rest probed; the table holds every q1-tuple
+    and the probes every q2-tuple over [1, D], so it is met exactly once.
+    No term of a kept hit cancels, so the lower weights come from the
+    searches of weights w - 2, w - 4, ... at the same D.
+    """
+    if params.algorithm != ALGO_CLASSICAL:
+        raise ValueError("tmto_find_all needs algorithm='classical'")
+    return _run(ctx, params, "tmto",
+                lambda p: _tmto_bytes(ctx.n, p.D, p.q1, p.q2),
+                partial(_tmto_search, ctx.n))
+
+
+def _tmto_search(n: int, params: SearchParams, xp: np.ndarray,
+                 dedup: _Dedup, report: RunReport) -> None:
+    """One classical search's hits, into dedup, and its counters, into
+    report.
 
     Phase 1 sorts the stored residues (keys) and sets one bit per key in
     a filter indexed by their low _filter_bits bits.  Phase 2 loops in
@@ -920,41 +902,30 @@ def tmto_find_all(ctx: FieldContext, params: SearchParams) -> SearchResult:
     residues of the trailing _suffix_size exponents that follow it form a
     contiguous slice of one array in lex order.  A probe whose filter
     bit is set is confirmed by binary search on the keys, so the lookup
-    is exact however many residues share a bit.  Each prefix's hits go
-    to the dedup as the log route's matches do: rows of 1 plus both
-    halves through _cancel, with shift 0 (None).
+    is exact however many residues share a bit.  Each prefix's canonical
+    hits go to the dedup as the log route's matches do: rows of 1 plus
+    both halves, ascending, with shift 0 (None).
     """
-    if params.algorithm != ALGO_CLASSICAL:
-        raise ValueError("tmto_find_all needs algorithm='classical'")
-    if params.D < params.w - 2:
-        params = _lower_weight(params)
-    q1, q2, D = params.q1, params.q2, params.D
-    report = RunReport(algorithm="tmto", w=params.w, D=D, q1=q1, q2=q2)
-    predicted = _tmto_bytes(ctx.n, D, q1, q2)
-    _check_budget(predicted, params.budget_bytes)
-    xp = ctx.powers(2, D + 1).view(np.int64)
-
+    q1, q2, D, w = params.q1, params.q2, params.D, params.w
     t0 = time.perf_counter()
     stored = tuple_array(q1, D)
     keys = _residues(xp, stored)
     order = np.argsort(keys, kind="stable")  # equal keys stay in lex order
     keys, stored = keys[order], stored[order]
     del order
-    mask = (1 << _filter_bits(ctx.n, len(keys))) - 1
+    mask = (1 << _filter_bits(n, len(keys))) - 1
     filt = np.zeros((mask >> 3) + 1, np.uint8)
     slot = keys & mask
     mark = _BITS[slot & 7]
     slot >>= 3
     np.bitwise_or.at(filt, slot, mark)
     del slot, mark
-    report.table_entries = len(keys)
-    report.probes = comb(D, q2)
-    report.phase1_seconds = time.perf_counter() - t0
+    report.table_entries += len(keys)
+    report.probes += comb(D, q2)
+    report.phase1_seconds += time.perf_counter() - t0
 
     # q2 >= 1 always: q1 <= q2 and q1 + q2 + 1 = w >= 2
     t0 = time.perf_counter()
-    dedup = _Dedup(params.budget_bytes - predicted, (params.w, q1, q2),
-                   _tmto_block_bytes(ctx.n, D, q1, q2))
     s = _suffix_size(q2)
     suffixes = tuple_array(s, D)
     probes = _residues(xp, suffixes)
@@ -981,20 +952,23 @@ def tmto_find_all(ctx: FieldContext, params: SearchParams) -> SearchResult:
         hit = (keys.take(lo, mode="clip") == r).nonzero()[0]
         if not len(hit):
             continue
-        cand, lo, r = cand[hit], lo[hit], r[hit]
+        cand, lo, r = cand[hit] + start, lo[hit], r[hit]
         count = keys.searchsorted(r, "right") - lo
         # every (probe, stored) pair: runs of count stored tuples from lo
         ends = np.cumsum(count)
         at = np.arange(ends[-1]) + np.repeat(lo - (ends - count), count)
-        rows = np.zeros((len(at), params.w), np.int64)  # 1 + stored + probe
+        cand = np.repeat(cand, count)
+        if q1:  # canonical: the stored tuple below the probe's first
+            first = prefix[0] if len(prefix) else suffixes[cand, 0]
+            keep = stored[at, -1] < first
+            at, cand = at[keep], cand[keep]
+        rows = np.zeros((len(at), w), np.int64)  # 1 + stored + probe
         rows[:, 1:q1 + 1] = stored[at]
-        rows[:, q1 + 1:params.w - s] = prefix
-        rows[:, params.w - s:] = suffixes[np.repeat(cand + start, count)]
-        dedup.add_rows(_cancel(rows.copy(), D), rows[:, 1:q1 + 1],
-                       rows[:, q1 + 1:], np.zeros(len(rows), np.int64), D)
-    result = _finalize(dedup, report)
-    report.phase2_seconds = time.perf_counter() - t0
-    return result
+        rows[:, q1 + 1:w - s] = prefix
+        rows[:, w - s:] = suffixes[cand]
+        dedup.add_rows(rows, rows[:, 1:q1 + 1], rows[:, q1 + 1:],
+                       np.zeros(len(rows), np.int64), D)
+    report.phase2_seconds += time.perf_counter() - t0
 
 
 def _probe_bound(params: SearchParams) -> int:
@@ -1021,74 +995,63 @@ def logtmto_find_all(
     ctx: FieldContext, engine, params: SearchParams
 ) -> SearchResult:
     """Log route: sorted log table for the q1 half, probed a chunk of
-    q2-tuples at a time through the match kernel (_log_search).
+    q2-tuples at a time through the match kernel, in each search of
+    _levels (_log_search).
 
     Produces exactly the same set as the classical route at equal
-    (w, D), D >= M included.  Where it is proven (the balanced split
-    with q1 <= 1), phase 2 probes only tuples up to second_phase_bound;
-    multiples of lower weight arise there through halves whose shared
-    terms cancel, and stored or probe tuples whose polynomial reduces
-    to zero are multiples themselves (weight q1 + 1 or q2 + 1), emitted
-    when their weight parity matches w (_zero_blocks, which also pairs
-    them from D = M on).
+    (w, D), D >= M included: each search meets each multiple of exactly
+    its weight w once, and the lower weights come from the searches of
+    weights w - 2, w - 4, ... at the same D.  No kept match has a term
+    that cancels.
 
-    Everywhere else phase 2 probes every q2-tuple over [1, D], and the
-    search is canonical: it finds each weight-w multiple through exactly
-    one decomposition, and the lower weights through the balanced
-    weight-(w - 2) search at the same D, which may be canonical in turn.
-    All of them feed one dedup and one report.  Proof.  Let 1 + x^e1 +
-    ... + x^e(w-1), 0 < e1 < ... < e(w-1) <= D, be a multiple.  (a) Its
-    split is unique: the stored half is A = (e1, ..., e(q1)), the shift
-    s = e(q1+1) > max A (max () = 0) and the probe half is B = (e(q1+2)
-    - s, ..., e(w-1) - s); so (1 + A) + x^s (1 + B) is the multiple, and
-    no other split with s > max A gives it.  (b) Every half is in range:
-    A and B are tuples over [1, D], and s + max B = e(w-1) <= D, so the
-    kernel's canonical range [max A + 1, D - max B] holds s; the table
-    holds A, the probes hold B.  (c) Zero halves: if 1 + A reduces to
-    zero, so does x^s (1 + B), hence 1 + B; such halves have no logs,
-    and _zero_blocks pairs every zero stored tuple with every zero probe
-    at each shift of that range, at every D.  Otherwise both logs exist
-    and differ by s modulo M, and the kernel walks s.  (d) Conversely a
-    canonical match puts A below s and s + B above it, so no term
-    cancels: it is a multiple of weight exactly w, met once.  Lower
-    weights arise only through cancelling terms, which (d) rules out,
-    and the weight-(w - 2) search gives exactly the multiples of weights
-    w - 2, w - 4, ...: together, the set the classical route gives.
+    Where it is proven (the balanced split with q1 <= 1), phase 2 probes
+    only tuples up to second_phase_bound, and a weight-w multiple is kept
+    through the one match whose probe half x^s (1 + B) is the last run
+    of q2 + 1 consecutive terms spanning at most the bound (_last_run):
+    second_phase_bound shows that the match exists.  Everywhere else
+    phase 2 probes every q2-tuple over [1, D], and the search is
+    canonical.  Proof.  Let 1 + x^e1 + ... + x^e(w-1), 0 < e1 < ... <
+    e(w-1) <= D, be a multiple.  (a) Its split is unique: the stored half
+    is A = (e1, ..., e(q1)), the shift s = e(q1+1) > max A (max () = 0)
+    and the probe half is B = (e(q1+2) - s, ..., e(w-1) - s); so (1 + A)
+    + x^s (1 + B) is the multiple, and no other split with s > max A
+    gives it.  (b) Every half is in range: A and B are tuples over
+    [1, D], and s + max B = e(w-1) <= D, so the kernel's canonical range
+    [max A + 1, D - max B] holds s; the table holds A, the probes hold
+    B.  (c) Zero halves: if 1 + A reduces to zero, so does x^s (1 + B),
+    hence 1 + B; such halves have no logs, and _zero_pairs pairs every
+    zero stored tuple with every zero probe at each shift of that range,
+    at every D.  Otherwise both logs exist and differ by s modulo M, and
+    the kernel walks s.  (d) Conversely a canonical match puts A below s
+    and s + B above it, so no term cancels: it is a multiple of weight
+    exactly w, met once.
     """
     if params.algorithm != ALGO_LOGARITHMIC:
         raise ValueError("logtmto_find_all needs algorithm='logarithmic'")
     if engine.ctx is not ctx and engine.ctx.poly != ctx.poly:
         raise ValueError("engine was built for a different modulus")
-    if params.D < params.w - 2:
-        params = _lower_weight(params)
-    D = params.D
-    searches = [params]  # then the lower weights of each canonical one
-    while _probe_bound(searches[-1]) == D and searches[-1].w >= 4:
-        searches.append(SearchParams.balanced(
-            searches[-1].w - 2, D, ALGO_LOGARITHMIC,
-            budget_bytes=params.budget_bytes))
-    predicted = max(_log_search_bytes(engine, p) for p in searches)
-    _check_budget(predicted, params.budget_bytes)
-    block = min(_match_block_bytes(
-        ctx.order, D, p.q1, p.q2, comb(D, p.q1), comb(_probe_bound(p), p.q2))
-        for p in searches)
-    # stored columns also hold a probe's own multiple where q1 is odd
-    # and the search is not canonical (_zero_blocks)
-    width = max(
-        max(p.q1, p.q2 if p.q1 % 2 and _probe_bound(p) < D else 0)
-        for p in searches)
-    dedup = _Dedup(params.budget_bytes - predicted,
-                   (params.w, width, params.q2), block)
-    report = RunReport(algorithm="logtmto", w=params.w, D=D, q1=params.q1,
-                       q2=params.q2)
-    # one power array for every phase, where a tuple has an exponent
-    xp = ctx.powers(2, D + 1).view(np.int64) if params.q2 else None
-    for level in reversed(searches):  # lower weights first
-        _log_search(engine, level, xp, dedup, report)
-    t0 = time.perf_counter()
-    result = _finalize(dedup, report)
-    report.phase2_seconds += time.perf_counter() - t0
-    return result
+    return _run(ctx, params, "logtmto", partial(_log_search_bytes, engine),
+                partial(_log_search, engine))
+
+
+def _last_run(rows: np.ndarray, probes: np.ndarray, shift: np.ndarray,
+              bound: int, D: int) -> np.ndarray:
+    """Which matches of a bounded log search (probes up to bound) are
+    kept: those where no term cancelled (the _cancel row holds no pad)
+    and the probe half x^e (1 + B), e = max(shift, 0), is the last run of
+    q2 + 1 consecutive terms of the multiple that spans at most bound.
+
+    A multiple determines that run, hence its split, so it is kept at
+    most once.  A run from term e to term e + max B holds the probe
+    half's q2 + 1 terms exactly when no stored term lies inside it.
+    """
+    q2, runs = probes.shape[1], rows.shape[1] - probes.shape[1]
+    within = rows[:, q2:] - rows[:, :runs] <= bound
+    last = runs - 1 - within[:, ::-1].argmax(axis=1)
+    low = np.maximum(shift, 0)
+    row = np.arange(len(rows))
+    return ((rows[:, -1] <= D) & (rows[row, last] == low)
+            & (rows[row, last + q2] == low + probes[:, -1]))
 
 
 def _log_search(engine, params: SearchParams, xp, dedup: _Dedup,
@@ -1099,8 +1062,10 @@ def _log_search(engine, params: SearchParams, xp, dedup: _Dedup,
     probe tuples in one batch, or reads them from the table's lex_logs
     where the probes are table tuples (q1 = q2: w = 2, 4, 6 with the
     default split), and runs the chunk through _match_blocks and
-    _match_rows a block of at most MATCH_BLOCK matches at a time; each
-    block goes to the dedup (_Dedup.add_rows).
+    _match_rows a block of at most MATCH_BLOCK matches at a time, with
+    the zero probes' _zero_pairs; each block goes to the dedup
+    (_Dedup.add_rows), where the search is bounded only its _last_run
+    matches.
     """
     q1, q2, D = params.q1, params.q2, params.D
     bound = _probe_bound(params)
@@ -1113,12 +1078,14 @@ def _log_search(engine, params: SearchParams, xp, dedup: _Dedup,
 
     M = engine.ctx.order
 
-    def emit(blocks):
-        for block in blocks:
-            report.zero_residue_emits += len(block[0])
-            dedup.add_rows(*block, D)
+    def emit(rows, stored, probes, shift) -> int:
+        if not canonical:
+            keep = _last_run(rows, probes, shift, bound, D)
+            rows, stored, probes, shift = (
+                rows[keep], stored[keep], probes[keep], shift[keep])
+        dedup.add_rows(rows, stored, probes, shift, D)
+        return len(rows)
 
-    emit(_zero_blocks(table, q2, D, M, canonical=canonical))
     t0 = time.perf_counter()
     # with q1 = q2 the probes, q2-tuples up to bound, are the table's
     # first tuples in lex order (bound < D only where q2 = 1)
@@ -1132,10 +1099,11 @@ def _log_search(engine, params: SearchParams, xp, dedup: _Dedup,
             logs = _tuple_logs(engine, xp, probes)
             report.log_calls += int(np.count_nonzero(logs >= 0))
         has_log = logs >= 0
-        emit(_zero_blocks(table, q2, D, M, probes[~has_log], canonical))
+        for block in _zero_pairs(table, probes[~has_log], D, M, canonical):
+            report.zero_residue_emits += emit(*block)
         probes, logs = probes[has_log], logs[has_log]
         for p, pos, shift, skips in _match_blocks(
                 table, probes, logs, D, M, canonical):
             report.zero_shift_skips += skips
-            dedup.add_rows(*_match_rows(table.exponents[pos], probes[p], shift, D), D)
+            emit(*_match_rows(table.exponents[pos], probes[p], shift, D))
     report.phase2_seconds += time.perf_counter() - t0

@@ -409,14 +409,20 @@ def _digest(records):
 # weight-4 search): the same records in the same order, other
 # provenances, duplicates and skips only the weight-4 search's, the
 # zero halves (3, 20) and (6, 40) paired below M, and the weight-4
-# search's table and logs added.
+# search's table and logs added.  All rows were re-pinned when every
+# search came to meet each multiple of its weight once (the bounded ones
+# through the match whose probe half is the last short run of terms) and
+# to take the lower weights from the searches below it: the same records
+# in the same order, their canonical provenances, no duplicates, no own
+# multiples of zero tuples (w = 5), and the weight-3 search's table and
+# logs added at w = 5.
 FIND_ALL_PINS = {
-    (4, 2047): ("c6675e826ea11fae", 2978, 5885, 683, 0, 2047, 1024),
-    (4, 2048): ("0686d376204b35e0", 2988, 5895, 683, 0, 2048, 1024),
-    (4, 2049): ("738ac8eed9d3d3d5", 2996, 5906, 683, 0, 2049, 1025),
-    (6, 64): ("34c1201cb176aacb", 277, 20, 22, 32, 2078, 1551),
-    (6, 65): ("68f4f406d55efad1", 285, 20, 22, 35, 2143, 1616),
-    (5, 130): ("490fb957e0914d24", 320, 1517, 311, 2, 130, 2143),
+    (4, 2047): ("2899a3eb56865388", 2978, 0, 683, 0, 2047, 1024),
+    (4, 2048): ("bec09f9ae9692d6e", 2988, 0, 683, 0, 2048, 1024),
+    (4, 2049): ("ecc749ef0e13efd8", 2996, 0, 683, 0, 2049, 1025),
+    (6, 64): ("39c0d50a35824fc4", 277, 0, 22, 32, 2078, 1551),
+    (6, 65): ("d369797eed29e2b9", 285, 0, 22, 35, 2143, 1616),
+    (5, 130): ("fe6511985553221a", 320, 0, 311, 0, 131, 2209),
 }
 
 
@@ -438,13 +444,17 @@ def test_find_all_across_chunk_boundaries(w, D):
 # and 7 (q2 odd) also emit each stored tuple whose 1 + tuple reduces to
 # zero (such as 1 + x^15 and 1 + x + x^4) as a multiple by itself.  The
 # w >= 6 rows were re-pinned with FIND_ALL_PINS' w=6 rows, for the same
-# reason (w = 7 takes its lower weights from the weight-5 search).
+# reason (w = 7 takes its lower weights from the weight-5 search).  All
+# rows were re-pinned with FIND_ALL_PINS' last re-pin: no tuple's own
+# multiple any more (the weight-2 search finds 1 + x^15 and 1 + x^30 at
+# P=4,1,0, and the lower searches the rest), so fewer zero emits, and
+# the weight-2 and weight-3 searches' tables and logs added.
 BEYOND_ORDER_PINS = {
-    ("6,1,0", 6, 40): ("b9467a57d4fe8472", 10361, 292, 14, 214, 809, 601),
-    ("4,1,0", 6, 20): ("e59df76df777fa4b", 1038, 154, 12, 91, 196, 145),
-    ("5,2,0", 5, 40): ("d6efd68fc7b80ee1", 2876, 7919, 232, 248, 39, 202),
-    ("4,1,0", 4, 40): ("0024e7477c5297c1", 625, 1220, 38, 2, 38, 19),
-    ("4,1,0", 7, 20): ("352a7be08488f30a", 2753, 923, 56, 293, 196, 1253),
+    ("6,1,0", 6, 40): ("4608ede7e5c00804", 10361, 0, 14, 214, 809, 601),
+    ("4,1,0", 6, 20): ("4bc2c76dfcef37e3", 1038, 0, 12, 90, 197, 146),
+    ("5,2,0", 5, 40): ("6861c7eac824b7c7", 2876, 0, 232, 30, 40, 223),
+    ("4,1,0", 4, 40): ("cf4316b5f48367bc", 625, 0, 38, 0, 39, 20),
+    ("4,1,0", 7, 20): ("e88c7365f0e99c30", 2753, 0, 56, 226, 197, 1264),
 }
 
 
@@ -534,11 +544,11 @@ class _CountingEngine:
         return getattr(self._engine, name)
 
 
-def _searches(params):
-    """The searches of one log run: its own, then from w = 6 on (where it
-    is canonical) the balanced weight-(w - 2) search's, in turn."""
+def _searches(params, M):
+    """The searches of one log run: its own, then the balanced ones of
+    weights w - 2, w - 4, ... down to 3, or to 2 from D = M on."""
     out = [params]
-    while out[-1].w >= 6:
+    while out[-1].w > 4 or out[-1].w == 4 and params.D >= M:
         out.append(SearchParams.balanced(out[-1].w - 2, params.D, "logarithmic"))
     return out
 
@@ -564,7 +574,7 @@ def test_chunk_size_does_not_change_results(monkeypatch, w, D):
         # q1 = q2 and otherwise logs its probes, up to the bound at w = 3,
         # 4, 5
         tuples = []
-        for p in _searches(params):
+        for p in _searches(params, eng.ctx.order):
             q1, q2 = p.q1, p.q2
             tuples.append(comb(D, q1) - comb(D // 2, q1) if q1 else 1)
             if q1 != q2:
@@ -582,7 +592,7 @@ def test_no_phase2_logs_when_the_probes_are_table_tuples(w, D):
     # weight-4 search's first)
     params = SearchParams.balanced(w, D, "logarithmic")
     table_eng, eng = _CountingEngine(ENG20), _CountingEngine(ENG20)
-    searches = _searches(params)[::-1]
+    searches = _searches(params, ENG20.ctx.order)[::-1]
     for p in searches:
         search.build_log_table(table_eng, p.q1, D)
     res = logtmto_find_all(eng.ctx, eng, params)

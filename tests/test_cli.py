@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from math import comb
@@ -134,15 +135,6 @@ def test_find_all_auto_plans_the_engine_the_flags_ask_for(capsys):
         code, _, err = run_cli(["find-all", "--algorithm", algorithm] + argv
                                + ["--bsgs-entries", "0"], capsys)
         assert code == 2 and err.startswith("error: ")
-
-
-def test_wagner_advice_threshold():
-    from lowmult.cli import _wagner_advice
-
-    # huge weight, small degree: the k-list route wins clearly
-    assert _wagner_advice(63, 17, 1024) is not None
-    # ordinary parameters: no advice
-    assert _wagner_advice(24, 5, 1024) is None
 
 
 def test_find_all_not_primitive_exit_3(capsys):
@@ -526,11 +518,11 @@ def _predicted_6_1_0(algorithm):
 @pytest.mark.parametrize("algorithm", ["tmto", "logtmto"])
 def test_find_all_exits_4_once_held_multiples_pass_the_budget(
         algorithm, monkeypatch, capsys):
-    # P=6,1,0, w=6, D=64 has 119,785 multiples, about 2 MB of distinct
-    # rows and up to 4.5 MB held between reduces.  With 1 MB of budget
-    # beside the route's prediction the run stops with exit 4, and no
-    # block is taken while the dedup holds more than one MATCH_BLOCK of
-    # gathered rows beyond it.
+    # P=6,1,0, w=6, D=64 has 119,785 multiples, each handed to the dedup
+    # once and held packed in 16 bytes: 1.9 MB.  With 1 MB of budget
+    # beside the route's prediction the run stops with exit 4 before its
+    # final sort, and no block is taken while the dedup holds more than
+    # one MATCH_BLOCK of gathered rows beyond it.
     predicted = _predicted_6_1_0(algorithm)
     room = 2**20
     taken = []
@@ -550,6 +542,7 @@ def test_find_all_exits_4_once_held_multiples_pass_the_budget(
     assert code == 4
     assert out == ""
     assert "error: multiples held" in err and "budget" in err
+    assert "to sort them" not in err
     assert len(taken) > 1  # past the up-front check
     assert max(taken) <= room
 
@@ -557,10 +550,12 @@ def test_find_all_exits_4_once_held_multiples_pass_the_budget(
 @pytest.mark.parametrize("algorithm", ["tmto", "logtmto"])
 def test_find_all_exits_4_before_unpacking_past_the_budget(
         algorithm, monkeypatch, capsys):
-    # P=6,1,0, w=6, D=64: the held rows stay under 4.5 MB, but the
-    # 119,785 distinct multiples unpack into 12 (tmto) or 11 int64
-    # columns, 11.5 or 10.5 MB.  With 6 MB beside the prediction every
-    # block is taken, and the run stops with exit 4 before unpacking.
+    # P=6,1,0, w=6, D=64: the held rows stay under 2.7 MB, but sorting
+    # the 119,785 multiples takes a copy of them, 48 bytes a row and the
+    # 12 (tmto) or 11 int64 columns they unpack into, 11.5 or 10.5 MB.
+    # With 6 MB beside the prediction every block is taken, and the run
+    # stops with exit 4 before its one sort.
+    room = 6 * 2**20
     reached = []
     sorted_rows = search._Dedup.sorted_rows
 
@@ -569,12 +564,16 @@ def test_find_all_exits_4_before_unpacking_past_the_budget(
         return sorted_rows(self)
 
     monkeypatch.setattr(search._Dedup, "sorted_rows", spy)
-    budget = _predicted_6_1_0(algorithm) + 6 * 2**20
+    budget = _predicted_6_1_0(algorithm) + room
     code, out, err = run_cli(
         ["find-all", "--poly", "6,1,0", "--weight", "6", "--max-degree", "64",
          "--algorithm", algorithm, "--budget-bytes", str(budget)],
         capsys)
     assert code == 4
     assert out == ""
-    assert "error: multiples held" in err and "budget" in err
+    held, work = map(int, re.search(
+        r"error: multiples held \((\d+) bytes, and (\d+) to sort them\)",
+        err).groups())
+    assert "budget" in err
     assert len(reached) == 1
+    assert held <= room < held + work

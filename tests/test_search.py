@@ -260,7 +260,9 @@ def test_restriction_preserves_output():
     # w <= 5: phase 2 probes every tuple up to the bound, below the
     # group order and from it on (at P=4,1,0, w=4, D=60 an unbounded
     # phase 2 probes 60 tuples, not 20); it logs the nonzero ones except
-    # at w = 4, where the probes are stored tuples with logs in the table
+    # at w = 4, where the probes are stored tuples with logs in the table.
+    # The run's searches are its own and those of weights w - 2, ...
+    # down to 3, or to 2 from D = M on; weight 2 probes the empty tuple
     rng = random.Random(32)
     cells = []
     for n in (10, 12):
@@ -274,12 +276,18 @@ def test_restriction_preserves_output():
         params = SearchParams.balanced(w, D, "logarithmic")
         res = logtmto_find_all(ctx, build_engine(ctx), params)
         assert res.exponent_sets() == _brute_sets(ctx, w, D)
-        bound = second_phase_bound(D, w, params.q2)
-        assert bound < D
-        assert res.report.probes == comb(bound, params.q2)
-        logs = _nonzero_tuples(ctx, params.q1, D, odd_only=True)
-        if params.q1 != params.q2:
-            logs += _nonzero_tuples(ctx, params.q2, bound)
+        assert second_phase_bound(D, w, params.q2) < D
+        probes = logs = 0
+        for v in range(w, 1, -2):
+            if v == 2 and D < ctx.order:
+                continue
+            p = SearchParams.balanced(v, D, "logarithmic")
+            bound = second_phase_bound(D, v, p.q2) if v > 2 else D
+            probes += comb(bound, p.q2)
+            logs += _nonzero_tuples(ctx, p.q1, D, odd_only=True)
+            if p.q1 != p.q2:
+                logs += _nonzero_tuples(ctx, p.q2, bound)
+        assert res.report.probes == probes
         assert res.report.log_calls == logs
     # 1 + x + x^2 is P at n = 2: its probe half spans 2 > ceil(2 * 2 / 4)
     f4 = make_context(parse_poly("2,1,0"))
@@ -390,7 +398,7 @@ def test_report_counters():
     rep = res.report
     assert rep.found == len(res.records) == 3
     assert rep.table_entries == 7
-    assert rep.duplicates_suppressed == 3  # each multiple arises twice
+    assert rep.duplicates_suppressed == 0  # each multiple is met once
     res_l = logtmto_find_all(F8, ENG8, SearchParams.balanced(3, 7, "logarithmic"))
     # 1 stored log + 4 probe logs: D = M, and phase 2 probes up to
     # second_phase_bound(7, 3, 1) = 4
@@ -408,17 +416,21 @@ def _digest(records):
 # duplicates_suppressed, zero_shift_skips, zero_residue_emits,
 # table_entries, log_calls).  The cases cover q1 = 0 (w = 2), q2 = 1 to 5,
 # D >= M with q1 = 2 (stored residues that repeat, and zero residues from
-# x^a + x^(a+M)), and D < w - 2, where weight w - 2 is searched.
+# x^a + x^(a+M)), and D < w - 2, where weight w - 2 is searched.  Re-pinned
+# when each search became canonical (each multiple met once, through its
+# q1 lowest exponents, and the lower weights from the searches of weights
+# w - 2, ...): the same records in the same order, no duplicates, the
+# canonical provenances from w = 5 on, and the lower searches' tables.
 TMTO_PINS = {
     ("10,3,0", 2, 2100): ("8b988f6a7de4039b", 2, 0, 1, 2, 0, 0, 0, 1, 0),
-    ("10,3,0", 3, 300): ("a2cb51bda4703349", 3, 1, 1, 44, 44, 0, 0, 300, 0),
-    ("12,6,4,1,0", 4, 300): ("347b7515c3368da9", 4, 1, 2, 1069, 2138, 0, 0, 300, 0),
-    ("8,4,3,2,0", 6, 40): ("891289ba687544ca", 6, 2, 3, 2643, 27423, 0, 0, 780, 0),
-    ("6,1,0", 8, 20): ("9f6364abc60cb70a", 8, 3, 4, 1478, 84796, 0, 0, 1140, 0),
-    ("5,2,0", 10, 14): ("73d788cee701e451", 10, 4, 5, 247, 62413, 0, 0, 1001, 0),
-    ("4,1,0", 6, 20): ("130b121ed2f7667e", 6, 2, 3, 1038, 12496, 0, 0, 190, 0),
-    ("4,1,0", 5, 31): ("6478478ecc1a5bb8", 5, 2, 2, 1990, 11510, 0, 0, 465, 0),
-    ("3,1,0", 7, 3): ("a5626dff65e96bff", 5, 2, 2, 1, 1, 0, 0, 3, 0),
+    ("10,3,0", 3, 300): ("a2cb51bda4703349", 3, 1, 1, 44, 0, 0, 0, 300, 0),
+    ("12,6,4,1,0", 4, 300): ("347b7515c3368da9", 4, 1, 2, 1069, 0, 0, 0, 300, 0),
+    ("8,4,3,2,0", 6, 40): ("4576e2905e4d848c", 6, 2, 3, 2643, 0, 0, 0, 820, 0),
+    ("6,1,0", 8, 20): ("8c401724d6acd646", 8, 3, 4, 1478, 0, 0, 0, 1350, 0),
+    ("5,2,0", 10, 14): ("27131ccce74cb2e4", 10, 4, 5, 247, 0, 0, 0, 1470, 0),
+    ("4,1,0", 6, 20): ("79f66b16cbe7e2a6", 6, 2, 3, 1038, 0, 0, 0, 211, 0),
+    ("4,1,0", 5, 31): ("19da7ba4f06a205d", 5, 2, 2, 1990, 0, 0, 0, 496, 0),
+    ("3,1,0", 7, 3): ("b0dfb532824c3692", 5, 2, 2, 1, 0, 0, 0, 6, 0),
 }
 
 
@@ -429,7 +441,7 @@ TMTO_PINS = {
     ("_filter_bits", lambda n, keys: 0),
     # nothing fits in zero bits: dedup rows and provenances stay unpacked
     ("PACK_BITS", 0),
-    # the dedup reduces its rows after every block
+    # the dedup packs its rows after every block
     ("MATCH_BLOCK", 1),
 ], ids=["filter", "one-bit-filter", "unpacked-rows", "match-block-1"])
 @pytest.mark.parametrize("spec, w, D", sorted(TMTO_PINS))
@@ -739,31 +751,34 @@ def test_canonical_log_route_equals_tmto(spec, w, D):
 @pytest.mark.parametrize("spec, w, D", [
     ("18,7,0", 6, 192), ("20,3,0", 6, 65), ("4,1,0", 6, 20), ("4,1,0", 7, 20),
     ("4,1,0", 8, 20),
+    ("4,1,0", 4, 20),  # a bounded log search, and weight 2: D >= M = 15
+    ("10,3,0", 5, 60),  # bounded log searches of weights 5 and 3
+    ("7,1,0", 5, 140),  # 428,218 bounded log matches, D >= M = 127
+    ("8,4,3,2,0", 3, 300),  # D >= M = 255
+    ("6,1,0", 6, 64),  # D >= M = 63
 ])
 def test_canonical_pass_hands_the_dedup_one_row_per_multiple(
         monkeypatch, spec, w, D):
-    # every weight-w row the dedup is handed is a distinct multiple; the
-    # lower weights' rows, and all the duplicates, are the weight-(w - 2)
-    # search's
+    # every search of either route, bounded or not, hands the dedup each
+    # multiple of its weight once: the rows are pairwise distinct, one
+    # per record
     ctx = make_context(parse_poly(spec))
     engine = build_engine(ctx)
-    weights = []
     add_rows = search._Dedup.add_rows
+    for algorithm in ("classical", "logarithmic"):
+        handed = []
 
-    def spy(self, rows, stored, probes, shift, D):
-        weights.extend((rows <= D).sum(axis=1).tolist())
-        add_rows(self, rows, stored, probes, shift, D)
+        def spy(self, rows, stored, probes, shift, D):
+            handed.extend(search._exponents(rows, D))
+            add_rows(self, rows, stored, probes, shift, D)
 
-    monkeypatch.setattr(search._Dedup, "add_rows", spy)
-    result = logtmto_find_all(ctx, engine, SearchParams.balanced(
-        w, D, "logarithmic"))
-    monkeypatch.undo()
-    top = sum(r.weight == w for r in result.records)
-    assert weights.count(w) == top > 0
-    lower = logtmto_find_all(ctx, engine, SearchParams.balanced(
-        w - 2, D, "logarithmic")).report
-    assert result.report.duplicates_suppressed == lower.duplicates_suppressed
-    assert result.report.found == top + lower.found
+        monkeypatch.setattr(search._Dedup, "add_rows", spy)
+        result = _route(algorithm)(ctx, engine, SearchParams.balanced(
+            w, D, algorithm))
+        monkeypatch.undo()
+        assert len(set(handed)) == len(handed) == result.report.found > 0
+        assert frozenset(handed) == result.exponent_sets()
+        assert result.report.duplicates_suppressed == 0
 
 
 def test_log_route_charges_a_batched_giant_pass():
@@ -789,14 +804,15 @@ def test_log_route_charges_a_batched_giant_pass():
     assert need / 2 <= peak <= need, (peak, need)
 
 
-def test_dedup_reduction_is_charged_before_it_runs():
-    # P=6,1,0, w=6, D=64: 119,785 multiples, held packed in 16 bytes each.
-    # With 1 MB beside the prediction the held rows fit, but reducing
-    # 32,596 of them takes a copy and 48 bytes a row more than is left:
-    # the run stops there, its traced peak under the budget
+def test_dedup_sort_is_charged_before_it_runs():
+    # P=6,1,0, w=6, D=48: 26,933 multiples, held packed in 16 bytes each.
+    # With 1 MB beside the prediction the held rows fit, but sorting them
+    # takes a copy of them, 48 bytes a row and the 88-byte rows it
+    # returns, more than is left: the run stops there, its traced peak
+    # under the budget
     ctx = make_context(parse_poly("6,1,0"))
     engine = build_engine(ctx)
-    params, predicted = _log_route_need(ctx, 6, 64)
+    params, predicted = _log_route_need(ctx, 6, 48)
     room = 2**20
     budget = predicted + room
     logtmto_find_all(ctx, engine, params)  # the engine's lazy set-up
@@ -804,12 +820,12 @@ def test_dedup_reduction_is_charged_before_it_runs():
     try:
         with pytest.raises(MemoryBudgetExceededError) as exc:
             logtmto_find_all(ctx, engine, SearchParams.balanced(
-                6, 64, "logarithmic", budget_bytes=budget))
+                6, 48, "logarithmic", budget_bytes=budget))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     held, work = map(int, re.search(
-        r"multiples held \((\d+) bytes, and (\d+) to reduce them\)",
+        r"multiples held \((\d+) bytes, and (\d+) to sort them\)",
         str(exc.value)).groups())
     assert held <= room < held + work
     assert peak < budget, (peak, budget)
