@@ -20,8 +20,10 @@ median over REPS builds; and ``crossover_D``, the smallest D of the
 sweep from which ``logtmto`` wins at every larger D too.  A win is
 ``logtmto``'s median plus the build's below ``tmto``'s lower quartile:
 ``find-all --algorithm auto`` pays the build, and a tie within the
-run-to-run spread goes to ``tmto``.  ``cli.AUTO_LOG_MIN_DEGREE`` is set
-from the w = 4 sweep's value.
+run-to-run spread goes to ``tmto``.  ``cli.AUTO_LOG_MIN_DEGREE`` (2048)
+was set from the w = 4 sweep's value when a batched log cost about
+10 us; the sweep now gives 1024, and the constant stays at 2048 until
+ROADMAP item 3, a rule that weighs predicted work, replaces it.
 """
 
 import json

@@ -69,10 +69,10 @@ EXIT_EXHAUSTED = 5
 EXIT_LOG_DOMAIN = 6
 EXIT_VERIFY = 7
 
-# --algorithm auto takes the log route from this degree bound on: the
-# crossover_D of scripts/crossover.py (BENCH_crossover.json), the
-# smallest power of two from which logtmto plus its engine build beat
-# the array tmto at n=30, w=4 (medians of 5 calls; at D=1024 tmto leads).
+# --algorithm auto takes the log route from this degree bound on, the
+# n=30, w=4 crossover_D of scripts/crossover.py when a batched log cost
+# about 10 us (BENCH_crossover.json now gives 1024).  It stays at 2048
+# until ROADMAP item 3, a rule that weighs predicted work, replaces it.
 AUTO_LOG_MIN_DEGREE = 2048
 
 

@@ -23,7 +23,7 @@ difference that keeps both shifted halves at degree <= D (more than
 one once D reaches half the group order).  It is canonical wherever its
 probes cover all of [1, D], with the shifted probe half above the stored
 one, and elsewhere keeps the match whose probe half is the multiple's
-last short run of terms (``_last_run``).  Both routes then share one
+last short run of terms (``_split``).  Both routes then share one
 back end on arrays: a match is a row of its terms, and ``_Dedup`` holds
 the rows and sorts them once, which ``SearchResult`` holds; it builds
 the MultipleRecords only when asked.
@@ -33,10 +33,10 @@ module is the lexicographic order of the tuples both halves are made
 of (rank, unrank and block enumeration), ``_match_blocks`` and
 ``_match_rows`` are the log route's match kernel, ``_zero_pairs`` the
 pairing of halves that reduce to zero, ``_classical_exps`` the assembly
-of ``birthday_tmto``'s matches, and the row of a multiple (exponents
-padded with D + 1, then its stored, probe and shift provenance) the one
-format from match to result, which ``_match_records`` alone turns into
-MultipleRecords.  Each Zech-style log log(1 + tuple) is
+of ``birthday_tmto``'s matches, the row of a multiple (its exponents,
+padded with D + 1) the one format from match to result, ``_split`` the
+split through which a search meets it, and ``_match_records`` the maker
+of MultipleRecords.  Each Zech-style log log(1 + tuple) is
 taken once: phase 1 takes the logs of the tuples with an odd exponent in
 batches of LOG_CHUNK, one array call of ``discrete_log`` per batch, and
 ``_fill_even`` derives the rest by the Frobenius identity; phase 2 reads
@@ -76,9 +76,9 @@ DEFAULT_BUDGET_BYTES = 2**31
 MATCH_BLOCK = 8192
 
 # Work bytes per row of the dedup's final sort beside a copy of its rows
-# and the block it returns: the degree, the sort order and the sort's
-# own work (tracemalloc: at most 28 at 19,449 and 119,785 rows of 7 to
-# 12 columns).
+# and the block it returns: the unpacked rows or the degree, the sort
+# order and the sort's own work (tracemalloc: at most 23 at 19,449 to
+# 119,785 rows of 4 to 8 columns).
 SORT_ROW_BYTES = 48
 
 # Bit fields that _pack puts into one int64 at most; rows of fields that
@@ -147,8 +147,8 @@ class MultipleRecord:
     Equality and hashing are by the exponent set only; provenance is a
     (stored tuple, probe tuple, shift) that produced it, with shift None
     for the classical route: the one split through which an exhaustive
-    search met it (tmto_find_all, logtmto_find_all), or the smallest a
-    sampler saw.
+    search met it (tmto_find_all, logtmto_find_all), which _split derives
+    from its exponents, or the smallest a sampler saw.
     """
 
     poly: SparsePoly
@@ -289,21 +289,22 @@ class RunReport:
 
 @dataclass(eq=False)
 class SearchResult:
-    """The multiples of one exhaustive search, kept as the rows of
-    _Dedup.sorted_rows: one block (rows, stored, probes, shift) of
-    exponents padded with D + 1, sorted by (degree, exponents), and their
-    provenance columns, the split each was met through.  records builds
-    one MultipleRecord per row on its first read and keeps the list."""
+    """The multiples of one exhaustive run, kept as _Dedup.sorted_rows:
+    one row of exponents per multiple, padded with D + 1, sorted by
+    (degree, exponents); and the run's searches (_levels).  records
+    builds one MultipleRecord per row on its first read and keeps the
+    list; its provenance is the row's _split under the search of its
+    weight."""
 
-    rows: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+    rows: np.ndarray
     report: RunReport
+    levels: list[SearchParams]
 
     def exponent_blocks(self):
         """The multiples' exponent tuples in record order, a list of at
         most 1024 per block."""
-        rows = self.rows[0]
-        for at in range(0, len(rows), 1024):
-            yield _exponents(rows[at:at + 1024], self.report.D)
+        for at in range(0, len(self.rows), 1024):
+            yield _exponents(self.rows[at:at + 1024], self.report.D)
 
     def exponent_sets(self) -> frozenset[tuple[int, ...]]:
         return frozenset(chain.from_iterable(self.exponent_blocks()))
@@ -311,13 +312,23 @@ class SearchResult:
     @cached_property
     def records(self) -> list[MultipleRecord]:
         """One record per multiple, sorted by (degree, exponents).  Parts
-        of 1024 rows keep their lists small beside the records."""
-        records, tuples = [], {}
-        for at in range(0, len(self.rows[0]), 1024):
-            part = [col[at:at + 1024] for col in self.rows]
+        of 1024 rows keep their lists small beside the records; a part's
+        splits are padded with zeros to the rows' width."""
+        D, records, tuples = self.report.D, [], {}
+        for at in range(0, len(self.rows), 1024):
+            rows = self.rows[at:at + 1024]
+            weight = (rows <= D).sum(axis=1)
+            stored, probes = np.zeros_like(rows), np.zeros_like(rows)
+            shift = np.zeros(len(rows), np.int64)
+            for level in self.levels:
+                of = weight == level.w
+                a, b, shift[of] = _split(
+                    rows[of, :level.w], level.q1, _probe_bound(level),
+                    level.algorithm == ALGO_CLASSICAL)
+                stored[of, :a.shape[1]], probes[of, :b.shape[1]] = a, b
             records += [MultipleRecord.of(exps, prov, checked=False)
                         for exps, prov in _match_records(
-                            *part, self.report.D, tuples)]
+                            rows, stored, probes, shift, D, tuples)]
         return records
 
 
@@ -522,7 +533,9 @@ def _unpack(packed: np.ndarray, widths: list[int]) -> np.ndarray:
     if packed.shape[1] > 1:
         return packed
     low = np.cumsum([0] + widths[:0:-1])[::-1]  # bits below each field
-    return (packed >> low) & ((1 << np.array(widths)) - 1)
+    out = packed >> low
+    out &= (1 << np.array(widths)) - 1
+    return out
 
 
 def _exponents(rows: np.ndarray, D: int) -> list[tuple[int, ...]]:
@@ -601,11 +614,13 @@ def _match_block_bytes(M: int, D: int, q1: int, q2: int, stored: int,
                        probes: int) -> int:
     """Bytes of the log route's match block: the matches a chunk of
     probes is expected to make (a window of 2D + 1 logs holds a
-    (2D + 1) / M share of the table), at most MATCH_BLOCK, each with the
-    kernel's indices, its row and its dedup rows, gathered and packed."""
+    (2D + 1) / M share of the table), at most MATCH_BLOCK, each with, in
+    words (w = q1 + q2 + 2), the kernel's indices (12), its halves and
+    row (2w - 2), a bounded search's _split (2w) and its dedup row,
+    gathered and packed (w + 1)."""
     chunk = min(LOG_CHUNK, probes)
     matches = min(MATCH_BLOCK, -(-chunk * stored * (2 * D + 1) // M))
-    return matches * 8 * (3 * (q1 + q2 + 2) + 2 * q2 + 23)
+    return matches * 8 * (5 * (q1 + q2 + 2) + 11)
 
 
 def _log_route_bytes(M: int, D: int, q1: int, q2: int, stored: int,
@@ -660,16 +675,13 @@ class _Dedup:
     """The rows of an exhaustive run's multiples, held packed and sorted
     once, at the end.  Each search of the run hands in every multiple of
     its weight exactly once (_levels), so no two rows are equal and none
-    is dropped.
+    is dropped; a row's provenance is not held, since _split derives it.
 
-    add_rows() takes a block of either route's matches, of any size:
-    rows of exponents (ascending, padded with D + 1) with their stored
-    tuples, probe tuples and shifts (0 for the classical None).  Blocks
-    are gathered to MATCH_BLOCK rows, then held in one row format: the
-    row as key, then stored, probe and shift + D, each part packed into
-    one int64 where it fits.  widths gives the columns of the key, stored
-    and probe parts; a narrower block is padded, its rows with D + 1 and
-    its tuples with zeros.
+    add_rows() takes a block of either route's multiples, of any size:
+    rows of exponents, ascending, padded with D + 1.  A narrower block is
+    padded to width columns, the run's highest weight.  Blocks are
+    gathered to MATCH_BLOCK rows, then held packed into one int64 per
+    row where they fit.
 
     room is the memory budget left beside the route's predicted peak,
     which charges the block being added and its gathering but not the
@@ -683,12 +695,12 @@ class _Dedup:
     prediction, is gone by then.
     """
 
-    __slots__ = ("room", "widths", "_bytes", "_pending", "_pending_rows",
-                 "_blocks", "_width", "_format")
+    __slots__ = ("room", "width", "_bytes", "_pending", "_pending_rows",
+                 "_blocks", "_format")
 
-    def __init__(self, room: int, widths: tuple[int, int, int]):
+    def __init__(self, room: int, width: int):
         self.room = room
-        self.widths = widths
+        self.width = width
         self._bytes = 0  # of the gathered and packed rows held
         self._pending: list[np.ndarray] = []  # gathered blocks, unpacked
         self._pending_rows = 0
@@ -704,26 +716,15 @@ class _Dedup:
                 "bytes); lower the degree bound or use the sampling search"
             )
 
-    def add_rows(self, rows: np.ndarray, stored: np.ndarray,
-                 probes: np.ndarray, shift: np.ndarray, D: int) -> None:
-        key, width, probe = self.widths
-        cols = key + width + probe + 1
-        self._check_room(self._bytes, MATCH_BLOCK * 8 * cols)
-        # bits of each field: exponents up to the pad D + 1 in the key,
-        # exponents up to D and shift + D up to 2D in the provenance
-        self._format = (
-            D, width, [(D + 1).bit_length()] * key,
-            [D.bit_length()] * (width + probe) + [(2 * D).bit_length()],
-        )
-        a, b, c = rows.shape[1], key + stored.shape[1], key + width + probes.shape[1]
-        block = np.empty((len(rows), cols), np.int64)
-        block[:, :a], block[:, a:key] = rows, D + 1
-        block[:, key:b], block[:, b:key + width] = stored, 0
-        block[:, key + width:c], block[:, c:-1] = probes, 0
-        np.add(shift, D, out=block[:, -1])
-        self._pending.append(block)
-        self._bytes += block.nbytes
-        del block  # _pack frees the gathered rows
+    def add_rows(self, rows: np.ndarray, D: int) -> None:
+        self._check_room(self._bytes, MATCH_BLOCK * 8 * self.width)
+        # bits of each field: exponents up to the pad D + 1
+        self._format = D, [(D + 1).bit_length()] * self.width
+        pad = self.width - rows.shape[1]
+        if pad:
+            rows = np.hstack((rows, np.full((len(rows), pad), D + 1)))
+        self._pending.append(rows)
+        self._bytes += rows.nbytes
         self._pending_rows += len(rows)
         if self._pending_rows >= MATCH_BLOCK:
             self._pack()
@@ -732,43 +733,34 @@ class _Dedup:
         """Pack the gathered blocks into one held block."""
         block = np.concatenate(self._pending)
         self._pending, self._pending_rows = [], 0
-        key_bits, prov_bits = self._format[2:]
-        keys = _pack(block[:, :len(key_bits)], key_bits)
-        self._width = keys.shape[1]
-        provs = _pack(block[:, len(key_bits):], prov_bits)
-        del block
-        self._blocks.append(np.hstack((keys, provs)))
+        self._blocks.append(_pack(block, self._format[1]))
         self._bytes = sum(block.nbytes for block in self._blocks)
 
-    def sorted_rows(self):
-        """The multiples of add_rows() as one block (rows, stored, probes,
-        shift) in the format add_rows() takes, sorted by (degree,
-        exponents); the dedup holds no rows afterwards.
+    def sorted_rows(self) -> np.ndarray:
+        """The multiples of add_rows() as one block of width columns, in
+        the format add_rows() takes, sorted by (degree, exponents); the
+        dedup holds no rows afterwards.
 
-        One sort orders them, by degree and then by key: two rows of equal
+        One sort orders them, by degree and then by row: two rows of equal
         degree both end in it before their padding, so neither is a
-        prefix of the other, and the key orders them as their exponents."""
+        prefix of the other, and the row orders them as their exponents."""
         if self._pending:
             self._pack()
         if not self._blocks:
-            none = np.empty((0, 0), np.int64)
-            return none, none, none, np.empty(0, np.int64)
-        D, q1, key_bits, prov_bits = self._format
+            return np.empty((0, self.width), np.int64)
+        D, bits = self._format
         count = sum(map(len, self._blocks))
-        row_bytes = 8 * (len(key_bits) + len(prov_bits))
+        row_bytes = 8 * self.width
         self._check_room(self._bytes, MATCH_BLOCK * row_bytes, self._bytes
                          + count * (SORT_ROW_BYTES + row_bytes))
-        rows = np.concatenate(self._blocks)
+        keys = np.concatenate(self._blocks)
         self._blocks, self._bytes = [], 0
-        keys = _unpack(rows[:, :self._width], key_bits)
-        degree = keys.max(axis=1, where=keys <= D, initial=0)
-        order = np.lexsort((*rows[:, self._width - 1::-1].T, degree))
+        rows = _unpack(keys, bits)
+        degree = rows.max(axis=1, where=rows <= D, initial=0)
+        del rows
+        order = np.lexsort((*keys.T[::-1], degree))
         del degree
-        keys = keys[order]
-        prov = rows[order, self._width:]
-        del rows, order
-        prov = _unpack(prov, prov_bits)
-        return keys, prov[:, :q1], prov[:, q1:-1], prov[:, -1] - D
+        return _unpack(keys[order], bits)
 
 
 def _levels(params: SearchParams, M: int) -> list[SearchParams]:
@@ -805,16 +797,15 @@ def _run(ctx: FieldContext, params: SearchParams, name: str, need,
     _check_budget(predicted, params.budget_bytes)
     report = RunReport(algorithm=name, w=top.w, D=top.D, q1=top.q1,
                        q2=top.q2)
-    dedup = _Dedup(params.budget_bytes - predicted, (
-        top.w, max(p.q1 for p in levels), max(p.q2 for p in levels)))
+    dedup = _Dedup(params.budget_bytes - predicted, top.w)
     xp = ctx.powers(2, top.D + 1).view(np.int64) if top.q2 else None
     for level in levels:
         search(level, xp, dedup, report)
     t0 = time.perf_counter()
     rows = dedup.sorted_rows()
-    report.found = len(rows[0])
+    report.found = len(rows)
     report.phase2_seconds += time.perf_counter() - t0
-    return SearchResult(rows, report)
+    return SearchResult(rows, report, levels)
 
 
 def _residues(xp: np.ndarray, tuples: np.ndarray) -> np.ndarray:
@@ -864,12 +855,12 @@ def _tmto_bytes(n: int, D: int, q1: int, q2: int) -> int:
 def _tmto_block_bytes(n: int, D: int, q1: int, q2: int) -> int:
     """Bytes of tmto_find_all's block of rows: MATCH_BLOCK plus the
     C(D, s) C(D, q1) / M hits a prefix's suffixes are expected to make,
-    but no more than all hits, each row of w exponents with its halves
-    and provenance, its packed dedup row and the work of building them."""
+    but no more than all hits, each with, in words (w = q1 + q2 + 1), its
+    row (w), its dedup row, gathered and packed (w + 1), and work (7)."""
     entries, M = comb(D, q1), (1 << n) - 1
     rows = min(MATCH_BLOCK - (-comb(D, _suffix_size(q2)) * entries // M),
                -(-comb(D, q2) * entries // M))
-    return rows * 8 * (4 * (q1 + q2 + 1) + 8)
+    return rows * 8 * (2 * (q1 + q2 + 1) + 8)
 
 
 def tmto_find_all(ctx: FieldContext, params: SearchParams) -> SearchResult:
@@ -966,17 +957,16 @@ def _tmto_search(n: int, params: SearchParams, xp: np.ndarray,
         rows[:, 1:q1 + 1] = stored[at]
         rows[:, q1 + 1:w - s] = prefix
         rows[:, w - s:] = suffixes[cand]
-        dedup.add_rows(rows, rows[:, 1:q1 + 1], rows[:, q1 + 1:],
-                       np.zeros(len(rows), np.int64), D)
+        dedup.add_rows(rows, D)
     report.phase2_seconds += time.perf_counter() - t0
 
 
 def _probe_bound(params: SearchParams) -> int:
-    """The degree bound of a log search's probe tuples: second_phase_bound
-    where it is proven (the balanced split with q1 <= 1: w = 3, 4, 5 with
-    the default split), else D, where the search is canonical."""
+    """The degree bound of a search's probe tuples: second_phase_bound for
+    a log search where it is proven (the balanced split with q1 <= 1:
+    w = 3, 4, 5 with the default split), else D (canonical searches)."""
     q1, q2 = params.q1, params.q2
-    if q1 <= 1 <= q2 <= q1 + 1:
+    if params.algorithm == ALGO_LOGARITHMIC and q1 <= 1 <= q2 <= q1 + 1:
         return second_phase_bound(params.D, params.w, q2)
     return params.D
 
@@ -1006,9 +996,10 @@ def logtmto_find_all(
 
     Where it is proven (the balanced split with q1 <= 1), phase 2 probes
     only tuples up to second_phase_bound, and a weight-w multiple is kept
-    through the one match whose probe half x^s (1 + B) is the last run
-    of q2 + 1 consecutive terms spanning at most the bound (_last_run):
-    second_phase_bound shows that the match exists.  Everywhere else
+    through its _split, the one match where no term cancels and whose
+    probe half x^s (1 + B) is the last run of q2 + 1 consecutive terms
+    spanning at most the bound: second_phase_bound shows that it exists.
+    Everywhere else
     phase 2 probes every q2-tuple over [1, D], and the search is
     canonical.  Proof.  Let 1 + x^e1 + ... + x^e(w-1), 0 < e1 < ... <
     e(w-1) <= D, be a multiple.  (a) Its split is unique: the stored half
@@ -1034,24 +1025,29 @@ def logtmto_find_all(
                 partial(_log_search, engine))
 
 
-def _last_run(rows: np.ndarray, probes: np.ndarray, shift: np.ndarray,
-              bound: int, D: int) -> np.ndarray:
-    """Which matches of a bounded log search (probes up to bound) are
-    kept: those where no term cancelled (the _cancel row holds no pad)
-    and the probe half x^e (1 + B), e = max(shift, 0), is the last run of
-    q2 + 1 consecutive terms of the multiple that spans at most bound.
+def _split(rows: np.ndarray, q1: int, bound: int, classical: bool):
+    """The split (stored, probes, shift) through which a weight-w search
+    storing q1-tuples meets each multiple of rows, (N, w) exponents.
 
-    A multiple determines that run, hence its split, so it is kept at
-    most once.  A run from term e to term e + max B holds the probe
-    half's q2 + 1 terms exactly when no stored term lies inside it.
-    """
-    q2, runs = probes.shape[1], rows.shape[1] - probes.shape[1]
-    within = rows[:, q2:] - rows[:, :runs] <= bound
-    last = runs - 1 - within[:, ::-1].argmax(axis=1)
-    low = np.maximum(shift, 0)
-    row = np.arange(len(rows))
-    return ((rows[:, -1] <= D) & (rows[row, last] == low)
-            & (rows[row, last + q2] == low + probes[:, -1]))
+    The probe half is the multiple's last run of w - 1 - q1 consecutive
+    terms that spans at most bound (_probe_bound; where it is D, the last
+    terms), and the stored half is the rest.  tmto gives both halves as
+    plain terms, 1 + stored + probe, with shift 0.  The log route gives
+    each as 1 + tuple shifted down to its lowest term: the shift s is the
+    probe half's lowest term, or minus the stored half's where the probe
+    half holds the 1, so the multiple is x^max(-s, 0) (1 + stored) +
+    x^max(s, 0) (1 + probe)."""
+    size = rows.shape[1] - 1 - q1
+    within = rows[:, size - 1:] - rows[:, :q1 + 2] <= bound
+    first = q1 + 1 - within[:, ::-1].argmax(axis=1)  # the run's first term
+    probe = np.take_along_axis(rows, first[:, None] + np.arange(size), 1)
+    rest = np.arange(q1 + 1)
+    stored = np.take_along_axis(
+        rows, rest + size * (rest >= first[:, None]), 1)
+    if classical:
+        return stored[:, 1:], probe, np.zeros(len(rows), np.int64)
+    shift = np.where(first > 0, probe[:, 0], -stored[:, 0])
+    return stored[:, 1:] - stored[:, :1], probe[:, 1:] - probe[:, :1], shift
 
 
 def _log_search(engine, params: SearchParams, xp, dedup: _Dedup,
@@ -1064,8 +1060,8 @@ def _log_search(engine, params: SearchParams, xp, dedup: _Dedup,
     default split), and runs the chunk through _match_blocks and
     _match_rows a block of at most MATCH_BLOCK matches at a time, with
     the zero probes' _zero_pairs; each block goes to the dedup
-    (_Dedup.add_rows), where the search is bounded only its _last_run
-    matches.
+    (_Dedup.add_rows), where the search is bounded only the matches that
+    have no term cancelled and are their row's _split.
     """
     q1, q2, D = params.q1, params.q2, params.D
     bound = _probe_bound(params)
@@ -1080,10 +1076,11 @@ def _log_search(engine, params: SearchParams, xp, dedup: _Dedup,
 
     def emit(rows, stored, probes, shift) -> int:
         if not canonical:
-            keep = _last_run(rows, probes, shift, bound, D)
-            rows, stored, probes, shift = (
-                rows[keep], stored[keep], probes[keep], shift[keep])
-        dedup.add_rows(rows, stored, probes, shift, D)
+            a, b, s = _split(rows, q1, bound, False)
+            rows = rows[(rows[:, -1] <= D) & (s == shift)
+                        & (a == stored).all(axis=1)
+                        & (b == probes).all(axis=1)]
+        dedup.add_rows(rows, D)
         return len(rows)
 
     t0 = time.perf_counter()

@@ -519,20 +519,19 @@ def _predicted_6_1_0(algorithm):
 def test_find_all_exits_4_once_held_multiples_pass_the_budget(
         algorithm, monkeypatch, capsys):
     # P=6,1,0, w=6, D=64 has 119,785 multiples, each handed to the dedup
-    # once and held packed in 16 bytes: 1.9 MB.  With 1 MB of budget
+    # once and held packed in 8 bytes: 0.96 MB.  With 512 KiB of budget
     # beside the route's prediction the run stops with exit 4 before its
     # final sort, and no block is taken while the dedup holds more than
     # one MATCH_BLOCK of gathered rows beyond it.
     predicted = _predicted_6_1_0(algorithm)
-    room = 2**20
+    room = 2**19
     taken = []
     add_rows = search._Dedup.add_rows
 
-    def spy(self, rows, stored, probes, shift, D):
+    def spy(self, rows, D):
         held = self._bytes
-        add_rows(self, rows, stored, probes, shift, D)
-        row_bytes = 8 * (rows.shape[1] + stored.shape[1] + probes.shape[1] + 1)
-        taken.append(held - MATCH_BLOCK * row_bytes)
+        add_rows(self, rows, D)
+        taken.append(held - MATCH_BLOCK * 8 * self.width)
 
     monkeypatch.setattr(search._Dedup, "add_rows", spy)
     code, out, err = run_cli(
@@ -550,11 +549,11 @@ def test_find_all_exits_4_once_held_multiples_pass_the_budget(
 @pytest.mark.parametrize("algorithm", ["tmto", "logtmto"])
 def test_find_all_exits_4_before_unpacking_past_the_budget(
         algorithm, monkeypatch, capsys):
-    # P=6,1,0, w=6, D=64: the held rows stay under 2.7 MB, but sorting
-    # the 119,785 multiples takes a copy of them, 48 bytes a row and the
-    # 12 (tmto) or 11 int64 columns they unpack into, 11.5 or 10.5 MB.
-    # With 6 MB beside the prediction every block is taken, and the run
-    # stops with exit 4 before its one sort.
+    # P=6,1,0, w=6, D=64: the held rows stay under 1 MB, but sorting the
+    # 119,785 multiples takes a copy of them, 48 bytes a row and the 6
+    # int64 columns they unpack into, 12.5 MB.  With 6 MB beside the
+    # prediction every block is taken, and the run stops with exit 4
+    # before its one sort.
     room = 6 * 2**20
     reached = []
     sorted_rows = search._Dedup.sorted_rows

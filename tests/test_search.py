@@ -651,6 +651,21 @@ def test_exponent_sets_from_rows_equal_the_records(n, seed, w, degree,
     assert result.report.found == len(records)
     assert [exps for block in result.exponent_blocks()
             for exps in block] == [r.poly.exponents for r in records]
+    # each provenance, derived from its row, reassembles into the
+    # multiple and is the split its weight's search keeps
+    for record in records:
+        exps, (a, b, s) = record.poly.exponents, record.provenance
+        if algorithm == "classical":
+            assert s is None and (0, *a, *b) == exps
+            assert max(a, default=0) < b[0]
+            continue
+        lo, hi = max(-s, 0), max(s, 0)
+        assert tuple(sorted([lo, *(lo + e for e in a),
+                             hi, *(hi + e for e in b)])) == exps
+        if len(exps) in (3, 4, 5):  # bounded: the balanced split, q1 <= 1
+            assert max(b, default=0) <= second_phase_bound(D, len(exps), len(b))
+        else:
+            assert s > max(a, default=0)
 
 
 @pytest.mark.parametrize("algorithm", ["classical", "logarithmic"])
@@ -768,9 +783,9 @@ def test_canonical_pass_hands_the_dedup_one_row_per_multiple(
     for algorithm in ("classical", "logarithmic"):
         handed = []
 
-        def spy(self, rows, stored, probes, shift, D):
+        def spy(self, rows, D):
             handed.extend(search._exponents(rows, D))
-            add_rows(self, rows, stored, probes, shift, D)
+            add_rows(self, rows, D)
 
         monkeypatch.setattr(search._Dedup, "add_rows", spy)
         result = _route(algorithm)(ctx, engine, SearchParams.balanced(
@@ -805,9 +820,9 @@ def test_log_route_charges_a_batched_giant_pass():
 
 
 def test_dedup_sort_is_charged_before_it_runs():
-    # P=6,1,0, w=6, D=48: 26,933 multiples, held packed in 16 bytes each.
+    # P=6,1,0, w=6, D=48: 26,933 multiples, held packed in 8 bytes each.
     # With 1 MB beside the prediction the held rows fit, but sorting them
-    # takes a copy of them, 48 bytes a row and the 88-byte rows it
+    # takes a copy of them, 48 bytes a row and the 48-byte rows it
     # returns, more than is left: the run stops there, its traced peak
     # under the budget
     ctx = make_context(parse_poly("6,1,0"))
