@@ -12,6 +12,10 @@ tabulated) it builds the default engine and times REPS calls of
 calls on a one-element array, and one scalar call (an int, not an
 array) on each element of the batch.  It checks every answer of the
 first batch by ``ctx.pow(2, y)``, and the scalar answers against it.
+The scalar field kernel under the scalar log is timed over the batch's
+elements too, REPS loops each: ``ctx.mul`` (each element times the
+next), ``ctx.sqr`` and the flat projection, ``ctx.pows`` of the
+engine's cofactors M/q, which is most of a scalar log.
 
 It also counts the array products of one batch: those of the
 projections by the flat method (one product per set bit of each
@@ -22,9 +26,10 @@ one batch, per element, is what ``dlog.BATCH_LOG_BYTES`` models.
 
 Writes BENCH_logs.json at the repository root: per instance, the
 minimum and median µs per log over the REPS calls, the minimum and
-median µs of the scalar logs over the batch's elements, both product
-counts, the measured calls and the bytes per element.  The n = 53 build takes
-about 15 s and 0.5 GB.
+median µs of the scalar logs over the batch's elements, the minimum and
+median µs per call of the three scalar kernels over the REPS loops,
+both product counts, the measured calls and the bytes per element.
+The n = 53 build takes about 15 s and 0.5 GB.
 """
 
 import json
@@ -99,6 +104,18 @@ def _us_per_scalar_log(engine, elems, ys):
     return {"min": min(times), "median": statistics.median(times)}
 
 
+def _us_per_call(fn, args):
+    """µs per call of fn over the argument tuples, a loop over all of
+    them REPS times."""
+    times = []
+    for _ in range(REPS):
+        t0 = perf_counter()
+        for a in args:
+            fn(*a)
+        times.append((perf_counter() - t0) / len(args) * 1e6)
+    return {"min": min(times), "median": statistics.median(times)}
+
+
 def measure(poly):
     ctx = make_context(parse_poly(poly))
     M = ctx.order
@@ -136,6 +153,8 @@ def measure(poly):
     finally:
         tracemalloc.stop()
 
+    ints = elems.tolist()
+    pairs = list(zip(ints, ints[1:] + ints[:1]))
     row = {
         "poly": poly,
         "n": ctx.n,
@@ -144,6 +163,10 @@ def measure(poly):
         "us_per_log_batch": _us_per_log(engine, elems),
         "us_per_log_single": _us_per_log(engine, elems[:1]),
         "us_per_scalar_log": _us_per_scalar_log(engine, elems, ys),
+        "us_per_scalar_mul": _us_per_call(ctx.mul, pairs),
+        "us_per_scalar_sqr": _us_per_call(ctx.sqr, [(a,) for a in ints]),
+        "us_per_flat_projection": _us_per_call(
+            ctx.pows, [(a, *engine._flat[1]) for a in ints]),
         "projection_products_flat": sum(
             (M // p**e).bit_count() - 1 for p, e in ctx.factorization),
         "projection_products_tree": _tree_products(engine._tree),
@@ -153,7 +176,11 @@ def measure(poly):
     print(f"n={ctx.n}: {row['us_per_log_batch']['min']:.2f} us/log "
           f"(batch of {BATCH}), {row['us_per_log_single']['min']:.0f} us "
           f"(batch of one), {row['us_per_scalar_log']['median']:.0f} us "
-          f"(scalar, median); projection products "
+          f"(scalar, median); scalar mul "
+          f"{row['us_per_scalar_mul']['median'] * 1e3:.0f} ns, sqr "
+          f"{row['us_per_scalar_sqr']['median'] * 1e3:.0f} ns, flat "
+          f"projection {row['us_per_flat_projection']['median']:.0f} us; "
+          f"projection products "
           f"{row['projection_products_flat']} flat, "
           f"{row['projection_products_tree']} tree; "
           f"{calls} mul_table calls; {row['traced_bytes_per_element']:.0f} B "

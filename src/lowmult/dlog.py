@@ -35,10 +35,14 @@ and the tree:
   that minimises the array products (``_product_tree``);
 * ints walk the flat split, one node whose parts are the single prime
   powers in the product tree's leaf order, which the Garner table
-  follows.  The DP prices array products only; on Python ints the
-  tree's extra squarings measured slower at n = 43, while the flat
-  split's one chain of at most n - 1 squarings matches a per-prime
-  projection, and a prime group order such as 2^31 - 1 takes none.
+  follows.  The DP prices array products only, where a squaring is a
+  few gathers; on ints a product and a squaring cost about the same
+  (one spread product and its reduction), and the flat split's one
+  chain of at most n - 1 squarings measured faster than the tree's
+  several chains per scalar log at n = 18, 30 and 43 (43, 84 and 85 µs
+  against 50, 92 and 97), as fast at the n = 53 README modulus (114
+  µs), and slower only at the dense n = 36 modulus (195 against 166
+  µs).  A prime group order such as 2^31 - 1 takes no projection.
 
 The subgroup tables and giant blocks are ``ctx.powers`` arrays, so the
 engines built on one context share its one array field.

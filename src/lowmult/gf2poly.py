@@ -13,10 +13,12 @@ Two representations are used throughout the package:
 ``FieldContext`` owns the modulus.  Construction validates that P is
 primitive (irreducibility by the distinct-degree criterion, then the
 order test x^(M/p) != 1 for every prime p dividing M = 2^n - 1, using
-its own factorization of M) and precomputes the byte tables that make
-multiplication and squaring cheap.  Contexts are immutable after
-construction and safe to share between threads; all operations here are
-pure functions of their inputs.
+its own factorization of M) and builds its product kernel (``_kernel``):
+an element spread one bit to a byte, so that CPython's int product is
+the carry-less product, and a Barrett reduction of three such products.
+Powers run their whole square chain spread.  Contexts are immutable
+after construction and safe to share between threads; all operations
+here are pure functions of their inputs.
 
 The same elements also live in uint64 numpy arrays: each context holds
 one ``_BatchField`` (``ctx.batch``), its arithmetic on such arrays,
@@ -46,13 +48,6 @@ MAX_EXPONENT = 2**63 - 1
 # for one by a single factor.
 _POWERS_PRODUCT = 2**15
 _POWERS_WORK_BYTES = 49
-
-# Bit-spreading table: byte b -> 16-bit word with b's bits at even
-# positions.  Squaring a GF(2) polynomial just spreads its bits.
-_SPREAD = tuple(
-    sum(((b >> i) & 1) << (2 * i) for i in range(8)) for b in range(256)
-)
-
 
 class SparsePoly:
     """A binary polynomial stored as its sorted tuple of exponents.
@@ -186,6 +181,46 @@ def _poly_gcd_int(a: int, b: int) -> int:
     return a
 
 
+def _kernel(n: int, p: int):
+    """(spread, reduce, dense): products modulo the degree-n P (the int p)
+    by Kronecker substitution.
+
+    spread(a) puts bit i of a reduced element in byte i of an int.  The
+    int product of two spread elements then sums the terms of each
+    coefficient in its own byte, at most n <= 63 of them, so no carry
+    crosses a byte, and each byte's low bit is that coefficient of the
+    GF(2) product.  reduce(c) takes such a product, its bytes not yet
+    masked, to the spread residue mod P by Barrett's three products:
+    with mu = x^(2n) div P, the quotient c div P is (c div x^n) mu div
+    x^n, and the residue is the low n terms of c + q (P - x^n).  No byte
+    sum passes 2n - 1.  dense(s) gathers a spread residue back.
+    """
+    ones = int.from_bytes(b"\1" * 2 * n, "big")
+    low = ones >> 8 * n
+    zeros = int.from_bytes(b"0" * n, "big")
+    shift = 8 * n
+
+    def spread(a):
+        # the low bit of "0", "1" and the "b" of bin's "0b" is the digit
+        return int.from_bytes(bin(a).encode(), "big") & ones
+
+    mu, r = 0, 1 << 2 * n
+    while r.bit_length() > n:
+        s = r.bit_length() - 1 - n
+        mu |= 1 << s
+        r ^= p << s
+    mu, tail = spread(mu), spread(p ^ 1 << n)
+
+    def reduce(c):
+        q = (c >> shift & ones) * mu >> shift & ones
+        return (c + q * tail) & low
+
+    def dense(s):
+        return int((s + zeros).to_bytes(n, "big"), 2)
+
+    return spread, reduce, dense
+
+
 class FieldContext:
     """Residue arithmetic modulo a primitive polynomial P of degree n.
 
@@ -199,7 +234,7 @@ class FieldContext:
     """
 
     __slots__ = ("poly", "n", "order", "factorization", "mask", "batch",
-                 "_p_int", "_red")
+                 "_p_int", "_spread", "_reduce", "_dense")
 
     def __init__(self, poly: SparsePoly):
         n = poly.degree()
@@ -214,7 +249,7 @@ class FieldContext:
         self.mask = (1 << n) - 1
         self.order = (1 << n) - 1
         self._p_int = poly.to_int()
-        self._red = self._build_reduction_tables()
+        self._spread, self._reduce, self._dense = _kernel(n, self._p_int)
         if not self._is_irreducible():
             raise NotPrimitiveError(f"{poly} is reducible")
         self.factorization = factorize(self.order)
@@ -226,31 +261,6 @@ class FieldContext:
         self.batch = _BatchField(self)
 
     # -- construction helpers -------------------------------------------
-
-    def _build_reduction_tables(self):
-        """Byte tables for folding bits at positions >= n back below n.
-
-        table[k][b] == (b << (n + 8k)) mod P.  Products of two reduced
-        elements have at most 2n - 1 bits, so k < ceil((n - 1) / 8).
-        """
-        n, p_int = self.n, self._p_int
-        ntables = (n - 1 + 7) // 8 or 1
-        # x^(n+j) mod P for j = 0 .. 8*ntables - 1, by repeated shifts.
-        xpow = []
-        v = p_int ^ (1 << n)  # x^n mod P
-        for _ in range(8 * ntables):
-            xpow.append(v)
-            v <<= 1
-            if (v >> n) & 1:
-                v ^= p_int
-        tables = []
-        for k in range(ntables):
-            row = [0]
-            # doubling: entries b >= 2^i add x^(n+8k+i) to entry b - 2^i
-            for v in xpow[8 * k : 8 * k + 8]:
-                row += [r ^ v for r in row]
-            tables.append(tuple(row))
-        return tuple(tables)
 
     def _is_irreducible(self) -> bool:
         # Distinct-degree criterion: P of degree n is irreducible iff
@@ -266,93 +276,36 @@ class FieldContext:
     # -- arithmetic ------------------------------------------------------
 
     def mul(self, a: int, b: int) -> int:
-        """Product of two reduced elements.
-
-        Shift-XOR schoolbook, processed four multiplier bits at a time
-        through a small per-call product table; the unreduced product is
-        folded once at the end.
-        """
-        if a < b:
-            a, b = b, a
-        a2 = a << 1
-        a3 = a2 ^ a
-        a4 = a2 << 1
-        a8 = a4 << 1
-        t = (
-            0, a, a2, a3, a4, a4 ^ a, a4 ^ a2, a4 ^ a3,
-            a8, a8 ^ a, a8 ^ a2, a8 ^ a3,
-            a8 ^ a4, a8 ^ a4 ^ a, a8 ^ a4 ^ a2, a8 ^ a4 ^ a3,
-        )
-        acc = 0
-        shift = 0
-        while b:
-            nib = b & 15
-            if nib:
-                acc ^= t[nib] << shift
-            b >>= 4
-            shift += 4
-        # fold the bits above x^(n-1) back a byte at a time (hot spot)
-        n = self.n
-        hi = acc >> n
-        if not hi:
-            return acc
-        acc &= self.mask
-        red = self._red
-        k = 0
-        while hi:
-            acc ^= red[k][hi & 0xFF]
-            hi >>= 8
-            k += 1
-        return acc
+        """Product of two reduced elements, through the kernel."""
+        spread = self._spread
+        return self._dense(self._reduce(spread(a) * spread(b)))
 
     def sqr(self, a: int) -> int:
-        """Square of a reduced element via bit spreading (Frobenius)."""
-        acc = 0
-        shift = 0
-        while a:
-            acc |= _SPREAD[a & 0xFF] << shift
-            a >>= 8
-            shift += 16
-        # fold the high bits back exactly as in mul
-        n = self.n
-        hi = acc >> n
-        if not hi:
-            return acc
-        acc &= self.mask
-        red = self._red
-        k = 0
-        while hi:
-            acc ^= red[k][hi & 0xFF]
-            hi >>= 8
-            k += 1
-        return acc
+        """Square of a reduced element."""
+        s = self._spread(a)
+        return self._dense(self._reduce(s * s))
 
     def pow(self, a: int, e: int) -> int:
-        """a^e for e >= 0, by square-and-multiply."""
-        if e == 0:
-            return 1
-        result = 1
-        base = a
-        while True:
-            if e & 1:
-                result = self.mul(result, base)
-            e >>= 1
-            if not e:
-                return result
-            base = self.sqr(base)
+        """a^e for e >= 0."""
+        return self.pows(a, e)[0] if e else 1
 
     def pows(self, a: int, *exps: int) -> list[int]:
         """[a^e for e in exps], exponents >= 1, off one square chain of a
-        (the scalar twin of _BatchField.pows)."""
-        out = [None] * len(exps)
+        (the scalar twin of _BatchField.pows), run spread: one conversion
+        in, one out per power, none where every exponent is 1."""
         top = max(exps).bit_length() - 1
+        if not top:
+            return [a] * len(exps)
+        reduce = self._reduce
+        a = self._spread(a)
+        out = [None] * len(exps)
         for j in range(top + 1):
             for i, e in enumerate(exps):
                 if e >> j & 1:
-                    out[i] = a if out[i] is None else self.mul(out[i], a)
+                    out[i] = a if out[i] is None else reduce(out[i] * a)
             if j < top:
-                a = self.sqr(a)
-        return out
+                a = reduce(a * a)
+        return list(map(self._dense, out))
 
     def monomial_residue(self, k: int) -> int:
         """x^k mod P in O(log k) multiplications."""
@@ -418,8 +371,8 @@ class _BatchField:
         self.kbits = np.uint64(k)
         self.digit_mask = np.uint64((1 << k) - 1)
         # fold[h] clears the k bits h at x^n.. and adds (h x^n) mod P
-        self.fold = np.array(
-            [(h << n) ^ ctx._red[0][h] for h in range(1 << k)], dtype=np.uint64)
+        self.fold = np.array([(h << n) ^ _poly_mod_int(h << n, ctx._p_int)
+                              for h in range(1 << k)], dtype=np.uint64)
         # sq[j][b] is the square of b at byte j, bits past x^(n-1) cleared;
         # by linearity, entries b >= 2^i add the square of bit i to b - 2^i
         nbytes = -(-n // 8)

@@ -685,46 +685,53 @@ class _Dedup:
 
     room is the memory budget left beside the route's predicted peak,
     which charges the block being added and its gathering but not the
-    multiples, the run's output.  add_rows() raises
-    MemoryBudgetExceededError instead of taking a block while the rows
-    it holds, gathered and packed, pass room by more than MATCH_BLOCK
-    gathered rows, and sorted_rows() instead of sorting where the held
-    rows and the sort's work (a copy of them, SORT_ROW_BYTES per row and
-    the unpacked block it returns) would pass room by more than
-    MATCH_BLOCK returned rows: the route's block, charged in its
-    prediction, is gone by then.
+    multiples, the run's output.  The rows held, packed, and the work of
+    sorting them (a copy of them, SORT_ROW_BYTES per row and the
+    unpacked block sorted_rows() returns) may pass room by MATCH_BLOCK
+    returned rows at most: the route's block, charged in its prediction,
+    is gone by the sort.  add_rows() raises MemoryBudgetExceededError
+    instead of taking a block where the rows already held pass that, and
+    sorted_rows() instead of sorting where all the rows do.  Both check
+    one sum, which grows with the rows held, so add_rows() raises only
+    where sorted_rows() would, and a run whose sort cannot fit stops at
+    the first block past that point.
     """
 
-    __slots__ = ("room", "width", "_bytes", "_pending", "_pending_rows",
+    __slots__ = ("room", "width", "_rows", "_pending", "_pending_rows",
                  "_blocks", "_format")
 
     def __init__(self, room: int, width: int):
         self.room = room
         self.width = width
-        self._bytes = 0  # of the gathered and packed rows held
+        self._rows = 0  # held, gathered and packed
         self._pending: list[np.ndarray] = []  # gathered blocks, unpacked
         self._pending_rows = 0
         self._blocks: list[np.ndarray] = []
 
-    def _check_room(self, held: int, spare: int, work: int = 0) -> None:
-        """Raise unless held bytes and work fit room and spare bytes."""
-        if held + work > self.room + spare:
-            more = f", and {work} to sort them" if work else ""
+    def _check_room(self) -> None:
+        """Raise unless the rows held and their sort fit room and
+        MATCH_BLOCK returned rows."""
+        row_bytes = 8 * self.width
+        held = self._rows * (8 if sum(self._format[1]) <= PACK_BITS
+                             else row_bytes)  # what _pack makes of them
+        work = held + self._rows * (SORT_ROW_BYTES + row_bytes)
+        if held + work > self.room + MATCH_BLOCK * row_bytes:
             raise MemoryBudgetExceededError(
-                f"multiples held ({held} bytes{more}) exceed the memory "
-                f"budget left beside the predicted tables ({self.room} "
-                "bytes); lower the degree bound or use the sampling search"
+                f"multiples held ({held} bytes, and {work} to sort them) "
+                "exceed the memory budget left beside the predicted tables "
+                f"({self.room} bytes); lower the degree bound or use the "
+                "sampling search"
             )
 
     def add_rows(self, rows: np.ndarray, D: int) -> None:
-        self._check_room(self._bytes, MATCH_BLOCK * 8 * self.width)
         # bits of each field: exponents up to the pad D + 1
         self._format = D, [(D + 1).bit_length()] * self.width
+        self._check_room()
         pad = self.width - rows.shape[1]
         if pad:
             rows = np.hstack((rows, np.full((len(rows), pad), D + 1)))
         self._pending.append(rows)
-        self._bytes += rows.nbytes
+        self._rows += len(rows)
         self._pending_rows += len(rows)
         if self._pending_rows >= MATCH_BLOCK:
             self._pack()
@@ -734,7 +741,6 @@ class _Dedup:
         block = np.concatenate(self._pending)
         self._pending, self._pending_rows = [], 0
         self._blocks.append(_pack(block, self._format[1]))
-        self._bytes = sum(block.nbytes for block in self._blocks)
 
     def sorted_rows(self) -> np.ndarray:
         """The multiples of add_rows() as one block of width columns, in
@@ -748,13 +754,10 @@ class _Dedup:
             self._pack()
         if not self._blocks:
             return np.empty((0, self.width), np.int64)
+        self._check_room()
         D, bits = self._format
-        count = sum(map(len, self._blocks))
-        row_bytes = 8 * self.width
-        self._check_room(self._bytes, MATCH_BLOCK * row_bytes, self._bytes
-                         + count * (SORT_ROW_BYTES + row_bytes))
         keys = np.concatenate(self._blocks)
-        self._blocks, self._bytes = [], 0
+        self._blocks, self._rows = [], 0
         rows = _unpack(keys, bits)
         degree = rows.max(axis=1, where=rows <= D, initial=0)
         del rows

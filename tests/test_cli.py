@@ -515,23 +515,33 @@ def _predicted_6_1_0(algorithm):
                             _logged_tuples(64, 2))
 
 
+def _held_and_sort(err):
+    """The held and sort bytes of an exit-4 message of the dedup."""
+    return map(int, re.search(
+        r"error: multiples held \((\d+) bytes, and (\d+) to sort them\)",
+        err).groups())
+
+
 @pytest.mark.parametrize("algorithm", ["tmto", "logtmto"])
 def test_find_all_exits_4_once_held_multiples_pass_the_budget(
         algorithm, monkeypatch, capsys):
     # P=6,1,0, w=6, D=64 has 119,785 multiples, each handed to the dedup
-    # once and held packed in 8 bytes: 0.96 MB.  With 512 KiB of budget
-    # beside the route's prediction the run stops with exit 4 before its
-    # final sort, and no block is taken while the dedup holds more than
-    # one MATCH_BLOCK of gathered rows beyond it.
+    # once and held packed in 8 bytes: 0.96 MB, and 12.5 MB with their
+    # sort's work (a copy, 48 bytes a row and 6 unpacked int64 columns,
+    # 112 bytes a row in all).  With 512 KiB of budget beside the route's
+    # prediction the run stops with exit 4 while it matches, and no block
+    # is taken while the rows held and their sort pass the room by more
+    # than one MATCH_BLOCK of returned rows.
     predicted = _predicted_6_1_0(algorithm)
     room = 2**19
+    spare = MATCH_BLOCK * 8 * 6
     taken = []
     add_rows = search._Dedup.add_rows
 
     def spy(self, rows, D):
-        held = self._bytes
+        held = self._rows
         add_rows(self, rows, D)
-        taken.append(held - MATCH_BLOCK * 8 * self.width)
+        taken.append(held)
 
     monkeypatch.setattr(search._Dedup, "add_rows", spy)
     code, out, err = run_cli(
@@ -540,10 +550,11 @@ def test_find_all_exits_4_once_held_multiples_pass_the_budget(
         capsys)
     assert code == 4
     assert out == ""
-    assert "error: multiples held" in err and "budget" in err
-    assert "to sort them" not in err
+    held, work = _held_and_sort(err)
+    assert "budget" in err
+    assert held + work > room + spare
     assert len(taken) > 1  # past the up-front check
-    assert max(taken) <= room
+    assert max(taken) * 112 <= room + spare
 
 
 @pytest.mark.parametrize("algorithm", ["tmto", "logtmto"])
@@ -552,14 +563,15 @@ def test_find_all_exits_4_before_unpacking_past_the_budget(
     # P=6,1,0, w=6, D=64: the held rows stay under 1 MB, but sorting the
     # 119,785 multiples takes a copy of them, 48 bytes a row and the 6
     # int64 columns they unpack into, 12.5 MB.  With 6 MB beside the
-    # prediction every block is taken, and the run stops with exit 4
-    # before its one sort.
+    # prediction the rows fit and their sort does not: the run stops with
+    # exit 4 as soon as the rows it holds and their sort pass the room,
+    # while it matches, and never reaches the sort.
     room = 6 * 2**20
     reached = []
     sorted_rows = search._Dedup.sorted_rows
 
     def spy(self):
-        reached.append(self._bytes)
+        reached.append(self._rows)
         return sorted_rows(self)
 
     monkeypatch.setattr(search._Dedup, "sorted_rows", spy)
@@ -570,9 +582,7 @@ def test_find_all_exits_4_before_unpacking_past_the_budget(
         capsys)
     assert code == 4
     assert out == ""
-    held, work = map(int, re.search(
-        r"error: multiples held \((\d+) bytes, and (\d+) to sort them\)",
-        err).groups())
+    held, work = _held_and_sort(err)
     assert "budget" in err
-    assert len(reached) == 1
+    assert reached == []
     assert held <= room < held + work

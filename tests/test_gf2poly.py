@@ -157,34 +157,71 @@ def test_random_primitive_poly_is_primitive():
         make_context(p)  # must not raise
 
 
-def _reference_reduction_tables(p_int: int, n: int):
-    """table[k][b] == (b << (n + 8k)) mod P, one bit of b at a time."""
-    ntables = (n - 1 + 7) // 8 or 1
-    xpow = []
-    v = p_int ^ (1 << n)  # x^n mod P
-    for _ in range(8 * ntables):
+def _shift_fold_mul(a: int, b: int, n: int, p_int: int) -> int:
+    """a b mod P one bit of b at a time, from the top: shift the
+    accumulator, fold x^n back by P, add a where the bit is set."""
+    acc = 0
+    for i in range(n - 1, -1, -1):
+        acc <<= 1
+        if acc >> n:
+            acc ^= p_int
+        if b >> i & 1:
+            acc ^= a
+    return acc
+
+
+def _shift_fold_pow(a: int, e: int, n: int, p_int: int) -> int:
+    out = 1
+    while e:
+        if e & 1:
+            out = _shift_fold_mul(out, a, n, p_int)
+        a = _shift_fold_mul(a, a, n, p_int)
+        e >>= 1
+    return out
+
+
+def _reference_fold(p_int: int, n: int, k: int) -> list[int]:
+    """(h << n) ^ ((h x^n) mod P) for h < 2^k, one bit of h at a time."""
+    xpow, v = [], p_int ^ (1 << n)  # x^(n+i) mod P by repeated shifts
+    for _ in range(k):
         xpow.append(v)
         v <<= 1
         if (v >> n) & 1:
             v ^= p_int
-    tables = []
-    for k in range(ntables):
-        row = []
-        for b in range(256):
-            acc = 0
-            for i in range(8):
-                if (b >> i) & 1:
-                    acc ^= xpow[8 * k + i]
-            row.append(acc)
-        tables.append(tuple(row))
-    return tuple(tables)
+    out = []
+    for h in range(1 << k):
+        acc = h << n
+        for i in range(k):
+            if (h >> i) & 1:
+                acc ^= xpow[i]
+        out.append(acc)
+    return out
 
 
 @pytest.mark.parametrize("n", range(2, 64))
 def test_reduction_tables_match_bitwise_reference(n):
+    # the array field's one reduction table: the fold of k bits at x^n
     poly = random_primitive_poly(n, random.Random(n))
-    p_int = sum(1 << e for e in poly.exponents)
-    assert make_context(poly)._red == _reference_reduction_tables(p_int, n)
+    fold = make_context(poly).batch.fold
+    assert fold.dtype == np.uint64
+    assert fold.tolist() == _reference_fold(poly.to_int(), n, min(4, 64 - n))
+
+
+@pytest.mark.parametrize("n", range(2, 64))
+@settings(max_examples=6, deadline=None)
+@given(seed=st.integers(0, 2**16), data=st.data())
+def test_kernel_matches_shift_and_fold(n, seed, data):
+    # random primitive moduli carry about n / 2 terms, the dense case
+    # that Barrett's reduction must handle as cheaply as a trinomial
+    poly = random_primitive_poly(n, random.Random(seed))
+    ctx, p_int = make_context(poly), poly.to_int()
+    elem = st.sampled_from([0, 1, ctx.mask]) | st.integers(0, ctx.mask)
+    a, b = data.draw(elem), data.draw(elem)
+    assert ctx.mul(a, b) == _shift_fold_mul(a, b, n, p_int)
+    assert ctx.sqr(a) == _shift_fold_mul(a, a, n, p_int)
+    exps = data.draw(st.lists(st.integers(1, 2**64), min_size=1, max_size=4))
+    assert ctx.pows(a, *exps) == [_shift_fold_pow(a, e, n, p_int)
+                                  for e in exps]
 
 
 POWER_MODULI = {2: "2,1,0", 3: "3,1,0", 31: "31,3,0", 62: "62,6,5,3,0",

@@ -819,6 +819,45 @@ def test_log_route_charges_a_batched_giant_pass():
     assert need / 2 <= peak <= need, (peak, need)
 
 
+@settings(max_examples=25, deadline=None)
+@given(sizes=st.lists(st.integers(1, 3000), min_size=1, max_size=6),
+       room=st.integers(0, 2**18), width=st.integers(2, 8),
+       D=st.sampled_from([40, 2**40]), seed=st.integers(0, 2**16))
+def test_dedup_stops_at_the_first_block_whose_sort_would_not_fit(
+        sizes, room, width, D, seed):
+    # add_rows refuses block k exactly where sorting blocks[:k] would
+    # not fit, and sorted_rows where all of them would not: a run stops
+    # as soon as its sort cannot fit, and only then (D = 2^40 leaves the
+    # rows unpacked)
+    rng = np.random.default_rng(seed)
+    blocks = [rng.integers(0, D + 2, (size, width)) for size in sizes]
+
+    def sort_fits(held):
+        dedup = search._Dedup(room, width)
+        try:
+            for block in held:
+                dedup.add_rows(block, D)
+            dedup.sorted_rows()
+        except MemoryBudgetExceededError:
+            return False
+        return True
+
+    fits = [sort_fits(blocks[:k]) for k in range(1, len(blocks) + 1)]
+    dedup = search._Dedup(room, width)
+    stop = next((k for k, ok in enumerate(fits) if not ok), None)
+    for k, block in enumerate(blocks):
+        if stop is not None and k == stop + 1:
+            with pytest.raises(MemoryBudgetExceededError):
+                dedup.add_rows(block, D)
+            return
+        dedup.add_rows(block, D)
+    if stop is None:
+        assert len(dedup.sorted_rows()) == sum(sizes)
+    else:
+        with pytest.raises(MemoryBudgetExceededError):
+            dedup.sorted_rows()
+
+
 def test_dedup_sort_is_charged_before_it_runs():
     # P=6,1,0, w=6, D=48: 26,933 multiples, held packed in 8 bytes each.
     # With 1 MB beside the prediction the held rows fit, but sorting them
