@@ -5,31 +5,39 @@ Run from the repository root:
 
     python3 scripts/log_cost.py
 
-For each instance (n = 18, 30 and 43 of the benchmark workloads, a
-dense n = 36 modulus and the n = 53 README modulus, every prime
-tabulated) it builds the default engine and times REPS calls of
+For each instance it builds the engine and times REPS calls of
 ``discrete_log`` on a seeded array of BATCH nonzero elements, REPS
 calls on a one-element array, and one scalar call (an int, not an
-array) on each element of the batch.  It checks every answer of the
-first batch by ``ctx.pow(2, y)``, and the scalar answers against it.
-The scalar field kernel under the scalar log is timed over the batch's
-elements too, REPS loops each: ``ctx.mul`` (each element times the
-next), ``ctx.sqr`` and the flat projection, ``ctx.pows`` of the
+array) on each element of the batch.  The instances are n = 18, 30 and
+43 of the benchmark workloads, a dense n = 36 modulus and the n = 53
+README modulus, every prime tabulated (a batch of 2048, 30 calls); and
+n = 31 of the ``sample-n31`` workload, where 2^31 - 1 is prime and
+every log is a baby-step giant-step search, with the default baby
+table and with 2^18 and 2^20 entries (a batch of 64, 10 calls, so that
+each element takes 256 giant steps a pass).  It checks every answer of
+the first batch by ``ctx.pow(2, y)``, and the scalar answers against
+it.  The scalar field kernel under the scalar log is timed over the
+batch's elements too, REPS loops each: ``ctx.mul`` (each element times
+the next), ``ctx.sqr`` and the flat projection, ``ctx.pows`` of the
 engine's cofactors M/q, which is most of a scalar log.
 
 It also counts the array products of one batch: those of the
 projections by the flat method (one product per set bit of each
-cofactor M/q after the first, Pohlig-Hellman's direct projection) and by
-the engine's product tree, and every ``mul_table`` call the batch makes
-(projections, digit lifting and giant steps).  The tracemalloc peak of
-one batch, per element, is what ``dlog.BATCH_LOG_BYTES`` models.
+cofactor M/q after the first, Pohlig-Hellman's direct projection) and
+by the engine's product tree, every ``mul_table`` call the batch makes
+(projections, digit lifting and the step from one giant pass to the
+next), and every ``mul_grid`` call (one per giant pass).  The
+tracemalloc peak of one batch, per element, is what
+``dlog.BATCH_LOG_BYTES`` models on tabulated engines; at n = 31 it
+holds a giant pass (``dlog.giant_pass_bytes``) shared by 64 elements.
 
-Writes BENCH_logs.json at the repository root: per instance, the
-minimum and median µs per log over the REPS calls, the minimum and
-median µs of the scalar logs over the batch's elements, the minimum and
-median µs per call of the three scalar kernels over the REPS loops,
-both product counts, the measured calls and the bytes per element.
-The n = 53 build takes about 15 s and 0.5 GB.
+Writes BENCH_logs.json at the repository root: per instance, its baby
+table size (null for the default), batch, calls and strategies, the
+build time, the minimum and median µs per log over the REPS calls, the
+minimum and median µs of the scalar logs over the batch's elements,
+the minimum and median µs per call of the three scalar kernels over
+the REPS loops, both product counts, the measured calls and the bytes
+per element.  The n = 53 build takes about 15 s and 0.5 GB.
 """
 
 import json
@@ -51,15 +59,17 @@ from lowmult import build_engine, make_context, parse_poly  # noqa: E402
 
 README_53 = ("53,47,45,44,42,40,39,38,36,33,32,31,30,28,27,26,25,21,20,17,"
              "16,15,13,11,10,7,6,3,2,1,0")
+# (modulus, bsgs_baby_entries, BATCH, REPS)
 INSTANCES = [
-    "18,7,0",
-    "30,6,4,1,0",
-    "36,35,33,32,30,28,27,25,24,19,18,15,12,11,7,3,0",
-    "43,6,4,3,0",
-    README_53,
+    ("18,7,0", None, 2048, 30),
+    ("30,6,4,1,0", None, 2048, 30),
+    ("36,35,33,32,30,28,27,25,24,19,18,15,12,11,7,3,0", None, 2048, 30),
+    ("43,6,4,3,0", None, 2048, 30),
+    (README_53, None, 2048, 30),
+    ("31,3,0", None, 64, 10),
+    ("31,3,0", 2**18, 64, 10),
+    ("31,3,0", 2**20, 64, 10),
 ]
-BATCH = 2048
-REPS = 30
 SEED = 2
 OUT = ROOT / "BENCH_logs.json"
 
@@ -84,9 +94,9 @@ def _tree_products(node):
             + sum(map(_tree_products, children)))
 
 
-def _us_per_log(engine, elems):
+def _us_per_log(engine, elems, reps):
     times = []
-    for _ in range(REPS):
+    for _ in range(reps):
         t0 = perf_counter()
         engine.discrete_log(elems)
         times.append((perf_counter() - t0) / len(elems) * 1e6)
@@ -104,11 +114,11 @@ def _us_per_scalar_log(engine, elems, ys):
     return {"min": min(times), "median": statistics.median(times)}
 
 
-def _us_per_call(fn, args):
+def _us_per_call(fn, args, reps):
     """µs per call of fn over the argument tuples, a loop over all of
-    them REPS times."""
+    them reps times."""
     times = []
-    for _ in range(REPS):
+    for _ in range(reps):
         t0 = perf_counter()
         for a in args:
             fn(*a)
@@ -116,14 +126,14 @@ def _us_per_call(fn, args):
     return {"min": min(times), "median": statistics.median(times)}
 
 
-def measure(poly):
+def measure(poly, baby, batch, reps):
     ctx = make_context(parse_poly(poly))
     M = ctx.order
     t0 = perf_counter()
-    engine = build_engine(ctx)
+    engine = build_engine(ctx, bsgs_baby_entries=baby)
     build_s = perf_counter() - t0
     rng = np.random.default_rng(SEED)
-    elems = rng.integers(1, M, BATCH, endpoint=True, dtype=np.uint64)
+    elems = rng.integers(1, M, batch, endpoint=True, dtype=np.uint64)
     ys = engine.discrete_log(elems)
     bad = [(int(a), int(y)) for a, y in zip(elems, ys)
            if ctx.pow(2, int(y)) != int(a)]
@@ -131,19 +141,23 @@ def measure(poly):
         raise SystemExit(f"P={poly}: x^{bad[0][1]} != {bad[0][0]}")
 
     field = ctx.batch
-    calls = 0
-    mul_table = field.mul_table
+    calls = {"mul_table": 0, "mul_grid": 0}
 
-    def counted(table, a):
-        nonlocal calls
-        calls += 1
-        return mul_table(table, a)
+    def counted(name):
+        kernel = getattr(field, name)
 
-    field.mul_table = counted
+        def call(*args):
+            calls[name] += 1
+            return kernel(*args)
+        return call
+
+    for name in calls:
+        setattr(field, name, counted(name))
     try:
         engine.discrete_log(elems)
     finally:
-        del field.mul_table
+        for name in calls:
+            delattr(field, name)
 
     tracemalloc.start()
     try:
@@ -158,23 +172,30 @@ def measure(poly):
     row = {
         "poly": poly,
         "n": ctx.n,
+        "bsgs_baby_entries": baby,
+        "batch": batch,
+        "reps": reps,
         "prime_powers": [[p, e] for p, e in ctx.factorization],
+        "strategies": [s for _, _, s, _ in engine.strategy_summary()],
         "engine_build_s": build_s,
-        "us_per_log_batch": _us_per_log(engine, elems),
-        "us_per_log_single": _us_per_log(engine, elems[:1]),
+        "us_per_log_batch": _us_per_log(engine, elems, reps),
+        "us_per_log_single": _us_per_log(engine, elems[:1], reps),
         "us_per_scalar_log": _us_per_scalar_log(engine, elems, ys),
-        "us_per_scalar_mul": _us_per_call(ctx.mul, pairs),
-        "us_per_scalar_sqr": _us_per_call(ctx.sqr, [(a,) for a in ints]),
+        "us_per_scalar_mul": _us_per_call(ctx.mul, pairs, reps),
+        "us_per_scalar_sqr": _us_per_call(ctx.sqr, [(a,) for a in ints],
+                                          reps),
         "us_per_flat_projection": _us_per_call(
-            ctx.pows, [(a, *engine._flat[1]) for a in ints]),
+            ctx.pows, [(a, *engine._flat[1]) for a in ints], reps),
         "projection_products_flat": sum(
             (M // p**e).bit_count() - 1 for p, e in ctx.factorization),
         "projection_products_tree": _tree_products(engine._tree),
-        "mul_table_calls_per_batch": calls,
-        "traced_bytes_per_element": peak / BATCH,
+        "mul_table_calls_per_batch": calls["mul_table"],
+        "mul_grid_calls_per_batch": calls["mul_grid"],
+        "traced_bytes_per_element": peak / batch,
     }
-    print(f"n={ctx.n}: {row['us_per_log_batch']['min']:.2f} us/log "
-          f"(batch of {BATCH}), {row['us_per_log_single']['min']:.0f} us "
+    print(f"n={ctx.n} baby={baby or 'default'}: "
+          f"{row['us_per_log_batch']['min']:.2f} us/log "
+          f"(batch of {batch}), {row['us_per_log_single']['min']:.0f} us "
           f"(batch of one), {row['us_per_scalar_log']['median']:.0f} us "
           f"(scalar, median); scalar mul "
           f"{row['us_per_scalar_mul']['median'] * 1e3:.0f} ns, sqr "
@@ -183,16 +204,16 @@ def measure(poly):
           f"projection products "
           f"{row['projection_products_flat']} flat, "
           f"{row['projection_products_tree']} tree; "
-          f"{calls} mul_table calls; {row['traced_bytes_per_element']:.0f} B "
+          f"{calls['mul_table']} mul_table and {calls['mul_grid']} mul_grid "
+          f"calls; {row['traced_bytes_per_element']:.0f} B "
           f"per element", flush=True)
     return row
 
 
 def main():
-    rows = [measure(poly) for poly in INSTANCES]
+    rows = [measure(*instance) for instance in INSTANCES]
     OUT.write_text(json.dumps({
-        "batch": BATCH,
-        "reps": REPS,
+        "seed": SEED,
         "env": {
             "nproc": len(os.sched_getaffinity(0)),
             "python": platform.python_version(),

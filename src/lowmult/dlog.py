@@ -6,13 +6,15 @@ one subgroup solver, either
 * a full table of the order-p subgroup (p entries, O(1) lookups), or
 * baby-step giant-step state (a baby table of configurable size m,
   default ceil(sqrt(p)), the giant multiplier g^-m and a giant block of
-  its first GIANT_BLOCK powers, at most 8 * GIANT_BLOCK bytes per
-  solver that the memory model leaves out).
+  its first GIANT_BLOCK powers, stored as their k-bit digits: ceil(n/k)
+  bytes a step, 8 at n <= 32 and 63 at n = 63, so 128 KiB to 1008 KiB
+  per solver that the memory model leaves out).
 
 Giant steps run blocked: the elements of a batch still unresolved
 share one pass of about GIANT_BLOCK giant steps, a block of steps each
-in one array product against the giant block.  A scalar log runs the
-same kernel on a one-element array.
+in one grid product (``_BatchField.mul_grid``) against the giant
+block's digits.  A scalar log runs the same kernel on a one-element
+array.
 
 Digits of prime powers p^e are lifted one at a time through the order-p
 subgroup, so correctness never depends on M being squarefree.  A full
@@ -44,8 +46,9 @@ and the tree:
   µs), and slower only at the dense n = 36 modulus (195 against 166
   µs).  A prime group order such as 2^31 - 1 takes no projection.
 
-The subgroup tables and giant blocks are ``ctx.powers`` arrays, so the
-engines built on one context share its one array field.
+The subgroup tables and the giant blocks' digits come from
+``ctx.powers`` arrays, so the engines built on one context share its
+one array field.
 
 Engines are immutable after build and safe to share between threads.
 Tables can be dumped to and loaded from a little-endian cache file that
@@ -85,10 +88,12 @@ _DICT_ACCEL_LIMIT = 2**16  # small full tables also get a plain dict
 
 # Giant steps per pass of a baby-step giant-step lookup, shared by the
 # elements the pass carries (each takes GIANT_BLOCK // k of k elements),
-# and the work bytes of a pass per step (tracemalloc: 66 for a scalar
-# log at n = 31, the step's product, its filter probe and their indices).
+# and the work bytes of a pass per step: the grid product, its gather
+# and its filter probe (tracemalloc over scalar logs and batches of 2 to
+# 2048 at n = 31, 62 and 63: at most 42.6, for scalar logs at n = 31
+# and 62).
 GIANT_BLOCK = 2**14
-GIANT_STEP_BYTES = 72
+GIANT_STEP_BYTES = 44
 
 _CACHE_MAGIC = b"LWMENG1\x00"
 _CACHE_VERSION = 1
@@ -125,15 +130,17 @@ class _SubgroupLog:
     m == p is a full table; a smaller m is the baby table of baby-step
     giant-step, which also keeps
     - the giant block G[t] = gp^(-m t) for t < min(steps + 1,
-      GIANT_BLOCK): at most 8 * GIANT_BLOCK bytes, outside the memory
-      model;
+      GIANT_BLOCK), as its (ceil(n/k), len) uint8 k-bit digits
+      (``ctx.batch.digits``), the operand of every pass's grid product:
+      ceil(n/k) bytes a step, 8 at n <= 32 and 63 at n = 63, outside
+      the memory model;
     - a bit filter of vals indexed by their low bit_length(m) + 4 bits:
       2 to 4 bytes per baby entry, within the model's 16 * 4/3 bytes
       per entry.
     """
 
     __slots__ = ("p", "m", "vals", "idx", "accel", "giant", "steps",
-                 "block", "filter", "mask", "batch")
+                 "giant_digits", "filter", "mask", "batch")
 
     def __init__(self, ctx, p, vals, idx):
         self.batch = ctx.batch
@@ -149,9 +156,10 @@ class _SubgroupLog:
             if not self.steps and m <= _DICT_ACCEL_LIMIT
             else None
         )
-        self.block = self.filter = self.mask = None
+        self.giant_digits = self.filter = self.mask = None
         if self.steps:
-            self.block = ctx.powers(self.giant, min(self.steps + 1, GIANT_BLOCK))
+            self.giant_digits = self.batch.digits(
+                ctx.powers(self.giant, min(self.steps + 1, GIANT_BLOCK)))
             self.mask = (1 << (m.bit_length() + 4)) - 1
             self.filter = np.zeros((self.mask >> 3) + 1, np.uint8)
             low = vals & self.mask
@@ -187,36 +195,46 @@ class _SubgroupLog:
     def lookup_array(self, h):
         """lookup for every element of the uint64 array h.
 
-        A full table is one searchsorted.  Baby-step giant-step runs in
-        blocked passes: the k elements not yet found each take w =
-        GIANT_BLOCK // k giant steps at once (at least 1, at most
-        len(block), never past steps), as one k x w product h * G[:w].
-        The products that pass the bit filter are looked up in vals,
-        each row keeps its first hit, and the rest advance by gp^(-m w)
-        to the next pass.
+        A full table is one searchsorted.  Baby-step giant-step takes
+        the elements in runs of at most GIANT_BLOCK >> (k + 3), with k
+        the field's digit width, so that a pass's table of multiples of
+        its elements (2^k each) is at most an eighth of its products.
+        A run goes in blocked passes (_giant_steps).
         """
         if not self.steps:
             at, hit = self._find(h)
             if not hit.all():
                 raise ValueError("element not found in subgroup (corrupt table?)")
             return self.idx[at]
+        rows = max(1, GIANT_BLOCK >> (self.batch.k + 3))
+        out = np.empty(len(h), np.int64)
+        for i in range(0, len(h), rows):
+            out[i:i + rows] = self._giant_steps(h[i:i + rows])
+        return out
+
+    def _giant_steps(self, h):
+        """lookup_array of a run h by blocked giant steps: the k elements
+        not yet found each take w = GIANT_BLOCK // k giant steps at once
+        (at least 1, at most the stored block, never past steps), as one
+        k x w grid product h * G[:w] from G's stored digits.  The
+        products that pass the bit filter are looked up in vals, each
+        row keeps its first hit, and the rest advance by gp^(-m w) to
+        the next pass."""
         field = self.batch
         out = np.empty(len(h), np.int64)
         todo = np.arange(len(h))
         base = 0  # giant steps taken by every element of todo
         while len(todo):
             k = len(todo)
-            w = min(len(self.block), max(1, GIANT_BLOCK // k),
+            w = min(self.giant_digits.shape[1], max(1, GIANT_BLOCK // k),
                     self.steps + 1 - base)
-            # product i * w + t is h[i] * G[t]: the table of h, with the
-            # offset of each element repeated along its row
-            flat, width, _ = field.table(h)
-            rows = np.repeat(np.arange(k), w)
-            prods = field.mul_table((flat, width, rows),
-                                    np.tile(self.block[:w], k))
+            prods = field.mul_grid(h, self.giant_digits[:, :w])  # h[i] * G[t]
             low = prods & np.uint64(self.mask)
-            bits = self.filter[low >> np.uint64(3)]
-            bits >>= (low & np.uint64(7)).astype(np.uint8)
+            bit = low.astype(np.uint8)
+            bit &= 7
+            low >>= np.uint64(3)
+            bits = self.filter.take(low.view(np.int64))
+            bits >>= bit
             cand = np.flatnonzero(bits & 1)
             at, hit = self._find(prods[cand])
             row, col = np.divmod(cand[hit], w)
@@ -490,7 +508,8 @@ def build_engine(
     spills the rest to BSGS.  bsgs_baby_entries oversizes the BSGS baby
     tables beyond the default ceil(sqrt(p)), trading memory for time on
     orders with a huge prime factor.  Each BSGS solver also holds a
-    giant block of at most GIANT_BLOCK powers (8 * GIANT_BLOCK bytes)
+    giant block of at most GIANT_BLOCK powers as their k-bit digits
+    (ceil(n/k) bytes a power: 128 KiB at n <= 32, 1008 KiB at n = 63)
     and a bit filter of its baby table (2 to 4 bytes per entry); the
     predicted bytes leave out the block, and the filter fits in the
     model's 16 * 4/3 bytes per entry beside the 16 the table takes.

@@ -359,6 +359,9 @@ class _BatchField:
     step shifts by k and folds the k bits above x^(n-1) back through one
     more gather, so no value ever exceeds 64 bits.  A table can be
     built once and reused for several products with the same factor.
+    The grid product of every b[i] by every a[t] (mul_grid) instead
+    takes a's digits stored once, lowest first, and moves b's table up
+    by x^k per digit.
     """
 
     def __init__(self, ctx: FieldContext):
@@ -367,7 +370,7 @@ class _BatchField:
         self.top = np.uint64(n - 1)
         self.p_int = np.uint64(ctx._p_int)
         self.k = k = min(4, 64 - n)
-        self.digits = -(-n // k)
+        self.ndigits = -(-n // k)
         self.kbits = np.uint64(k)
         self.digit_mask = np.uint64((1 << k) - 1)
         # fold[h] clears the k bits h at x^n.. and adds (h x^n) mod P
@@ -412,7 +415,7 @@ class _BatchField:
         flat, width, offsets = table
         k, mask = self.kbits, self.digit_mask
         acc = None
-        for d in range(self.digits - 1, -1, -1):
+        for d in range(self.ndigits - 1, -1, -1):
             j = ((a >> np.uint64(k * d)) & mask).view(np.int64)
             if width > 1:  # else every element reads row j at offset 0
                 j *= width
@@ -427,6 +430,29 @@ class _BatchField:
 
     def mul(self, a, b):
         return self.mul_table(self.table(b), a)
+
+    def digits(self, a):
+        """The k-bit digits of the uint64 array a as a (ndigits, len(a))
+        uint8 array, row d holding digit d (bits kd..kd+k-1)."""
+        return np.stack([((a >> np.uint64(self.k * d)) & self.digit_mask)
+                         .astype(np.uint8) for d in range(self.ndigits)])
+
+    def mul_grid(self, b, digits):
+        """b[i] * a[t] at position i * w + t, for the uint64 array b and
+        the (ndigits, w) digits of a (self.digits(a), or a column slice
+        of them).  Digit d reads the table of b x^(kd), whose row i
+        holds j b[i] x^(kd) for j < 2^k: one take along every row by
+        the digits, one XOR into the grid.  Between digits the table
+        moves up by x^k: a shift and a fold gather over its 2^k len(b)
+        entries."""
+        flat, width, _ = self.table(b)
+        rows = flat.reshape(-1, width).T.copy()  # row i: j*b[i] for j < 2^k
+        grid = rows.take(digits[0], axis=1)
+        for d in digits[1:]:
+            rows <<= self.kbits
+            rows ^= self.fold.take((rows >> self.n).view(np.int64))
+            grid ^= rows.take(d, axis=1)
+        return grid.ravel()
 
     def pow(self, a, e: int):
         """a^e for a fixed exponent e >= 1."""

@@ -245,28 +245,27 @@ def test_c08_scaling_shape():
     engine = build_engine(ctx)  # every prime tabulated
     assert {s for _, _, s, _ in engine.strategy_summary()} == {"table"}
     D = 8192
-    # batched logs, each taken once, make one log-route call about 0.025 s
-    # at D, and array probes one classical call about 0.4 s, so each route
-    # is timed over several calls to stay inside the timing window
-    LOG_REPS = 80
-    TMTO_REPS = 5
 
-    def run(algorithm, degree):
+    def run(algorithm, degree, reps=1):
         t0 = time.perf_counter()
-        if algorithm == "log":
-            for _ in range(LOG_REPS):
+        for _ in range(reps):
+            if algorithm == "log":
                 logtmto_find_all(
                     ctx, engine, SearchParams.balanced(4, degree, "logarithmic")
                 )
-        else:
-            for _ in range(TMTO_REPS):
+            else:
                 tmto_find_all(ctx, SearchParams.balanced(4, degree, "classical"))
         return time.perf_counter() - t0
+
+    # each route is timed over enough calls that its block at D lasts
+    # about 2 s, from one timed call, to stay inside the timing window on
+    # a loaded or a fast host
+    reps = {alg: max(1, round(2.0 / run(alg, D))) for alg in ("log", "tmto")}
 
     best = {}
     for attempt in range(3):
         for key in (("log", D), ("log", 2 * D), ("tmto", D), ("tmto", 2 * D)):
-            t = run(*key)
+            t = run(*key, reps[key[0]])
             best[key] = min(t, best.get(key, t))
         log_ratio = best["log", 2 * D] / best["log", D]
         tmto_ratio = best["tmto", 2 * D] / best["tmto", D]
@@ -276,9 +275,9 @@ def test_c08_scaling_shape():
     assert all(1.0 <= best[k] <= 30.0 for k in best), best
     assert log_ratio <= 3.0, (log_ratio, best)
     assert tmto_ratio >= 3.0, (tmto_ratio, best)
-    _ok(8, f"n=30 w=4 at D={D}: log-route time ({LOG_REPS} calls) "
+    _ok(8, f"n=30 w=4 at D={D}: log-route time ({reps['log']} calls) "
            f"x{log_ratio:.2f} for 2D (near-linear), classical "
-           f"({TMTO_REPS} calls) x{tmto_ratio:.2f} (near-quadratic); "
+           f"({reps['tmto']} calls) x{tmto_ratio:.2f} (near-quadratic); "
            f"times {', '.join(f'{best[k]:.1f}s' for k in sorted(best))}")
 
 

@@ -168,15 +168,20 @@ def test_array_holding_zero_raises(elems):
 
 
 # 2^n - 1 for these n has 6 to 11 prime powers, among them 3^2 (n = 24,
-# 30, 48, 60), 3^3 (n = 36) and 5^2 (n = 40, 60)
-@pytest.mark.parametrize("bsgs_largest", [False, True])
-@pytest.mark.parametrize("n", [24, 30, 36, 40, 48, 60])
+# 30, 48, 60), 3^3 (n = 36), 5^2 (n = 40, 60) and 7^2 (n = 63).  Giant
+# passes run on digits of width k = 2 at n = 62 and k = 1 at n = 63;
+# 2^62 - 1 = 3 * 715827883 * (2^31 - 1) has no room to tabulate its
+# largest prime, and its default plan leaves both large ones to BSGS
+@pytest.mark.parametrize("n, bsgs_largest", [
+    (n, b) for n in (24, 30, 36, 40, 48, 60, 63) for b in (False, True)]
+    + [(62, True)])
 def test_multi_prime_logs_round_trip(n, bsgs_largest):
     ctx = _field(n, n)
     primes = sorted(p for p, _ in ctx.factorization)
     # every prime tabulated, or all but the largest
-    engine = build_engine(
-        ctx, **({"tabulation_threshold": primes[-2]} if bsgs_largest else {}))
+    engine = build_engine(ctx, **(
+        {"tabulation_threshold": primes[-2]} if bsgs_largest and n != 62
+        else {}))
     assert [s.sub.strategy for s in engine.solvers if s.p == primes[-1]] == [
         "bsgs" if bsgs_largest else "table"]
     rng = random.Random(n)
@@ -376,9 +381,9 @@ def test_powers_equal_plain_doubling(spec, monkeypatch):
         for a, b in zip(new.solvers, old.solvers):
             assert np.array_equal(a.sub.vals, b.sub.vals)
             assert np.array_equal(a.sub.idx, b.sub.idx)
-            assert (a.sub.block is None) == (b.sub.block is None)
-            if a.sub.block is not None:
-                assert np.array_equal(a.sub.block, b.sub.block)
+            assert (a.sub.giant_digits is None) == (b.sub.giant_digits is None)
+            if a.sub.giant_digits is not None:
+                assert np.array_equal(a.sub.giant_digits, b.sub.giant_digits)
 
 
 # -- chunked log-table phases -------------------------------------------------

@@ -224,6 +224,30 @@ def test_kernel_matches_shift_and_fold(n, seed, data):
                                   for e in exps]
 
 
+@pytest.mark.parametrize("n", range(2, 64))
+@settings(max_examples=4, deadline=None)
+@given(seed=st.integers(0, 2**16), data=st.data())
+def test_mul_grid_equals_elementwise_mul(n, seed, data):
+    # digit widths k = 4 up to n = 60, then 3, 2 and 1 at n = 61 to 63;
+    # the digits of a are a column slice of a longer stored block
+    poly = random_primitive_poly(n, random.Random(seed))
+    ctx = make_context(poly)
+    field = ctx.batch
+    elem = st.sampled_from([0, 1, ctx.mask]) | st.integers(0, ctx.mask)
+    b = data.draw(st.lists(elem, min_size=1, max_size=1)
+                  | st.lists(elem, min_size=2, max_size=6))
+    w = data.draw(st.sampled_from([1]) | st.integers(2, 40))
+    lo = data.draw(st.integers(0, 3))
+    block = data.draw(st.lists(elem, min_size=lo + w, max_size=lo + w + 3))
+    digits = field.digits(np.array(block, np.uint64))
+    assert digits.shape == (-(-n // field.k), len(block))
+    assert digits.dtype == np.uint8
+    grid = field.mul_grid(np.array(b, np.uint64), digits[:, lo:lo + w])
+    assert grid.dtype == np.uint64
+    assert grid.tolist() == [ctx.mul(x, y) for x in b
+                             for y in block[lo:lo + w]]
+
+
 POWER_MODULI = {2: "2,1,0", 3: "3,1,0", 31: "31,3,0", 62: "62,6,5,3,0",
                 63: "63,1,0"}
 POWER_COUNTS = (1, 2, 15, 16, 17, 2**14 - 1, 2**14, 2**14 + 1,
