@@ -13,10 +13,10 @@ array) on each element of the batch.  The instances are n = 18, 30 and
 README modulus, every prime tabulated (a batch of 2048, 30 calls); and
 n = 31 of the ``sample-n31`` workload, where 2^31 - 1 is prime and
 every log is a baby-step giant-step search, with the default baby
-table and with 2^18 and 2^20 entries (a batch of 64, 10 calls, so that
-each element takes 256 giant steps a pass).  It checks every answer of
-the first batch by ``ctx.pow(2, y)``, and the scalar answers against
-it.  The scalar field kernel under the scalar log is timed over the
+table and with 2^18 and 2^20 entries (a batch of 64, 10 calls, in runs
+of 8 elements that take 2048 giant steps each a pass).  It checks every
+answer of the first batch by ``ctx.pow(2, y)``, and the scalar answers
+against it.  The scalar field kernel under the scalar log is timed over the
 batch's elements too, REPS loops each: ``ctx.mul`` (each element times
 the next), ``ctx.sqr`` and the flat projection, ``ctx.pows`` of the
 engine's cofactors M/q, which is most of a scalar log.
@@ -25,11 +25,19 @@ It also counts the array products of one batch: those of the
 projections by the flat method (one product per set bit of each
 cofactor M/q after the first, Pohlig-Hellman's direct projection) and
 by the engine's product tree, every ``mul_table`` call the batch makes
-(projections, digit lifting and the step from one giant pass to the
-next), and every ``mul_grid`` call (one per giant pass).  The
-tracemalloc peak of one batch, per element, is what
+(projections and digit lifting), and every ``mul_grid`` call (one per
+giant pass).  The tracemalloc peak of one batch, per element, is what
 ``dlog.BATCH_LOG_BYTES`` models on tabulated engines; at n = 31 it
-holds a giant pass (``dlog.giant_pass_bytes``) shared by 64 elements.
+holds a giant pass (``dlog.giant_pass_bytes``) shared by a run of 8
+elements.
+
+Where the engine has a baby-step giant-step solver (the n = 31
+instances) it also times the giant-step passes of one scalar log of
+each element: the passes per log, and a pass's mean µs in its grid
+product (``mul_grid``), its bit filter and its confirmation in the baby
+table; and REPS builds of the engine, split into the baby table's
+powers and sort, the giant block's powers and digits, and the bit
+filter (medians).
 
 Writes BENCH_logs.json at the repository root: per instance, its baby
 table size (null for the default), batch, calls and strategies, the
@@ -37,7 +45,8 @@ build time, the minimum and median µs per log over the REPS calls, the
 minimum and median µs of the scalar logs over the batch's elements,
 the minimum and median µs per call of the three scalar kernels over
 the REPS loops, both product counts, the measured calls and the bytes
-per element.  The n = 53 build takes about 15 s and 0.5 GB.
+per element, and on the n = 31 instances the pass and build splits.
+The n = 53 build takes about 15 s and 0.5 GB.
 """
 
 import json
@@ -47,6 +56,7 @@ import statistics
 import subprocess
 import sys
 import tracemalloc
+from contextlib import contextmanager
 from pathlib import Path
 from time import perf_counter
 
@@ -55,7 +65,7 @@ sys.path.insert(0, str(ROOT / "src"))
 
 import numpy as np  # noqa: E402
 
-from lowmult import build_engine, make_context, parse_poly  # noqa: E402
+from lowmult import build_engine, dlog, make_context, parse_poly  # noqa: E402
 
 README_53 = ("53,47,45,44,42,40,39,38,36,33,32,31,30,28,27,26,25,21,20,17,"
              "16,15,13,11,10,7,6,3,2,1,0")
@@ -140,24 +150,11 @@ def measure(poly, baby, batch, reps):
     if bad:
         raise SystemExit(f"P={poly}: x^{bad[0][1]} != {bad[0][0]}")
 
-    field = ctx.batch
-    calls = {"mul_table": 0, "mul_grid": 0}
-
-    def counted(name):
-        kernel = getattr(field, name)
-
-        def call(*args):
-            calls[name] += 1
-            return kernel(*args)
-        return call
-
-    for name in calls:
-        setattr(field, name, counted(name))
-    try:
+    acc = {}
+    with (_timing(ctx.batch, "mul_table", acc),
+          _timing(ctx.batch, "mul_grid", acc)):
         engine.discrete_log(elems)
-    finally:
-        for name in calls:
-            delattr(field, name)
+    calls = {name: count for name, (_, count) in acc.items()}
 
     tracemalloc.start()
     try:
@@ -207,7 +204,77 @@ def measure(poly, baby, batch, reps):
           f"{calls['mul_table']} mul_table and {calls['mul_grid']} mul_grid "
           f"calls; {row['traced_bytes_per_element']:.0f} B "
           f"per element", flush=True)
+    if "bsgs" in row["strategies"]:
+        row.update(_bsgs_split(ctx, engine, baby, ints, reps))
+        passes, us = row["scalar_passes_per_log"], row["scalar_pass_us"]
+        build = row["build_split_s"]
+        print(f"  {passes:.2f} passes per scalar log; a pass "
+              f"{us['grid']:.0f} us grid, {us['filter']:.0f} us filter, "
+              f"{us['confirm']:.0f} us confirm; build "
+              f"{build['total'] * 1e3:.2f} ms: baby powers and sort "
+              f"{build['baby'] * 1e3:.2f}, giant powers and digits "
+              f"{build['giant'] * 1e3:.2f}, filter "
+              f"{build['filter'] * 1e3:.2f}", flush=True)
     return row
+
+
+@contextmanager
+def _timing(owner, name, acc):
+    """Add the seconds and the count of every call of owner.name to
+    acc[name] = [seconds, calls] while the block runs."""
+    fn, own = getattr(owner, name), name in vars(owner)
+    acc[name] = [0.0, 0]
+
+    def timed(*args):
+        t0 = perf_counter()
+        try:
+            return fn(*args)
+        finally:
+            acc[name][0] += perf_counter() - t0
+            acc[name][1] += 1
+    setattr(owner, name, timed)
+    try:
+        yield
+    finally:
+        if own:
+            setattr(owner, name, fn)
+        else:
+            delattr(owner, name)
+
+
+def _bsgs_split(ctx, engine, baby, ints, reps):
+    """Passes per scalar log and a pass's grid, filter and confirm µs,
+    over one scalar log of each element; and the median seconds of the
+    build's parts over reps builds (baby powers and sort, giant powers
+    and digits, filter)."""
+    pass_acc = {}
+    with (_timing(ctx.batch, "mul_grid", pass_acc),
+          _timing(dlog._SubgroupLog, "_filter", pass_acc),
+          _timing(dlog._SubgroupLog, "_confirm", pass_acc)):
+        for a in ints:
+            engine.discrete_log(a)
+    passes = pass_acc["mul_grid"][1]
+    parts = {"total": [], "baby": [], "giant": [], "filter": []}
+    for _ in range(reps):
+        acc = {}
+        with (_timing(dlog, "_tabulate", acc),
+              _timing(dlog, "_giant_digits", acc),
+              _timing(dlog, "_bit_filter", acc)):
+            t0 = perf_counter()
+            build_engine(ctx, bsgs_baby_entries=baby)
+            parts["total"].append(perf_counter() - t0)
+        for part, name in (("baby", "_tabulate"), ("giant", "_giant_digits"),
+                           ("filter", "_bit_filter")):
+            parts[part].append(acc[name][0])
+    return {
+        "scalar_passes_per_log": passes / len(ints),
+        "scalar_pass_us": {part: pass_acc[name][0] / passes * 1e6
+                           for part, name in
+                           (("grid", "mul_grid"), ("filter", "_filter"),
+                            ("confirm", "_confirm"))},
+        "build_split_s": {part: statistics.median(t)
+                          for part, t in parts.items()},
+    }
 
 
 def main():

@@ -5,16 +5,16 @@ one subgroup solver, either
 
 * a full table of the order-p subgroup (p entries, O(1) lookups), or
 * baby-step giant-step state (a baby table of configurable size m,
-  default ceil(sqrt(p)), the giant multiplier g^-m and a giant block of
-  its first GIANT_BLOCK powers, stored as their k-bit digits: ceil(n/k)
-  bytes a step, 8 at n <= 32 and 63 at n = 63, so 128 KiB to 1008 KiB
-  per solver that the memory model leaves out).
+  default ceil(sqrt(p)), and a giant block of the first GIANT_BLOCK + 1
+  powers of the giant multiplier gp^-m, stored as their g-bit digits:
+  ceil(n/g) bytes a step, 4 at n <= 32 and 63 at n = 63, so 64 KiB to
+  1008 KiB per solver that the memory model leaves out).
 
 Giant steps run blocked: the elements of a batch still unresolved
 share one pass of about GIANT_BLOCK giant steps, a block of steps each
 in one grid product (``_BatchField.mul_grid``) against the giant
-block's digits.  A scalar log runs the same kernel on a one-element
-array.
+block's digits, whose last column is where the next pass starts.  A
+scalar log runs the same kernel on a one-element array.
 
 Digits of prime powers p^e are lifted one at a time through the order-p
 subgroup, so correctness never depends on M being squarefree.  A full
@@ -90,10 +90,10 @@ _DICT_ACCEL_LIMIT = 2**16  # small full tables also get a plain dict
 # elements the pass carries (each takes GIANT_BLOCK // k of k elements),
 # and the work bytes of a pass per step: the grid product, its gather
 # and its filter probe (tracemalloc over scalar logs and batches of 2 to
-# 2048 at n = 31, 62 and 63: at most 42.6, for scalar logs at n = 31
-# and 62).
+# 2048 at n = 31, 62 and 63, less BATCH_LOG_BYTES per element: at most
+# 32.3, for scalar logs at n = 31 and 62).
 GIANT_BLOCK = 2**14
-GIANT_STEP_BYTES = 44
+GIANT_STEP_BYTES = 34
 
 _CACHE_MAGIC = b"LWMENG1\x00"
 _CACHE_VERSION = 1
@@ -130,17 +130,17 @@ class _SubgroupLog:
     m == p is a full table; a smaller m is the baby table of baby-step
     giant-step, which also keeps
     - the giant block G[t] = gp^(-m t) for t < min(steps + 1,
-      GIANT_BLOCK), as its (ceil(n/k), len) uint8 k-bit digits
+      GIANT_BLOCK + 1), as its (ceil(n/g), len) uint8 g-bit digits
       (``ctx.batch.digits``), the operand of every pass's grid product:
-      ceil(n/k) bytes a step, 8 at n <= 32 and 63 at n = 63, outside
+      ceil(n/g) bytes a step, 4 at n <= 32 and 63 at n = 63, outside
       the memory model;
     - a bit filter of vals indexed by their low bit_length(m) + 4 bits:
       2 to 4 bytes per baby entry, within the model's 16 * 4/3 bytes
       per entry.
     """
 
-    __slots__ = ("p", "m", "vals", "idx", "accel", "giant", "steps",
-                 "giant_digits", "filter", "mask", "batch")
+    __slots__ = ("p", "m", "vals", "idx", "accel", "steps", "giant_digits",
+                 "filter", "mask", "batch")
 
     def __init__(self, ctx, p, vals, idx):
         self.batch = ctx.batch
@@ -148,7 +148,6 @@ class _SubgroupLog:
         self.m = m = len(vals)
         self.vals = vals
         self.idx = idx
-        self.giant = ctx.pow(2, ctx.order // p * (p - m))  # gp^-m; 1 if m == p
         self.steps = (p - 1) // m  # 0 for a full table
         # scalar lookups in small full tables go through a plain dict
         self.accel = (
@@ -158,15 +157,8 @@ class _SubgroupLog:
         )
         self.giant_digits = self.filter = self.mask = None
         if self.steps:
-            self.giant_digits = self.batch.digits(
-                ctx.powers(self.giant, min(self.steps + 1, GIANT_BLOCK)))
-            self.mask = (1 << (m.bit_length() + 4)) - 1
-            self.filter = np.zeros((self.mask >> 3) + 1, np.uint8)
-            low = vals & self.mask
-            bit = (low & 7).astype(np.uint8)
-            np.left_shift(np.uint8(1), bit, out=bit)
-            low >>= 3
-            np.bitwise_or.at(self.filter, low, bit)
+            self.giant_digits = _giant_digits(ctx, p, m, self.steps)
+            self.mask, self.filter = _bit_filter(vals)
 
     @property
     def strategy(self) -> str:
@@ -196,60 +188,106 @@ class _SubgroupLog:
         """lookup for every element of the uint64 array h.
 
         A full table is one searchsorted.  Baby-step giant-step takes
-        the elements in runs of at most GIANT_BLOCK >> (k + 3), with k
-        the field's digit width, so that a pass's table of multiples of
-        its elements (2^k each) is at most an eighth of its products.
-        A run goes in blocked passes (_giant_steps).
+        the elements in runs of at most GIANT_BLOCK >> (g + 3), 8 at
+        n <= 56, with g the field's grid digit width, so that a pass's
+        table of multiples of its elements (2^g each) is at most an
+        eighth of its products.  A run goes in blocked passes
+        (_giant_steps).
         """
         if not self.steps:
             at, hit = self._find(h)
             if not hit.all():
                 raise ValueError("element not found in subgroup (corrupt table?)")
             return self.idx[at]
-        rows = max(1, GIANT_BLOCK >> (self.batch.k + 3))
+        rows = max(1, GIANT_BLOCK >> (self.batch.g + 3))
         out = np.empty(len(h), np.int64)
         for i in range(0, len(h), rows):
             out[i:i + rows] = self._giant_steps(h[i:i + rows])
         return out
 
     def _giant_steps(self, h):
-        """lookup_array of a run h by blocked giant steps: the k elements
-        not yet found each take w = GIANT_BLOCK // k giant steps at once
-        (at least 1, at most the stored block, never past steps), as one
-        k x w grid product h * G[:w] from G's stored digits.  The
-        products that pass the bit filter are looked up in vals, each
-        row keeps its first hit, and the rest advance by gp^(-m w) to
-        the next pass."""
+        """lookup_array of a run h by blocked giant steps.  A pass takes
+        the k elements not yet found, all at step s, through the columns
+        lo..hi of the giant block G[t] = gp^(-m t) at once: one
+        k x (hi - lo + 1) grid product h * G[lo:hi + 1] from G's stored
+        digits, at most max(1, GIANT_BLOCK // k) columns and never past
+        the last step, self.steps.  The first pass starts at column 0
+        (step 0, h itself) and every later one at column 1: its start is
+        the last column of the pass before (step s + hi), checked there.
+        Each row keeps its first hit, and the rest go on from their last
+        column."""
         field = self.batch
         out = np.empty(len(h), np.int64)
         todo = np.arange(len(h))
-        base = 0  # giant steps taken by every element of todo
-        while len(todo):
+        s = lo = 0
+        while True:
             k = len(todo)
-            w = min(self.giant_digits.shape[1], max(1, GIANT_BLOCK // k),
-                    self.steps + 1 - base)
-            prods = field.mul_grid(h, self.giant_digits[:, :w])  # h[i] * G[t]
-            low = prods & np.uint64(self.mask)
-            bit = low.astype(np.uint8)
-            bit &= 7
-            low >>= np.uint64(3)
-            bits = self.filter.take(low.view(np.int64))
-            bits >>= bit
-            cand = np.flatnonzero(bits & 1)
-            at, hit = self._find(prods[cand])
-            row, col = np.divmod(cand[hit], w)
+            hi = min(lo - 1 + max(1, GIANT_BLOCK // k),
+                     self.giant_digits.shape[1] - 1, self.steps - s)
+            w = hi - lo + 1
+            prods = field.mul_grid(h, self.giant_digits[:, lo:hi + 1])
+            pos, at = self._confirm(prods, self._filter(prods))
+            row, col = np.divmod(pos, w)
             first = np.flatnonzero(np.diff(row, prepend=-1))  # rows ascend
-            row, col, at = row[first], col[first], at[hit][first]
-            out[todo[row]] = (base + col) * self.m + self.idx[at]
+            row, col, at = row[first], col[first], at[first]
+            out[todo[row]] = (s + lo + col) * self.m + self.idx[at]
             left = np.ones(k, bool)
             left[row] = False
-            todo, base = todo[left], base + w
-            if len(todo):
-                if base > self.steps:
-                    raise ValueError(
-                        "element not found in subgroup (corrupt table?)")
-                h = field.mul(prods.reshape(k, w)[left, w - 1], self.giant)
-        return out
+            todo = todo[left]
+            if not len(todo):
+                return out
+            if s + hi == self.steps:
+                raise ValueError(
+                    "element not found in subgroup (corrupt table?)")
+            h = prods.reshape(k, w)[left, w - 1]
+            s, lo = s + hi, 1
+
+    def _filter(self, prods):
+        """Positions in prods whose low bits the bit filter holds, a
+        superset of those in vals, ascending."""
+        low = prods & np.uint64(self.mask)
+        bit = low.astype(np.uint8)
+        bit &= 7
+        low >>= np.uint64(3)
+        bits = self.filter.take(low.view(np.int64))
+        bits >>= bit
+        bits &= 1
+        return np.flatnonzero(bits.view(bool))  # faster than on uint8
+
+    def _confirm(self, prods, cand):
+        """The positions among cand whose products are in vals, ascending,
+        and the products' positions in vals.  The candidates go into
+        searchsorted in value order, which it runs faster on."""
+        cur = prods[cand]
+        order = cur.view(np.int64).argsort()
+        cand = cand[order]
+        at, hit = self._find(cur[order])
+        pos, at = cand[hit], at[hit]
+        order = pos.argsort()
+        return pos[order], at[order]
+
+
+def _giant_digits(ctx, p, m, steps):
+    """The stored giant block of a baby-step giant-step solver with m
+    baby entries: the digits (``ctx.batch.digits``) of G[t] = gp^(-m t)
+    for t < min(steps + 1, GIANT_BLOCK + 1)."""
+    giant = ctx.pow(2, ctx.order // p * (p - m))  # gp^-m
+    return ctx.batch.digits(
+        ctx.powers(giant, min(steps + 1, GIANT_BLOCK + 1)))
+
+
+def _bit_filter(vals):
+    """(mask, filter) of the baby table vals: bit v & 7 of filter[v >> 3]
+    is set for the low bits v = val & mask of every val, with mask the
+    low bit_length(len(vals)) + 4 bits."""
+    mask = (1 << (len(vals).bit_length() + 4)) - 1
+    filt = np.zeros((mask >> 3) + 1, np.uint8)
+    low = vals & mask
+    bit = (low & 7).astype(np.uint8)
+    np.left_shift(np.uint8(1), bit, out=bit)
+    low >>= 3
+    np.bitwise_or.at(filt, low, bit)
+    return mask, filt
 
 
 class _PrimePowerSolver:
@@ -508,8 +546,8 @@ def build_engine(
     spills the rest to BSGS.  bsgs_baby_entries oversizes the BSGS baby
     tables beyond the default ceil(sqrt(p)), trading memory for time on
     orders with a huge prime factor.  Each BSGS solver also holds a
-    giant block of at most GIANT_BLOCK powers as their k-bit digits
-    (ceil(n/k) bytes a power: 128 KiB at n <= 32, 1008 KiB at n = 63)
+    giant block of at most GIANT_BLOCK + 1 powers as their g-bit digits
+    (ceil(n/g) bytes a power: 64 KiB at n <= 32, 1008 KiB at n = 63)
     and a bit filter of its baby table (2 to 4 bytes per entry); the
     predicted bytes leave out the block, and the filter fits in the
     model's 16 * 4/3 bytes per entry beside the 16 the table takes.

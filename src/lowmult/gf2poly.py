@@ -360,8 +360,10 @@ class _BatchField:
     more gather, so no value ever exceeds 64 bits.  A table can be
     built once and reused for several products with the same factor.
     The grid product of every b[i] by every a[t] (mul_grid) instead
-    takes a's digits stored once, lowest first, and moves b's table up
-    by x^k per digit.
+    takes a's digits stored once, lowest first, g bits wide (g = 8, or
+    less where n + g would pass 64 bits), and moves b's table of 2^g
+    multiples up by x^g per digit.  One fold table of 2^g entries serves
+    both widths, since g >= k.
     """
 
     def __init__(self, ctx: FieldContext):
@@ -373,9 +375,16 @@ class _BatchField:
         self.ndigits = -(-n // k)
         self.kbits = np.uint64(k)
         self.digit_mask = np.uint64((1 << k) - 1)
-        # fold[h] clears the k bits h at x^n.. and adds (h x^n) mod P
-        self.fold = np.array([(h << n) ^ _poly_mod_int(h << n, ctx._p_int)
-                              for h in range(1 << k)], dtype=np.uint64)
+        self.g = g = min(8, 64 - n)
+        self.grid_digits = -(-n // g)
+        # fold[h] clears the bits h at x^n.. and adds (h x^n) mod P, for
+        # h < 2^g, which covers the k bits of a mul_table step too; by
+        # linearity, entries h >= 2^i add the fold of bit i to h - 2^i
+        self.fold = np.zeros(1 << g, np.uint64)
+        for i in range(g):
+            top = 1 << (n + i)
+            self.fold[1 << i:2 << i] = self.fold[:1 << i] ^ np.uint64(
+                top ^ _poly_mod_int(top, ctx._p_int))
         # sq[j][b] is the square of b at byte j, bits past x^(n-1) cleared;
         # by linearity, entries b >= 2^i add the square of bit i to b - 2^i
         nbytes = -(-n // 8)
@@ -393,20 +402,29 @@ class _BatchField:
             out ^= self.sq[j].take(((a >> np.uint64(8 * j)) & byte).view(np.int64))
         return out
 
+    def _multiples(self, b, bits):
+        """(2^bits, len(b)) array: row j holds j*b mod P."""
+        low = min(bits, 4)
+        rows = np.empty((1 << low, len(b)), dtype=np.uint64)
+        rows[0] = 0
+        rows[1] = b
+        h = b
+        for i in range(1, low):  # rows 2^i.. are rows ..2^i plus x^i b
+            h = (h << np.uint64(1)) ^ ((h >> self.top) * self.p_int)
+            np.bitwise_xor(rows[:1 << i], h, out=rows[1 << i:2 << i])
+        if bits > low:  # row 16 j + i is row j times x^4 plus row i
+            up = rows[:1 << (bits - low)] << np.uint64(low)
+            up ^= self.fold.take((up >> self.n).view(np.int64))
+            rows = (up[:, None] ^ rows).reshape(-1, len(b))
+        return rows
+
     def table(self, b):
         """Multiples j*b mod P for j < 2^k of the array or int b, laid out
         flat (entry j of element i at j*len(b) + i) with its row offsets."""
         b = np.atleast_1d(np.asarray(b, dtype=np.uint64))
-        rows = np.empty((1 << self.k, len(b)), dtype=np.uint64)
-        rows[0] = 0
-        rows[1] = b
-        h = b
-        for i in range(1, self.k):  # rows 2^i.. are rows ..2^i plus x^i b
-            h = (h << np.uint64(1)) ^ ((h >> self.top) * self.p_int)
-            np.bitwise_xor(rows[:1 << i], h, out=rows[1 << i:2 << i])
         # a one-element table (a constant) serves every element of a
         offsets = np.arange(len(b)) if len(b) > 1 else 0
-        return rows.ravel(), len(b), offsets
+        return self._multiples(b, self.k).ravel(), len(b), offsets
 
     def mul_table(self, table, a):
         """a times the factor whose table this is.  Gathers index with
@@ -432,24 +450,24 @@ class _BatchField:
         return self.mul_table(self.table(b), a)
 
     def digits(self, a):
-        """The k-bit digits of the uint64 array a as a (ndigits, len(a))
-        uint8 array, row d holding digit d (bits kd..kd+k-1)."""
-        return np.stack([((a >> np.uint64(self.k * d)) & self.digit_mask)
-                         .astype(np.uint8) for d in range(self.ndigits)])
+        """The g-bit digits of the uint64 array a as a (grid_digits,
+        len(a)) uint8 array, row d holding digit d (bits gd..gd+g-1)."""
+        mask = np.uint64((1 << self.g) - 1)
+        return np.stack([((a >> np.uint64(self.g * d)) & mask)
+                         .astype(np.uint8) for d in range(self.grid_digits)])
 
     def mul_grid(self, b, digits):
         """b[i] * a[t] at position i * w + t, for the uint64 array b and
-        the (ndigits, w) digits of a (self.digits(a), or a column slice
-        of them).  Digit d reads the table of b x^(kd), whose row i
-        holds j b[i] x^(kd) for j < 2^k: one take along every row by
-        the digits, one XOR into the grid.  Between digits the table
-        moves up by x^k: a shift and a fold gather over its 2^k len(b)
+        the (grid_digits, w) digits of a (self.digits(a), or a column
+        slice of them).  Digit d reads the table of b x^(gd), whose row i
+        holds j b[i] x^(gd) for j < 2^g: one take along every row by the
+        digits, one XOR into the grid.  Between digits the table moves
+        up by x^g: a shift and a fold gather over its 2^g len(b)
         entries."""
-        flat, width, _ = self.table(b)
-        rows = flat.reshape(-1, width).T.copy()  # row i: j*b[i] for j < 2^k
+        rows = self._multiples(b, self.g).T.copy()  # row i: j*b[i], j < 2^g
         grid = rows.take(digits[0], axis=1)
         for d in digits[1:]:
-            rows <<= self.kbits
+            rows <<= np.uint64(self.g)
             rows ^= self.fold.take((rows >> self.n).view(np.int64))
             grid ^= rows.take(d, axis=1)
         return grid.ravel()

@@ -127,6 +127,46 @@ def test_element_outside_subgroup_raises(monkeypatch, block, baby):
         sub.lookup_array(np.array(inside + [2] + inside, np.uint64))
 
 
+@pytest.mark.parametrize("baby", [1, None, 30])
+@pytest.mark.parametrize("spec, threshold, p, outside", [
+    ("10,3,0", 11, 31, 2),  # M = 3 * 11 * 31; x has order 1023
+    ("7,1,0", 1, 127, 0),  # M = 127 is prime; 0 is in no subgroup
+])
+def test_every_pass_boundary(spec, threshold, p, outside, baby):
+    # every block size from one step a pass to more than the steps puts
+    # each step in the first column, the carried last column and the
+    # final partial pass; a run of all p elements at once has many rows
+    # a pass, and an element outside the subgroup raises after every
+    # step was checked exactly once, alone or beside them
+    ctx = make_context(parse_poly(spec))
+    gp = ctx.pow(2, ctx.order // p)
+    inside = [ctx.pow(gp, j) for j in range(p)]
+    arr = np.array(inside, np.uint64)
+    m = min(p, baby or isqrt(p - 1) + 1)
+    steps = (p - 1) // m
+    field = ctx.batch
+    for block in range(1, steps + 3):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dlog, "GIANT_BLOCK", block)
+            engine = build_engine(ctx, threshold, bsgs_baby_entries=baby)
+            sub = engine.solvers[-1].sub
+            assert (sub.p, sub.m, sub.steps) == (p, m, steps)
+            assert [sub.lookup(h) for h in inside] == list(range(p))
+            assert sub.lookup_array(arr).tolist() == list(range(p))
+            assert sub._giant_steps(arr).tolist() == list(range(p))
+            columns = []
+            grid = field.mul_grid
+            mp.setattr(field, "mul_grid",
+                       lambda b, d: columns.append(d.shape[1]) or grid(b, d))
+            for run in ([outside], inside + [outside] + inside):
+                columns.clear()
+                with pytest.raises(ValueError, match="not found in subgroup"):
+                    sub._giant_steps(np.array(run, np.uint64))
+                assert sum(columns) == steps + 1
+            with pytest.raises(ValueError, match="not found in subgroup"):
+                sub.lookup(outside)
+
+
 @pytest.mark.parametrize("plan", sorted(PLANS))
 @pytest.mark.parametrize("spec", ["6,1,0", "12,6,4,1,0"])
 def test_prime_powers_over_the_whole_group(spec, plan):

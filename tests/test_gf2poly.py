@@ -200,11 +200,12 @@ def _reference_fold(p_int: int, n: int, k: int) -> list[int]:
 
 @pytest.mark.parametrize("n", range(2, 64))
 def test_reduction_tables_match_bitwise_reference(n):
-    # the array field's one reduction table: the fold of k bits at x^n
+    # the array field's one reduction table: the fold of g bits at x^n,
+    # whose first 2^k entries serve mul_table's k-bit steps
     poly = random_primitive_poly(n, random.Random(n))
     fold = make_context(poly).batch.fold
     assert fold.dtype == np.uint64
-    assert fold.tolist() == _reference_fold(poly.to_int(), n, min(4, 64 - n))
+    assert fold.tolist() == _reference_fold(poly.to_int(), n, min(8, 64 - n))
 
 
 @pytest.mark.parametrize("n", range(2, 64))
@@ -228,8 +229,8 @@ def test_kernel_matches_shift_and_fold(n, seed, data):
 @settings(max_examples=4, deadline=None)
 @given(seed=st.integers(0, 2**16), data=st.data())
 def test_mul_grid_equals_elementwise_mul(n, seed, data):
-    # digit widths k = 4 up to n = 60, then 3, 2 and 1 at n = 61 to 63;
-    # the digits of a are a column slice of a longer stored block
+    # grid digit widths g = 8 up to n = 56, then 7 down to 1 at n = 57
+    # to 63; the digits of a are a column slice of a longer stored block
     poly = random_primitive_poly(n, random.Random(seed))
     ctx = make_context(poly)
     field = ctx.batch
@@ -240,7 +241,7 @@ def test_mul_grid_equals_elementwise_mul(n, seed, data):
     lo = data.draw(st.integers(0, 3))
     block = data.draw(st.lists(elem, min_size=lo + w, max_size=lo + w + 3))
     digits = field.digits(np.array(block, np.uint64))
-    assert digits.shape == (-(-n // field.k), len(block))
+    assert digits.shape == (-(-n // field.g), len(block))
     assert digits.dtype == np.uint8
     grid = field.mul_grid(np.array(b, np.uint64), digits[:, lo:lo + w])
     assert grid.dtype == np.uint64
