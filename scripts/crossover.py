@@ -27,10 +27,7 @@ ROADMAP item 3, a rule that weighs predicted work, replaces it.
 """
 
 import json
-import os
-import platform
 import statistics
-import subprocess
 import sys
 from pathlib import Path
 from time import perf_counter
@@ -38,7 +35,7 @@ from time import perf_counter
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
-import numpy  # noqa: E402
+from bench_env import env  # noqa: E402
 
 from lowmult import (  # noqa: E402
     SearchParams,
@@ -55,17 +52,6 @@ SWEEPS = [
 ]
 REPS = 5
 OUT = ROOT / "BENCH_crossover.json"
-
-
-def _commit():
-    """HEAD, suffixed -dirty when the measured tree has uncommitted edits."""
-    try:
-        out = subprocess.run(["git", "describe", "--always", "--dirty"],
-                             cwd=ROOT, capture_output=True, text=True,
-                             check=True)
-    except (OSError, subprocess.CalledProcessError):
-        return None
-    return out.stdout.strip()
 
 
 def _summary(samples):
@@ -128,13 +114,7 @@ def main():
     sweeps = [sweep(*args) for args in SWEEPS]
     OUT.write_text(json.dumps({
         "reps": REPS,
-        "env": {
-            "nproc": len(os.sched_getaffinity(0)),
-            "python": platform.python_version(),
-            "numpy": numpy.__version__,
-            "machine": platform.machine(),
-            "commit": _commit(),
-        },
+        "env": env(),
         "sweeps": sweeps,
     }, indent=1) + "\n")
 

@@ -50,10 +50,7 @@ The n = 53 build takes about 15 s and 0.5 GB.
 """
 
 import json
-import os
-import platform
 import statistics
-import subprocess
 import sys
 import tracemalloc
 from contextlib import contextmanager
@@ -64,6 +61,7 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
 import numpy as np  # noqa: E402
+from bench_env import env  # noqa: E402
 
 from lowmult import build_engine, dlog, make_context, parse_poly  # noqa: E402
 
@@ -82,17 +80,6 @@ INSTANCES = [
 ]
 SEED = 2
 OUT = ROOT / "BENCH_logs.json"
-
-
-def _commit():
-    """HEAD, suffixed -dirty when the measured tree has uncommitted edits."""
-    try:
-        out = subprocess.run(["git", "describe", "--always", "--dirty"],
-                             cwd=ROOT, capture_output=True, text=True,
-                             check=True)
-    except (OSError, subprocess.CalledProcessError):
-        return None
-    return out.stdout.strip()
 
 
 def _tree_products(node):
@@ -281,13 +268,7 @@ def main():
     rows = [measure(*instance) for instance in INSTANCES]
     OUT.write_text(json.dumps({
         "seed": SEED,
-        "env": {
-            "nproc": len(os.sched_getaffinity(0)),
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "machine": platform.machine(),
-            "commit": _commit(),
-        },
+        "env": env(),
         "instances": rows,
     }, indent=1) + "\n")
 

@@ -20,8 +20,6 @@ before the call, and every run's numbers.
 """
 
 import json
-import os
-import platform
 import resource
 import statistics
 import subprocess
@@ -32,7 +30,7 @@ from time import perf_counter
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
-import numpy  # noqa: E402
+from bench_env import env  # noqa: E402
 
 from lowmult import SampleParams, birthday_tmto, make_context, parse_poly  # noqa: E402
 
@@ -41,17 +39,6 @@ CASES = [(4, 65536), (5, 65536)]
 ROUNDS = 100_000
 REPS = 5
 OUT = ROOT / "BENCH_sampler.json"
-
-
-def _commit():
-    """HEAD, suffixed -dirty when the measured tree has uncommitted edits."""
-    try:
-        out = subprocess.run(["git", "describe", "--always", "--dirty"],
-                             cwd=ROOT, capture_output=True, text=True,
-                             check=True)
-    except (OSError, subprocess.CalledProcessError):
-        return None
-    return out.stdout.strip()
 
 
 def _rss_mb():
@@ -102,13 +89,7 @@ def main():
     cases = [case(w, D) for w, D in CASES]
     OUT.write_text(json.dumps({
         "reps": REPS,
-        "env": {
-            "nproc": len(os.sched_getaffinity(0)),
-            "python": platform.python_version(),
-            "numpy": numpy.__version__,
-            "machine": platform.machine(),
-            "commit": _commit(),
-        },
+        "env": env(),
         "cases": cases,
     }, indent=1) + "\n")
 

@@ -24,9 +24,9 @@ one once D reaches half the group order).  It is canonical wherever its
 probes cover all of [1, D], with the shifted probe half above the stored
 one, and elsewhere keeps the match whose probe half is the multiple's
 last short run of terms (``_split``).  Both routes then share one
-back end on arrays: a match is a row of its terms, and ``_Dedup`` holds
-the rows and sorts them once, which ``SearchResult`` holds; it builds
-the MultipleRecords only when asked.
+back end on arrays: a match is a row of its terms, ``_KeySorter`` holds
+each as its key and sorts the keys once, which ``SearchResult`` holds; it
+unpacks them on read and builds the MultipleRecords only when asked.
 
 Each concept has one home shared with the samplers: the ``tuples``
 module is the lexicographic order of the tuples both halves are made
@@ -34,14 +34,15 @@ of (rank, unrank and block enumeration), ``_match_blocks`` and
 ``_match_rows`` are the log route's match kernel, ``_zero_pairs`` the
 pairing of halves that reduce to zero, ``_classical_exps`` the assembly
 of ``birthday_tmto``'s matches, the row of a multiple (its exponents,
-padded with D + 1) the one format from match to result, ``_split`` the
-split through which a search meets it, and ``_match_records`` the maker
-of MultipleRecords.  Each Zech-style log log(1 + tuple) is
-taken once: phase 1 takes the logs of the tuples with an odd exponent in
-batches of LOG_CHUNK, one array call of ``discrete_log`` per batch, and
-``_fill_even`` derives the rest by the Frobenius identity; phase 2 reads
-its probes' logs from phase 1 when both halves have the same size, and
-otherwise takes them a chunk of LOG_CHUNK probes at a time.
+padded with D + 1) the one format from match to sorter, ``_keys`` the one
+format held and returned, ``_split`` the split through which a search
+meets it, and ``_match_records`` the maker of MultipleRecords.  Each
+Zech-style log log(1 + tuple) is taken once: phase 1 takes the logs of
+the tuples with an odd exponent in batches of LOG_CHUNK, one array call
+of ``discrete_log`` per batch, and ``_fill_even`` derives the rest by
+the Frobenius identity; phase 2 reads its probes' logs from phase 1 when
+both halves have the same size, and otherwise takes them a chunk of
+LOG_CHUNK probes at a time.
 """
 
 from __future__ import annotations
@@ -75,13 +76,13 @@ DEFAULT_BUDGET_BYTES = 2**31
 # stored) pair can have) pairs.
 MATCH_BLOCK = 8192
 
-# Work bytes per row of the dedup's final sort beside a copy of its rows
-# and the block it returns: the unpacked rows or the degree, the sort
-# order and the sort's own work (tracemalloc: at most 23 at 19,449 to
-# 119,785 rows of 4 to 8 columns).
-SORT_ROW_BYTES = 48
+# Work bytes per key of the final sort of keys too wide to pack, beside
+# the keys and their sorted copy: the sort order and np.lexsort's own
+# work (tracemalloc: 24 to 25 at 19,449 to 802,384 keys of 2 to 7
+# columns).  Packed keys sort in place.
+SORT_ROW_BYTES = 32
 
-# Bit fields that _pack puts into one int64 at most; rows of fields that
+# Bit fields that _keys packs into one int64 at most; keys of fields that
 # need more are compared column by column.
 PACK_BITS = 63
 
@@ -140,7 +141,7 @@ def estimate_count(n: int, w: int, D: int) -> float:
         return inf
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class MultipleRecord:
     """A canonicalized found multiple.
 
@@ -148,13 +149,22 @@ class MultipleRecord:
     (stored tuple, probe tuple, shift) that produced it, with shift None
     for the classical route: the one split through which an exhaustive
     search met it (tmto_find_all, logtmto_find_all), which _split derives
-    from its exponents, or the smallest a sampler saw.
+    from its exponents, or the smallest a sampler saw.  weight and degree
+    are read from poly; given to the constructor, they must be poly's.
     """
 
     poly: SparsePoly
-    weight: int
-    degree: int
     provenance: Optional[tuple] = None
+
+    def __init__(self, poly, weight=None, degree=None, provenance=None):
+        for name, given in (("weight", weight), ("degree", degree)):
+            if given is not None and given != getattr(poly, name)():
+                raise ValueError(f"{poly} does not have {name} {given}")
+        object.__setattr__(self, "poly", poly)
+        object.__setattr__(self, "provenance", provenance)
+
+    weight = property(lambda self: self.poly.weight())
+    degree = property(lambda self: self.poly.degree())
 
     def __eq__(self, other):
         return (
@@ -168,14 +178,14 @@ class MultipleRecord:
     @classmethod
     def of(cls, exponents, provenance=None, *,
            checked: bool = True) -> "MultipleRecord":
-        """The record of an exponent set; weight and degree are derived.
+        """The record of an exponent set.
 
         checked=False takes a tuple that is already canonical (strictly
         increasing, in range) without SparsePoly's check of every pair:
         the searches build their tuples so.
         """
         poly = SparsePoly(exponents) if checked else SparsePoly.canonical(exponents)
-        return cls(poly, poly.weight(), poly.degree(), provenance)
+        return cls(poly, provenance=provenance)
 
     def __repr__(self):
         return f"MultipleRecord({self.poly})"
@@ -289,22 +299,32 @@ class RunReport:
 
 @dataclass(eq=False)
 class SearchResult:
-    """The multiples of one exhaustive run, kept as _Dedup.sorted_rows:
-    one row of exponents per multiple, padded with D + 1, sorted by
-    (degree, exponents); and the run's searches (_levels).  records
+    """The multiples of one exhaustive run, kept as _KeySorter.sorted_keys,
+    sorted by (degree, exponents), and the run's searches (_levels).
+    rows, exponent_blocks() and records unpack the keys (_unkey).  records
     builds one MultipleRecord per row on its first read and keeps the
     list; its provenance is the row's _split under the search of its
     weight."""
 
-    rows: np.ndarray
+    keys: np.ndarray
     report: RunReport
     levels: list[SearchParams]
+
+    @property
+    def rows(self) -> np.ndarray:
+        """One row per multiple in record order, unpacked on each read."""
+        return _unkey(self.keys, self.report.D, self.report.w)
+
+    def _row_blocks(self):
+        for at in range(0, len(self.keys), 1024):
+            yield _unkey(self.keys[at:at + 1024], self.report.D,
+                         self.report.w)
 
     def exponent_blocks(self):
         """The multiples' exponent tuples in record order, a list of at
         most 1024 per block."""
-        for at in range(0, len(self.rows), 1024):
-            yield _exponents(self.rows[at:at + 1024], self.report.D)
+        for rows in self._row_blocks():
+            yield _exponents(rows, self.report.D)
 
     def exponent_sets(self) -> frozenset[tuple[int, ...]]:
         return frozenset(chain.from_iterable(self.exponent_blocks()))
@@ -315,8 +335,7 @@ class SearchResult:
         of 1024 rows keep their lists small beside the records; a part's
         splits are padded with zeros to the rows' width."""
         D, records, tuples = self.report.D, [], {}
-        for at in range(0, len(self.rows), 1024):
-            rows = self.rows[at:at + 1024]
+        for rows in self._row_blocks():
             weight = (rows <= D).sum(axis=1)
             stored, probes = np.zeros_like(rows), np.zeros_like(rows)
             shift = np.zeros(len(rows), np.int64)
@@ -514,28 +533,45 @@ def _cancel(rows: np.ndarray, D: int) -> np.ndarray:
     return rows
 
 
-def _pack(cols: np.ndarray, widths: list[int]) -> np.ndarray:
-    """The non-negative int64 columns as one column of bit fields of the
-    given widths, the first most significant, where they fit in
-    PACK_BITS bits; else the columns unchanged.  Either way rows compare
-    alike, lexicographically."""
-    if sum(widths) > PACK_BITS:
-        return cols
-    out = cols[:, 0].copy()
-    for col, bits in zip(cols.T[1:], widths[1:]):
-        out <<= bits
-        out |= col
-    return out[:, None]
+def _key_bits(w: int, D: int) -> int:
+    """The bits of each of the w - 1 fields of a packed key, values up to
+    the pad D + 1; 0 where they do not fit in PACK_BITS."""
+    bits = (D + 1).bit_length()
+    return bits if (w - 1) * bits <= PACK_BITS else 0
 
 
-def _unpack(packed: np.ndarray, widths: list[int]) -> np.ndarray:
-    """The columns that _pack made packed of."""
-    if packed.shape[1] > 1:
-        return packed
-    low = np.cumsum([0] + widths[:0:-1])[::-1]  # bits below each field
-    out = packed >> low
-    out &= (1 << np.array(widths)) - 1
-    return out
+def _keys(rows: np.ndarray, D: int) -> np.ndarray:
+    """The sort keys of _cancel rows of width w, made in the rows' place:
+    each row's degree, then its terms strictly between 0 and the degree,
+    padded with D + 1, packed where _key_bits allows, else w - 1 columns.
+    They sort as the rows by (degree, exponents): at the first difference
+    of two keys of equal degree, both hold terms, or one meets its pad
+    where the other holds a smaller term and in the rows it meets its
+    degree; both put the other row first."""
+    degree = rows.max(axis=1, where=rows <= D, initial=0)
+    rows[:, 0] = degree
+    between = rows[:, 1:-1]
+    between[between == degree[:, None]] = D + 1
+    bits = _key_bits(rows.shape[1], D)
+    if not bits:
+        return rows[:, :-1]
+    for col in between.T:
+        degree <<= bits
+        degree |= col
+    return degree[:, None]
+
+
+def _unkey(keys: np.ndarray, D: int, w: int) -> np.ndarray:
+    """The _cancel rows of width w whose _keys are keys."""
+    bits = _key_bits(w, D)
+    if bits:
+        keys = keys >> bits * np.arange(w - 2, -1, -1)
+        keys &= (1 << bits) - 1
+    rows = np.zeros((len(keys), w), np.int64)
+    rows[:, 1:-1] = keys[:, 1:]
+    rows[:, -1] = keys[:, 0]
+    rows.sort(axis=1)  # the degree before the pads
+    return rows
 
 
 def _exponents(rows: np.ndarray, D: int) -> list[tuple[int, ...]]:
@@ -616,11 +652,11 @@ def _match_block_bytes(M: int, D: int, q1: int, q2: int, stored: int,
     probes is expected to make (a window of 2D + 1 logs holds a
     (2D + 1) / M share of the table), at most MATCH_BLOCK, each with, in
     words (w = q1 + q2 + 2), the kernel's indices (12), its halves and
-    row (2w - 2), a bounded search's _split (2w) and its dedup row,
-    gathered and packed (w + 1)."""
+    row (2w - 2), a bounded search's keep test (6) and its row gathered
+    and keyed in the sorter (w + 2)."""
     chunk = min(LOG_CHUNK, probes)
     matches = min(MATCH_BLOCK, -(-chunk * stored * (2 * D + 1) // M))
-    return matches * 8 * (5 * (q1 + q2 + 2) + 11)
+    return matches * 8 * (3 * (q1 + q2 + 2) + 18)
 
 
 def _log_route_bytes(M: int, D: int, q1: int, q2: int, stored: int,
@@ -644,9 +680,9 @@ def _log_route_bytes(M: int, D: int, q1: int, q2: int, stored: int,
     each stored tuple; one chunk of at most LOG_CHUNK probes, as a
     batch; where q1 != q2 the probes' logs, while where q1 = q2 the
     probes are stored tuples and read their logs from the table.  And
-    one match block (_match_block_bytes).  The multiples the dedup
-    holds are the run's output: _Dedup checks them against the
-    rest of the budget as they grow.
+    one match block (_match_block_bytes).  The multiples held are the
+    run's output: _KeySorter checks them against the rest of the budget
+    as they grow.
     """
     chunk = min(LOG_CHUNK, probes)
     batch = min(LOG_CHUNK, logged) * BATCH_LOG_BYTES
@@ -671,51 +707,52 @@ def _check_budget(predicted: int, budget: int) -> None:
         )
 
 
-class _Dedup:
-    """The rows of an exhaustive run's multiples, held packed and sorted
+class _KeySorter:
+    """An exhaustive run's multiples, held as their _keys and sorted
     once, at the end.  Each search of the run hands in every multiple of
-    its weight exactly once (_levels), so no two rows are equal and none
-    is dropped; a row's provenance is not held, since _split derives it.
+    its weight exactly once (_levels), so no two keys are equal and none
+    is dropped; a multiple's provenance is not held, since _split
+    derives it.
 
     add_rows() takes a block of either route's multiples, of any size:
-    rows of exponents, ascending, padded with D + 1.  A narrower block is
-    padded to width columns, the run's highest weight.  Blocks are
-    gathered to MATCH_BLOCK rows, then held packed into one int64 per
-    row where they fit.
+    rows of exponents up to D, ascending, padded with D + 1.  A narrower
+    block is padded to width columns, the run's highest weight.  Blocks
+    are gathered to MATCH_BLOCK rows, then held as keys: one int64 each
+    where _key_bits packs them, else a view of their rows, charged as such.
 
     room is the memory budget left beside the route's predicted peak,
     which charges the block being added and its gathering but not the
-    multiples, the run's output.  The rows held, packed, and the work of
-    sorting them (a copy of them, SORT_ROW_BYTES per row and the
-    unpacked block sorted_rows() returns) may pass room by MATCH_BLOCK
-    returned rows at most: the route's block, charged in its prediction,
-    is gone by the sort.  add_rows() raises MemoryBudgetExceededError
-    instead of taking a block where the rows already held pass that, and
-    sorted_rows() instead of sorting where all the rows do.  Both check
-    one sum, which grows with the rows held, so add_rows() raises only
-    where sorted_rows() would, and a run whose sort cannot fit stops at
-    the first block past that point.
+    multiples, the run's output.  The keys held and the work of sorting
+    them may pass room by MATCH_BLOCK rows of width int64 at most: the
+    route's block, charged in its prediction, is gone by the sort.  That
+    work is the keys' one concatenation, sorted in place where packed,
+    else with an order (SORT_ROW_BYTES a key) and a sorted copy.
+    add_rows() raises MemoryBudgetExceededError instead of taking a block
+    where the keys already held pass that, and sorted_keys() instead of
+    sorting where all of them do.  Both check one sum, which grows with
+    the keys held, so add_rows() raises only where sorted_keys() would,
+    and a run whose sort cannot fit stops at the first block past that
+    point.
     """
 
-    __slots__ = ("room", "width", "_rows", "_pending", "_pending_rows",
-                 "_blocks", "_format")
-
-    def __init__(self, room: int, width: int):
+    def __init__(self, room: int, width: int, D: int):
         self.room = room
         self.width = width
-        self._rows = 0  # held, gathered and packed
-        self._pending: list[np.ndarray] = []  # gathered blocks, unpacked
+        self.D = D
+        self._key_bytes = 8 if _key_bits(width, D) else 8 * width
+        self._rows = 0  # held, gathered and as keys
+        self._pending: list[np.ndarray] = []  # gathered blocks of rows
         self._pending_rows = 0
-        self._blocks: list[np.ndarray] = []
+        # an empty first block gives sorted_keys() the keys' shape
+        self._blocks = [_keys(np.empty((0, width), np.int64), D)]
 
     def _check_room(self) -> None:
-        """Raise unless the rows held and their sort fit room and
-        MATCH_BLOCK returned rows."""
-        row_bytes = 8 * self.width
-        held = self._rows * (8 if sum(self._format[1]) <= PACK_BITS
-                             else row_bytes)  # what _pack makes of them
-        work = held + self._rows * (SORT_ROW_BYTES + row_bytes)
-        if held + work > self.room + MATCH_BLOCK * row_bytes:
+        """Raise unless the keys held and their sort fit room and
+        MATCH_BLOCK rows."""
+        held = self._rows * self._key_bytes
+        work = held if self._key_bytes == 8 else (
+            2 * held + self._rows * SORT_ROW_BYTES)
+        if held + work > self.room + MATCH_BLOCK * 8 * self.width:
             raise MemoryBudgetExceededError(
                 f"multiples held ({held} bytes, and {work} to sort them) "
                 "exceed the memory budget left beside the predicted tables "
@@ -723,47 +760,36 @@ class _Dedup:
                 "sampling search"
             )
 
-    def add_rows(self, rows: np.ndarray, D: int) -> None:
-        # bits of each field: exponents up to the pad D + 1
-        self._format = D, [(D + 1).bit_length()] * self.width
+    def add_rows(self, rows: np.ndarray) -> None:
         self._check_room()
         pad = self.width - rows.shape[1]
         if pad:
-            rows = np.hstack((rows, np.full((len(rows), pad), D + 1)))
+            rows = np.hstack((rows, np.full((len(rows), pad), self.D + 1)))
         self._pending.append(rows)
         self._rows += len(rows)
         self._pending_rows += len(rows)
         if self._pending_rows >= MATCH_BLOCK:
-            self._pack()
+            self._hold()
 
-    def _pack(self) -> None:
-        """Pack the gathered blocks into one held block."""
-        block = np.concatenate(self._pending)
+    def _hold(self) -> None:
+        """Hold the gathered blocks as one block of keys."""
+        rows = np.concatenate(self._pending)
         self._pending, self._pending_rows = [], 0
-        self._blocks.append(_pack(block, self._format[1]))
+        self._blocks.append(_keys(rows, self.D))
 
-    def sorted_rows(self) -> np.ndarray:
-        """The multiples of add_rows() as one block of width columns, in
-        the format add_rows() takes, sorted by (degree, exponents); the
-        dedup holds no rows afterwards.
-
-        One sort orders them, by degree and then by row: two rows of equal
-        degree both end in it before their padding, so neither is a
-        prefix of the other, and the row orders them as their exponents."""
+    def sorted_keys(self) -> np.ndarray:
+        """The keys of the multiples of add_rows(), sorted: in place where
+        packed, else by np.lexsort of their columns.  The sorter holds
+        none afterwards."""
         if self._pending:
-            self._pack()
-        if not self._blocks:
-            return np.empty((0, self.width), np.int64)
+            self._hold()
         self._check_room()
-        D, bits = self._format
         keys = np.concatenate(self._blocks)
         self._blocks, self._rows = [], 0
-        rows = _unpack(keys, bits)
-        degree = rows.max(axis=1, where=rows <= D, initial=0)
-        del rows
-        order = np.lexsort((*keys.T[::-1], degree))
-        del degree
-        return _unpack(keys[order], bits)
+        if keys.shape[1] == 1:
+            keys.sort(axis=0)
+            return keys
+        return keys[np.lexsort(keys.T[::-1])]
 
 
 def _levels(params: SearchParams, M: int) -> list[SearchParams]:
@@ -789,10 +815,10 @@ def _levels(params: SearchParams, M: int) -> list[SearchParams]:
 def _run(ctx: FieldContext, params: SearchParams, name: str, need,
          search) -> SearchResult:
     """One exhaustive run: each search of _levels(params), through
-    search(level, xp, dedup, report), into one dedup and one report.
+    search(level, xp, sorter, report), into one _KeySorter and one report.
     need(level) is the bytes a search predicts; the largest is checked
     against the budget before anything is allocated, and what the budget
-    leaves beside it is the dedup's room.  xp is the power array up to
+    leaves beside it is the sorter's room.  xp is the power array up to
     x^D, built once where a tuple has an exponent."""
     levels = _levels(params, ctx.order)
     top = levels[-1]
@@ -800,15 +826,15 @@ def _run(ctx: FieldContext, params: SearchParams, name: str, need,
     _check_budget(predicted, params.budget_bytes)
     report = RunReport(algorithm=name, w=top.w, D=top.D, q1=top.q1,
                        q2=top.q2)
-    dedup = _Dedup(params.budget_bytes - predicted, top.w)
+    sorter = _KeySorter(params.budget_bytes - predicted, top.w, top.D)
     xp = ctx.powers(2, top.D + 1).view(np.int64) if top.q2 else None
     for level in levels:
-        search(level, xp, dedup, report)
+        search(level, xp, sorter, report)
     t0 = time.perf_counter()
-    rows = dedup.sorted_rows()
-    report.found = len(rows)
+    keys = sorter.sorted_keys()
+    report.found = len(keys)
     report.phase2_seconds += time.perf_counter() - t0
-    return SearchResult(rows, report, levels)
+    return SearchResult(keys, report, levels)
 
 
 def _residues(xp: np.ndarray, tuples: np.ndarray) -> np.ndarray:
@@ -840,9 +866,9 @@ def _tmto_bytes(n: int, D: int, q1: int, q2: int) -> int:
     filter.  The comb table of one enumeration, at most q2 words per
     exponent.  Per probe suffix: its exponents, its residue and three
     words of work.
-    One block of rows (_tmto_block_bytes).  The multiples the dedup
-    holds are the run's output: _Dedup checks them against the
-    rest of the budget as they grow.  All this beside the power array up
+    One block of rows (_tmto_block_bytes).  The multiples held are the
+    run's output: _KeySorter checks them against the rest of the budget
+    as they grow.  All this beside the power array up
     to x^D, built first (powers_bytes).
     """
     entries, s = comb(D, q1), _suffix_size(q2)
@@ -859,7 +885,8 @@ def _tmto_block_bytes(n: int, D: int, q1: int, q2: int) -> int:
     """Bytes of tmto_find_all's block of rows: MATCH_BLOCK plus the
     C(D, s) C(D, q1) / M hits a prefix's suffixes are expected to make,
     but no more than all hits, each with, in words (w = q1 + q2 + 1), its
-    row (w), its dedup row, gathered and packed (w + 1), and work (7)."""
+    row (w), its row gathered and keyed in the sorter (w + 2), and work
+    (6)."""
     entries, M = comb(D, q1), (1 << n) - 1
     rows = min(MATCH_BLOCK - (-comb(D, _suffix_size(q2)) * entries // M),
                -(-comb(D, q2) * entries // M))
@@ -886,8 +913,8 @@ def tmto_find_all(ctx: FieldContext, params: SearchParams) -> SearchResult:
 
 
 def _tmto_search(n: int, params: SearchParams, xp: np.ndarray,
-                 dedup: _Dedup, report: RunReport) -> None:
-    """One classical search's hits, into dedup, and its counters, into
+                 sorter: _KeySorter, report: RunReport) -> None:
+    """One classical search's hits, into sorter, and its counters, into
     report.
 
     Phase 1 sorts the stored residues (keys) and sets one bit per key in
@@ -897,8 +924,8 @@ def _tmto_search(n: int, params: SearchParams, xp: np.ndarray,
     contiguous slice of one array in lex order.  A probe whose filter
     bit is set is confirmed by binary search on the keys, so the lookup
     is exact however many residues share a bit.  Each prefix's canonical
-    hits go to the dedup as the log route's matches do: rows of 1 plus
-    both halves, ascending, with shift 0 (None).
+    hits go to the sorter as the log route's matches do: rows of 1 plus both
+    halves, ascending.
     """
     q1, q2, D, w = params.q1, params.q2, params.D, params.w
     t0 = time.perf_counter()
@@ -960,7 +987,7 @@ def _tmto_search(n: int, params: SearchParams, xp: np.ndarray,
         rows[:, 1:q1 + 1] = stored[at]
         rows[:, q1 + 1:w - s] = prefix
         rows[:, w - s:] = suffixes[cand]
-        dedup.add_rows(rows, D)
+        sorter.add_rows(rows)
     report.phase2_seconds += time.perf_counter() - t0
 
 
@@ -1028,21 +1055,28 @@ def logtmto_find_all(
                 partial(_log_search, engine))
 
 
+def _run_start(rows: np.ndarray, q1: int, bound: int) -> np.ndarray:
+    """The index in each row of rows, (N, w) exponents, of the first term
+    of the probe half of its _split: the multiple's last run of
+    w - 1 - q1 consecutive terms that spans at most bound."""
+    size = rows.shape[1] - 1 - q1
+    within = rows[:, size - 1:] - rows[:, :q1 + 2] <= bound
+    return q1 + 1 - within[:, ::-1].argmax(axis=1)
+
+
 def _split(rows: np.ndarray, q1: int, bound: int, classical: bool):
     """The split (stored, probes, shift) through which a weight-w search
     storing q1-tuples meets each multiple of rows, (N, w) exponents.
 
-    The probe half is the multiple's last run of w - 1 - q1 consecutive
-    terms that spans at most bound (_probe_bound; where it is D, the last
-    terms), and the stored half is the rest.  tmto gives both halves as
-    plain terms, 1 + stored + probe, with shift 0.  The log route gives
-    each as 1 + tuple shifted down to its lowest term: the shift s is the
-    probe half's lowest term, or minus the stored half's where the probe
-    half holds the 1, so the multiple is x^max(-s, 0) (1 + stored) +
-    x^max(s, 0) (1 + probe)."""
+    The probe half is the run of _run_start (bound is _probe_bound; where
+    it is D, the last terms), and the stored half is the rest.  tmto
+    gives both halves as plain terms, 1 + stored + probe, with shift 0.
+    The log route gives each as 1 + tuple shifted down to its lowest term:
+    the shift s is the probe half's lowest term, or minus the stored
+    half's where the probe half holds the 1, so the multiple is
+    x^max(-s, 0) (1 + stored) + x^max(s, 0) (1 + probe)."""
     size = rows.shape[1] - 1 - q1
-    within = rows[:, size - 1:] - rows[:, :q1 + 2] <= bound
-    first = q1 + 1 - within[:, ::-1].argmax(axis=1)  # the run's first term
+    first = _run_start(rows, q1, bound)
     probe = np.take_along_axis(rows, first[:, None] + np.arange(size), 1)
     rest = np.arange(q1 + 1)
     stored = np.take_along_axis(
@@ -1053,18 +1087,21 @@ def _split(rows: np.ndarray, q1: int, bound: int, classical: bool):
     return stored[:, 1:] - stored[:, :1], probe[:, 1:] - probe[:, :1], shift
 
 
-def _log_search(engine, params: SearchParams, xp, dedup: _Dedup,
+def _log_search(engine, params: SearchParams, xp, sorter: _KeySorter,
                 report: RunReport) -> None:
-    """One log search's matches, into dedup, and its counters, into report.
+    """One log search's matches, into sorter, and its counters, into report.
 
     Phase 1 is build_log_table.  Phase 2 takes the logs of LOG_CHUNK
     probe tuples in one batch, or reads them from the table's lex_logs
     where the probes are table tuples (q1 = q2: w = 2, 4, 6 with the
     default split), and runs the chunk through _match_blocks and
     _match_rows a block of at most MATCH_BLOCK matches at a time, with
-    the zero probes' _zero_pairs; each block goes to the dedup
-    (_Dedup.add_rows), where the search is bounded only the matches that
-    have no term cancelled and are their row's _split.
+    the zero probes' _zero_pairs; each block goes to the sorter
+    (_KeySorter.add_rows), where the search is bounded only the matches
+    that have no term cancelled and are their row's _split: those whose
+    probe half starts where the run of _run_start does.  It is then that
+    run: a probe half spans at most the bound, so if it held a term past
+    the run, the run from the next term would too, and start later.
     """
     q1, q2, D = params.q1, params.q2, params.D
     bound = _probe_bound(params)
@@ -1079,11 +1116,9 @@ def _log_search(engine, params: SearchParams, xp, dedup: _Dedup,
 
     def emit(rows, stored, probes, shift) -> int:
         if not canonical:
-            a, b, s = _split(rows, q1, bound, False)
-            rows = rows[(rows[:, -1] <= D) & (s == shift)
-                        & (a == stored).all(axis=1)
-                        & (b == probes).all(axis=1)]
-        dedup.add_rows(rows, D)
+            start = rows[np.arange(len(rows)), _run_start(rows, q1, bound)]
+            rows = rows[(rows[:, -1] <= D) & (start == np.maximum(shift, 0))]
+        sorter.add_rows(rows)
         return len(rows)
 
     t0 = time.perf_counter()

@@ -516,7 +516,7 @@ def _predicted_6_1_0(algorithm):
 
 
 def _held_and_sort(err):
-    """The held and sort bytes of an exit-4 message of the dedup."""
+    """The held and sort bytes of an exit-4 message of the key sorter."""
     return map(int, re.search(
         r"error: multiples held \((\d+) bytes, and (\d+) to sort them\)",
         err).groups())
@@ -525,25 +525,25 @@ def _held_and_sort(err):
 @pytest.mark.parametrize("algorithm", ["tmto", "logtmto"])
 def test_find_all_exits_4_once_held_multiples_pass_the_budget(
         algorithm, monkeypatch, capsys):
-    # P=6,1,0, w=6, D=64 has 119,785 multiples, each handed to the dedup
-    # once and held packed in 8 bytes: 0.96 MB, and 12.5 MB with their
-    # sort's work (a copy, 48 bytes a row and 6 unpacked int64 columns,
-    # 112 bytes a row in all).  With 512 KiB of budget beside the route's
-    # prediction the run stops with exit 4 while it matches, and no block
-    # is taken while the rows held and their sort pass the room by more
-    # than one MATCH_BLOCK of returned rows.
+    # P=6,1,0, w=6, D=64 has 119,785 multiples, each handed to the sorter
+    # once and held as one packed 8-byte key: 0.96 MB, and 1.92 MB with
+    # their sort's one concatenation (16 bytes a multiple in all).  With
+    # 512 KiB of budget beside the route's prediction the run stops with
+    # exit 4 while it matches, and no block is taken while the keys held
+    # and their sort pass the room by more than one MATCH_BLOCK of
+    # 6-column rows.
     predicted = _predicted_6_1_0(algorithm)
     room = 2**19
     spare = MATCH_BLOCK * 8 * 6
     taken = []
-    add_rows = search._Dedup.add_rows
+    add_rows = search._KeySorter.add_rows
 
-    def spy(self, rows, D):
+    def spy(self, rows):
         held = self._rows
-        add_rows(self, rows, D)
+        add_rows(self, rows)
         taken.append(held)
 
-    monkeypatch.setattr(search._Dedup, "add_rows", spy)
+    monkeypatch.setattr(search._KeySorter, "add_rows", spy)
     code, out, err = run_cli(
         ["find-all", "--poly", "6,1,0", "--weight", "6", "--max-degree", "64",
          "--algorithm", algorithm, "--budget-bytes", str(predicted + room)],
@@ -554,27 +554,28 @@ def test_find_all_exits_4_once_held_multiples_pass_the_budget(
     assert "budget" in err
     assert held + work > room + spare
     assert len(taken) > 1  # past the up-front check
-    assert max(taken) * 112 <= room + spare
+    assert max(taken) * 16 <= room + spare
 
 
 @pytest.mark.parametrize("algorithm", ["tmto", "logtmto"])
 def test_find_all_exits_4_before_unpacking_past_the_budget(
         algorithm, monkeypatch, capsys):
-    # P=6,1,0, w=6, D=64: the held rows stay under 1 MB, but sorting the
-    # 119,785 multiples takes a copy of them, 48 bytes a row and the 6
-    # int64 columns they unpack into, 12.5 MB.  With 6 MB beside the
-    # prediction the rows fit and their sort does not: the run stops with
-    # exit 4 as soon as the rows it holds and their sort pass the room,
-    # while it matches, and never reaches the sort.
+    # P=6,1,0, w=6, D=64 with keys too wide to pack (PACK_BITS = 0): each
+    # of the 119,785 multiples is held as its 6-column row, 5.7 MB, and
+    # sorting them takes their concatenation, an order and lexsort's work
+    # and the sorted copy, 15.3 MB more.  With 6 MB beside the prediction
+    # the run stops with exit 4 as soon as the keys it holds and their
+    # sort pass the room, while it matches, and never reaches the sort.
+    monkeypatch.setattr(search, "PACK_BITS", 0)
     room = 6 * 2**20
     reached = []
-    sorted_rows = search._Dedup.sorted_rows
+    sorted_keys = search._KeySorter.sorted_keys
 
     def spy(self):
         reached.append(self._rows)
-        return sorted_rows(self)
+        return sorted_keys(self)
 
-    monkeypatch.setattr(search._Dedup, "sorted_rows", spy)
+    monkeypatch.setattr(search._KeySorter, "sorted_keys", spy)
     budget = _predicted_6_1_0(algorithm) + room
     code, out, err = run_cli(
         ["find-all", "--poly", "6,1,0", "--weight", "6", "--max-degree", "64",

@@ -3,6 +3,7 @@ import hashlib
 import random
 import re
 import tracemalloc
+from dataclasses import fields
 from itertools import combinations
 from math import comb
 
@@ -41,6 +42,18 @@ ENG16 = build_engine(F16)
 
 def _brute_sets(ctx, w, D):
     return frozenset(r.poly.exponents for r in brute_force_multiples(ctx, w, D))
+
+
+def test_record_weight_and_degree_are_read_from_its_poly():
+    # not stored: the constructor takes them only to check them
+    poly = parse_poly("5,2,0")
+    record = search.MultipleRecord(poly, provenance=((2,), (), None))
+    assert [f.name for f in fields(record)] == ["poly", "provenance"]
+    assert (record.weight, record.degree) == (3, 5)
+    assert search.MultipleRecord(poly=poly, weight=3, degree=5) == record
+    for wrong in ({"weight": 2}, {"degree": 4}):
+        with pytest.raises(ValueError):
+            search.MultipleRecord(poly, **wrong)
 
 
 def test_default_split():
@@ -651,6 +664,8 @@ def test_exponent_sets_from_rows_equal_the_records(n, seed, w, degree,
     assert result.report.found == len(records)
     assert [exps for block in result.exponent_blocks()
             for exps in block] == [r.poly.exponents for r in records]
+    assert search._exponents(result.rows, D) == [
+        r.poly.exponents for r in records]
     # each provenance, derived from its row, reassembles into the
     # multiple and is the split its weight's search keeps
     for record in records:
@@ -774,20 +789,20 @@ def test_canonical_log_route_equals_tmto(spec, w, D):
 ])
 def test_canonical_pass_hands_the_dedup_one_row_per_multiple(
         monkeypatch, spec, w, D):
-    # every search of either route, bounded or not, hands the dedup each
+    # every search of either route, bounded or not, hands the sorter each
     # multiple of its weight once: the rows are pairwise distinct, one
     # per record
     ctx = make_context(parse_poly(spec))
     engine = build_engine(ctx)
-    add_rows = search._Dedup.add_rows
+    add_rows = search._KeySorter.add_rows
     for algorithm in ("classical", "logarithmic"):
         handed = []
 
-        def spy(self, rows, D):
+        def spy(self, rows):
             handed.extend(search._exponents(rows, D))
-            add_rows(self, rows, D)
+            add_rows(self, rows)
 
-        monkeypatch.setattr(search._Dedup, "add_rows", spy)
+        monkeypatch.setattr(search._KeySorter, "add_rows", spy)
         result = _route(algorithm)(ctx, engine, SearchParams.balanced(
             w, D, algorithm))
         monkeypatch.undo()
@@ -826,44 +841,47 @@ def test_log_route_charges_a_batched_giant_pass():
 def test_dedup_stops_at_the_first_block_whose_sort_would_not_fit(
         sizes, room, width, D, seed):
     # add_rows refuses block k exactly where sorting blocks[:k] would
-    # not fit, and sorted_rows where all of them would not: a run stops
+    # not fit, and sorted_keys where all of them would not: a run stops
     # as soon as its sort cannot fit, and only then (D = 2^40 leaves the
-    # rows unpacked)
+    # keys unpacked from width 3 on, where their sort takes an order and
+    # a sorted copy)
     rng = np.random.default_rng(seed)
     blocks = [rng.integers(0, D + 2, (size, width)) for size in sizes]
 
     def sort_fits(held):
-        dedup = search._Dedup(room, width)
+        sorter = search._KeySorter(room, width, D)
         try:
             for block in held:
-                dedup.add_rows(block, D)
-            dedup.sorted_rows()
+                sorter.add_rows(block)
+            sorter.sorted_keys()
         except MemoryBudgetExceededError:
             return False
         return True
 
     fits = [sort_fits(blocks[:k]) for k in range(1, len(blocks) + 1)]
-    dedup = search._Dedup(room, width)
+    sorter = search._KeySorter(room, width, D)
     stop = next((k for k, ok in enumerate(fits) if not ok), None)
     for k, block in enumerate(blocks):
         if stop is not None and k == stop + 1:
             with pytest.raises(MemoryBudgetExceededError):
-                dedup.add_rows(block, D)
+                sorter.add_rows(block)
             return
-        dedup.add_rows(block, D)
+        sorter.add_rows(block)
     if stop is None:
-        assert len(dedup.sorted_rows()) == sum(sizes)
+        assert len(sorter.sorted_keys()) == sum(sizes)
     else:
         with pytest.raises(MemoryBudgetExceededError):
-            dedup.sorted_rows()
+            sorter.sorted_keys()
 
 
-def test_dedup_sort_is_charged_before_it_runs():
-    # P=6,1,0, w=6, D=48: 26,933 multiples, held packed in 8 bytes each.
-    # With 1 MB beside the prediction the held rows fit, but sorting them
-    # takes a copy of them, 48 bytes a row and the 48-byte rows it
-    # returns, more than is left: the run stops there, its traced peak
-    # under the budget
+def test_dedup_sort_is_charged_before_it_runs(monkeypatch):
+    # P=6,1,0, w=6, D=48: 26,933 multiples.  Keys too wide to pack
+    # (PACK_BITS = 0) are held as their 6-column rows, 48 bytes each:
+    # 1.29 MB.  Sorting them takes their concatenation, an order and
+    # lexsort's work (SORT_ROW_BYTES) and the sorted copy.  With 1 MB
+    # beside the prediction the keys held fit while their sort does not:
+    # the run stops there, its traced peak under the budget
+    monkeypatch.setattr(search, "PACK_BITS", 0)
     ctx = make_context(parse_poly("6,1,0"))
     engine = build_engine(ctx)
     params, predicted = _log_route_need(ctx, 6, 48)
@@ -883,3 +901,73 @@ def test_dedup_sort_is_charged_before_it_runs():
         str(exc.value)).groups())
     assert held <= room < held + work
     assert peak < budget, (peak, budget)
+    # room for the keys held, their concatenation, the order and the
+    # sorted copy, beside MATCH_BLOCK rows, lets the run finish under its
+    # budget; a byte less stops it
+    found = logtmto_find_all(ctx, engine, params).report.found
+    need = (found * (3 * 48 + search.SORT_ROW_BYTES)
+            - search.MATCH_BLOCK * 48)
+    with pytest.raises(MemoryBudgetExceededError):
+        logtmto_find_all(ctx, engine, SearchParams.balanced(
+            6, 48, "logarithmic", budget_bytes=predicted + need - 1))
+    tracemalloc.start()
+    try:
+        logtmto_find_all(ctx, engine, SearchParams.balanced(
+            6, 48, "logarithmic", budget_bytes=predicted + need))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= predicted + need, (peak, predicted + need)
+
+
+@pytest.mark.parametrize("algorithm", ["classical", "logarithmic"])
+def test_a_result_keeps_only_its_packed_keys(algorithm):
+    # P=6,1,0, w=6, D=64: 119,785 multiples, each one packed 8-byte key.
+    # The end of the run holds the keys and their one concatenation,
+    # which the sort orders in place; the result keeps only the keys
+    ctx = make_context(parse_poly("6,1,0"))
+    engine = build_engine(ctx)
+    if algorithm == "classical":
+        params = SearchParams.balanced(6, 64, algorithm)
+        predicted = search._tmto_bytes(ctx.n, 64, params.q1, params.q2)
+    else:
+        params, predicted = _log_route_need(ctx, 6, 64)
+    _route(algorithm)(ctx, engine, params)  # the engine's lazy set-up
+    tracemalloc.start()
+    try:
+        result = _route(algorithm)(ctx, engine, params)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    keys = 8 * result.report.found
+    assert result.report.found == 119785
+    assert result.keys.nbytes == keys
+    assert keys <= kept <= keys + 2**16, (kept, keys)
+    assert peak <= predicted + 2 * keys, (peak, predicted, keys)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), w=st.integers(3, 8), packs=st.booleans())
+def test_keys_sort_and_unpack_like_rows(data, w, packs):
+    # canonical rows of weights 2 to w, padded with D + 1 to width w: D on
+    # both sides of the largest that packs w - 1 fields into PACK_BITS,
+    # and no packing at all
+    limit = 2 ** (search.PACK_BITS // (w - 1)) - 2
+    D = data.draw(st.sampled_from([w - 1, 3 * w, limit, limit + 1]))
+    rows = []
+    for _ in range(data.draw(st.integers(0, 40))):
+        k = data.draw(st.integers(1, w - 1))
+        terms = data.draw(st.lists(st.integers(1, D), min_size=k, max_size=k,
+                                   unique=True))
+        rows.append([0, *sorted(terms)] + [D + 1] * (w - 1 - k))
+    rows = np.array(rows, np.int64).reshape(len(rows), w)
+    with pytest.MonkeyPatch.context() as m:
+        if not packs:
+            m.setattr(search, "PACK_BITS", 0)
+        assert (search._unkey(search._keys(rows.copy(), D), D, w)
+                == rows).all()
+        sorter = search._KeySorter(2**40, w, D)
+        sorter.add_rows(rows)
+        got = search._exponents(search._unkey(sorter.sorted_keys(), D, w), D)
+    want = sorted(search._exponents(rows, D), key=lambda e: (e[-1], e))
+    assert got == want
