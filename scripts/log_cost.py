@@ -25,19 +25,22 @@ It also counts the array products of one batch: those of the
 projections by the flat method (one product per set bit of each
 cofactor M/q after the first, Pohlig-Hellman's direct projection) and
 by the engine's product tree, every ``mul_table`` call the batch makes
-(projections and digit lifting), and every ``mul_grid`` call (one per
-giant pass).  The tracemalloc peak of one batch, per element, is what
+(the elementwise products of the projections and of the digits'
+powers), every ``mul_grid`` call (one per lifted digit and one per
+giant pass) and the giant passes alone, as calls of
+``_SubgroupLog._filter``, which runs once a pass.  The tracemalloc
+peak of one batch, per element, is what
 ``dlog.BATCH_LOG_BYTES`` models on tabulated engines; at n = 31 it
 holds a giant pass (``dlog.giant_pass_bytes``) shared by a run of 8
 elements.
 
 Where the engine has a baby-step giant-step solver (the n = 31
 instances) it also times the giant-step passes of one scalar log of
-each element: the passes per log, and a pass's mean µs in its grid
-product (``mul_grid``), its bit filter and its confirmation in the baby
-table; and REPS builds of the engine, split into the baby table's
-powers and sort, the giant block's powers and digits, and the bit
-filter (medians).
+each element: the passes per log (``_filter`` calls), and a pass's
+mean µs in its grid product (``mul_grid``), its bit filter and its
+confirmation in the baby table; and REPS builds of the engine, split
+into the baby table's powers and sort, the giant block's powers and
+digits, and the bit filter (medians).
 
 Writes BENCH_logs.json at the repository root: per instance, its baby
 table size (null for the default), batch, calls and strategies, the
@@ -139,7 +142,8 @@ def measure(poly, baby, batch, reps):
 
     acc = {}
     with (_timing(ctx.batch, "mul_table", acc),
-          _timing(ctx.batch, "mul_grid", acc)):
+          _timing(ctx.batch, "mul_grid", acc),
+          _timing(dlog._SubgroupLog, "_filter", acc)):
         engine.discrete_log(elems)
     calls = {name: count for name, (_, count) in acc.items()}
 
@@ -175,6 +179,7 @@ def measure(poly, baby, batch, reps):
         "projection_products_tree": _tree_products(engine._tree),
         "mul_table_calls_per_batch": calls["mul_table"],
         "mul_grid_calls_per_batch": calls["mul_grid"],
+        "giant_passes_per_batch": calls["_filter"],
         "traced_bytes_per_element": peak / batch,
     }
     print(f"n={ctx.n} baby={baby or 'default'}: "
@@ -189,7 +194,8 @@ def measure(poly, baby, batch, reps):
           f"{row['projection_products_flat']} flat, "
           f"{row['projection_products_tree']} tree; "
           f"{calls['mul_table']} mul_table and {calls['mul_grid']} mul_grid "
-          f"calls; {row['traced_bytes_per_element']:.0f} B "
+          f"calls, {calls['_filter']} giant passes; "
+          f"{row['traced_bytes_per_element']:.0f} B "
           f"per element", flush=True)
     if "bsgs" in row["strategies"]:
         row.update(_bsgs_split(ctx, engine, baby, ints, reps))
@@ -240,7 +246,7 @@ def _bsgs_split(ctx, engine, baby, ints, reps):
           _timing(dlog._SubgroupLog, "_confirm", pass_acc)):
         for a in ints:
             engine.discrete_log(a)
-    passes = pass_acc["mul_grid"][1]
+    passes = pass_acc["_filter"][1]  # one a pass
     parts = {"total": [], "baby": [], "giant": [], "filter": []}
     for _ in range(reps):
         acc = {}

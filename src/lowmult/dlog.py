@@ -17,7 +17,9 @@ block's digits, whose last column is where the next pass starts.  A
 scalar log runs the same kernel on a one-element array.
 
 Digits of prime powers p^e are lifted one at a time through the order-p
-subgroup, so correctness never depends on M being squarefree.  A full
+subgroup, so correctness never depends on M being squarefree; a digit
+leaves the projection through one of p stored corrections, which an
+array applies in one grid product.  A full
 tabulation is the m = p extreme of the same trade-off; growing the baby
 table past sqrt(p) buys time for memory on group orders whose largest
 prime factor is otherwise out of reach.
@@ -74,15 +76,17 @@ from .gf2poly import FieldContext, SparsePoly, make_context
 DEFAULT_TABULATION_ENTRIES = 2**26
 DEFAULT_MAX_TABLE_BYTES = 2**31
 
-# Memory model: one (element, digit) pair costs 16 bytes, held in an
-# open-addressed table at 75% maximum load.
+# Memory model: a table entry is its value and its exponent in two
+# sorted int64 arrays, 16 bytes, charged 4/3 times over: the third beyond
+# covers a baby-step giant-step solver's bit filter (2 to 4 bytes).
 _ENTRY_BYTES = 16
 
 # Planning bytes per element of an array discrete_log: the product tree's
-# pending values, the multiplication table of the current square and
-# the int64 Garner update (tracemalloc: 201 to 258 B per element of 2048 on
-# tabulated engines at n = 4 to 60).
-BATCH_LOG_BYTES = 264
+# pending values, the multiplication table of the current square, a
+# digit lift's grid of p rows and the int64 Garner update (tracemalloc:
+# at most 257.6 B per element of 2048 on tabulated engines at n = 4 to
+# 63, at n = 60).
+BATCH_LOG_BYTES = 258
 
 _DICT_ACCEL_LIMIT = 2**16  # small full tables also get a plain dict
 
@@ -102,12 +106,8 @@ STRATEGY_TABLE = "table"
 STRATEGY_BSGS = "bsgs"
 
 
-def _slots(entries: int) -> int:
-    return -(-entries * 4 // 3)  # ceil(entries / 0.75)
-
-
 def _model_bytes(entries: int) -> int:
-    return _slots(entries) * _ENTRY_BYTES
+    return -(-entries * 4 // 3) * _ENTRY_BYTES  # ceil(4/3 entries)
 
 
 def _tabulate(ctx, p, baby_entries):
@@ -291,9 +291,13 @@ def _bit_filter(vals):
 
 
 class _PrimePowerSolver:
-    """Log modulo one prime power q = p^e, digits lifted via order p."""
+    """Log modulo one prime power q = p^e, digits lifted via order p.
+    Digit k < e - 1 of the log, d, is taken out of the projection by a
+    product by lift[k][d] = (x^(-M/q))^(p^k d), one of p scalar powers
+    (p <= 7 wherever e > 1); an array multiplies by all p in one grid
+    product and keeps row d of each element."""
 
-    __slots__ = ("p", "e", "q", "sub", "inv_pows", "p_pows")
+    __slots__ = ("p", "e", "q", "sub", "lift", "p_pows")
 
     def __init__(self, ctx, p, e, tables):
         """tables: the sorted (vals, idx) of the order-p subgroup."""
@@ -303,39 +307,30 @@ class _PrimePowerSolver:
         self.sub = _SubgroupLog(ctx, p, *tables)
         gq_inv = ctx.pow(2, ctx.order - ctx.order // self.q)  # x^(-M/q)
         self.p_pows = [p**k for k in range(e)]
-        self.inv_pows = [ctx.pow(gq_inv, pk) for pk in self.p_pows]
+        self.lift = [[1, *ctx.pows(gq_inv, *range(pk, p * pk, pk))]
+                     for pk in self.p_pows[:-1]]
 
     def component_log(self, ctx, h: int) -> int:
         """The log mod q of a, from its projection h = a^(M/q)."""
-        if self.e == 1:
-            return self.sub.lookup(h)
         y = 0
-        for k in range(self.e):
-            d = self.sub.lookup(ctx.pow(h, self.p_pows[self.e - 1 - k]))
-            if d:
-                h = ctx.mul(h, ctx.pow(self.inv_pows[k], d))
-                y += d * self.p_pows[k]
-        return y
+        for k, lift in enumerate(self.lift):
+            d = self.sub.lookup(ctx.pow(h, self.p_pows[-1 - k]))
+            h = ctx.mul(h, lift[d])
+            y += d * self.p_pows[k]
+        return y + self.sub.lookup(h) * self.p_pows[-1]
 
     def component_log_array(self, ctx, h):
         """component_log for the uint64 array h of projections."""
-        if self.e == 1:
-            return self.sub.lookup_array(h)
         field = ctx.batch
-        y = np.zeros(len(h), dtype=np.int64)
-        for k in range(self.e):
-            c = field.pow(h, self.p_pows[self.e - 1 - k])
-            d = self.sub.lookup_array(c)
+        y = 0
+        for k, lift in enumerate(self.lift):
+            d = self.sub.lookup_array(field.pow(h, self.p_pows[-1 - k]))
             y += d * self.p_pows[k]
-            if k == self.e - 1:
-                return y
-            # h *= inv_pows[k]^d, one bit of the digit d at a time
-            g = self.inv_pows[k]
-            for bit in range(self.p.bit_length()):
-                sel = ((d >> bit) & 1).astype(bool)
-                if sel.any():
-                    h = np.where(sel, field.mul(h, g), h)
-                g = ctx.sqr(g)
+            d *= len(h)
+            d += np.arange(len(h))  # row d of the grid, element i
+            h = field.mul_grid(np.array(lift, np.uint64),
+                               field.digits(h)).take(d)
+        return y + self.sub.lookup_array(h) * self.p_pows[-1]
 
 
 class LogEngine:

@@ -22,10 +22,11 @@ here are pure functions of their inputs.
 
 The same elements also live in uint64 numpy arrays: each context holds
 one ``_BatchField`` (``ctx.batch``), its arithmetic on such arrays,
-which the batched discrete logs run on.  ``ctx.powers(g, count)`` is
-the one way to compute a run of powers g^0, g^1, ...: the power array
-of x^0..x^D that every search gathers residues from, and the subgroup
-tables and giant blocks of the log engines.
+which the batched discrete logs run on; there every product by known
+factors is one grid product.  ``ctx.powers(g, count)`` is the one way
+to compute a run of powers g^0, g^1, ...: the power array of x^0..x^D
+that every search gathers residues from, and the subgroup tables and
+giant blocks of the log engines.
 
 The degree cap n <= 63 keeps M, logarithms, and centered shifts inside a
 signed 64-bit range; multi-word moduli are out of scope.
@@ -42,10 +43,10 @@ from .factorint import factorize
 
 MAX_EXPONENT = 2**63 - 1
 
-# Elements in one array product of FieldContext.powers, which bounds its
-# work arrays beside the output, and their bytes per element
-# (powers_bytes): up to 49 traced, for a product by 15 factors, and 33
-# for one by a single factor.
+# Products in one grid product of FieldContext.powers, which bounds its
+# work arrays beside the output, and their bytes per product (powers_bytes):
+# 24 for the grid, its gather and the gather's int64 index, the rest for
+# its columns' digits (traced: at most 45, at n = 61, over n = 2 to 63).
 _POWERS_PRODUCT = 2**15
 _POWERS_WORK_BYTES = 49
 
@@ -316,33 +317,33 @@ class FieldContext:
         return self.pow(2, k % self.order)
 
     def powers(self, g: int, count: int) -> np.ndarray:
-        """g^t for t < count (count >= 1) as a uint64 array, one array
-        product per step.
-
-        With k filled, a step makes out[ik:(i+1)k] = out[:k] * g^(ik) for
-        1 <= i < 16, growing the filled part 16-fold, while that product
-        stays below _POWERS_PRODUCT elements; beyond that it doubles, and
-        from k = _POWERS_PRODUCT on it fills that many at a time."""
+        """g^t for t < count (count >= 1) as a uint64 array, one grid
+        product per step: with k filled, the rows g^k, g^(k+c), ... (at
+        most 15 and _POWERS_PRODUCT products, or all that are left) by
+        the columns out[:c], c = min(k, count - k, cap), fill out[k:] row
+        by row.  The columns' digits are taken once per width, and the
+        cap keeps them within _POWERS_WORK_BYTES."""
         field = self.batch
+        cap = min(_POWERS_PRODUCT, _POWERS_PRODUCT * (_POWERS_WORK_BYTES - 24)
+                  // field.grid_digits)
         out = np.empty(count, dtype=np.uint64)
         out[0] = 1
-        k, step = 1, g  # step = g^k
+        k, step, cols = 1, g, field.digits(out[:0])  # step = g^k
         while k < count:
-            t = min(k * (15 if 15 * k < _POWERS_PRODUCT else 1),
-                    _POWERS_PRODUCT, count - k)
-            parts = [step]  # g^(ik) for 1 <= i <= ceil(t / k)
-            while len(parts) * k < t:
-                parts.append(self.mul(parts[-1], step))
-            if len(parts) == 1:
-                out[k:k + t] = field.mul(out[:t], step)
-            else:  # element j of the product is out[j % k] times parts[j // k]
-                flat, width, _ = field.table(parts)
-                offsets = np.repeat(np.arange(width), k)[:t]
-                out[k:k + t] = field.mul_table((flat, width, offsets),
-                                               np.tile(out[:k], width)[:t])
+            c = min(k, count - k, cap)
+            if cols.shape[1] < c:
+                cols = field.digits(out[:c])
+            by = step if c == k else int(out[c])  # g^c
+            r = min(15, _POWERS_PRODUCT // c, -(-(count - k) // c))
+            rows = [step]
+            while len(rows) < r:
+                rows.append(self.mul(rows[-1], by))
+            t = min(r * c, count - k)
+            out[k:k + t] = field.mul_grid(np.array(rows, np.uint64),
+                                          cols[:, :c])[:t]
             k += t
             if k < count:
-                step = self.mul(step, int(out[t]))  # g^k g^t
+                step = self.mul(rows[-1], by)
         return out
 
     def __repr__(self):
@@ -353,17 +354,17 @@ class _BatchField:
     """GF(2^n) arithmetic on uint64 arrays of reduced elements.
 
     Squaring is GF(2)-linear, so it is one gather per byte of the
-    input.  Multiplication runs k-bit digits of one factor (k = 4, or
-    less where n + k would pass 64 bits) through a table of the other
-    factor's multiples j*b mod P, Horner-style from the top digit; each
-    step shifts by k and folds the k bits above x^(n-1) back through one
-    more gather, so no value ever exceeds 64 bits.  A table can be
-    built once and reused for several products with the same factor.
-    The grid product of every b[i] by every a[t] (mul_grid) instead
-    takes a's digits stored once, lowest first, g bits wide (g = 8, or
-    less where n + g would pass 64 bits), and moves b's table of 2^g
-    multiples up by x^g per digit.  One fold table of 2^g entries serves
-    both widths, since g >= k.
+    input.  The elementwise product (mul_table) runs k-bit digits of
+    one factor (k = 4, or less where n + k would pass 64 bits) through a
+    table of the other's multiples j*b mod P, Horner-style from the top
+    digit; each step shifts by k and folds the k bits above x^(n-1) back
+    through one more gather, so no value ever exceeds 64 bits.  Every
+    product by known factors (a constant, a run of powers, a digit lift,
+    a giant-step pass) is a grid product of every b[i] by every a[t]
+    (mul_grid): it takes a's digits stored once, lowest first, g bits
+    wide (g = 8, or less where n + g would pass 64 bits), and moves b's
+    table of 2^g multiples up by x^g per digit.  One fold table of 2^g
+    entries serves both widths, since g >= k.
     """
 
     def __init__(self, ctx: FieldContext):
@@ -419,25 +420,21 @@ class _BatchField:
         return rows
 
     def table(self, b):
-        """Multiples j*b mod P for j < 2^k of the array or int b, laid out
-        flat (entry j of element i at j*len(b) + i) with its row offsets."""
-        b = np.atleast_1d(np.asarray(b, dtype=np.uint64))
-        # a one-element table (a constant) serves every element of a
-        offsets = np.arange(len(b)) if len(b) > 1 else 0
-        return self._multiples(b, self.k).ravel(), len(b), offsets
+        """Multiples j*b mod P for j < 2^k of the array b, laid out flat
+        (entry j of element i at j*len(b) + i) with its row offsets."""
+        return self._multiples(b, self.k).ravel(), np.arange(len(b))
 
     def mul_table(self, table, a):
-        """a times the factor whose table this is.  Gathers index with
-        int64 through take: a uint64 index would be converted on every
-        gather."""
-        flat, width, offsets = table
+        """a times the array whose table this is, elementwise.  Gathers
+        index with int64 through take: a uint64 index would be converted
+        on every gather."""
+        flat, offsets = table
         k, mask = self.kbits, self.digit_mask
         acc = None
         for d in range(self.ndigits - 1, -1, -1):
             j = ((a >> np.uint64(k * d)) & mask).view(np.int64)
-            if width > 1:  # else every element reads row j at offset 0
-                j *= width
-                j += offsets
+            j *= len(offsets)
+            j += offsets
             if acc is None:
                 acc = flat.take(j)
                 continue
@@ -447,14 +444,18 @@ class _BatchField:
         return acc
 
     def mul(self, a, b):
-        return self.mul_table(self.table(b), a)
+        """a * b elementwise for an array b, or as one grid row for an int."""
+        if isinstance(b, np.ndarray):
+            return self.mul_table(self.table(b), a)
+        return self.mul_grid(np.array([b], np.uint64), self.digits(a))
 
     def digits(self, a):
         """The g-bit digits of the uint64 array a as a (grid_digits,
         len(a)) uint8 array, row d holding digit d (bits gd..gd+g-1)."""
-        mask = np.uint64((1 << self.g) - 1)
-        return np.stack([((a >> np.uint64(self.g * d)) & mask)
-                         .astype(np.uint8) for d in range(self.grid_digits)])
+        out = np.empty((self.grid_digits, len(a)), np.uint8)
+        for d, row in enumerate(out):  # cast as it is written
+            row[:] = (a >> np.uint64(self.g * d)) & np.uint64((1 << self.g) - 1)
+        return out
 
     def mul_grid(self, b, digits):
         """b[i] * a[t] at position i * w + t, for the uint64 array b and
@@ -500,7 +501,7 @@ class _BatchField:
 def powers_bytes(count: int, beside: int = 0) -> int:
     """Peak bytes of ctx.powers(g, count) and of `beside` bytes allocated
     later while its output is held: the uint64 output, and the larger of
-    `beside` and the work of its largest array product."""
+    `beside` and the work of its largest grid product."""
     return count * 8 + max(
         min(count - 1, _POWERS_PRODUCT) * _POWERS_WORK_BYTES, beside)
 

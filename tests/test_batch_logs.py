@@ -208,12 +208,13 @@ def test_array_holding_zero_raises(elems):
 
 
 # 2^n - 1 for these n has 6 to 11 prime powers, among them 3^2 (n = 24,
-# 30, 48, 60), 3^3 (n = 36), 5^2 (n = 40, 60) and 7^2 (n = 63).  Giant
+# 30, 48, 60), 3^3 (n = 36), 3^4 (n = 54: three lifts, the most at
+# n <= 63), 5^2 (n = 40, 60) and 7^2 (n = 63).  Giant
 # passes run on digits of width k = 2 at n = 62 and k = 1 at n = 63;
 # 2^62 - 1 = 3 * 715827883 * (2^31 - 1) has no room to tabulate its
 # largest prime, and its default plan leaves both large ones to BSGS
 @pytest.mark.parametrize("n, bsgs_largest", [
-    (n, b) for n in (24, 30, 36, 40, 48, 60, 63) for b in (False, True)]
+    (n, b) for n in (24, 30, 36, 40, 48, 54, 60, 63) for b in (False, True)]
     + [(62, True)])
 def test_multi_prime_logs_round_trip(n, bsgs_largest):
     ctx = _field(n, n)
@@ -407,11 +408,13 @@ def _doubling(ctx, g, count):
 
 @pytest.mark.parametrize("spec", ["18,7,0", "30,6,4,1,0", "31,3,0", "62,6,5,3,0"])
 def test_powers_equal_plain_doubling(spec, monkeypatch):
-    # 16-fold steps, doubling, then steps of 2^15 powers: the same sorted
-    # tables and giant blocks as doubling throughout
+    # grid steps of 15 rows, then of up to 2^15 products, the last taking
+    # all the rows left: the same sorted tables and giant blocks as
+    # doubling throughout
     ctx = make_context(parse_poly(spec))
     g = ctx.pow(2, 12345)
-    for count in (1, 2, 15, 16, 17, 255, 257, 331, 4097, 20000, 70000):
+    for count in (1, 2, 15, 16, 17, 255, 257, 331, 4097, 16385, 20000,
+                  2**15 + 1, 70000, 3 * 2**15 + 7, 2**17 + 1):
         assert np.array_equal(ctx.powers(g, count), _doubling(ctx, g, count))
     plan = {"tabulation_threshold": 1, "bsgs_baby_entries": 3000}
     engines = [build_engine(ctx), build_engine(ctx, **plan)]

@@ -270,8 +270,9 @@ def _shift_and_fold(ctx, count):
 
 @pytest.mark.parametrize("n", sorted(POWER_MODULI))
 def test_powers_equal_an_independent_chain(n):
-    # 16-fold steps up to 4096 powers, doubling up to 2^15, then steps of
-    # 2^15 powers; g's chain is one scalar product per power
+    # grid steps of 15 rows up to 4096 powers, then of up to 2^15
+    # products, at least a row of 4096 columns, the last taking all the
+    # rows left; g's chain is one scalar product per power
     ctx = make_context(parse_poly(POWER_MODULI[n]))
     g = ctx.pow(2, 12345)
     xs, gs = _shift_and_fold(ctx, max(POWER_COUNTS)), [1]
@@ -295,12 +296,18 @@ def test_powers_equal_pow_at_random(n, seed, count, data):
     assert int(got[-1]) == ctx.pow(g, count - 1)
 
 
-@pytest.mark.parametrize("count", [4097, 2**15 + 1, 65537, 10**6])
-def test_powers_bytes_bound_the_traced_peak(count):
-    # the output and the work of the largest array product: products by
-    # 15 factors up to 3,840 elements, then by one factor up to 2^15 (the
-    # bound is loosest below 2^16 powers, where that product is smaller)
-    ctx = make_context(parse_poly("31,3,0"))
+@pytest.mark.parametrize("count, spec", [
+    pytest.param(count, spec,
+                 id=f"{count}" + ("" if spec == "31,3,0" else f"-{spec}"))
+    for spec in ("31,3,0", "56,7,4,2,0", "62,6,5,3,0", "63,1,0")
+    for count in (4097, 2**15 + 1, 65537, 10**6)])
+def test_powers_bytes_bound_the_traced_peak(count, spec):
+    # the output and the work of the largest grid product: 15 rows up to
+    # 3,840 products, then up to 2^15, and the digits of its columns,
+    # ceil(n/g) bytes each: 4 at n = 31, 7 at n = 56, 31 at n = 62 and
+    # 63 at n = 63, where the columns are capped (the bound is loosest
+    # below 2^16 powers, where that product is smaller)
+    ctx = make_context(parse_poly(spec))
     ctx.powers(2, count)
     tracemalloc.start()
     try:
@@ -311,6 +318,20 @@ def test_powers_bytes_bound_the_traced_peak(count):
     assert peak <= powers_bytes(count) <= 2.5 * peak
     # later allocations beside the held output replace the freed work
     assert powers_bytes(count, 10**7) == count * 8 + 10**7
+
+
+def test_powers_take_one_grid_product_a_step(monkeypatch):
+    # 1 + 15 + 240 + 3840 powers in three steps of 15 rows, then the
+    # 12,289 left as one step of 4 rows of 4096 columns: no step of a
+    # single product
+    ctx = make_context(parse_poly("31,3,0"))
+    field, shapes = ctx.batch, []
+    grid = field.mul_grid
+    monkeypatch.setattr(field, "mul_grid", lambda b, d: shapes.append(
+        (len(b), d.shape[1])) or grid(b, d))
+    got = ctx.powers(ctx.pow(2, 12345), 16385)
+    assert shapes == [(15, 1), (15, 16), (15, 256), (4, 4096)]
+    assert int(got[-1]) == ctx.pow(2, 12345 * 16384)
 
 
 @settings(max_examples=40, deadline=None)
