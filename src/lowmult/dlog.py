@@ -53,12 +53,13 @@ The subgroup tables and the giant blocks' digits come from
 one array field.
 
 Engines are immutable after build and safe to share between threads.
-Tables can be dumped to and loaded from a little-endian cache file that
-round-trips bit-exactly.
+A cache file holds each table's exponents only, and a load rebuilds
+the table around them, proving that they are the build's (``_tabulate``).
 """
 
 from __future__ import annotations
 
+import os
 import struct
 import zlib
 from math import isqrt
@@ -78,7 +79,9 @@ DEFAULT_MAX_TABLE_BYTES = 2**31
 
 # Memory model: a table entry is its value and its exponent in two
 # sorted int64 arrays, 16 bytes, charged 4/3 times over: the third beyond
-# covers a baby-step giant-step solver's bit filter (2 to 4 bytes).
+# covers a baby-step giant-step solver's bit filter (2 to 4 bytes).  A
+# build or a cache load peaks at 24 bytes an entry of the table it makes
+# (its powers, their order and the sorted copy), uncharged as yet.
 _ENTRY_BYTES = 16
 
 # Planning bytes per element of an array discrete_log: the product tree's
@@ -100,7 +103,7 @@ GIANT_BLOCK = 2**14
 GIANT_STEP_BYTES = 34
 
 _CACHE_MAGIC = b"LWMENG1\x00"
-_CACHE_VERSION = 1
+_CACHE_VERSION = 2
 
 STRATEGY_TABLE = "table"
 STRATEGY_BSGS = "bsgs"
@@ -110,17 +113,27 @@ def _model_bytes(entries: int) -> int:
     return -(-entries * 4 // 3) * _ENTRY_BYTES  # ceil(4/3 entries)
 
 
-def _tabulate(ctx, p, baby_entries):
-    """gp^j for j < min(p, baby_entries), where gp = x^(M/p) has order p,
-    as (values sorted ascending, their exponents j)."""
+def _tabulate(ctx, p, m, idx=None):
+    """gp^j for j < m <= p, where gp = x^(M/p) has order p, as (vals
+    sorted ascending, their exponents idx); a build takes idx as the
+    argsort.  A cache load gives its idx, accepted (else ValueError) only
+    if every entry is in [0, m) and vals = powers[idx] strictly rises.
+    That proves it the build's: no entry repeats, so idx permutes
+    range(m), and only one permutation sorts the m distinct powers."""
     gp = ctx.pow(2, ctx.order // p)
-    m = min(p, baby_entries)
-    vals = ctx.powers(gp, m)
-    if m == p and ctx.mul(int(vals[-1]), gp) != 1:
+    powers = ctx.powers(gp, m).view("<i8")
+    if m == p and ctx.mul(int(powers[-1]), gp) != 1:
         raise AssertionError("subgroup enumeration did not close")
-    vals = vals.view("<i8")
-    order = np.argsort(vals)  # the values are distinct
-    return vals[order], order.astype("<i8", copy=False)
+    if idx is None:
+        idx = np.argsort(powers).astype("<i8", copy=False)  # values distinct
+        return powers[idx], idx
+    if idx.min() < 0 or idx.max() >= m:
+        raise ValueError(f"table for prime {p} holds an exponent outside [0, {m})")
+    vals = powers[idx]
+    del powers
+    if not (vals[1:] > vals[:-1]).all():
+        raise ValueError(f"table for prime {p} is not a permutation of its exponents")
+    return vals, idx
 
 
 class _SubgroupLog:
@@ -568,104 +581,78 @@ def check_table_bytes(predicted: int, max_table_bytes: int) -> None:
 
 
 def save_engine(engine: LogEngine, path: str) -> None:
-    """Dump the engine tables to a little-endian cache file.
-
-    Layout: magic, version, modulus exponents, two reserved words
-    (written as 0, ignored on load; older files hold the plan's
-    tabulation threshold + 1 and baby size there), then per prime power
-    the sorted subgroup values and their positions; a CRC32 of
-    everything before it trails the payload.
-    """
+    """Dump the engine to a little-endian cache file (version 2): magic,
+    version, n, the modulus exponents, then per prime power its record
+    (p, e, kind, m) and its table's m exponents idx, no values; a CRC32
+    of all that trails.  The idx buffers are written with no copy."""
     ctx = engine.ctx
-    parts = [_CACHE_MAGIC, struct.pack("<IH", _CACHE_VERSION, ctx.n)]
     exps = ctx.poly.exponents
-    parts.append(struct.pack("<H", len(exps)))
-    parts.append(struct.pack(f"<{len(exps)}Q", *exps))
-    parts.append(struct.pack("<QQ", 0, 0))  # reserved
-    parts.append(struct.pack("<I", len(engine.solvers)))
-    for s in engine.solvers:
-        sub = s.sub
-        kind = 0 if sub.strategy == STRATEGY_TABLE else 1
-        parts.append(struct.pack("<QIBQ", s.p, s.e, kind, sub.m))
-        parts.append(sub.vals.tobytes())
-        parts.append(sub.idx.tobytes())
-    payload = b"".join(parts)
-    payload += struct.pack("<I", zlib.crc32(payload))
+    chunks = [struct.pack(f"<8sIHH{len(exps)}QI", _CACHE_MAGIC, _CACHE_VERSION,
+                          ctx.n, len(exps), *exps, len(engine.solvers))]
+    for s in engine.solvers:  # kind 0 a full table, 1 a baby table
+        chunks += [struct.pack("<QIBQ", s.p, s.e, s.sub.m < s.p, s.sub.m), s.sub.idx]
+    crc = 0
     with open(path, "wb") as fh:
-        fh.write(payload)
-
-
-def _check_table(ctx, p, vals, idx, path) -> None:
-    """Cheap consistency check of one cached subgroup table: vals
-    strictly increasing, 0 <= idx < p, and gp^idx[j] == vals[j] at up
-    to 16 evenly spaced j."""
-    m = len(vals)
-    if np.any(vals[1:] <= vals[:-1]) or idx.min() < 0 or idx.max() >= p:
-        raise ValueError(f"{path}: malformed table for prime {p}")
-    gp = ctx.pow(2, ctx.order // p)
-    for j in {k * (m - 1) // 15 for k in range(16)}:
-        if ctx.pow(gp, int(idx[j])) != int(vals[j]):
-            raise ValueError(f"{path}: table for prime {p} fails gp^idx == vals")
+        for chunk in chunks:
+            fh.write(chunk)
+            crc = zlib.crc32(chunk, crc)
+        fh.write(struct.pack("<I", crc))
 
 
 def load_engine(path: str) -> LogEngine:
-    """Rebuild an engine from a cache file.
-
-    Raises ValueError for a bad checksum, a foreign or short file, a
-    stored modulus that is not a primitive polynomial of degree 2..63,
-    solver records that disagree with the modulus's factorization, or
-    tables that fail the consistency check.
-    """
-    with open(path, "rb") as fh:
-        payload = fh.read()
-    if len(payload) < len(_CACHE_MAGIC) + 10:
-        raise ValueError(f"{path}: truncated engine cache")
-    # a view, not a copy: the tables below are read-only views into it
-    body, crc = memoryview(payload)[:-4], struct.unpack("<I", payload[-4:])[0]
-    if zlib.crc32(body) != crc:
-        raise ValueError(f"{path}: engine cache checksum mismatch")
-    if body[: len(_CACHE_MAGIC)] != _CACHE_MAGIC:
-        raise ValueError(f"{path}: not an engine cache")
-    off = len(_CACHE_MAGIC)
-
-    def take(fmt):
-        nonlocal off
-        size = struct.calcsize(fmt)
-        if off + size > len(body):
-            raise ValueError(f"{path}: truncated engine cache")
-        fields = struct.unpack_from(fmt, body, off)
-        off += size
-        return fields
-
-    version, n = take("<IH")
-    if version != _CACHE_VERSION:
-        raise ValueError(f"{path}: unsupported cache version {version}")
-    (nexp,) = take("<H")
-    exps = take(f"<{nexp}Q")
-    take("<QQ")  # reserved
+    """Rebuild an engine from a cache file: each table is recomputed from
+    the modulus around its stored exponents, which must prove to be the
+    build's (_tabulate).  Raises ValueError for a bad checksum, a foreign,
+    short or version-1 file, a stored modulus that is not primitive of
+    degree 2..63, solver records that disagree with its factorization, or
+    exponents that are not the build's."""
     try:
-        ctx = make_context(SparsePoly(exps))
-    except (LowMultError, ValueError) as exc:
-        raise ValueError(f"{path}: engine cache modulus: {exc}") from exc
-    if ctx.n != n:
-        raise ValueError(f"{path}: inconsistent modulus degree")
-    (nsolvers,) = take("<I")
-    if nsolvers != len(ctx.factorization):
-        raise ValueError(f"{path}: solver count does not match the modulus")
-    tables = []
-    for prime_power in ctx.factorization:
-        p, e, kind, m = take("<QIBQ")
-        if (p, e) != prime_power:
-            raise ValueError(f"{path}: solver {p}^{e} does not match the modulus")
-        if not 1 <= m <= p or kind != (0 if m == p else 1):
-            raise ValueError(f"{path}: inconsistent {m}-entry table for prime {p}")
-        if off + 16 * m > len(body):
-            raise ValueError(f"{path}: truncated engine cache")
-        vals = np.frombuffer(body, dtype="<i8", count=m, offset=off)
-        idx = np.frombuffer(body, dtype="<i8", count=m, offset=off + 8 * m)
-        off += 16 * m
-        _check_table(ctx, p, vals, idx, path)
-        tables.append((vals, idx))
-    if off != len(body):
-        raise ValueError(f"{path}: trailing bytes in engine cache")
+        ctx, stored = _read_cache(path)
+        tables = [_tabulate(ctx, p, m, idx) for p, m, idx in stored]
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
     return LogEngine(ctx, tables)
+
+
+def _read_cache(path):
+    """The context and each prime power's (p, m, idx) of a cache file,
+    its CRC checked, idx read straight into an aligned array."""
+    with open(path, "rb") as fh:
+        size, crc = os.fstat(fh.fileno()).st_size, 0
+
+        def read(buf):
+            nonlocal crc
+            if fh.readinto(buf) != memoryview(buf).nbytes:
+                raise ValueError("truncated engine cache")
+            crc = zlib.crc32(buf, crc)
+            return buf
+
+        def take(fmt):
+            return struct.unpack(fmt, read(bytearray(struct.calcsize(fmt))))
+
+        if take("<8s")[0] != _CACHE_MAGIC:
+            raise ValueError("not an engine cache")
+        version, n = take("<IH")
+        if version != _CACHE_VERSION:
+            raise ValueError(f"unsupported cache version {version}; "
+                             "rebuild it with engine-build")
+        (nexp,) = take("<H")
+        try:
+            ctx = make_context(SparsePoly(take(f"<{nexp}Q")))
+        except (LowMultError, ValueError) as exc:
+            raise ValueError(f"engine cache modulus: {exc}") from exc
+        if ctx.n != n or take("<I")[0] != len(ctx.factorization):
+            raise ValueError("degree or solver count disagrees with the modulus")
+        stored = []
+        for prime_power in ctx.factorization:
+            p, e, kind, m = take("<QIBQ")
+            if (p, e) != prime_power or not 1 <= m <= p or kind != (m < p):
+                raise ValueError(f"solver record {p}^{e}, {m} entries, kind "
+                                 f"{kind} disagrees with the modulus")
+            if fh.tell() + 8 * m > size:
+                raise ValueError("truncated engine cache")
+            stored.append((p, m, read(np.empty(m, "<i8"))))
+        tail = fh.read(5)
+    if len(tail) != 4 or struct.unpack("<I", tail)[0] != crc:
+        raise ValueError("engine cache checksum mismatch")
+    return ctx, stored

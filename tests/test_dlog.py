@@ -3,6 +3,7 @@ import hashlib
 import io
 import random
 import struct
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -135,59 +136,121 @@ def test_default_plan_spills_huge_primes():
 
 
 def test_cache_round_trip(tmp_path):
-    ctx = make_context(parse_poly("12,6,4,1,0"))
-    eng = build_engine(ctx, 100)
-    path = tmp_path / "engine.bin"
-    save_engine(eng, str(path))
-    loaded = load_engine(str(path))
-    assert loaded.ctx.poly == ctx.poly
-    rng = random.Random(9)
-    for _ in range(100):
-        a = rng.randrange(1, 1 << ctx.n)
-        assert loaded.discrete_log(a) == eng.discrete_log(a)
-    # re-saving the loaded engine reproduces the file bit for bit
-    path2 = tmp_path / "engine2.bin"
-    save_engine(loaded, str(path2))
-    assert path.read_bytes() == path2.read_bytes()
+    # every prime tabulated at P=12,6,4,1,0; at P=10,3,0 the p=31 subgroup
+    # by baby-step giant-step on an oversized 9-entry baby table
+    for spec, threshold, baby in (("12,6,4,1,0", 100, None), ("10,3,0", 11, 9)):
+        ctx = make_context(parse_poly(spec))
+        eng = build_engine(ctx, threshold, bsgs_baby_entries=baby)
+        path = tmp_path / "engine.bin"
+        save_engine(eng, str(path))
+        loaded = load_engine(str(path))
+        assert loaded.ctx.poly == ctx.poly
+        assert loaded.strategy_summary() == eng.strategy_summary()
+        rng = random.Random(9)
+        for _ in range(100):
+            a = rng.randrange(1, 1 << ctx.n)
+            assert loaded.discrete_log(a) == eng.discrete_log(a)
+        elems = np.arange(1, 1 << ctx.n, dtype=np.uint64)
+        assert np.array_equal(loaded.discrete_log(elems), eng.discrete_log(elems))
+        # re-saving the loaded engine reproduces the file bit for bit
+        path2 = tmp_path / "engine2.bin"
+        save_engine(loaded, str(path2))
+        assert path.read_bytes() == path2.read_bytes()
 
 
-# sha256 of the cache files of P=16,5,3,2,0, pinned from the engine that
-# enumerated each subgroup one scalar product at a time; the threshold-1
-# file was re-pinned when the header's knob words became reserved words
-# written as 0 (it equals the earlier file with those 16 bytes zeroed)
+def _solver_offsets(eng):
+    """Offsets of each solver's record (p, e, kind, m) in the engine's
+    cache file; its m i64 exponents follow the record's 21 bytes."""
+    off = 8 + 6 + 2 + 8 * len(eng.ctx.poly.exponents) + 4
+    offsets = []
+    for solver in eng.solvers:
+        offsets.append(off)
+        off += 21 + 8 * solver.sub.m
+    return offsets, off
+
+
+# sha256 of the version-2 cache files of P=16,5,3,2,0: each equals the
+# version-1 file of the engine that enumerated each subgroup one scalar
+# product at a time, with the version word set to 2 and the reserved
+# words and the stored values taken out
 CACHE_SHA256 = {
-    None: "f161a75be265c43fdf4eb572b853c34097538377aa83c21243570596f55a32d1",
-    1: "6f5e5f8ecfe812a6de043aac940458f75b0769c58d11fc88e14976a618496253",
+    None: "6c72cd243e1df32e48b3c5204f38108b74a942ab5534203c319e78a5927ba859",
+    1: "22c97b2726526928019ee2536b37bba195b657066dfa6077b6a80f2b03317b5d",
 }
 
 
 @pytest.mark.parametrize("threshold", [None, 1])  # full tables, all BSGS
 def test_cache_bytes_are_pinned(tmp_path, threshold):
     path = tmp_path / "engine.bin"
-    save_engine(build_engine(make_context(parse_poly("16,5,3,2,0")), threshold),
-                str(path))
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == CACHE_SHA256[threshold]
-
-
-def test_cache_with_nonzero_reserved_words_loads(tmp_path):
-    # older writers stored the plan's threshold + 1 and baby size in the
-    # reserved words: such a file loads, and its engine gives the same logs
-    ctx = make_context(parse_poly("10,3,0"))
-    eng = build_engine(ctx, 11, bsgs_baby_entries=9)
-    path = tmp_path / "engine.bin"
+    eng = build_engine(make_context(parse_poly("16,5,3,2,0")), threshold)
     save_engine(eng, str(path))
-    body = bytearray(path.read_bytes()[:-4])
-    reserved = 8 + 6 + 2 + 8 * 3  # magic, version/n, exponent count, exponents
-    assert body[reserved:reserved + 16] == bytes(16)
-    struct.pack_into("<QQ", body, reserved, 11 + 1, 9)
-    path.write_bytes(bytes(body) + struct.pack("<I", zlib.crc32(body)))
-    loaded = load_engine(str(path))
-    assert loaded.strategy_summary() == eng.strategy_summary()
-    elems = list(range(1, 1 << ctx.n))
-    assert [loaded.discrete_log(a) for a in elems] == [
-        eng.discrete_log(a) for a in elems]
-    assert loaded.discrete_log(np.array(elems, np.uint64)).tolist() == [
-        brute_force_log(ctx, a) for a in elems]
+    blob = path.read_bytes()
+    assert hashlib.sha256(blob).hexdigest() == CACHE_SHA256[threshold]
+    # the layout under the pin: each record, then the built table's exponents
+    offsets, end = _solver_offsets(eng)
+    for off, s in zip(offsets, eng.solvers):
+        kind = 0 if s.sub.strategy == "table" else 1
+        assert blob[off:off + 21] == struct.pack("<QIBQ", s.p, s.e, kind, s.sub.m)
+        assert blob[off + 21:off + 21 + 8 * s.sub.m] == s.sub.idx.tobytes()
+    assert blob[end:] == struct.pack("<I", zlib.crc32(blob[:end]))
+
+
+def _version_1_cache(eng, path):
+    """The engine's cache in the version-1 layout: two reserved words
+    after the exponents, and each table's values before its exponents."""
+    exps = eng.ctx.poly.exponents
+    body = b"LWMENG1\x00" + struct.pack(
+        f"<IHH{len(exps)}QQQI", 1, eng.ctx.n, len(exps), *exps, 0, 0,
+        len(eng.solvers))
+    for s in eng.solvers:
+        kind = 0 if s.sub.strategy == "table" else 1
+        body += struct.pack("<QIBQ", s.p, s.e, kind, s.sub.m)
+        body += s.sub.vals.tobytes() + s.sub.idx.tobytes()
+    path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+
+
+def test_version_1_cache_exits_2_naming_its_version(tmp_path, capsys):
+    eng = build_engine(make_context(parse_poly("16,5,3,2,0")))
+    path = tmp_path / "engine.bin"
+    _version_1_cache(eng, path)
+    # the file the version-1 writer made, byte for byte
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "f161a75be265c43fdf4eb572b853c34097538377aa83c21243570596f55a32d1")
+    message = "unsupported cache version 1; rebuild it with engine-build"
+    with pytest.raises(ValueError, match=message):
+        load_engine(str(path))
+    code = main(["log", "--poly", "16,5,3,2,0", "--element", "0x3",
+                 "--cache", str(path)])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+
+def _traced_peak(run):
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_cache_load_peaks_no_higher_than_a_build(tmp_path):
+    # 2^17 - 1 is prime: one full table of 131,071 entries.  A build and a
+    # load each hold its powers, an order and the sorted copy at once (the
+    # load's order is its stored exponents); beside them the load keeps the
+    # file's records, Python objects of well under 1 KiB.  The save copies
+    # no table: it writes the engine's own exponent arrays
+    spec = "17,3,0"
+    path = str(tmp_path / "engine.bin")
+    eng = build_engine(make_context(parse_poly(spec)))
+    table_bytes = eng.solvers[0].sub.idx.nbytes
+    assert table_bytes == 8 * 131071
+    save_engine(eng, path)
+    load_engine(path)  # the first call of each path is not the one traced
+    build = _traced_peak(lambda: build_engine(make_context(parse_poly(spec))))
+    load = _traced_peak(lambda: load_engine(path))
+    assert 3 * table_bytes <= load <= build + 1024, (load, build)
+    assert _traced_peak(lambda: save_engine(eng, path)) < table_bytes
 
 
 def test_scalar_log_in_a_prime_order_group_takes_no_square(monkeypatch):
@@ -220,20 +283,16 @@ def test_cache_rejects_corruption(tmp_path):
         load_engine(str(path))
 
 
-def _crafted_cache(tmp_path, edit):
-    """Cache of the P=10,3,0 engine (M = 3 * 11 * 31; 3 and 11 tabulated,
-    31 by baby-step giant-step with 6 baby entries), with edit(body,
-    solver_offsets) applied before a valid CRC is appended."""
-    eng = build_engine(make_context(parse_poly("10,3,0")), 11)
+def _crafted_cache(tmp_path, edit, spec="10,3,0", threshold=11):
+    """Cache of an engine, by default the P=10,3,0 one (M = 3 * 11 * 31;
+    3 and 11 tabulated, 31 by baby-step giant-step with 6 baby entries),
+    with edit(body, solver_offsets) applied before a valid CRC is
+    appended."""
+    eng = build_engine(make_context(parse_poly(spec)), threshold)
     path = tmp_path / "engine.bin"
     save_engine(eng, str(path))
     body = bytearray(path.read_bytes()[:-4])
-    off = 8 + 6 + 2 + 8 * 3 + 16 + 4  # magic, version/n, exponents, knobs, count
-    offsets = []
-    for solver in eng.solvers:
-        offsets.append(off)
-        off += 21 + 16 * solver.sub.m
-    body = edit(body, offsets)
+    body = edit(body, _solver_offsets(eng)[0])
     path.write_bytes(bytes(body) + struct.pack("<I", zlib.crc32(body)))
     return str(path)
 
@@ -251,9 +310,18 @@ def _bsgs_table_size(m):
     return edit
 
 
-def _p11_value_flipped(body, offs):
-    body[offs[1] + 21] ^= 0x40  # first value of the p=11 table: 1 -> 65
-    return body
+def _exponent_edit(solver, change):
+    """An edit of solver's stored exponents idx: change(idx) maps
+    positions to their new values."""
+    def edit(body, offs):
+        start = offs[solver] + 21
+        m = struct.unpack_from("<Q", body, start - 8)[0]
+        new = change(np.frombuffer(body, "<i8", m, start))
+        for j, value in new.items():
+            struct.pack_into("<q", body, start + 8 * j, int(value))
+        return body
+
+    return edit
 
 
 CRAFTED_CACHES = {
@@ -261,7 +329,12 @@ CRAFTED_CACHES = {
     "kind-disagrees-with-size": _bsgs_flagged_as_table,
     "size-above-prime": _bsgs_table_size(32),
     "size-zero": _bsgs_table_size(0),
-    "table-value-flipped": _p11_value_flipped,
+    # the p=11 table's first exponent, 0 -> 64
+    "table-value-flipped": _exponent_edit(1, lambda idx: {0: idx[0] ^ 0x40}),
+    "exponent-pair-swapped": _exponent_edit(1, lambda idx: {4: idx[5], 5: idx[4]}),
+    "exponent-repeated": _exponent_edit(1, lambda idx: {1: idx[0]}),
+    # the p=31 baby table's m = 6: in [0, p), not in [0, m)
+    "baby-exponent-at-m": _exponent_edit(2, lambda idx: {3: 6}),
 }
 
 
@@ -272,13 +345,30 @@ def test_cache_rejects_crafted_contents(tmp_path, case):
 
 
 @pytest.mark.parametrize(
-    "case", ["short-header", "kind-disagrees-with-size", "table-value-flipped"]
+    "case", ["short-header", "kind-disagrees-with-size", "table-value-flipped",
+             "exponent-pair-swapped", "exponent-repeated", "baby-exponent-at-m"]
 )
 def test_cli_rejects_crafted_cache_with_exit_2(tmp_path, capsys, case):
     path = _crafted_cache(tmp_path, CRAFTED_CACHES[case])
     code = main(["log", "--poly", "10,3,0", "--element", "0x3", "--cache", path])
     assert code == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_swapped_exponents_of_a_large_table_exit_2(tmp_path, capsys):
+    # two neighbouring exponents of the p=257 table of 2^16 - 1 = 3 * 5 *
+    # 17 * 257 swapped, away from any sampled position: a load that
+    # trusted them would give 2 * 255 of the 65,535 logs wrong
+    eng = build_engine(make_context(parse_poly("16,5,3,2,0")))
+    assert eng.strategy_summary()[3] == (257, 1, "table", 257)
+    swap = _exponent_edit(3, lambda idx: {100: idx[101], 101: idx[100]})
+    path = _crafted_cache(tmp_path, swap, "16,5,3,2,0", None)
+    with pytest.raises(ValueError, match="prime 257"):
+        load_engine(path)
+    code = main(["log", "--poly", "16,5,3,2,0", "--element", "0x3",
+                 "--cache", path])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"error: {path}: ")
 
 
 def test_cli_rejects_a_cache_whose_modulus_is_reducible(tmp_path, capsys):
@@ -298,18 +388,15 @@ def test_cli_rejects_a_cache_whose_modulus_is_reducible(tmp_path, capsys):
 def cache_file(tmp_path_factory):
     """The P=10,3,0 cache of _crafted_cache, its bytes and its header
     fields as (struct format, offset): version, n, exponent count, each
-    exponent, solver count, then each solver's p, e, kind and table size.
-    Not the two reserved words, which any value leaves valid."""
+    exponent, solver count, then each solver's p, e, kind and table size."""
     eng = build_engine(make_context(parse_poly("10,3,0")), 11)
     path = tmp_path_factory.mktemp("cache") / "engine.bin"
     save_engine(eng, str(path))
     fields = [("<I", 8), ("<H", 12), ("<H", 14),
-              ("<Q", 16), ("<Q", 24), ("<Q", 32), ("<I", 56)]
-    off = 60
-    for solver in eng.solvers:
+              ("<Q", 16), ("<Q", 24), ("<Q", 32), ("<I", 40)]
+    for off in _solver_offsets(eng)[0]:
         fields += [("<Q", off), ("<I", off + 8), ("<B", off + 12),
                    ("<Q", off + 13)]
-        off += 21 + 16 * solver.sub.m
     return path, path.read_bytes(), fields
 
 

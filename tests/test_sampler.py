@@ -21,6 +21,9 @@ from lowmult.sampler import (
     birthday_tmto,
     random_log_sample,
     write_progress_csv,
+    _EXPONENT_OBJECT_BYTES,
+    _RESIDUE_ENTRY_BYTES,
+    _ROUND_OBJECT_BYTES,
     _below_rounds,
     _birthday_bytes,
     _draw_bytes,
@@ -411,8 +414,11 @@ def test_scalar_bsgs_logs_stay_within_the_budget(n31_engine, method):
     D, rounds = 200, 100
     giant_pass = GIANT_BLOCK * GIANT_STEP_BYTES
     if method == "random_log_sample":
+        # also a residue cache entry a round, and the one chunk (all 100
+        # rounds) as Python objects
         params = SampleParams(w=3, D=D, B=10**9, seed=1, max_iterations=rounds)
-        need = _draw_bytes(D, (1,), rounds, giant_pass)
+        need = _draw_bytes(D, (1,), rounds, giant_pass + rounds * (
+            _RESIDUE_ENTRY_BYTES + _ROUND_OBJECT_BYTES + _EXPONENT_OBJECT_BYTES))
     else:  # a K = D table of 1-tuples, then one log per draw
         params = SampleParams(w=4, D=D, B=10**9, q1=1, seed=1,
                               max_iterations=rounds)

@@ -543,7 +543,8 @@ def _log_route_need(ctx, w, D):
 
 def test_log_route_checks_the_budget_before_allocating(monkeypatch):
     from lowmult.sampler import (
-        SampleParams, _draw_bytes, birthday_logtmto, random_log_sample)
+        SampleParams, _EXPONENT_OBJECT_BYTES, _RESIDUE_ENTRY_BYTES,
+        _ROUND_OBJECT_BYTES, _draw_bytes, birthday_logtmto, random_log_sample)
 
     params, need = _log_route_need(F16, 4, 15)
     # birthday_logtmto draws one probe at a time against a table to build;
@@ -552,9 +553,11 @@ def test_log_route_checks_the_budget_before_allocating(monkeypatch):
     draw_need = _draw_bytes(15, (1,), 5, search._log_route_bytes(
         F16.order, 15, 1, 1, 15, 1, search._logged_tuples(15, 1),
         powers=False))
-    # random_log_sample draws weight-3 polynomials: 2-tuples
+    # random_log_sample draws weight-3 polynomials: 2-tuples, beside a
+    # residue cache entry and a chunk's Python objects a round
     sample = SampleParams(w=4, D=15, B=1, seed=1, max_iterations=5)
-    sample_need = _draw_bytes(15, (2,), 5)
+    sample_need = _draw_bytes(15, (2,), 5, 5 * (
+        _RESIDUE_ENTRY_BYTES + _ROUND_OBJECT_BYTES + 2 * _EXPONENT_OBJECT_BYTES))
 
     def allocates(*args):
         raise AssertionError("allocated before the budget check")
